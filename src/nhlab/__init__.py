@@ -10,7 +10,8 @@ from .model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
                     shift_spectrum, splitmix64_stream)
 from .perturb import first_order, matrix_elements, nhph_pairs
 from .skin import mode_reports, verify_selective_skin, verify_standard_skin, zero_mode_equality
-from .spectra import bmap_correspondence, certify, ep_analyze, inner_product_audit
+from .spectra import (IllConditionedError, bmap_correspondence, certify, ep_analyze,
+                      inner_product_audit)
 
 __all__ = [
     "DEFAULT", "Tolerances",
@@ -19,6 +20,7 @@ __all__ = [
     "splitmix64_stream",
     "EigenSystem", "eig_full", "apply_metric_pairing",
     "certify", "inner_product_audit", "ep_analyze", "bmap_correspondence",
+    "IllConditionedError",
     "mode_reports", "verify_selective_skin", "verify_standard_skin",
     "zero_mode_equality",
     "PumpSpec", "ThresholdResult", "pumped_hamiltonian", "track_mode",

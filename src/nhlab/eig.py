@@ -1,10 +1,15 @@
 """Paired right/left eigensystems with biorthogonal normalization.
 
-Right eigenvectors come from a dense eigensolve of M, left ones from the
-transpose problem M^T psi~ = w psi~ (so psi~^T M = w psi~^T).  Pairs are
-matched by eigenvalue proximity, then by maximal overlap inside degenerate
-clusters; biorthonormal pairs are rescaled so psi~^T psi = 1, self-orthogonal
-pairs (EP candidates) are kept at unit 2-norm.  Every returned pair carries a
+One dense LAPACK solve (``zgeev`` with both vector sets) returns right
+vectors psi and left vectors psi~ = conj(vl), paired by index because both
+come from the same Schur form (psi~^T M = w psi~^T).  Only a true
+multiplet, a cluster of eigenvalues whose index-paired overlap block is not
+already biorthogonal, needs more: a semisimple one is biorthogonalized in
+place, and a defective one (an EP) has its left vectors re-assigned by
+maximal overlap, so ``EigenSystem.pairing`` is the identity except in such
+EPs.  Biorthonormal pairs are rescaled so psi~^T psi = 1, self-orthogonal
+pairs (EP candidates) are kept at unit 2-norm, and every pair is rotated so
+the largest entry of psi is real positive.  Every returned pair carries a
 residual certificate.
 """
 
@@ -13,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .config import DEFAULT, Tolerances
 from .model import spectral_norm
 
 BIORTHONORMAL = "biorthonormal"
 SELF_ORTHOGONAL = "self_orthogonal"
-UNPAIRED = "unpaired"
 
 
 class EigensolveError(RuntimeError):
@@ -32,10 +37,13 @@ class EigenSystem:
 
     ``eigenvalues`` are sorted by (Re, Im) ascending; ``left_vectors[:, mu]``
     satisfies psi~^T M = w_mu psi~^T and pairs ``right_vectors[:, mu]``.
+    ``pairing[mu]`` is the sorted index of the LAPACK left vector stored at
+    ``mu``: ``mu`` itself except inside re-paired (defective) multiplets.
     ``overlaps[mu]`` is psi~^T psi with both vectors at unit 2-norm (the
     self-orthogonality diagnostic); after construction, biorthonormal pairs
-    are stored rescaled so that psi~^T psi = 1.  ``residuals[mu]`` is the max
-    of the right and left residual norms per unit eigenvector.
+    are stored rescaled so that psi~^T psi = 1, and each pair is phased so
+    the largest-modulus entry of psi is real positive.  ``residuals[mu]`` is
+    the max of the right and left residual norms per unit eigenvector.
     """
 
     dim: int
@@ -94,6 +102,45 @@ def _clusters(values: np.ndarray, tol_abs: float) -> list[list[int]]:
     return out
 
 
+def _unit_columns(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=0)
+
+
+def _residuals(m: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """||M v - w v|| / ||v|| per column."""
+    return np.linalg.norm(m @ v - v * w, axis=0) / np.linalg.norm(v, axis=0)
+
+
+def _condition(m: np.ndarray) -> float:
+    sv = np.linalg.svd(m, compute_uv=False)
+    return sv[0] / max(sv[-1], 1e-300)
+
+
+def _pair_cluster(comp: list[int], lhat: np.ndarray, rhat: np.ndarray,
+                  pairing: np.ndarray, tol: Tolerances) -> None:
+    """Pair left with right vectors inside one eigenvalue cluster, in place.
+
+    Index pairing stands when the unit overlap block P = L^T R of the cluster
+    is already biorthogonal (distinct eigenvalues lumped by the cluster
+    tolerance).  A semisimple multiplet (P invertible) is biorthogonalized,
+    L <- L P^-T; a defective one (an EP) keeps LAPACK's left vectors,
+    re-assigned by greedy maximal overlap.
+    """
+    block = lhat[:, comp].T @ rhat[:, comp]
+    if np.abs(block - np.diag(np.diagonal(block))).max() <= tol.biorth:
+        return
+    if np.linalg.svd(block, compute_uv=False)[-1] >= tol.self_orth:
+        lhat[:, comp] = _unit_columns(np.linalg.solve(block, lhat[:, comp].T).T)
+        return
+    ov = np.abs(block)                                 # rows: lefts, cols: rights
+    free_l, free_r = set(range(len(comp))), set(range(len(comp)))
+    while free_l:
+        a, b = max(((a, b) for a in free_l for b in free_r), key=lambda ab: ov[ab])
+        pairing[comp[b]] = comp[a]
+        free_l.discard(a)
+        free_r.discard(b)
+
+
 def eig_full(m: np.ndarray, tol: Tolerances = DEFAULT) -> EigenSystem:
     """Full biorthogonal eigensystem of a dense complex matrix.
 
@@ -111,96 +158,41 @@ def eig_full(m: np.ndarray, tol: Tolerances = DEFAULT) -> EigenSystem:
     n = m.shape[0]
     norm = spectral_norm(m)
     try:
-        w, vr = np.linalg.eig(m)
-        wl, vl = np.linalg.eig(m.T)
+        w, vl, vr = scipy.linalg.eig(m, left=True, right=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        sv = np.linalg.svd(m, compute_uv=False)
-        cond = sv[0] / max(sv[-1], 1e-300)
         raise EigensolveError(f"eigensolve failed for {n}x{n} matrix "
-                              f"(||M||={norm:.3e}, cond={cond:.3e}): {exc}") from exc
+                              f"(||M||={norm:.3e}, cond={_condition(m):.3e}): {exc}") from exc
 
     order = np.lexsort((w.imag, w.real))
-    w, vr = w[order], vr[:, order]
+    w = w[order]
+    rhat = _unit_columns(vr[:, order])
+    lhat = _unit_columns(vl[:, order].conj())
+    pairing = np.arange(n)
+    for comp in _clusters(w, tol.cluster_rel * norm):
+        if len(comp) > 1:
+            _pair_cluster(comp, lhat, rhat, pairing, tol)
+    lhat = lhat[:, pairing]
 
-    # assign each left eigenvalue to its nearest right eigenvalue's cluster
-    clusters = _clusters(w, tol.cluster_rel * norm)
-    owner = np.empty(n, dtype=int)       # cluster id per right index
-    for cid, comp in enumerate(clusters):
-        owner[comp] = cid
-    left_of = [[] for _ in clusters]
-    for lidx in range(n):
-        nearest = int(np.argmin(np.abs(w - wl[lidx])))
-        left_of[owner[nearest]].append(lidx)
-
-    left_cols = np.zeros((n, n), dtype=complex)
-    pairing = np.full(n, -1, dtype=int)
-    status = [UNPAIRED] * n
-    overlaps = np.zeros(n, dtype=complex)
-
-    for cid, comp in enumerate(clusters):
-        lefts = left_of[cid]
-        if len(comp) == 1 and len(lefts) == 1:
-            ridx, lidx = comp[0], lefts[0]
-            if abs(wl[lidx] - w[ridx]) > tol.pair_rel * norm:
-                continue  # stays unpaired
-            _assign(ridx, lidx, vr, vl, left_cols, pairing, status, overlaps, tol)
-            continue
-        # degenerate cluster: greedy maximal-overlap assignment
-        if not lefts:
-            continue
-        ov = np.zeros((len(lefts), len(comp)))
-        for a, lidx in enumerate(lefts):
-            lv = vl[:, lidx] / np.linalg.norm(vl[:, lidx])
-            for b, ridx in enumerate(comp):
-                rv = vr[:, ridx] / np.linalg.norm(vr[:, ridx])
-                ov[a, b] = abs(lv @ rv)
-        free_l, free_r = set(range(len(lefts))), set(range(len(comp)))
-        while free_l and free_r:
-            a, b = max(((a, b) for a in free_l for b in free_r), key=lambda ab: ov[ab])
-            _assign(comp[b], lefts[a], vr, vl, left_cols, pairing, status, overlaps, tol)
-            free_l.discard(a)
-            free_r.discard(b)
+    overlaps = np.sum(lhat * rhat, axis=0)
+    self_orth = np.abs(overlaps) < tol.self_orth
+    # split the rescaling symmetrically, principal branch
+    scale = np.where(self_orth, 1.0, np.sqrt(overlaps))
+    right, left = rhat / scale, lhat / scale
+    top = right[np.argmax(np.abs(right), axis=0), np.arange(n)]
+    phase = top / np.abs(top)
+    right, left = right / phase, left * phase
+    status = tuple(SELF_ORTHOGONAL if so else BIORTHONORMAL for so in self_orth)
 
     # residual certificates (per unit vector)
-    residuals = np.zeros(n)
-    for mu in range(n):
-        rv = vr[:, mu]
-        res_r = np.linalg.norm(m @ rv - w[mu] * rv) / np.linalg.norm(rv)
-        if pairing[mu] >= 0:
-            lv = left_cols[:, mu]
-            res_l = np.linalg.norm(m.T @ lv - w[mu] * lv) / np.linalg.norm(lv)
-        else:
-            res_l = 0.0
-        residuals[mu] = max(res_r, res_l)
+    residuals = np.maximum(_residuals(m, right, w), _residuals(m.T, left, w))
     if residuals.max() > tol.residual_rel * max(norm, 1e-300):
-        sv = np.linalg.svd(m, compute_uv=False)
-        cond = sv[0] / max(sv[-1], 1e-300)
         raise EigensolveError(f"eigenpair residual {residuals.max():.3e} exceeds "
                               f"{tol.residual_rel:.1e} * ||M|| = {tol.residual_rel * norm:.3e} "
-                              f"(cond={cond:.3e})")
+                              f"(cond={_condition(m):.3e})")
 
-    return EigenSystem(dim=n, eigenvalues=w, right_vectors=vr, left_vectors=left_cols,
-                       pairing=pairing, norm_status=tuple(status), overlaps=overlaps,
+    return EigenSystem(dim=n, eigenvalues=w, right_vectors=right, left_vectors=left,
+                       pairing=pairing, norm_status=status, overlaps=overlaps,
                        residuals=residuals, matrix_norm=norm)
-
-
-def _assign(ridx, lidx, vr, vl, left_cols, pairing, status, overlaps, tol):
-    """Pair one left vector to one right vector, rescaling if possible."""
-    rv = vr[:, ridx] / np.linalg.norm(vr[:, ridx])
-    lv = vl[:, lidx] / np.linalg.norm(vl[:, lidx])
-    p = lv @ rv
-    overlaps[ridx] = p
-    pairing[ridx] = lidx
-    if abs(p) < tol.self_orth:
-        vr[:, ridx] = rv
-        left_cols[:, ridx] = lv
-        status[ridx] = SELF_ORTHOGONAL
-    else:
-        # split the rescaling symmetrically, principal branch
-        scale = np.sqrt(p)
-        vr[:, ridx] = rv / scale
-        left_cols[:, ridx] = lv / scale
-        status[ridx] = BIORTHONORMAL
 
 
 @dataclass
@@ -251,17 +243,21 @@ def apply_metric_pairing(es: EigenSystem, a: np.ndarray,
     reported on the kernel branch (w_mu = 0).
     """
     a = np.asarray(a, dtype=complex)
+    images = a @ es.right_vectors
+    kernel = (np.linalg.norm(images, axis=0)
+              <= tol.kernel_rel * np.linalg.norm(es.right_vectors, axis=0))
+    # the residual of (A psi_mu)* against psi~_nu is smallest where
+    # |psi~_nu^T A psi_mu| / ||psi~_nu|| is largest
+    gram = np.abs(es.left_vectors.T @ images)
+    best = np.argmax(gram / np.linalg.norm(es.left_vectors, axis=0)[:, None], axis=0)
     entries = []
     for mu in range(es.dim):
-        psi = es.right(mu)
-        image = a @ psi
-        if np.linalg.norm(image) <= tol.kernel_rel * np.linalg.norm(psi):
+        if kernel[mu]:
             entries.append(MetricPairEntry(mu=mu, nu=None, collinearity=0.0,
                                            diagonal=False, kernel=True))
             continue
-        target = image.conj()
-        resids = [collinearity_residual(target, es.left(nu)) for nu in range(es.dim)]
-        nu = int(np.argmin(resids))
-        entries.append(MetricPairEntry(mu=mu, nu=nu, collinearity=float(resids[nu]),
-                                       diagonal=(nu == mu), kernel=False))
+        nu = int(best[mu])
+        entries.append(MetricPairEntry(
+            mu=mu, nu=nu, collinearity=collinearity_residual(images[:, mu].conj(), es.left(nu)),
+            diagonal=(nu == mu), kernel=False))
     return MetricPairingReport(entries=entries)

@@ -19,6 +19,17 @@ from .eig import EigenSystem, collinearity_residual
 from .model import assert_hermitian, construct_product, hermitian_equivalent, spectral_norm
 
 
+class IllConditionedError(RuntimeError):
+    """A rank decision that the float64 noise floor of the matrix cannot make."""
+
+    def __init__(self, message: str, n: int, matrix_norm: float, floor: float):
+        super().__init__(f"{message} (n={n}, ||H||={matrix_norm:.3e}, "
+                         f"floor nullity_rel*||H||={floor:.3e})")
+        self.n = n
+        self.matrix_norm = matrix_norm
+        self.floor = floor
+
+
 @dataclass
 class SpectralCertificate:
     """Reality and pseudo-Hermiticity diagnostics of one matrix."""
@@ -50,19 +61,24 @@ def conjugate_pairs(eigenvalues: np.ndarray) -> tuple[list[tuple[int, int]], lis
     (mu, mu).  The per-pair residual |w_mu - w_nu*| quantifies closure under
     conjugation.
     """
-    n = len(eigenvalues)
-    cand = [(abs(eigenvalues[i] - np.conj(eigenvalues[j])), i, j)
-            for i in range(n) for j in range(i, n)]
-    cand.sort(key=lambda c: (c[0], c[1], c[2]))
-    used = np.zeros(n, dtype=bool)
+    w = np.asarray(eigenvalues, dtype=complex)
+    n = len(w)
+    # candidates (i <= j) in (cost, i, j) order; hypot matches scalar abs() bit for bit
+    iu, ju = np.triu_indices(n)
+    d = w[iu] - np.conj(w[ju])
+    cost = np.hypot(d.real, d.imag)
+    order = np.lexsort((ju, iu, cost))
+    used = [False] * n
+    free = n
     pairs, resid = [], []
-    for cost, i, j in cand:
-        if used[i] or (i != j and used[j]):
+    for i, j, c in zip(iu[order].tolist(), ju[order].tolist(), cost[order].tolist()):
+        if used[i] or used[j]:
             continue
         used[i] = used[j] = True
+        free -= 1 if i == j else 2
         pairs.append((i, j))
-        resid.append(float(cost))
-        if used.all():
+        resid.append(c)
+        if not free:
             break
     pairs_sorted = sorted(zip(pairs, resid))
     return [p for p, _ in pairs_sorted], [r for _, r in pairs_sorted]
@@ -121,19 +137,17 @@ def inner_product_audit(es: EigenSystem, b: np.ndarray,
     """
     b = np.asarray(b, dtype=complex)
     a = b.conj().T @ b
-    out = []
-    for mu in range(es.dim):
-        psi = es.right(mu)
-        psi = psi / np.linalg.norm(psi)
-        image = b @ psi
-        value = float(np.real(np.vdot(a @ psi, psi)))
-        bnorm = float(np.vdot(image, image).real)
-        if abs(value - bnorm) > 1e-8 * max(bnorm, 1.0):
-            raise AssertionError(f"inner-product identity violated at mode {mu}: "
-                                 f"{value} vs {bnorm}")
-        out.append(InnerProductEntry(mu=mu, value=value, b_norm_sq=bnorm,
-                                     ep_candidate=bool(np.sqrt(bnorm) <= tol.kernel_rel)))
-    return out
+    psi = es.right_vectors / np.linalg.norm(es.right_vectors, axis=0)
+    values = np.real(np.sum((a @ psi).conj() * psi, axis=0))
+    bnorms = np.sum(np.abs(b @ psi) ** 2, axis=0)
+    bad = np.flatnonzero(np.abs(values - bnorms) > 1e-8 * np.maximum(bnorms, 1.0))
+    if bad.size:
+        mu = int(bad[0])
+        raise AssertionError(f"inner-product identity violated at mode {mu}: "
+                             f"{float(values[mu])} vs {float(bnorms[mu])}")
+    return [InnerProductEntry(mu=mu, value=float(values[mu]), b_norm_sq=float(bnorms[mu]),
+                              ep_candidate=bool(np.sqrt(bnorms[mu]) <= tol.kernel_rel))
+            for mu in range(es.dim)]
 
 
 @dataclass
@@ -244,6 +258,11 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
             cand = kernels[p]
             resid = cand - avoid @ (avoid.conj().T @ cand) if avoid.size else cand
             u, svv, _ = np.linalg.svd(resid, full_matrices=False)
+            if u.shape[1] < need:
+                raise IllConditionedError(
+                    f"Jordan analysis at {complex(target)}: rank sequence {ranks} asks for "
+                    f"{need} chain top(s) of order {p} but only {u.shape[1]} kernel "
+                    "direction(s) remain", n, norm, ntol)
             picked = [u[:, i] for i in range(need)]
             for wtop in picked:
                 chain = [wtop]
@@ -283,11 +302,11 @@ class BMapReport:
     spectral_gap: float     # max sorted-spectrum mismatch between H and H_e
     entries: list[BMapModeEntry]
 
+    gap_tol: float = field(repr=False)   # spectra_match_rel * ||H||
+
     @property
     def spectra_agree(self) -> bool:
-        return self.spectral_gap <= self._gap_tol
-
-    _gap_tol: float = field(default=0.0, repr=False)
+        return self.spectral_gap <= self.gap_tol
 
     def to_dict(self) -> dict:
         return {"invertible": self.invertible, "spectral_gap": self.spectral_gap,
@@ -312,40 +331,37 @@ def bmap_correspondence(h0: np.ndarray, b: np.ndarray,
     a = b.conj().T @ b
     h = construct_product(h0, a, tol)
     he = hermitian_equivalent(h0, b, tol)
-    norm = max(spectral_norm(h), 1e-300)
 
     es = eig_full(h, tol)
+    norm = max(es.matrix_norm, 1e-300)
+    w = es.eigenvalues
     evals_e = np.linalg.eigvalsh(he)
-    order = np.argsort(es.eigenvalues.real)
-    gap = float(np.abs(es.eigenvalues[order] - np.sort(evals_e)).max())
+    order = np.argsort(w.real)
+    gap = float(np.abs(w[order] - np.sort(evals_e)).max())
 
     sv = np.linalg.svd(b, compute_uv=False)
     invertible = bool(sv[-1] > tol.invertible_rel * max(sv[0], 1e-300))
 
-    entries = []
     if invertible:
         _, vecs_e = np.linalg.eigh(he)
-        for mu in range(es.dim):
-            lam = es.eigenvalues[mu]
-            nu = int(np.argmin(np.abs(evals_e - lam.real)))
-            mapped_back = np.linalg.solve(b, vecs_e[:, nu])
-            res = collinearity_residual(mapped_back / np.linalg.norm(mapped_back),
-                                        es.right(mu))
-            entries.append(BMapModeEntry(mu=mu, eigenvalue=complex(lam), mapped=True,
+        mapped_back = np.linalg.solve(b, vecs_e)
+        nearest = np.argmin(np.abs(evals_e[None, :] - w.real[:, None]), axis=1)
+        entries = []
+        for mu, nu in enumerate(nearest):
+            back = mapped_back[:, nu]
+            res = collinearity_residual(back / np.linalg.norm(back), es.right(mu))
+            entries.append(BMapModeEntry(mu=mu, eigenvalue=complex(w[mu]), mapped=True,
                                          residual=float(res)))
     else:
-        for mu in range(es.dim):
-            psi = es.right(mu) / np.linalg.norm(es.right(mu))
-            image = b @ psi
-            if np.linalg.norm(image) <= tol.kernel_rel:
-                entries.append(BMapModeEntry(mu=mu, eigenvalue=complex(es.eigenvalues[mu]),
-                                             mapped=False, residual=0.0))
-                continue
-            image = image / np.linalg.norm(image)
-            res = np.linalg.norm(he @ image - es.eigenvalues[mu] * image)
-            entries.append(BMapModeEntry(mu=mu, eigenvalue=complex(es.eigenvalues[mu]),
-                                         mapped=True, residual=float(res / norm)))
+        psi = es.right_vectors / np.linalg.norm(es.right_vectors, axis=0)
+        images = b @ psi
+        image_norms = np.linalg.norm(images, axis=0)
+        mapped = image_norms > tol.kernel_rel
+        images = images / np.where(mapped, image_norms, 1.0)
+        res = np.linalg.norm(he @ images - images * w, axis=0) / norm
+        entries = [BMapModeEntry(mu=mu, eigenvalue=complex(w[mu]), mapped=bool(mapped[mu]),
+                                 residual=float(res[mu]) if mapped[mu] else 0.0)
+                   for mu in range(es.dim)]
 
-    report = BMapReport(invertible=invertible, spectral_gap=gap, entries=entries)
-    report._gap_tol = tol.spectra_match_rel * norm
-    return report
+    return BMapReport(invertible=invertible, spectral_gap=gap, entries=entries,
+                      gap_tol=tol.spectra_match_rel * norm)
