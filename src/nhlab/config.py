@@ -18,7 +18,6 @@ class Tolerances:
     psd_rel: float = 1e-10            # allowed negative eigenvalue of a PSD matrix
     # eigensystem
     residual_rel: float = 1e-10       # per-pair eigenpair residual
-    pair_rel: float = 1e-8            # unused: left/right vectors come index-paired (kept as a --tol key)
     cluster_rel: float = 1e-7         # degenerate-cluster grouping
     nullity_rel: float = 1e-8         # singular-value threshold for rank/nullity
     self_orth: float = 1e-6           # |psi~.psi| below this (unit vectors) flags an EP

@@ -2,15 +2,14 @@
 
 One dense LAPACK solve (``zgeev`` with both vector sets) returns right
 vectors psi and left vectors psi~ = conj(vl), paired by index because both
-come from the same Schur form (psi~^T M = w psi~^T).  Only a true
-multiplet, a cluster of eigenvalues whose index-paired overlap block is not
-already biorthogonal, needs more: a semisimple one is biorthogonalized in
-place, and a defective one (an EP) has its left vectors re-assigned by
-maximal overlap, so ``EigenSystem.pairing`` is the identity except in such
-EPs.  Biorthonormal pairs are rescaled so psi~^T psi = 1, self-orthogonal
-pairs (EP candidates) are kept at unit 2-norm, and every pair is rotated so
-the largest entry of psi is real positive.  Every returned pair carries a
-residual certificate.
+come from the same Schur form (psi~^T M = w psi~^T).  Only a semisimple
+multiplet, a cluster of eigenvalues whose index-paired overlap block is
+invertible but not already biorthogonal, needs more: its left vectors are
+biorthogonalized in place.  Inside a defective cluster (an EP) the index
+pairing stands.  Biorthonormal pairs are rescaled so psi~^T psi = 1,
+self-orthogonal pairs (EP candidates) are kept at unit 2-norm, and every
+pair is rotated so the largest entry of psi is real positive.  Every
+returned pair carries a residual certificate.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ class EigenSystem:
 
     ``eigenvalues`` are sorted by (Re, Im) ascending; ``left_vectors[:, mu]``
     satisfies psi~^T M = w_mu psi~^T and pairs ``right_vectors[:, mu]``.
-    ``pairing[mu]`` is the sorted index of the LAPACK left vector stored at
-    ``mu``: ``mu`` itself except inside re-paired (defective) multiplets.
     ``overlaps[mu]`` is psi~^T psi with both vectors at unit 2-norm (the
     self-orthogonality diagnostic); after construction, biorthonormal pairs
     are stored rescaled so that psi~^T psi = 1, and each pair is phased so
@@ -50,7 +47,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
-    pairing: np.ndarray
     norm_status: tuple[str, ...]
     overlaps: np.ndarray
     residuals: np.ndarray
@@ -74,7 +70,6 @@ class EigenSystem:
             "eigenvalues": cvec(self.eigenvalues),
             "right_vectors": [cvec(self.right_vectors[:, k]) for k in range(self.dim)],
             "left_vectors": [cvec(self.left_vectors[:, k]) for k in range(self.dim)],
-            "pairing": [int(p) for p in self.pairing],
             "norm_status": list(self.norm_status),
             "overlaps": cvec(self.overlaps),
             "residuals": [float(r) for r in self.residuals],
@@ -116,29 +111,20 @@ def _condition(m: np.ndarray) -> float:
     return sv[0] / max(sv[-1], 1e-300)
 
 
-def _pair_cluster(comp: list[int], lhat: np.ndarray, rhat: np.ndarray,
-                  pairing: np.ndarray, tol: Tolerances) -> None:
-    """Pair left with right vectors inside one eigenvalue cluster, in place.
+def _biorthogonalize_cluster(comp: list[int], lhat: np.ndarray, rhat: np.ndarray,
+                             tol: Tolerances) -> None:
+    """Biorthogonalize the left vectors of one eigenvalue cluster, in place.
 
     Index pairing stands when the unit overlap block P = L^T R of the cluster
     is already biorthogonal (distinct eigenvalues lumped by the cluster
-    tolerance).  A semisimple multiplet (P invertible) is biorthogonalized,
-    L <- L P^-T; a defective one (an EP) keeps LAPACK's left vectors,
-    re-assigned by greedy maximal overlap.
+    tolerance) or singular (a defective cluster, an EP).  A semisimple
+    multiplet (P invertible) gets L <- L P^-T.
     """
     block = lhat[:, comp].T @ rhat[:, comp]
     if np.abs(block - np.diag(np.diagonal(block))).max() <= tol.biorth:
         return
     if np.linalg.svd(block, compute_uv=False)[-1] >= tol.self_orth:
         lhat[:, comp] = _unit_columns(np.linalg.solve(block, lhat[:, comp].T).T)
-        return
-    ov = np.abs(block)                                 # rows: lefts, cols: rights
-    free_l, free_r = set(range(len(comp))), set(range(len(comp)))
-    while free_l:
-        a, b = max(((a, b) for a in free_l for b in free_r), key=lambda ab: ov[ab])
-        pairing[comp[b]] = comp[a]
-        free_l.discard(a)
-        free_r.discard(b)
 
 
 def eig_full(m: np.ndarray, tol: Tolerances = DEFAULT) -> EigenSystem:
@@ -167,11 +153,9 @@ def eig_full(m: np.ndarray, tol: Tolerances = DEFAULT) -> EigenSystem:
     w = w[order]
     rhat = _unit_columns(vr[:, order])
     lhat = _unit_columns(vl[:, order].conj())
-    pairing = np.arange(n)
     for comp in _clusters(w, tol.cluster_rel * norm):
         if len(comp) > 1:
-            _pair_cluster(comp, lhat, rhat, pairing, tol)
-    lhat = lhat[:, pairing]
+            _biorthogonalize_cluster(comp, lhat, rhat, tol)
 
     overlaps = np.sum(lhat * rhat, axis=0)
     self_orth = np.abs(overlaps) < tol.self_orth
@@ -191,8 +175,8 @@ def eig_full(m: np.ndarray, tol: Tolerances = DEFAULT) -> EigenSystem:
                               f"(cond={_condition(m):.3e})")
 
     return EigenSystem(dim=n, eigenvalues=w, right_vectors=right, left_vectors=left,
-                       pairing=pairing, norm_status=status, overlaps=overlaps,
-                       residuals=residuals, matrix_norm=norm)
+                       norm_status=status, overlaps=overlaps, residuals=residuals,
+                       matrix_norm=norm)
 
 
 @dataclass

@@ -58,7 +58,6 @@ def test_eig_full_biorthogonalizes_semisimple_zero_multiplet():
     zero = np.flatnonzero(np.abs(es.eigenvalues) <= DEFAULT.cluster_rel * es.matrix_norm)
     assert len(zero) == 2
     assert es.all_biorthonormal
-    assert np.array_equal(es.pairing, np.arange(4))
     gram = es.left_vectors.T @ es.right_vectors
     assert np.abs(gram - np.eye(4)).max() <= DEFAULT.biorth
     assert es.residuals.max() <= DEFAULT.residual_rel * es.matrix_norm
@@ -76,10 +75,29 @@ def test_eig_full_flags_similar_jordan_block(seed, shift):
     assert np.abs(es.eigenvalues - shift).max() <= DEFAULT.cluster_rel * es.matrix_norm
 
 
-def test_eig_full_phase_and_pairing_convention():
+def test_eig_full_keeps_index_pairing_in_cluster_with_ep():
+    # a Jordan block at 0 lumped with the distinct eigenvalues 3e-6, 6e-6 by
+    # the cluster tolerance (1e-5 at ||M|| = 100); each left vector must stay
+    # with the right vector of its own eigenvalue
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    m = np.zeros((5, 5), dtype=complex)
+    m[0, 1] = 1.0
+    m[2, 2], m[3, 3], m[4, 4] = 3e-6, 6e-6, 100.0
+    es = eig_full(q @ m @ q.conj().T)
+    assert es.norm_status[:2] == (SELF_ORTHOGONAL, SELF_ORTHOGONAL)
+    assert es.norm_status[2:] == (BIORTHONORMAL,) * 3
+    w = es.eigenvalues
+    assert np.abs(w[:4]).max() <= DEFAULT.cluster_rel * es.matrix_norm    # one cluster
+    bound = DEFAULT.residual_rel * es.matrix_norm
+    assert column_residuals(q.conj() @ m.T @ q.T, es.left_vectors, w).max() <= bound
+    gram = es.left_vectors[:, 2:].T @ es.right_vectors[:, 2:]
+    assert np.abs(gram - np.eye(3)).max() <= DEFAULT.biorth
+
+
+def test_eig_full_phase_convention():
     h, _ = random_product(5, 9, 0)
     es = eig_full(h)
-    assert np.array_equal(es.pairing, np.arange(9))
     top = es.right_vectors[np.argmax(np.abs(es.right_vectors), axis=0), np.arange(9)]
     assert np.all(top.real > 0)
     assert np.abs(top.imag).max() <= 1e-15
