@@ -265,8 +265,10 @@ def factor_psd(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Factor a PSD matrix as A = B^dag B and return B.
 
     For diagonal A the factor is diag(sqrt(a_j)) exactly; otherwise B is
-    built from the Hermitian eigendecomposition with tiny negative
-    eigenvalues clamped to zero.
+    built from the Hermitian eigendecomposition, with the eigenvalues below
+    ``psd_rel * max|lambda|`` (the round-off of a singular A, and the tiny
+    negatives the PSD check admits) set to zero, so that B is singular
+    exactly where A is.
     """
     a = np.asarray(a, dtype=complex)
     if _is_diagonal(a):
@@ -276,7 +278,7 @@ def factor_psd(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
         return np.diag(np.sqrt(np.clip(d, 0.0, None))).astype(complex)
     a = assert_psd(a, tol, "a")
     evals, vecs = np.linalg.eigh(a)
-    evals = np.clip(evals, 0.0, None)
+    evals[evals <= tol.psd_rel * np.abs(evals).max(initial=0.0)] = 0.0
     return (np.sqrt(evals)[:, None] * vecs.conj().T)
 
 

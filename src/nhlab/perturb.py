@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .eig import BIORTHONORMAL, EigenSystem
+from .laser import pump_indicator
 
 
 class DegenerateModeError(RuntimeError):
@@ -25,15 +26,6 @@ class DegenerateModeError(RuntimeError):
 
 class SelfOrthogonalModeError(RuntimeError):
     """Perturbation theory is invalid at an exceptional point."""
-
-
-def _indicator(pumped_sites: tuple[int, ...], n: int) -> np.ndarray:
-    p = np.zeros(n)
-    for j in pumped_sites:
-        if not 1 <= j <= n:
-            raise ValueError(f"pumped site {j} outside 1..{n}")
-        p[j - 1] = 1.0
-    return p
 
 
 def matrix_elements(es: EigenSystem, pumped_sites: tuple[int, ...]) -> np.ndarray:
@@ -46,7 +38,7 @@ def matrix_elements(es: EigenSystem, pumped_sites: tuple[int, ...]) -> np.ndarra
     if bad:
         raise SelfOrthogonalModeError(
             f"modes {bad} are not biorthonormal; the system is at or near an EP")
-    p = _indicator(tuple(pumped_sites), es.dim)
+    p = pump_indicator(pumped_sites, es.dim)
     weighted = es.right_vectors * p[:, None]
     return es.left_vectors.T @ weighted
 

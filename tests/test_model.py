@@ -218,6 +218,28 @@ def test_factor_dense_reconstructs():
     assert spectral_norm(b.conj().T @ b - a) <= 1e-10 * spectral_norm(a)
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n, deficiency", [(10, 2), (40, 3)])
+def test_factor_rank_deficient_is_singular_on_the_kernel(seed, n, deficiency):
+    # round-off eigenvalues (~1e-16 ||A||) of a singular A must not become
+    # singular values ~1e-8 of B: the audit then misses the kernel modes and
+    # the B-map treats them as mapped
+    from nhlab.eig import eig_full
+    from nhlab.spectra import bmap_correspondence, inner_product_audit
+    rng = np.random.default_rng(seed)
+    h0 = random_hermitian(rng, n)
+    a = random_psd(rng, n, deficiency)
+    b = factor_psd(a)
+    assert np.linalg.matrix_rank(b) == n - deficiency
+    assert spectral_norm(b.conj().T @ b - a) <= 1e-10 * spectral_norm(a)
+    audit = inner_product_audit(eig_full(construct_product(h0, a)), b)
+    assert sum(e.ep_candidate for e in audit) == deficiency
+    rep = bmap_correspondence(h0, b)
+    assert not rep.invertible
+    assert sum(e.mapped for e in rep.entries) == n - deficiency
+    assert max(e.residual for e in rep.entries) <= 1e-10
+
+
 def test_factor_rejects_indefinite():
     with pytest.raises(ValueError):
         factor_psd(np.diag([1.0, -1.0]).astype(complex))
