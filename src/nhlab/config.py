@@ -24,10 +24,9 @@ class Tolerances:
     biorth: float = 1e-8              # biorthonormality defect (cluster overlap blocks in eig_full)
     # spectral certification
     reality_rel: float = 1e-8         # max |Im w| for a spectrum to count as real
-    metric_rel: float = 1e-8          # pseudo-Hermiticity residual
+    metric_rel: float = 1e-8          # pseudo-Hermiticity residual; inner-product identity
     invertible_rel: float = 1e-10     # smallest singular value for invertibility
     kernel_rel: float = 1e-10         # |A psi| below this (unit psi) is a kernel vector
-    collinear: float = 1e-8           # collinearity residual for vector matching
     spectra_match_rel: float = 1e-8   # sorted-spectra agreement
     # mode localization
     parity_rel: float = 1e-8          # dark-sublattice detection

@@ -13,7 +13,7 @@ sets the threshold scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
@@ -54,8 +54,7 @@ class PumpSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PumpSpec":
-        known = {"kappa0", "pumped_sites", "gamma"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown pump fields: {sorted(unknown)}")
         kwargs = dict(d)
@@ -429,8 +428,3 @@ def power_flows(mode: np.ndarray, h_a: np.ndarray, pump: PumpSpec,
     return PowerFlowReport(junction_gains=gains, site_terms=site_terms,
                            flows_forward=fwd, flows_backward=bwd,
                            balance_residual=float(residual), max_term=max_term)
-
-
-def pump_at(pump: PumpSpec, gamma: float) -> PumpSpec:
-    """Copy of the pump with its strength set (threshold evaluation helper)."""
-    return replace(pump, gamma=float(gamma))

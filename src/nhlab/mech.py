@@ -91,10 +91,6 @@ class MechTrajectory:
     positions: np.ndarray       # shape (steps, n)
     velocities: np.ndarray
 
-    def to_csv_rows(self) -> list[list[float]]:
-        return [[float(t)] + [float(x) for x in row]
-                for t, row in zip(self.times, self.positions)]
-
 
 def integrate(chain: OscillatorChain, x0: np.ndarray, v0: np.ndarray,
               dt: float, steps: int, tol: Tolerances = DEFAULT) -> MechTrajectory:

@@ -13,7 +13,7 @@ All builders are pure functions and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -123,9 +123,7 @@ class LatticeSpec:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "LatticeSpec":
-        known = {"n", "t", "onsite", "omega2", "scaling", "s", "seed", "values",
-                 "zeroed_sites"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown lattice fields: {sorted(unknown)}")
         kwargs = dict(d)

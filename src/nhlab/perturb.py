@@ -87,14 +87,6 @@ def first_order(es: EigenSystem, pumped_sites: tuple[int, ...], gamma1: float,
                                   nhph_pairs=pairing.pairs)
 
 
-def phase_align(v: np.ndarray) -> np.ndarray:
-    """Rotate so the largest-magnitude component is real positive."""
-    v = np.asarray(v, dtype=complex)
-    i = int(np.argmax(np.abs(v)))
-    ph = v[i] / abs(v[i])
-    return v / ph
-
-
 @dataclass
 class NhphPairing:
     """Particle-hole partner assignment among the modes.

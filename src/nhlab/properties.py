@@ -13,7 +13,9 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .eig import SELF_ORTHOGONAL, eig_full
-from .model import construct_gauge, construct_product, spectral_norm
+from .mech import OscillatorChain, dynamical_matrix, stiffness_matrix
+from .model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
+                    construct_product, spectral_norm)
 from .spectra import conjugate_pairs
 
 SUITE_NAMES = (
@@ -154,7 +156,6 @@ def run_trial(suite: str, seed: int, trial: int, tol: Tolerances = DEFAULT) -> s
         return None
 
     if suite == "coupling_ratio_geometric":
-        from .model import LatticeSpec, build_h0, build_scaling
         n = int(rng.integers(3, 21))
         s = float(rng.uniform(1.05, 3.0))
         spec = LatticeSpec(n=n, t=1.0, scaling="geometric", s=s)
@@ -166,7 +167,6 @@ def run_trial(suite: str, seed: int, trial: int, tol: Tolerances = DEFAULT) -> s
         return None
 
     if suite == "chiral_pairing":
-        from .model import LatticeSpec, build_h0, build_scaling
         n = int(rng.integers(2, 8)) * 2 + 1   # odd
         s = float(rng.uniform(1.1, 2.2))
         spec = LatticeSpec(n=n, t=1.0, scaling="geometric", s=s)
@@ -185,7 +185,6 @@ def run_trial(suite: str, seed: int, trial: int, tol: Tolerances = DEFAULT) -> s
         return None
 
     if suite == "mech_reality":
-        from .mech import OscillatorChain, dynamical_matrix
         n = int(rng.integers(1, 41))
         chain = OscillatorChain(n=n, masses=tuple(rng.uniform(0.2, 5.0, n)),
                                 spring_k=float(rng.uniform(0.5, 2.0)))
@@ -199,7 +198,6 @@ def run_trial(suite: str, seed: int, trial: int, tol: Tolerances = DEFAULT) -> s
         return None
 
     if suite == "mech_hermitian_equivalent":
-        from .mech import OscillatorChain, dynamical_matrix, stiffness_matrix
         n = int(rng.integers(1, 41))
         chain = OscillatorChain(n=n, masses=tuple(rng.uniform(0.2, 5.0, n)),
                                 spring_k=float(rng.uniform(0.5, 2.0)))
@@ -213,8 +211,6 @@ def run_trial(suite: str, seed: int, trial: int, tol: Tolerances = DEFAULT) -> s
         if gap > lim:
             return f"mass-graded equivalent spectrum gap {gap:.3e} > {lim:.3e} (n={n})"
         return None
-
-    raise ValueError(f"unknown suite {suite!r}; known: {SUITE_NAMES}")
 
 
 def run_properties(trials: int, seed: int, tol: Tolerances = DEFAULT,

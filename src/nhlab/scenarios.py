@@ -27,7 +27,7 @@ from .model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
                     construct_product, spectral_norm)
 from .perturb import first_order, matrix_elements
 from .properties import SUITE_NAMES, run_properties
-from .skin import (CSV_HEADER, mode_reports, verify_selective_skin,
+from .skin import (CSV_HEADER, find_zero_mode, mode_reports, verify_selective_skin,
                    verify_standard_skin, zero_mode_equality)
 from .spectra import certify, ep_analyze
 
@@ -543,7 +543,7 @@ def scenario_fig5(cfg: ScenarioConfig, tol: Tolerances,
     for label, matrix in (("selective", h), ("standard", hpp)):
         hp = pumped_hamiltonian(matrix, pump, gamma=0.0)
         es = eig_full(hp, tol)
-        zi = find_zero_mode_passive(es, tol)
+        zi = find_zero_mode(es, tol)
         thr = find_threshold(matrix, pump, tol)
         d = thr.threshold
 
@@ -597,14 +597,6 @@ def scenario_fig5(cfg: ScenarioConfig, tol: Tolerances,
                                 "selective_predicted_abs", "standard_exact_abs",
                                 "standard_predicted_abs"], rows)}
     return ScenarioResult("fig5", assertions, tables, report)
-
-
-def find_zero_mode_passive(es, tol: Tolerances):
-    """Zero mode of a uniformly lossy chain: Re(w) pinned at zero."""
-    idx = int(np.argmin(np.abs(es.eigenvalues.real)))
-    if abs(es.eigenvalues[idx].real) > tol.zero_mode_rel * max(es.matrix_norm, 1e-300):
-        raise ValueError("no frequency-pinned mode found")
-    return idx
 
 
 def scenario_oscillators(cfg: ScenarioConfig, tol: Tolerances) -> ScenarioResult:

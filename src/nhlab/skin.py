@@ -28,7 +28,7 @@ BULK = "bulk"
 
 
 class NoZeroModeError(RuntimeError):
-    """The spectrum has no eigenvalue at zero (even chain length?)."""
+    """The spectrum has no eigenvalue with Re w = 0 (even chain length?)."""
 
 
 @dataclass
@@ -119,9 +119,13 @@ def mode_reports(es: EigenSystem, s: float, tol: Tolerances = DEFAULT) -> list[M
 
 
 def find_zero_mode(es: EigenSystem, tol: Tolerances = DEFAULT) -> int:
-    """Index of the eigenvalue at zero; raises NoZeroModeError if absent."""
-    idx = int(np.argmin(np.abs(es.eigenvalues)))
-    if abs(es.eigenvalues[idx]) > tol.zero_mode_rel * max(es.matrix_norm, 1e-300):
+    """Index of the frequency-pinned mode, Re w = 0; raises NoZeroModeError if absent.
+
+    Uniform loss shifts every eigenvalue by the same -i*kappa0, so the rule
+    on Re w finds the zero mode of a lossless chain and of a lossy one alike.
+    """
+    idx = int(np.argmin(np.abs(es.eigenvalues.real)))
+    if abs(es.eigenvalues[idx].real) > tol.zero_mode_rel * max(es.matrix_norm, 1e-300):
         raise NoZeroModeError(
             f"no zero mode: closest eigenvalue {es.eigenvalues[idx]:.3e} "
             "(even site count has none)")

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT, Tolerances
-from .eig import EigenSystem, collinearity_residual
+from .eig import EigenSystem, collinearity_residual, eig_full
 from .model import assert_hermitian, construct_product, hermitian_equivalent, spectral_norm
 
 
@@ -91,8 +91,6 @@ def certify(h: np.ndarray, h0: np.ndarray, es: EigenSystem | None = None,
     The pseudo-Hermiticity residual ||H0^-1 H H0 - H^dag|| / ||H|| is
     reported as None when H0 is numerically singular.
     """
-    from .eig import eig_full
-
     h = np.asarray(h, dtype=complex)
     h0 = assert_hermitian(h0, tol, "h0")
     if es is None:
@@ -140,7 +138,7 @@ def inner_product_audit(es: EigenSystem, b: np.ndarray,
     psi = es.right_vectors / np.linalg.norm(es.right_vectors, axis=0)
     values = np.real(np.sum((a @ psi).conj() * psi, axis=0))
     bnorms = np.sum(np.abs(b @ psi) ** 2, axis=0)
-    bad = np.flatnonzero(np.abs(values - bnorms) > 1e-8 * np.maximum(bnorms, 1.0))
+    bad = np.flatnonzero(np.abs(values - bnorms) > tol.metric_rel * np.maximum(bnorms, 1.0))
     if bad.size:
         mu = int(bad[0])
         raise AssertionError(f"inner-product identity violated at mode {mu}: "
@@ -325,8 +323,6 @@ def bmap_correspondence(h0: np.ndarray, b: np.ndarray,
     an H eigenvector B^-1 phi, while for singular B every H mode with
     B psi != 0 maps forward to an H_e mode at the same eigenvalue.
     """
-    from .eig import eig_full
-
     b = np.asarray(b, dtype=complex)
     a = b.conj().T @ b
     h = construct_product(h0, a, tol)

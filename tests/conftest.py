@@ -1,8 +1,9 @@
-import numpy as np
 import pytest
 
 from nhlab.eig import eig_full
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_gauge, construct_product
+from nhlab.properties import _random_hermitian as random_hermitian
+from nhlab.properties import _random_psd as random_psd
 from nhlab.scenarios import calibrate_s
 
 
@@ -27,18 +28,3 @@ def chain9_systems(chain9):
     """Eigensystems of the calibrated chain trio (h0, h, hpp)."""
     _, h0, _, h, hpp = chain9
     return eig_full(h0), eig_full(h), eig_full(hpp)
-
-
-def random_hermitian(rng, n):
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (g + g.conj().T) / 2
-
-
-def random_psd(rng, n, rank_deficiency=0):
-    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    if rank_deficiency:
-        u, sv, vh = np.linalg.svd(b)
-        sv[n - rank_deficiency:] = 0.0
-        b = (u * sv) @ vh
-    a = b.conj().T @ b
-    return (a + a.conj().T) / 2

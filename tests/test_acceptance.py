@@ -9,14 +9,16 @@ import time
 import numpy as np
 import pytest
 
+from nhlab.config import DEFAULT
 from nhlab.eig import collinearity_residual, eig_full
-from nhlab.laser import PumpSpec, find_threshold, power_flows, pumped_hamiltonian, track_mode
+from nhlab.laser import PumpSpec, find_threshold, pumped_hamiltonian, track_mode
 from nhlab.mech import OscillatorChain, dynamical_matrix, eigenfrequencies, integrate, spectral_peaks
 from nhlab.model import (LatticeSpec, build_h0, build_scaling, construct_product,
                          spectral_norm)
 from nhlab.perturb import first_order, matrix_elements
+from nhlab.scenarios import (THRESHOLD_TABLE, ScenarioConfig, scenario_fig3,
+                             scenario_fig4)
 from nhlab.skin import find_zero_mode, geometric_envelope, mode_reports, zero_mode_equality
-from nhlab.spectra import ep_analyze
 
 from conftest import random_hermitian, random_psd
 
@@ -123,30 +125,48 @@ def test_criterion_4_harmonic_demo():
     assert real_ok and contain_ok
 
 
-def test_criterion_5_thresholds(chain9):
-    _, _, _, h, hpp = chain9
-    t = 1.0
-    expected = {0.02: (1.44, 4.99), 1.0: (1.35, 1.62)}
-    checks = {}
-    flow = {}
-    for kappa_over_t, (d_sel, d_std) in expected.items():
-        pump = PumpSpec(kappa0=kappa_over_t * t, pumped_sites=(1,))
-        for label, matrix, want in (("selective", h, d_sel), ("standard", hpp, d_std)):
-            res = find_threshold(matrix, pump)
-            got = res.threshold / pump.kappa0
+FIG3_NAMES = [
+    "fig3.threshold_selective_kappa0.02", "fig3.threshold_standard_kappa0.02",
+    "fig3.threshold_selective_kappa1", "fig3.threshold_standard_kappa1",
+    "fig3.junction_loss_selective", "fig3.junction_loss_standard",
+    "fig3.gain_contrast_5x", "fig3.balance_selective", "fig3.balance_standard",
+]
+FIG4_NAMES = [
+    "fig4.a4.algebraic_3", "fig4.a4.geometric_2", "fig4.a4.orders_2_1",
+    "fig4.a4.chain_residual", "fig4.a4.ep2_vector_is_e4",
+    "fig4.a4.analytic_chain_vector", "fig4.a4.generalized_vector_span",
+    "fig4.a1n9.simple_zero", "fig4.a1n9.vector_is_e1",
+    "fig4.a1n8.ep2", "fig4.a1n8.vector_is_e1", "fig4.a1n8.chain_residual",
+]
+
+
+def scenario_checks(result, names):
+    """Assertions of a scenario by name, after pinning the list of names."""
+    assert [a.name for a in result.assertions] == names
+    return {a.name: a for a in result.assertions}
+
+
+def test_criterion_5_thresholds(calibration):
+    # the paper's threshold table and every bound, restated as literals so
+    # that no number or bound in the fig3 scenario can move unseen
+    assert THRESHOLD_TABLE == {0.02: (1.44, 4.99), 1.0: (1.35, 1.62)}
+    result = scenario_fig3(ScenarioConfig(scenario="fig3"), DEFAULT, calibration)
+    got = scenario_checks(result, FIG3_NAMES)
+    flows = result.report["power_flows"]
+    checks = {name: a.passed for name, a in got.items()}
+    for kappa_over_t, wants in THRESHOLD_TABLE.items():
+        for label, want in zip(("selective", "standard"), wants):
+            ratio = got[f"fig3.threshold_{label}_kappa{kappa_over_t:g}"].measured
             checks[f"D_{label}({kappa_over_t:g}k0) = {want}"] = (
-                abs(got - want) <= 0.01 * want)
-            if kappa_over_t == 0.02:
-                ha = pumped_hamiltonian(matrix, pump, res.threshold)
-                flow[label] = power_flows(res.threshold_mode, ha, pump,
-                                          gamma=res.threshold)
+                abs(ratio - want) <= 0.01 * want)
     checks["all junction gains negative"] = all(
-        (r.junction_gains < 0).all() for r in flow.values())
-    contrast = (np.abs(flow["standard"].junction_gains).max()
-                / np.abs(flow["selective"].junction_gains).max())
+        g < 0 for label in ("selective", "standard")
+        for g in got[f"fig3.junction_loss_{label}"].measured)
+    contrast = got["fig3.gain_contrast_5x"].measured
     checks["gain contrast >= 5x"] = contrast >= 5.0
     checks["power balance"] = all(
-        r.balance_residual <= 1e-8 * r.max_term for r in flow.values())
+        got[f"fig3.balance_{label}"].measured <= 1e-8 * flows[label]["max_term"]
+        for label in ("selective", "standard"))
 
     ok = all(checks.values())
     report(5, "lasing thresholds", ok,
@@ -156,37 +176,18 @@ def test_criterion_5_thresholds(chain9):
 
 
 def test_criterion_6_ep_structure(calibration):
-    s = calibration["s"]
-
-    def product(n, zeroed):
-        spec = LatticeSpec(n=n, t=1.0, scaling="geometric", s=s,
-                           zeroed_sites=tuple(zeroed))
-        return construct_product(build_h0(spec), build_scaling(spec))
-
-    checks = {}
-    h = product(9, [4])
-    rep = ep_analyze(h, 0.0)
-    checks["a4: algebraic 3, geometric 2"] = (
-        rep.algebraic_multiplicity == 3 and rep.geometric_multiplicity == 2
-        and rep.ep_orders == [2, 1])
-    e4 = np.zeros(9)
-    e4[3] = 1.0
-    two = next(c for c, k in zip(rep.jordan_chains, rep.ep_orders) if k == 2)
-    checks["a4: EP2 eigenvector e4"] = collinearity_residual(two[0], e4) <= 1e-8
-    j_vec = np.zeros(9)
-    j_vec[0], j_vec[2] = -1.0, s ** -2
-    checks["a4: chain residual vs J"] = (
-        collinearity_residual(h @ j_vec, e4) <= 1e-8
-        and rep.chain_residuals <= 1e-8)
-
-    rep = ep_analyze(product(9, [1]), 0.0)
-    checks["a1 (n=9): simple zero"] = (
-        rep.algebraic_multiplicity == 1 and rep.geometric_multiplicity == 1)
-
-    rep = ep_analyze(product(8, [1]), 0.0)
-    checks["a1 (n=8): EP2"] = (
-        rep.algebraic_multiplicity == 2 and rep.geometric_multiplicity == 1
-        and rep.ep_orders == [2])
+    result = scenario_fig4(ScenarioConfig(scenario="fig4"), DEFAULT, calibration)
+    got = scenario_checks(result, FIG4_NAMES)
+    checks = {name: a.passed for name, a in got.items()}
+    # the Jordan structures and the residual bound, restated as literals
+    checks["a4: algebraic 3, geometric 2, orders [2, 1]"] = (
+        got["fig4.a4.algebraic_3"].measured == 3
+        and got["fig4.a4.geometric_2"].measured == 2
+        and got["fig4.a4.orders_2_1"].measured == [2, 1])
+    checks["a1 (n=9): simple zero"] = got["fig4.a1n9.simple_zero"].measured == [1, 1, [1]]
+    checks["a1 (n=8): EP2"] = got["fig4.a1n8.ep2"].measured == [2, 1, [2]]
+    checks["residuals <= 1e-8"] = all(
+        a.measured <= 1e-8 for a in got.values() if a.expected.startswith("<="))
 
     ok = all(checks.values())
     report(6, "exceptional points", ok,

@@ -98,9 +98,10 @@ def test_cli_tolerance_override_can_trip_contract_error(tmp_path, capsys):
 
 
 def test_cli_unknown_tolerance_key(tmp_path, capsys):
-    code = main(["fig1", "--out", str(tmp_path), "--tol", "nope=1"])
-    assert code == 2
-    assert "unknown tolerance" in capsys.readouterr().err
+    for override in ("nope=1", "collinear=1"):
+        code = main(["fig1", "--out", str(tmp_path), "--tol", override])
+        assert code == 2
+        assert "unknown tolerance" in capsys.readouterr().err
 
 
 def test_cli_bad_config_scenario_mismatch(tmp_path):

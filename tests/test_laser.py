@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from nhlab.laser import (NoThresholdError, PumpSpec, TrackingAmbiguityError,
-                         find_threshold, power_flows, pump_at, pumped_hamiltonian,
-                         track_mode)
+                         find_threshold, power_flows, pumped_hamiltonian, track_mode)
 from nhlab.model import LatticeSpec, build_h0
 
 
@@ -192,9 +191,3 @@ def test_power_balance_and_contrast(chain9):
     contrast = (np.abs(reports["std"].junction_gains).max()
                 / np.abs(reports["sel"].junction_gains).max())
     assert contrast >= 5.0
-
-
-def test_pump_at_helper():
-    pump = PumpSpec(kappa0=0.5, pumped_sites=(1,))
-    assert pump_at(pump, 0.7).gamma == 0.7
-    assert pump_at(pump, 0.7).kappa0 == 0.5

@@ -135,10 +135,3 @@ def test_fourier_recovers_all_excited_frequencies(random_chain):
     resolution = 2 * np.pi / (steps * dt)
     for pk in peaks:
         assert np.abs(freqs - pk).min() <= max(1e-3 * freqs.max(), 2 * resolution)
-
-
-def test_trajectory_csv_rows(random_chain):
-    traj = integrate(random_chain, np.ones(5), np.zeros(5), dt=0.01, steps=3)
-    rows = traj.to_csv_rows()
-    assert len(rows) == 3
-    assert rows[0] == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]

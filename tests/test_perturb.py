@@ -5,7 +5,7 @@ from nhlab.eig import eig_full
 from nhlab.laser import PumpSpec, find_threshold, pumped_hamiltonian, track_mode
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_product
 from nhlab.perturb import (DegenerateModeError, SelfOrthogonalModeError,
-                           first_order, matrix_elements, nhph_pairs, phase_align)
+                           first_order, matrix_elements, nhph_pairs)
 
 
 KAPPA0 = 0.02
@@ -149,12 +149,6 @@ def test_pairing_broken_by_harmonic_potential():
     es = eig_full(build_h0(spec))
     pairing = nhph_pairs(es)
     assert len(pairing.unmatched) == 9
-
-
-def test_phase_align():
-    v = np.array([0.1, -2.0j, 1.0])
-    out = phase_align(v)
-    assert out[1].real > 0 and abs(out[1].imag) < 1e-15
 
 
 def test_real_denominators_for_partners(passive):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nhlab.eig import eig_full
+from nhlab.eig import collinearity_residual, eig_full
+from nhlab.laser import PumpSpec, pumped_hamiltonian
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_gauge, construct_product
 from nhlab.skin import (BULK, EVEN_SITES, MIXED, ODD_SITES, SKIN_LEFT, SKIN_RIGHT,
                         NoZeroModeError, classify, find_zero_mode, mode_report,
@@ -151,9 +152,26 @@ def test_zero_mode_equality_cases(calibration):
 
 
 def test_even_chain_has_no_zero_mode():
-    es_h, _, _ = systems_for(8, 1.5)
-    with pytest.raises(NoZeroModeError):
-        find_zero_mode(es_h)
+    spec = LatticeSpec(n=8, t=1.0, scaling="geometric", s=1.5)
+    h = construct_product(build_h0(spec), build_scaling(spec))
+    lossy = pumped_hamiltonian(h, PumpSpec(kappa0=0.02, pumped_sites=(1,)), 0.0)
+    for matrix in (h, lossy):
+        with pytest.raises(NoZeroModeError):
+            find_zero_mode(eig_full(matrix))
+
+
+@pytest.mark.parametrize("label", ["product", "gauge"])
+def test_zero_mode_of_lossy_chain_is_frequency_pinned(chain9, chain9_systems, label):
+    """Uniform loss moves every eigenvalue by -i*kappa0; the zero mode keeps Re w = 0."""
+    _, _, _, h, hpp = chain9
+    _, es_h, es_hpp = chain9_systems
+    matrix, es_lossless = (h, es_h) if label == "product" else (hpp, es_hpp)
+    es = eig_full(pumped_hamiltonian(matrix, PumpSpec(kappa0=0.02, pumped_sites=(1,)), 0.0))
+    zi = find_zero_mode(es)
+    assert abs(es.eigenvalues[zi].real) <= 1e-8 * es.matrix_norm
+    assert es.eigenvalues[zi].imag == pytest.approx(-0.02, rel=1e-10)
+    lossless = es_lossless.right(find_zero_mode(es_lossless))
+    assert collinearity_residual(es.right(zi), lossless) <= 1e-8
 
 
 def test_spectral_repulsion(chain9_systems):

@@ -83,7 +83,7 @@ def test_bmap_makes_one_solve_for_invertible_b(monkeypatch):
     rep = bmap_correspondence(random_hermitian(rng, n), b)
     assert rep.invertible
     assert calls == [(n, n)]
-    assert max(e.residual for e in rep.entries) <= DEFAULT.collinear
+    assert max(e.residual for e in rep.entries) <= 1e-8
 
 
 def test_bmap_report_gap_tol_is_a_field():
@@ -115,6 +115,17 @@ def test_audit_batch_matches_per_mode_identity():
         assert e.value == pytest.approx(float(np.real(np.vdot(a @ psi, psi))), abs=1e-12)
         assert e.b_norm_sq == pytest.approx(bnorm, abs=1e-12)
         assert e.ep_candidate == bool(np.sqrt(bnorm) <= DEFAULT.kernel_rel)
+
+
+def test_audit_identity_bound_is_metric_rel():
+    rng = np.random.default_rng(8)
+    n = 10
+    a = random_psd(rng, n, 2)
+    b = factor_psd(a)
+    es = eig_full(construct_product(random_hermitian(rng, n), a))
+    inner_product_audit(es, b)
+    with pytest.raises(AssertionError, match="inner-product identity violated"):
+        inner_product_audit(es, b, DEFAULT.with_overrides({"metric_rel": 1e-20}))
 
 
 # ---------------------------------------------------------------------------
