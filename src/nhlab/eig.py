@@ -1,5 +1,13 @@
 """Paired right/left eigensystems with biorthogonal normalization.
 
+A real tridiagonal matrix whose coupling pairs m[i, i+1], m[i+1, i] are
+nonzero with one sign (every real chain H0, H0 A, A^-1 H0 A of the product
+construction with A > 0) is solved through its symmetric form
+T = D M D^-1, with D diagonal: ``eigh_tridiagonal`` gives T = Phi w Phi^T,
+and psi = D^-1 phi, psi~ = D phi are biorthogonal by construction.  Every
+other matrix, and a chain whose pairs miss their certificate, takes the
+dense path.
+
 One dense LAPACK solve (``zgeev`` with both vector sets) returns right
 vectors psi and left vectors psi~ = conj(vl), paired by index because both
 come from the same Schur form (psi~^T M = w psi~^T).  Only a semisimple
@@ -20,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT, Tolerances
-from .model import spectral_norm
+from .model import _is_diagonal, spectral_norm
 
 BIORTHONORMAL = "biorthonormal"
 SELF_ORTHOGONAL = "self_orthogonal"
@@ -127,6 +135,59 @@ def _biorthogonalize_cluster(comp: list[int], lhat: np.ndarray, rhat: np.ndarray
         lhat[:, comp] = _unit_columns(np.linalg.solve(block, lhat[:, comp].T).T)
 
 
+def _symmetric_chain(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Symmetric tridiagonal form T = D M D^-1 of a real chain, or None.
+
+    Returns the diagonal of T, its off-diagonal
+    sign * sqrt|m[i, i+1]| * sqrt|m[i+1, i]| (square roots taken apart, so
+    no product of couplings can overflow) and the diagonal of D, built from
+    a log-space cumulative sum with its mean removed.  None when M is not
+    real tridiagonal with n >= 2, a coupling pair has a zero or a sign flip,
+    or D is not finite and positive.
+    """
+    n = m.shape[0]
+    if n < 2 or m.imag.any():
+        return None
+    m = m.real
+    sup, sub = np.diagonal(m, 1), np.diagonal(m, -1)
+    if not np.all(np.sign(sup) * np.sign(sub) > 0):
+        return None
+    if np.count_nonzero(m) != np.count_nonzero(np.diagonal(m)) + 2 * (n - 1):
+        return None
+    log_sup, log_sub = np.log(np.abs(sup)), np.log(np.abs(sub))
+    log_d = np.concatenate(([0.0], np.cumsum((log_sup - log_sub) / 2)))
+    d = np.exp(log_d - log_d.mean())
+    if not np.all(np.isfinite(d) & (d > 0)):
+        return None
+    off = np.sign(sup) * np.sqrt(np.abs(sup)) * np.sqrt(np.abs(sub))
+    return np.diagonal(m).copy(), off, d
+
+
+def _paired_system(m: np.ndarray, norm: float, w: np.ndarray, rhat: np.ndarray,
+                   lhat: np.ndarray, tol: Tolerances) -> EigenSystem:
+    """Normalize, phase and certify index-paired unit right/left vectors."""
+    n = m.shape[0]
+    overlaps = np.sum(lhat * rhat, axis=0)
+    self_orth = np.abs(overlaps) < tol.self_orth
+    # split the rescaling symmetrically, principal branch
+    scale = np.where(self_orth, 1.0, np.sqrt(overlaps))
+    right, left = rhat / scale, lhat / scale
+    top = right[np.argmax(np.abs(right), axis=0), np.arange(n)]
+    phase = top / np.abs(top)
+    right, left = right / phase, left * phase
+    status = tuple(SELF_ORTHOGONAL if so else BIORTHONORMAL for so in self_orth)
+    # residual certificates (per unit vector)
+    residuals = np.maximum(_residuals(m, right, w), _residuals(m.T, left, w))
+    return EigenSystem(dim=n, eigenvalues=w, right_vectors=right, left_vectors=left,
+                       norm_status=status, overlaps=overlaps, residuals=residuals,
+                       matrix_norm=norm)
+
+
+def _certified(es: EigenSystem, tol: Tolerances) -> bool:
+    """Every residual within ``residual_rel * ||M||`` (a NaN fails)."""
+    return bool(es.residuals.max() <= tol.residual_rel * max(es.matrix_norm, 1e-300))
+
+
 def eig_full(m: np.ndarray, tol: Tolerances = DEFAULT) -> EigenSystem:
     """Full biorthogonal eigensystem of a dense complex matrix.
 
@@ -143,6 +204,20 @@ def eig_full(m: np.ndarray, tol: Tolerances = DEFAULT) -> EigenSystem:
         raise ValueError("matrix has non-finite entries")
     n = m.shape[0]
     norm = spectral_norm(m)
+    chain = _symmetric_chain(m)
+    if chain is not None:
+        diag, off, d = chain
+        try:
+            w, phi = scipy.linalg.eigh_tridiagonal(diag, off, check_finite=False)
+        except np.linalg.LinAlgError:
+            pass    # the dense path decides
+        else:
+            phi = phi.astype(complex)
+            es = _paired_system(m, norm, w.astype(complex), _unit_columns(phi / d[:, None]),
+                                _unit_columns(phi * d[:, None]), tol)
+            if _certified(es, tol):
+                return es
+
     try:
         w, vl, vr = scipy.linalg.eig(m, left=True, right=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -157,26 +232,12 @@ def eig_full(m: np.ndarray, tol: Tolerances = DEFAULT) -> EigenSystem:
         if len(comp) > 1:
             _biorthogonalize_cluster(comp, lhat, rhat, tol)
 
-    overlaps = np.sum(lhat * rhat, axis=0)
-    self_orth = np.abs(overlaps) < tol.self_orth
-    # split the rescaling symmetrically, principal branch
-    scale = np.where(self_orth, 1.0, np.sqrt(overlaps))
-    right, left = rhat / scale, lhat / scale
-    top = right[np.argmax(np.abs(right), axis=0), np.arange(n)]
-    phase = top / np.abs(top)
-    right, left = right / phase, left * phase
-    status = tuple(SELF_ORTHOGONAL if so else BIORTHONORMAL for so in self_orth)
-
-    # residual certificates (per unit vector)
-    residuals = np.maximum(_residuals(m, right, w), _residuals(m.T, left, w))
-    if residuals.max() > tol.residual_rel * max(norm, 1e-300):
-        raise EigensolveError(f"eigenpair residual {residuals.max():.3e} exceeds "
+    es = _paired_system(m, norm, w, rhat, lhat, tol)
+    if not _certified(es, tol):
+        raise EigensolveError(f"eigenpair residual {es.residuals.max():.3e} exceeds "
                               f"{tol.residual_rel:.1e} * ||M|| = {tol.residual_rel * norm:.3e} "
                               f"(cond={_condition(m):.3e})")
-
-    return EigenSystem(dim=n, eigenvalues=w, right_vectors=right, left_vectors=left,
-                       norm_status=status, overlaps=overlaps, residuals=residuals,
-                       matrix_norm=norm)
+    return es
 
 
 @dataclass
@@ -227,7 +288,10 @@ def apply_metric_pairing(es: EigenSystem, a: np.ndarray,
     reported on the kernel branch (w_mu = 0).
     """
     a = np.asarray(a, dtype=complex)
-    images = a @ es.right_vectors
+    if _is_diagonal(a):
+        images = np.diagonal(a)[:, None] * es.right_vectors
+    else:
+        images = a @ es.right_vectors
     kernel = (np.linalg.norm(images, axis=0)
               <= tol.kernel_rel * np.linalg.norm(es.right_vectors, axis=0))
     # the residual of (A psi_mu)* against psi~_nu is smallest where

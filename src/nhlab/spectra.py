@@ -15,8 +15,13 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT, Tolerances
-from .eig import EigenSystem, collinearity_residual, eig_full
-from .model import assert_hermitian, construct_product, hermitian_equivalent, spectral_norm
+from .eig import EigenSystem, _symmetric_chain, collinearity_residual, eig_full
+from .model import (_is_diagonal, assert_hermitian, construct_product, hermitian_equivalent,
+                    spectral_norm)
+
+
+class CertificateError(RuntimeError):
+    """A computed result violates an identity it is certified against."""
 
 
 class IllConditionedError(RuntimeError):
@@ -132,16 +137,25 @@ def inner_product_audit(es: EigenSystem, b: np.ndarray,
     Uses the metric normalization psi~ = (A psi)* with A = B^dag B, under
     which the biorthogonal inner product is manifestly nonnegative.  Modes
     with B psi ~ 0 are flagged as the only admissible EP candidates.
+
+    Raises
+    ------
+    CertificateError
+        If the identity misses ``metric_rel`` (relative to max(||B psi||^2, 1)).
     """
     b = np.asarray(b, dtype=complex)
-    a = b.conj().T @ b
     psi = es.right_vectors / np.linalg.norm(es.right_vectors, axis=0)
-    values = np.real(np.sum((a @ psi).conj() * psi, axis=0))
-    bnorms = np.sum(np.abs(b @ psi) ** 2, axis=0)
+    if _is_diagonal(b):
+        bd = np.diagonal(b)[:, None]
+        a_psi, b_psi = (bd.conj() * bd) * psi, bd * psi
+    else:
+        a_psi, b_psi = (b.conj().T @ b) @ psi, b @ psi
+    values = np.real(np.sum(a_psi.conj() * psi, axis=0))
+    bnorms = np.sum(np.abs(b_psi) ** 2, axis=0)
     bad = np.flatnonzero(np.abs(values - bnorms) > tol.metric_rel * np.maximum(bnorms, 1.0))
     if bad.size:
         mu = int(bad[0])
-        raise AssertionError(f"inner-product identity violated at mode {mu}: "
+        raise CertificateError(f"inner-product identity violated at mode {mu}: "
                              f"{float(values[mu])} vs {float(bnorms[mu])}")
     return [InnerProductEntry(mu=mu, value=float(values[mu]), b_norm_sq=float(bnorms[mu]),
                               ep_candidate=bool(np.sqrt(bnorms[mu]) <= tol.kernel_rel))
@@ -194,7 +208,8 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
     """Multiplicities and Jordan chains of the cluster at ``target``.
 
     The cluster is every eigenvalue within ``cluster_rel * ||H||`` of the
-    target; geometric multiplicity is the SVD nullity of H - target*I; block
+    target (for a real chain with same-sign coupling pairs, the eigenvalues
+    of its symmetric tridiagonal form); geometric multiplicity is the SVD nullity of H - target*I; block
     sizes come from rank tests of the Schur-restricted operator, and chains
     are built inside that invariant subspace then lifted back.
     """
@@ -204,7 +219,12 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
     ctol = tol.cluster_rel * norm
     ntol = tol.nullity_rel * norm
 
-    w = np.linalg.eigvals(h)
+    chain = _symmetric_chain(h)
+    if chain is None:
+        w = np.linalg.eigvals(h)
+    else:
+        w = scipy.linalg.eigh_tridiagonal(chain[0], chain[1], eigvals_only=True,
+                                          check_finite=False)
     dist = np.abs(w - target)
     algebraic = int(np.sum(dist <= ctol))
     boundary = bool(np.any((dist > ctol / 2) & (dist < 2 * ctol)))

@@ -11,8 +11,9 @@ from nhlab.config import DEFAULT
 from nhlab.eig import eig_full
 from nhlab.model import (LatticeSpec, build_h0, build_scaling, construct_product,
                          factor_psd)
-from nhlab.spectra import (BMapReport, IllConditionedError, bmap_correspondence,
-                           conjugate_pairs, ep_analyze, inner_product_audit)
+from nhlab.spectra import (BMapReport, CertificateError, IllConditionedError,
+                           bmap_correspondence, conjugate_pairs, ep_analyze,
+                           inner_product_audit)
 
 from conftest import random_hermitian, random_psd
 
@@ -124,7 +125,7 @@ def test_audit_identity_bound_is_metric_rel():
     b = factor_psd(a)
     es = eig_full(construct_product(random_hermitian(rng, n), a))
     inner_product_audit(es, b)
-    with pytest.raises(AssertionError, match="inner-product identity violated"):
+    with pytest.raises(CertificateError, match="inner-product identity violated"):
         inner_product_audit(es, b, DEFAULT.with_overrides({"metric_rel": 1e-20}))
 
 
