@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT, Tolerances
-from .model import _is_diagonal, spectral_norm
+from .model import _is_diagonal, _is_tridiagonal, spectral_norm
 
 BIORTHONORMAL = "biorthonormal"
 SELF_ORTHOGONAL = "self_orthogonal"
@@ -109,9 +109,9 @@ def _unit_columns(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=0)
 
 
-def _residuals(m: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """||M v - w v|| / ||v|| per column."""
-    return np.linalg.norm(m @ v - v * w, axis=0) / np.linalg.norm(v, axis=0)
+def _residuals(mv: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """||M v - w v|| / ||v|| per column, given M v."""
+    return np.linalg.norm(mv - v * w, axis=0) / np.linalg.norm(v, axis=0)
 
 
 def _condition(m: np.ndarray) -> float:
@@ -135,24 +135,35 @@ def _biorthogonalize_cluster(comp: list[int], lhat: np.ndarray, rhat: np.ndarray
         lhat[:, comp] = _unit_columns(np.linalg.solve(block, lhat[:, comp].T).T)
 
 
-def _symmetric_chain(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Symmetric tridiagonal form T = D M D^-1 of a real chain, or None.
+@dataclass(frozen=True)
+class ChainForm:
+    """Symmetric tridiagonal form T = D M D^-1 of a real chain M.
 
-    Returns the diagonal of T, its off-diagonal
-    sign * sqrt|m[i, i+1]| * sqrt|m[i+1, i]| (square roots taken apart, so
-    no product of couplings can overflow) and the diagonal of D, built from
-    a log-space cumulative sum with its mean removed.  None when M is not
-    real tridiagonal with n >= 2, a coupling pair has a zero or a sign flip,
-    or D is not finite and positive.
+    ``diag`` and ``off`` are T's diagonal and off-diagonal, ``d`` the
+    diagonal of D: an eigenvector phi of T gives psi = phi / d (right) and
+    psi~ = phi * d (left) of M.
+    """
+
+    diag: np.ndarray
+    off: np.ndarray
+    d: np.ndarray
+
+
+def chain_form(m: np.ndarray) -> ChainForm | None:
+    """The ``ChainForm`` of a real chain, or None.
+
+    The off-diagonal of T is sign * sqrt|m[i, i+1]| * sqrt|m[i+1, i]| (square
+    roots taken apart, so no product of couplings can overflow), and D comes
+    from a log-space cumulative sum with its mean removed.  None when M is
+    not real tridiagonal with n >= 2, a coupling pair has a zero or a sign
+    flip, or D is not finite and positive.
     """
     n = m.shape[0]
     if n < 2 or m.imag.any():
         return None
     m = m.real
     sup, sub = np.diagonal(m, 1), np.diagonal(m, -1)
-    if not np.all(np.sign(sup) * np.sign(sub) > 0):
-        return None
-    if np.count_nonzero(m) != np.count_nonzero(np.diagonal(m)) + 2 * (n - 1):
+    if not np.all(np.sign(sup) * np.sign(sub) > 0) or not _is_tridiagonal(m):
         return None
     log_sup, log_sub = np.log(np.abs(sup)), np.log(np.abs(sub))
     log_d = np.concatenate(([0.0], np.cumsum((log_sup - log_sub) / 2)))
@@ -160,12 +171,36 @@ def _symmetric_chain(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if not np.all(np.isfinite(d) & (d > 0)):
         return None
     off = np.sign(sup) * np.sqrt(np.abs(sup)) * np.sqrt(np.abs(sub))
-    return np.diagonal(m).copy(), off, d
+    return ChainForm(diag=np.diagonal(m).copy(), off=off, d=d)
+
+
+def _tridiagonal_product(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for a tridiagonal M, from its three diagonals (v one column per mode)."""
+    out = np.diagonal(m)[:, None] * v
+    out[1:] += np.diagonal(m, -1)[:, None] * v[:-1]
+    out[:-1] += np.diagonal(m, 1)[:, None] * v[1:]
+    return out
+
+
+def _validated(m: np.ndarray) -> np.ndarray:
+    """The input as a complex array, or a ValueError if it is not a finite,
+    nonempty square matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix must be square, got {m.shape}")
+    if m.shape[0] == 0:
+        raise ValueError("matrix is empty (0x0)")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
+    return m
 
 
 def _paired_system(m: np.ndarray, norm: float, w: np.ndarray, rhat: np.ndarray,
-                   lhat: np.ndarray, tol: Tolerances) -> EigenSystem:
-    """Normalize, phase and certify index-paired unit right/left vectors."""
+                   lhat: np.ndarray, tol: Tolerances, tridiagonal: bool = False) -> EigenSystem:
+    """Normalize, phase and certify index-paired unit right/left vectors.
+
+    For a ``tridiagonal`` M the residuals take O(n^2) from its diagonals.
+    """
     n = m.shape[0]
     overlaps = np.sum(lhat * rhat, axis=0)
     self_orth = np.abs(overlaps) < tol.self_orth
@@ -177,7 +212,11 @@ def _paired_system(m: np.ndarray, norm: float, w: np.ndarray, rhat: np.ndarray,
     right, left = right / phase, left * phase
     status = tuple(SELF_ORTHOGONAL if so else BIORTHONORMAL for so in self_orth)
     # residual certificates (per unit vector)
-    residuals = np.maximum(_residuals(m, right, w), _residuals(m.T, left, w))
+    if tridiagonal:
+        m_right, left_m = _tridiagonal_product(m, right), _tridiagonal_product(m.T, left)
+    else:
+        m_right, left_m = m @ right, m.T @ left
+    residuals = np.maximum(_residuals(m_right, right, w), _residuals(left_m, left, w))
     return EigenSystem(dim=n, eigenvalues=w, right_vectors=right, left_vectors=left,
                        norm_status=status, overlaps=overlaps, residuals=residuals,
                        matrix_norm=norm)
@@ -193,28 +232,26 @@ def eig_full(m: np.ndarray, tol: Tolerances = DEFAULT) -> EigenSystem:
 
     Raises
     ------
+    ValueError
+        If M is not a finite, nonempty square matrix.
     EigensolveError
         If LAPACK fails to converge or a residual exceeds the certificate
         bound ``residual_rel * ||M||``.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
+    m = _validated(m)
     n = m.shape[0]
     norm = spectral_norm(m)
-    chain = _symmetric_chain(m)
-    if chain is not None:
-        diag, off, d = chain
+    form = chain_form(m)
+    if form is not None:
         try:
-            w, phi = scipy.linalg.eigh_tridiagonal(diag, off, check_finite=False)
+            w, phi = scipy.linalg.eigh_tridiagonal(form.diag, form.off, check_finite=False)
         except np.linalg.LinAlgError:
             pass    # the dense path decides
         else:
             phi = phi.astype(complex)
-            es = _paired_system(m, norm, w.astype(complex), _unit_columns(phi / d[:, None]),
-                                _unit_columns(phi * d[:, None]), tol)
+            d = form.d[:, None]
+            es = _paired_system(m, norm, w.astype(complex), _unit_columns(phi / d),
+                                _unit_columns(phi * d), tol, tridiagonal=True)
             if _certified(es, tol):
                 return es
 
@@ -278,6 +315,16 @@ def collinearity_residual(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(x - c * y) / nx)
 
 
+def _square_operator(op: np.ndarray, es: EigenSystem, name: str) -> np.ndarray:
+    """The operator as a complex array, or a ValueError naming both shapes
+    when it does not act on the eigensystem's vectors."""
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (es.dim, es.dim):
+        raise ValueError(f"{name} has shape {op.shape}, but the eigensystem's vectors "
+                         f"have shape {es.right_vectors.shape}")
+    return op
+
+
 def apply_metric_pairing(es: EigenSystem, a: np.ndarray,
                          tol: Tolerances = DEFAULT) -> MetricPairingReport:
     """Locate, for each right mode, the left mode proportional to (A psi)*.
@@ -287,7 +334,7 @@ def apply_metric_pairing(es: EigenSystem, a: np.ndarray,
     diagonal exactly when the spectrum is real.  Modes with A psi_mu ~ 0 are
     reported on the kernel branch (w_mu = 0).
     """
-    a = np.asarray(a, dtype=complex)
+    a = _square_operator(a, es, "A")
     if _is_diagonal(a):
         images = np.diagonal(a)[:, None] * es.right_vectors
     else:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
+import scipy.linalg
 
 from .config import DEFAULT, Tolerances
 
@@ -134,9 +135,53 @@ class LatticeSpec:
         return cls(**kwargs)
 
 
+# Smallest n at which a tridiagonal norm takes the banded route: below it one
+# dense SVD is cheaper (at n = 9, 30 us against 82 us for the banded call).
+BANDED_NORM_MIN_N = 32
+
+
 def spectral_norm(m: np.ndarray) -> float:
-    """2-norm used as the tolerance scale throughout."""
-    return float(np.linalg.norm(m, 2))
+    """2-norm used as the tolerance scale throughout.
+
+    A square tridiagonal matrix with n >= ``BANDED_NORM_MIN_N`` takes the
+    banded route of ``_tridiagonal_norm``; every other input, and a banded
+    solve that fails, takes a dense SVD.  The size is tested first, so a
+    small input pays nothing for the structure test.
+    """
+    m = np.asarray(m)
+    if m.ndim == 2 and m.shape[0] >= BANDED_NORM_MIN_N and _is_tridiagonal(m):
+        try:
+            return _tridiagonal_norm(np.diagonal(m, -1), np.diagonal(m), np.diagonal(m, 1))
+        except np.linalg.LinAlgError:
+            pass
+    return float(np.linalg.svd(m, compute_uv=False).max(initial=0.0))
+
+
+def _tridiagonal_norm(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> float:
+    """Largest singular value of the tridiagonal matrix with these diagonals.
+
+    sigma_max = c sqrt(lambda_max(G^H G)) with G = M / c and c = max|m_ij|:
+    G^H G is pentadiagonal Hermitian, and its top eigenvalue comes from one
+    ``eigvals_banded`` call.  Without the scaling by c the squares of large
+    couplings overflow in the banded solver.
+    """
+    c = max(np.abs(diag).max(), np.abs(sub).max(initial=0.0), np.abs(sup).max(initial=0.0))
+    if c == 0:
+        return 0.0
+    if not any(np.any(x.imag) for x in (sub, diag, sup)):
+        sub, diag, sup = sub.real, diag.real, sup.real    # the real band solver is ~5x faster
+    lo, d, up = sub / c, diag / c, sup / c
+    n = len(d)
+    # upper band storage: row 2 the diagonal, row 1 (j-1, j), row 0 (j-2, j)
+    band = np.zeros((3, n), dtype=np.result_type(d, 1.0))
+    band[2] = np.abs(d) ** 2
+    band[2, 1:] += np.abs(up) ** 2
+    band[2, :-1] += np.abs(lo) ** 2
+    band[1, 1:] = d[:-1].conj() * up + lo.conj() * d[1:]
+    band[0, 2:] = lo[:-1].conj() * up[1:]
+    top = scipy.linalg.eigvals_banded(band, select="i", select_range=(n - 1, n - 1),
+                                      check_finite=False)
+    return float(c * np.sqrt(max(top[0], 0.0)))
 
 
 def hermitian_defect(m: np.ndarray) -> float:
@@ -225,6 +270,12 @@ def _is_diagonal(m: np.ndarray) -> bool:
     return bool(np.count_nonzero(m - np.diag(np.diagonal(m))) == 0)
 
 
+def _is_tridiagonal(m: np.ndarray) -> bool:
+    """Square, with every nonzero on the diagonal or next to it."""
+    return bool(m.shape[0] == m.shape[1] and np.count_nonzero(m) == sum(
+        np.count_nonzero(np.diagonal(m, k)) for k in (-1, 0, 1)))
+
+
 def construct_product(h0: np.ndarray, a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """H = H0 A (this exact order; the reversed order A H0 equals H^dag).
 
@@ -286,7 +337,11 @@ def hermitian_equivalent(h0: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAUL
     b = np.asarray(b, dtype=complex)
     if h0.shape != b.shape:
         raise ValueError(f"dimension mismatch: {h0.shape} vs {b.shape}")
-    he = b @ h0 @ b.conj().T
+    if _is_diagonal(b):
+        bd = np.diagonal(b)
+        he = bd[:, None] * h0 * bd.conj()[None, :]
+    else:
+        he = b @ h0 @ b.conj().T
     return assert_hermitian(he, tol, "B H0 B^dag")
 
 

@@ -1,10 +1,21 @@
 """Spectral certificates: reality, pseudo-Hermiticity, inner-product
 positivity, exceptional-point structure, and the B-map correspondence.
 
-The Jordan analysis never attempts a full-matrix Jordan form: the target
-eigenvalue cluster is isolated into its invariant subspace with a sorted
-Schur decomposition and the block structure is read off rank tests of the
-restricted (nearly nilpotent) operator, which is stable at desk scale.
+A real chain (``eig.chain_form``: real tridiagonal, same-sign coupling
+pairs) goes through its symmetric tridiagonal form T = D M D^-1.  There
+``ep_analyze`` counts the cluster from T's eigenvalues and, for a cluster
+of one eigenvalue, returns the eigenvector D^-1 phi once its residual
+passes: an unreduced tridiagonal matrix is nonderogatory, so no Jordan
+analysis is needed.  ``certify`` takes the singular values of a chain H0
+as |eigenvalues|, and ``bmap_correspondence`` solves a chain H_e with one
+``eigh_tridiagonal`` and applies a diagonal B elementwise.
+
+Every other input, and a chain eigenvector that misses its residual bound,
+takes the dense path.  The Jordan analysis never attempts a full-matrix
+Jordan form: the target eigenvalue cluster is isolated into its invariant
+subspace with a sorted Schur decomposition and the block structure is read
+off rank tests of the restricted (nearly nilpotent) operator, which is
+stable at desk scale.
 """
 
 from __future__ import annotations
@@ -15,7 +26,8 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT, Tolerances
-from .eig import EigenSystem, _symmetric_chain, collinearity_residual, eig_full
+from .eig import (ChainForm, EigenSystem, _square_operator, _tridiagonal_product, _validated,
+                  chain_form, collinearity_residual, eig_full)
 from .model import (_is_diagonal, assert_hermitian, construct_product, hermitian_equivalent,
                     spectral_norm)
 
@@ -94,7 +106,8 @@ def certify(h: np.ndarray, h0: np.ndarray, es: EigenSystem | None = None,
     """Certificate for H against the Hermitian factor H0 (metric H0^-1).
 
     The pseudo-Hermiticity residual ||H0^-1 H H0 - H^dag|| / ||H|| is
-    reported as None when H0 is numerically singular.
+    reported as None when H0 is numerically singular (for a chain H0, the
+    singular values are the moduli of its ``eigh_tridiagonal`` eigenvalues).
     """
     h = np.asarray(h, dtype=complex)
     h0 = assert_hermitian(h0, tol, "h0")
@@ -104,8 +117,14 @@ def certify(h: np.ndarray, h0: np.ndarray, es: EigenSystem | None = None,
     max_imag = float(np.abs(es.eigenvalues.imag).max())
     pairs, resid = conjugate_pairs(es.eigenvalues)
 
-    sv = np.linalg.svd(h0, compute_uv=False)
-    if sv[-1] > tol.invertible_rel * max(sv[0], 1e-300):
+    form = chain_form(h0)
+    if form is None:
+        sv = np.linalg.svd(h0, compute_uv=False)
+    else:
+        # h0 is exactly symmetric here, so D = 1 and sigma = |eigenvalue|
+        sv = np.abs(scipy.linalg.eigh_tridiagonal(form.diag, form.off, eigvals_only=True,
+                                                  check_finite=False))
+    if sv.min() > tol.invertible_rel * max(sv.max(), 1e-300):
         lhs = np.linalg.solve(h0, h @ h0)
         metric_resid = float(spectral_norm(lhs - h.conj().T) / max(norm, 1e-300))
     else:
@@ -143,7 +162,7 @@ def inner_product_audit(es: EigenSystem, b: np.ndarray,
     CertificateError
         If the identity misses ``metric_rel`` (relative to max(||B psi||^2, 1)).
     """
-    b = np.asarray(b, dtype=complex)
+    b = _square_operator(b, es, "B")
     psi = es.right_vectors / np.linalg.norm(es.right_vectors, axis=0)
     if _is_diagonal(b):
         bd = np.diagonal(b)[:, None]
@@ -203,31 +222,66 @@ def _nullspace(m: np.ndarray, tol_abs: float) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def _chain_eigenvector(h: np.ndarray, form: ChainForm, k: int, target: complex,
+                      ntol: float) -> tuple[np.ndarray, float] | None:
+    """Unit eigenvector D^-1 phi_k of a chain and its residual
+    ||(H - target) v||, or None when the residual exceeds ``ntol``."""
+    try:
+        _, phi = scipy.linalg.eigh_tridiagonal(form.diag, form.off, select="i",
+                                               select_range=(k, k), check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    v = phi[:, 0] / form.d
+    v = (v / np.linalg.norm(v)).astype(complex)
+    resid = float(np.linalg.norm(_tridiagonal_product(h, v[:, None])[:, 0] - target * v))
+    return (v, resid) if resid <= ntol else None
+
+
 def ep_analyze(h: np.ndarray, target: complex = 0.0,
                tol: Tolerances = DEFAULT) -> EPReport:
     """Multiplicities and Jordan chains of the cluster at ``target``.
 
     The cluster is every eigenvalue within ``cluster_rel * ||H||`` of the
-    target (for a real chain with same-sign coupling pairs, the eigenvalues
-    of its symmetric tridiagonal form); geometric multiplicity is the SVD nullity of H - target*I; block
-    sizes come from rank tests of the Schur-restricted operator, and chains
-    are built inside that invariant subspace then lifted back.
+    target (for a real chain, the eigenvalues of its symmetric tridiagonal
+    form).  A chain whose cluster holds one eigenvalue has geometric
+    multiplicity 1 (an unreduced tridiagonal matrix is nonderogatory) and
+    Jordan chain D^-1 phi, accepted when ||(H - target) v|| <=
+    ``nullity_rel * ||H||``.  Otherwise the geometric multiplicity is the
+    SVD nullity of H - target*I, block sizes come from rank tests of the
+    Schur-restricted operator, and chains are built inside that invariant
+    subspace then lifted back.
+
+    Raises
+    ------
+    ValueError
+        If H is not a finite, nonempty square matrix.
+    IllConditionedError
+        If the rank tests ask for more chain tops than the kernel holds.
     """
-    h = np.asarray(h, dtype=complex)
+    h = _validated(h)
     n = h.shape[0]
     norm = max(spectral_norm(h), 1e-300)
     ctol = tol.cluster_rel * norm
     ntol = tol.nullity_rel * norm
 
-    chain = _symmetric_chain(h)
-    if chain is None:
+    form = chain_form(h)
+    if form is None:
         w = np.linalg.eigvals(h)
     else:
-        w = scipy.linalg.eigh_tridiagonal(chain[0], chain[1], eigvals_only=True,
+        w = scipy.linalg.eigh_tridiagonal(form.diag, form.off, eigvals_only=True,
                                           check_finite=False)
     dist = np.abs(w - target)
     algebraic = int(np.sum(dist <= ctol))
     boundary = bool(np.any((dist > ctol / 2) & (dist < 2 * ctol)))
+
+    if form is not None and algebraic == 1:
+        found = _chain_eigenvector(h, form, int(np.argmin(dist)), target, ntol)
+        if found is not None:
+            v, resid = found
+            return EPReport(target_energy=complex(target), algebraic_multiplicity=1,
+                            geometric_multiplicity=1, ep_orders=[1], jordan_chains=[[v]],
+                            chain_residuals=resid, boundary_warning=boundary,
+                            matrix_norm=norm)
 
     sv = np.linalg.svd(h - target * np.eye(n), compute_uv=False)
     geometric = int(np.sum(sv <= ntol))
@@ -342,25 +396,40 @@ def bmap_correspondence(h0: np.ndarray, b: np.ndarray,
     Their spectra agree; for invertible B every H_e eigenvector phi maps to
     an H eigenvector B^-1 phi, while for singular B every H mode with
     B psi != 0 maps forward to an H_e mode at the same eigenvalue.
+
+    Invertibility is decided first (from |b_jj| for a diagonal B, else an
+    SVD), then H_e is solved once: by ``eigh_tridiagonal`` when it is a
+    chain, else by ``eigh`` (invertible B) or ``eigvalsh`` (singular B).
+    A diagonal B is applied elementwise throughout.
     """
     b = np.asarray(b, dtype=complex)
-    a = b.conj().T @ b
+    diagonal = _is_diagonal(b)
+    if diagonal:
+        bd = np.diagonal(b)
+        a = np.diag(bd.conj() * bd)
+        sv = np.abs(bd)
+    else:
+        a = b.conj().T @ b
+        sv = np.linalg.svd(b, compute_uv=False)
+    invertible = bool(sv.min() > tol.invertible_rel * max(sv.max(), 1e-300))
     h = construct_product(h0, a, tol)
     he = hermitian_equivalent(h0, b, tol)
 
     es = eig_full(h, tol)
     norm = max(es.matrix_norm, 1e-300)
     w = es.eigenvalues
-    evals_e = np.linalg.eigvalsh(he)
-    order = np.argsort(w.real)
-    gap = float(np.abs(w[order] - np.sort(evals_e)).max())
-
-    sv = np.linalg.svd(b, compute_uv=False)
-    invertible = bool(sv[-1] > tol.invertible_rel * max(sv[0], 1e-300))
+    # H_e is exactly Hermitian, so a chain form has D = 1 and T's vectors are H_e's
+    form = chain_form(he)
+    if form is not None:
+        solved = scipy.linalg.eigh_tridiagonal(form.diag, form.off, eigvals_only=not invertible,
+                                               check_finite=False)
+    else:
+        solved = np.linalg.eigh(he) if invertible else np.linalg.eigvalsh(he)
+    evals_e, vecs_e = solved if invertible else (solved, None)
+    gap = float(np.abs(w[np.argsort(w.real)] - evals_e).max())     # evals_e ascending
 
     if invertible:
-        _, vecs_e = np.linalg.eigh(he)
-        mapped_back = np.linalg.solve(b, vecs_e)
+        mapped_back = vecs_e / bd[:, None] if diagonal else np.linalg.solve(b, vecs_e)
         nearest = np.argmin(np.abs(evals_e[None, :] - w.real[:, None]), axis=1)
         entries = []
         for mu, nu in enumerate(nearest):
@@ -370,7 +439,7 @@ def bmap_correspondence(h0: np.ndarray, b: np.ndarray,
                                          residual=float(res)))
     else:
         psi = es.right_vectors / np.linalg.norm(es.right_vectors, axis=0)
-        images = b @ psi
+        images = bd[:, None] * psi if diagonal else b @ psi
         image_norms = np.linalg.norm(images, axis=0)
         mapped = image_norms > tol.kernel_rel
         images = images / np.where(mapped, image_norms, 1.0)

@@ -55,7 +55,8 @@ def test_cli_custom_config_and_overrides(tmp_path, capsys):
     # '.' decimal separator per the CSV convention
     assert "." in rows[1][1] and "," not in rows[1][1]
 
-    spectrum = list(csv.reader((tmp_path / "custom_spectrum.csv").open()))
+    with (tmp_path / "custom_spectrum.csv").open() as fh:
+        spectrum = list(csv.reader(fh))
     assert spectrum[0] == ["index", "omega_re", "omega_im"]
 
 

@@ -103,7 +103,7 @@ def test_failed_chain_certificate_returns_dense_result(monkeypatch):
     spec = LatticeSpec(n=21, scaling="geometric", s=1.3)
     h = construct_product(build_h0(spec), build_scaling(spec))
     with monkeypatch.context() as m:
-        m.setattr(nhlab.eig, "_symmetric_chain", lambda _: None)
+        m.setattr(nhlab.eig, "chain_form", lambda _: None)
         expected = eig_full(h)
     solve = scipy.linalg.eigh_tridiagonal
 
@@ -125,8 +125,8 @@ def test_overflowing_couplings_raise_eigensolve_error():
     # entries reach ~1e204: a product m[i, i+1] * m[i+1, i] would overflow
     spec = LatticeSpec(n=801, scaling="geometric", s=1.7977)
     h = construct_product(build_h0(spec), build_scaling(spec))
-    diag, off, d = nhlab.eig._symmetric_chain(h)
-    assert np.all(np.isfinite(off)) and np.all(np.isfinite(d))
+    form = nhlab.eig.chain_form(h)
+    assert np.all(np.isfinite(form.off)) and np.all(np.isfinite(form.d))
     with spy(scipy.linalg, "eig") as dense:
         with pytest.raises(EigensolveError, match="eigenpair residual inf exceeds"):
             eig_full(h)
