@@ -267,7 +267,8 @@ def build_scaling(spec: LatticeSpec, allow_indefinite: bool = False) -> np.ndarr
 
 
 def _is_diagonal(m: np.ndarray) -> bool:
-    return bool(np.count_nonzero(m - np.diag(np.diagonal(m))) == 0)
+    """Every nonzero on the diagonal (counted in place, no n x n temporary)."""
+    return bool(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)))
 
 
 def _is_tridiagonal(m: np.ndarray) -> bool:
