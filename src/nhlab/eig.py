@@ -110,8 +110,9 @@ def _unit_columns(v: np.ndarray) -> np.ndarray:
 
 
 def _residuals(mv: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """||M v - w v|| / ||v|| per column, given M v."""
-    return np.linalg.norm(mv - v * w, axis=0) / np.linalg.norm(v, axis=0)
+    """||M v - w v|| / ||v|| per column, given M v (overwritten in place)."""
+    mv -= v * w
+    return np.linalg.norm(mv, axis=0) / np.linalg.norm(v, axis=0)
 
 
 def _condition(m: np.ndarray) -> float:
@@ -212,11 +213,9 @@ def _paired_system(m: np.ndarray, norm: float, w: np.ndarray, rhat: np.ndarray,
     right, left = right / phase, left * phase
     status = tuple(SELF_ORTHOGONAL if so else BIORTHONORMAL for so in self_orth)
     # residual certificates (per unit vector)
-    if tridiagonal:
-        m_right, left_m = _tridiagonal_product(m, right), _tridiagonal_product(m.T, left)
-    else:
-        m_right, left_m = m @ right, m.T @ left
-    residuals = np.maximum(_residuals(m_right, right, w), _residuals(left_m, left, w))
+    product = _tridiagonal_product if tridiagonal else np.matmul
+    residuals = np.maximum(_residuals(product(m, right), right, w),
+                           _residuals(product(m.T, left), left, w))
     return EigenSystem(dim=n, eigenvalues=w, right_vectors=right, left_vectors=left,
                        norm_status=status, overlaps=overlaps, residuals=residuals,
                        matrix_norm=norm)
