@@ -3,12 +3,14 @@
 Each site is a cavity with uniform loss kappa0 (a -i*kappa0 on the diagonal);
 pumping adds +i*gamma on the pumped sites.  The threshold is the smallest
 gamma at which some eigenvalue reaches the real axis, found by bracketing
-and Illinois regula falsi on max Im(w); modes are followed in gamma by
-eigenvector overlap so the crossing mode can be identified unambiguously.
-For a tridiagonal chain each pump strength costs one ``eigvals`` call plus
-an O(n^2) batched inverse iteration for the eigenvectors.  Power flows
-at the coupling junctions quantify the exchange with the environment that
-sets the threshold scale.
+and Illinois regula falsi on max Im(w) of the dense ``eigvals`` of M(gamma);
+modes are followed in gamma by eigenvector overlap so the crossing mode can
+be identified unambiguously.  A chain with a ``ChainForm`` is tracked on its
+complex-symmetric form T(gamma) = D M(gamma) D^-1, whose modes are continued
+from one pump strength to the next in O(n^2) (a first-order predictor and a
+batched Rayleigh-quotient corrector), with an exact solve of T wherever a
+step misses its certificate.  Power flows at the coupling junctions quantify
+the exchange with the environment that sets the threshold scale.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .config import DEFAULT, Tolerances
+from .eig import chain_form
 from .model import spectral_norm
 
 
@@ -27,7 +31,18 @@ class NoThresholdError(RuntimeError):
 
 
 class TrackingAmbiguityError(RuntimeError):
-    """Eigenvector overlaps too close to call; a finer gamma grid is needed."""
+    """Eigenvector overlaps too close to call; a finer gamma grid is needed.
+
+    When ``find_threshold`` had already converged before its tracking grid
+    tied, ``threshold`` and ``bracket`` hold that root and its final bracket
+    (None otherwise).
+    """
+
+    def __init__(self, message: str, threshold: float | None = None,
+                 bracket: tuple[float, float] | None = None):
+        super().__init__(message)
+        self.threshold = threshold
+        self.bracket = bracket
 
 
 @dataclass(frozen=True)
@@ -86,21 +101,34 @@ def pumped_hamiltonian(h: np.ndarray, pump: PumpSpec,
 # nearly orthogonal to some modes of the uniform chain)
 _START_SEED = 0x6E686C6162
 
+# Rayleigh-quotient corrector steps per grid point before the exact solve
+_CORRECTOR_STEPS = 3
+
 
 class _PumpedChain:
     """The pumped matrices of one (h, pump): only the diagonal moves with gamma.
 
-    ``eig`` returns the spectrum and unit right vectors.  For an unreduced
-    tridiagonal ``h`` the eigenvalues come from one ``eigvals`` call and the
-    vectors from inverse iteration (``_tridiagonal_vectors``); a dense
-    ``np.linalg.eig`` is the path for any other input and the fallback when a
-    structured vector fails its residual certificate.
+    ``eigvals`` and ``max_imag`` solve M(gamma) densely for the threshold
+    search.  Tracking takes ``solve`` at the first grid point and ``step``
+    at each later one.  When h has a ``ChainForm`` (from ``eig.chain_form``)
+    both act on T(gamma) = D M(gamma) D^-1 = T - i*kappa0 + i*gamma*P, which
+    has M's eigenvalues without its non-normality: ``solve`` is exact
+    (``eigh_tridiagonal`` at gamma = 0, else ``eigvals`` plus inverse
+    iteration) and ``step`` continues the previous modes (``_continue``),
+    falling back to ``solve``.  Their vectors are the unit phi of T;
+    ``right_vectors`` maps them to M's psi = phi / d.  Any other input is
+    tracked on M by ``eig``: one ``eigvals`` call plus inverse iteration
+    (``_tridiagonal_vectors``) for an unreduced tridiagonal h, and a dense
+    ``np.linalg.eig`` for any other input or a vector that fails its
+    residual certificate.
     """
 
     def __init__(self, h: np.ndarray, pump: PumpSpec, tol: Tolerances):
         self.h = h
         self.m = np.array(h, dtype=complex)
         n = self.n = self.m.shape[0]
+        self.form = chain_form(self.m)
+        self.kappa0 = pump.kappa0
         self.base = self.m.diagonal() - 1j * pump.kappa0
         self.p = pump_indicator(pump.pumped_sites, n)
         self.sub = np.diagonal(self.m, -1).copy()
@@ -123,8 +151,8 @@ class _PumpedChain:
         return self.m
 
     def eigvals(self, gamma: float) -> np.ndarray:
-        """Spectrum at gamma, solved once: the threshold search and the
-        tracking grid share their solves at 0 and at the root."""
+        """Spectrum of M at gamma, solved once: the threshold search and the
+        tracking of an input without a ``ChainForm`` share their solves."""
         if gamma not in self._spectra:
             self._spectra[gamma] = np.linalg.eigvals(self.matrix(gamma))
         return self._spectra[gamma]
@@ -142,51 +170,178 @@ class _PumpedChain:
         w, v = np.linalg.eig(self.matrix(gamma))
         return w, v / np.linalg.norm(v, axis=0)
 
+    def solve(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Exact spectrum and unit vectors: of T(gamma) for a chain, else of M."""
+        if self.form is None:
+            return self.eig(gamma)
+        off, diag = self.form.off, self.diagonal(gamma)
+        if gamma == 0:
+            try:
+                lam, phi = eigh_tridiagonal(self.form.diag, off, check_finite=False)
+            except np.linalg.LinAlgError:
+                pass    # the dense solve decides
+            else:
+                w, x = lam - 1j * self.kappa0, phi.T.astype(complex)
+                if np.all(_residual_norms(off, diag, off, w, x)
+                          <= self.tol.residual_rel * _column_norm(off, diag, off)):
+                    return w, x.T
+        t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        if gamma != 0:
+            w = np.linalg.eigvals(t)
+            v = _tridiagonal_vectors(off, diag, off, w, self.start, self.tol.residual_rel)
+            if v is not None:
+                return w, v
+        w, v = np.linalg.eig(t)
+        return w, v / np.linalg.norm(v, axis=0)
+
+    def step(self, w: np.ndarray, v: np.ndarray, gamma0: float,
+             gamma: float) -> tuple[np.ndarray, np.ndarray]:
+        """The tracked modes (w, v) at gamma0, solved again at gamma."""
+        if self.form is None:
+            return self.eig(gamma)
+        moved = _continue(self.form.off, self.diagonal(gamma), self.p, w, v.T,
+                          gamma - gamma0, self.tol)
+        return moved if moved is not None else self.solve(gamma)
+
+    def right_vectors(self, w: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
+        """M's unit right vectors for the tracked modes (w, v) at gamma.
+
+        For a chain, psi = unit(phi / d) after one more inverse-iteration
+        step with the converged shifts: the corrector stops at its residual
+        certificate, which can leave the vectors ~1e-13 short of round-off.
+        """
+        if self.form is None:
+            return v
+        x = v.T
+        lu = _stacked_factors(self.form.off, self.diagonal(gamma), self.form.off, w)
+        if lu is not None:
+            with np.errstate(all="ignore"):
+                y = _stacked_solve(lu, x)
+            if np.all(np.isfinite(y)):
+                x = y
+        return _lapack_phase(x / self.form.d).T
+
+
+def _stacked_factors(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                     w: np.ndarray) -> list | None:
+    """One ``zgttrf`` for all shifted systems ``m - w_k`` of a tridiagonal m.
+
+    The shifted matrices are the blocks of one length-(k n) tridiagonal
+    system with zero couplings between blocks.  Returns the LU factors, or
+    None when a pivot is exactly zero.
+    """
+    k, n = len(w), len(diag)
+    dl, du = np.zeros((2, k, n), dtype=complex)
+    dl[:, :-1], du[:, :-1] = sub, sup
+    *lu, info = zgttrf(dl.ravel()[:-1], (diag[None, :] - w[:, None]).ravel(),
+                       du.ravel()[:-1])
+    return lu if info == 0 else None
+
+
+def _stacked_solve(lu: list, x: np.ndarray) -> np.ndarray:
+    """Solve every block of ``_stacked_factors`` for its row of x ([mode, site]),
+    and rescale each solution by its max-abs entry (near-exact shifts give
+    pivots as small as 1e-168, and a 2-norm of the raw iterate overflows)."""
+    y, _ = zgttrs(*lu, x.reshape(-1, 1))
+    y = y.reshape(x.shape)
+    return y / np.abs(y).max(axis=1, keepdims=True)
+
+
+def _tridiagonal_product(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                         x: np.ndarray) -> np.ndarray:
+    """m x_k for every row x_k of x ([mode, site]), from m's three diagonals."""
+    y = diag * x
+    y[:, :-1] += sup * x[:, 1:]
+    y[:, 1:] += sub * x[:, :-1]
+    return y
+
+
+def _residual_norms(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, w: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
+    """||m x_k - w_k x_k|| for every row x_k of x ([mode, site])."""
+    return np.linalg.norm(_tridiagonal_product(sub, diag, sup, x) - w[:, None] * x, axis=1)
+
+
+def _column_norm(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> float:
+    """Largest column 2-norm of a tridiagonal matrix, a lower bound on its norm."""
+    col = np.abs(diag) ** 2
+    col[:-1] += np.abs(sub) ** 2
+    col[1:] += np.abs(sup) ** 2
+    return float(np.sqrt(col.max()))
+
+
+def _lapack_phase(x: np.ndarray) -> np.ndarray:
+    """LAPACK's convention for the rows of x: unit 2-norm, largest entry real positive."""
+    rows, big = np.arange(len(x)), np.abs(x).argmax(axis=1)
+    x = x * (np.abs(x[rows, big]) / x[rows, big])[:, None]
+    x[rows, big] = x[rows, big].real
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
 
 def _tridiagonal_vectors(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
                          w: np.ndarray, start: np.ndarray,
                          residual_rel: float) -> np.ndarray | None:
     """Unit right vectors of a tridiagonal matrix at its eigenvalues ``w``.
 
-    Two steps of inverse iteration for every shift at once: the n shifted
-    systems ``m - w_k`` are the blocks of one length-n^2 tridiagonal system
-    with zero couplings between blocks, factored by one ``zgttrf`` and solved
-    by two ``zgttrs``.  Each block is rescaled by its max-abs entry between
-    the solves (near-exact shifts give pivots as small as 1e-168, and a
-    2-norm of the raw iterate overflows).  Returns None when a pivot is
-    exactly zero or some vector's residual exceeds ``residual_rel * ||m||``
-    (||m|| bounded below by its largest column norm).
+    Two steps of inverse iteration for every shift at once, through one
+    ``_stacked_factors`` and two ``_stacked_solve``.  Returns None when a
+    pivot is exactly zero or some vector's residual exceeds
+    ``residual_rel * ||m||`` (||m|| bounded below by its largest column norm).
     """
-    n = len(diag)
-    dl, du = np.zeros((2, n, n), dtype=complex)
-    dl[:, :-1], du[:, :-1] = sub, sup
-    shifted = diag[None, :] - w[:, None]                  # [mode, site]
-    dl, d, du, du2, ipiv, info = zgttrf(dl.ravel()[:-1], shifted.ravel(), du.ravel()[:-1])
-    if info != 0:
+    lu = _stacked_factors(sub, diag, sup, w)
+    if lu is None:
         return None
-    x = np.tile(start, n)
+    x = np.tile(start, (len(w), 1))
     with np.errstate(all="ignore"):          # an overflow fails the certificate
         for _ in range(2):
-            x, _ = zgttrs(dl, d, du, du2, ipiv, x[:, None], overwrite_b=1)
-            x = x.reshape(n, n)                            # [mode, site]
-            x = x / np.abs(x).max(axis=1, keepdims=True)
-            x = x.ravel()
-        # LAPACK's convention: unit 2-norm, largest entry real positive
-        x = x.reshape(n, n)
-        rows, big = np.arange(n), np.abs(x).argmax(axis=1)
-        x = x * (np.abs(x[rows, big]) / x[rows, big])[:, None]
-        x[rows, big] = x[rows, big].real
-        x = x / np.linalg.norm(x, axis=1, keepdims=True)
-        r = shifted * x
-        r[:, :-1] += sup * x[:, 1:]
-        r[:, 1:] += sub * x[:, :-1]
-    col = np.abs(diag) ** 2
-    col[:-1] += np.abs(sub) ** 2
-    col[1:] += np.abs(sup) ** 2
-    bound = residual_rel * np.sqrt(col.max())
-    if not np.all(np.linalg.norm(r, axis=1) <= bound):
+            x = _stacked_solve(lu, x)
+        x = _lapack_phase(x)
+        res = _residual_norms(sub, diag, sup, w, x)
+    if not np.all(res <= residual_rel * _column_norm(sub, diag, sup)):
         return None
     return x.T
+
+
+def _continue(off: np.ndarray, diag: np.ndarray, p: np.ndarray, w: np.ndarray,
+              phi: np.ndarray, dgamma: float, tol: Tolerances) -> tuple | None:
+    """Every mode (w_k, phi_k) of a complex-symmetric tridiagonal T, continued
+    over a pump step ``dgamma`` to T's new diagonal ``diag``.
+
+    ``phi`` holds the modes as rows.  The predictor is first-order
+    perturbation theory, dw = i dgamma (phi o phi)^T p / phi^T phi (T's left
+    vectors are its right vectors).  The corrector is at most
+    ``_CORRECTOR_STEPS`` steps of batched complex-symmetric Rayleigh-quotient
+    iteration: one ``_stacked_solve`` for all modes, then
+    w = x^T T x / x^T x.  Returns (w, unit vectors as columns), or None
+    unless every residual is within ``residual_rel * c`` (c the largest
+    column norm of T), the eigenvalues are pairwise more than
+    ``cluster_rel * c`` apart, and |sum w - trace T| is within the residual
+    bound.
+    """
+    c = _column_norm(off, diag, off)
+    bound = tol.residual_rel * c
+    with np.errstate(all="ignore"):          # a non-finite value fails a certificate
+        sq = phi * phi
+        w = w + 1j * dgamma * (sq @ p) / sq.sum(axis=1)
+        x = phi
+        for _ in range(_CORRECTOR_STEPS):
+            lu = _stacked_factors(off, diag, off, w)
+            if lu is None:
+                return None
+            x = _stacked_solve(lu, x)
+            x = x / np.linalg.norm(x, axis=1, keepdims=True)
+            tx = _tridiagonal_product(off, diag, off, x)
+            w = np.sum(x * tx, axis=1) / np.sum(x * x, axis=1)
+            if np.all(np.linalg.norm(tx - w[:, None] * x, axis=1) <= bound):
+                break
+        else:
+            return None
+        gaps = np.abs(w[:, None] - w[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if not (gaps.min() > tol.cluster_rel * c
+                and abs(w.sum() - diag.sum()) <= bound):
+            return None
+    return w, x.T
 
 
 @dataclass
@@ -246,13 +401,13 @@ def _match_modes(overlaps: np.ndarray, margin: float, gamma: float) -> np.ndarra
 
 def _track(chain: _PumpedChain, gamma_grid: np.ndarray, tol: Tolerances) -> Trajectory:
     traj = np.zeros((len(gamma_grid), chain.n), dtype=complex)
-    w, v = chain.eig(gamma_grid[0])
+    w, v = chain.solve(gamma_grid[0])
     order = np.lexsort((w.imag, w.real))
     w, v = w[order], v[:, order]
     traj[0] = w
 
     for k in range(1, len(gamma_grid)):
-        wn, vn = chain.eig(gamma_grid[k])
+        wn, vn = chain.step(w, v, gamma_grid[k - 1], gamma_grid[k])
         perm = _match_modes(np.abs(v.conj().T @ vn), tol.track_margin, gamma_grid[k])
         w, v = wn[perm], vn[:, perm]
         traj[k] = w
@@ -260,7 +415,8 @@ def _track(chain: _PumpedChain, gamma_grid: np.ndarray, tol: Tolerances) -> Traj
     norm = max(spectral_norm(chain.h), 1e-300)
     pinned = np.flatnonzero(np.abs(traj.real).max(axis=0) <= tol.zero_mode_rel * norm)
     zero_idx = int(pinned[0]) if len(pinned) == 1 else None
-    return Trajectory(gammas=gamma_grid, eigenvalues=traj, final_vectors=v,
+    return Trajectory(gammas=gamma_grid, eigenvalues=traj,
+                      final_vectors=chain.right_vectors(w, v, gamma_grid[-1]),
                       zero_mode_index=zero_idx)
 
 
@@ -306,9 +462,12 @@ def find_threshold(h: np.ndarray, pump: PumpSpec, tol: Tolerances = DEFAULT,
     stored f of the end that survived two steps in a row (Illinois), and
     bisects when the secant point does not land strictly inside the bracket.
     It stops when |f| <= ``threshold_imag * kappa0`` and raises
-    NoThresholdError when the bracket can no longer shrink.  The modes are
-    then tracked on a grid ending at the threshold, whose last solve gives
-    the crossing mode.
+    NoThresholdError when the bracket can no longer shrink.  Every f is
+    taken from the dense ``eigvals`` of M(gamma).  The modes are then
+    tracked on a grid ending at the threshold (on T(gamma) for a chain with a
+    ``ChainForm``), whose last point gives the crossing mode.  A tie in that
+    tracking raises TrackingAmbiguityError carrying the converged root and
+    its bracket.
     """
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
@@ -354,7 +513,13 @@ def find_threshold(h: np.ndarray, pump: PumpSpec, tol: Tolerances = DEFAULT,
                 f_lo *= 0.5
             hi, f_hi, side = g, f_star, 1
 
-    trajectory = _track(chain, np.linspace(0.0, gstar, grid_points), tol)
+    try:
+        trajectory = _track(chain, np.linspace(0.0, gstar, grid_points), tol)
+    except TrackingAmbiguityError as exc:
+        raise TrackingAmbiguityError(
+            f"{exc}; the threshold search had converged to gamma* = {gstar!r} "
+            f"in the bracket [{lo!r}, {hi!r}]",
+            threshold=float(gstar), bracket=(float(lo), float(hi))) from exc
     mode_idx = int(np.argmax(trajectory.eigenvalues[-1].imag))
     vec = trajectory.final_vectors[:, mode_idx]
     if abs(vec[0]) < 1e-12 * np.linalg.norm(vec):

@@ -80,6 +80,9 @@ def conjugate_pairs(eigenvalues: np.ndarray) -> tuple[list[tuple[int, int]], lis
     """
     w = np.asarray(eigenvalues, dtype=complex)
     n = len(w)
+    if not w.imag.any():
+        # every self-pair costs 0 and wins its (cost, i, j) tie, repeats included
+        return [(i, i) for i in range(n)], [0.0] * n
     # candidates (i <= j) in (cost, i, j) order; hypot matches scalar abs() bit for bit
     iu, ju = np.triu_indices(n)
     d = w[iu] - np.conj(w[ju])

@@ -60,6 +60,21 @@ def test_conjugate_pairs_matches_reference_greedy(n_complex, n_real, grid, seed)
     assert conjugate_pairs(w) == reference_conjugate_pairs(w)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(values=st.lists(st.integers(-3, 3), min_size=1, max_size=12))
+def test_real_spectrum_self_pairs_as_the_greedy_does(values):
+    # integer values repeat exactly: every cost-0 tie must still self-pair
+    w = np.array(values, dtype=complex)
+    n = len(w)
+    assert conjugate_pairs(w) == reference_conjugate_pairs(w) == (
+        [(i, i) for i in range(n)], [0.0] * n)
+    # one complex pair among the same values takes the greedy
+    w = np.concatenate([w, [0.5 + 1j, 0.5 - 1j]])
+    pairs, resid = conjugate_pairs(w)
+    assert (pairs, resid) == reference_conjugate_pairs(w)
+    assert (n, n + 1) in pairs
+
+
 def test_conjugate_pairs_matches_reference_on_product_spectrum():
     rng = np.random.default_rng(13)
     w = np.linalg.eigvals(construct_product(random_hermitian(rng, 30), random_hermitian(rng, 30)))
