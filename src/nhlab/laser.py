@@ -8,9 +8,10 @@ modes are followed in gamma by eigenvector overlap so the crossing mode can
 be identified unambiguously.  A chain with a ``ChainForm`` is tracked on its
 complex-symmetric form T(gamma) = D M(gamma) D^-1, whose modes are continued
 from one pump strength to the next in O(n^2) (a first-order predictor and a
-batched Rayleigh-quotient corrector), with an exact solve of T wherever a
-step misses its certificate.  Power flows at the coupling junctions quantify
-the exchange with the environment that sets the threshold scale.
+batched Rayleigh-quotient corrector), with a dense solve of T wherever a
+step misses its certificate; any other input is solved densely at every
+grid point.  Power flows at the coupling junctions quantify the exchange
+with the environment that sets the threshold scale.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .config import DEFAULT, Tolerances
-from .eig import chain_form
+from .eig import _validated, chain_form
 from .model import spectral_norm
 
 
@@ -97,50 +98,39 @@ def pumped_hamiltonian(h: np.ndarray, pump: PumpSpec,
     return m
 
 
-# fixed generic start vector of the inverse iteration (an all-ones start is
-# nearly orthogonal to some modes of the uniform chain)
-_START_SEED = 0x6E686C6162
-
 # Rayleigh-quotient corrector steps per grid point before the exact solve
 _CORRECTOR_STEPS = 3
+
+# tracking grid points of find_threshold, from gamma = 0 to the root
+_THRESHOLD_GRID_POINTS = 33
 
 
 class _PumpedChain:
     """The pumped matrices of one (h, pump): only the diagonal moves with gamma.
 
-    ``eigvals`` and ``max_imag`` solve M(gamma) densely for the threshold
+    ``max_imag`` takes the dense ``eigvals`` of M(gamma) for the threshold
     search.  Tracking takes ``solve`` at the first grid point and ``step``
-    at each later one.  When h has a ``ChainForm`` (from ``eig.chain_form``)
-    both act on T(gamma) = D M(gamma) D^-1 = T - i*kappa0 + i*gamma*P, which
-    has M's eigenvalues without its non-normality: ``solve`` is exact
-    (``eigh_tridiagonal`` at gamma = 0, else ``eigvals`` plus inverse
-    iteration) and ``step`` continues the previous modes (``_continue``),
-    falling back to ``solve``.  Their vectors are the unit phi of T;
-    ``right_vectors`` maps them to M's psi = phi / d.  Any other input is
-    tracked on M by ``eig``: one ``eigvals`` call plus inverse iteration
-    (``_tridiagonal_vectors``) for an unreduced tridiagonal h, and a dense
-    ``np.linalg.eig`` for any other input or a vector that fails its
-    residual certificate.
+    at each later one, and solves a point one of two ways.  When h has a
+    ``ChainForm`` (from ``eig.chain_form``) both act on
+    T(gamma) = D M(gamma) D^-1 = T - i*kappa0 + i*gamma*P, which has M's
+    eigenvalues without its non-normality: ``solve`` is exact
+    (``eigh_tridiagonal`` at gamma = 0 if its residuals certify, else a dense
+    ``np.linalg.eig`` of T) and ``step`` continues the previous modes
+    (``_continue``), falling back to ``solve`` where a step misses its
+    certificate.  Their vectors are the unit phi of T; ``right_vectors`` maps
+    them to M's psi = phi / d.  Any other input is solved at every point by
+    a dense ``np.linalg.eig`` of M.
     """
 
     def __init__(self, h: np.ndarray, pump: PumpSpec, tol: Tolerances):
-        self.h = h
-        self.m = np.array(h, dtype=complex)
-        n = self.n = self.m.shape[0]
+        self.h = _validated(h)
+        self.m = self.h.copy()
+        self.n = self.m.shape[0]
         self.form = chain_form(self.m)
         self.kappa0 = pump.kappa0
         self.base = self.m.diagonal() - 1j * pump.kappa0
-        self.p = pump_indicator(pump.pumped_sites, n)
-        self.sub = np.diagonal(self.m, -1).copy()
-        self.sup = np.diagonal(self.m, 1).copy()
-        self.tridiagonal = (n > 1 and np.all(self.sub != 0) and np.all(self.sup != 0)
-                            and not np.triu(self.m, 2).any()
-                            and not np.tril(self.m, -2).any())
+        self.p = pump_indicator(pump.pumped_sites, self.n)
         self.tol = tol
-        self._spectra: dict[float, np.ndarray] = {}
-        if self.tridiagonal:
-            rng = np.random.default_rng(_START_SEED)
-            self.start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
     def diagonal(self, gamma: float) -> np.ndarray:
         return self.base + 1j * gamma * self.p
@@ -150,55 +140,35 @@ class _PumpedChain:
         np.fill_diagonal(self.m, self.diagonal(gamma))
         return self.m
 
-    def eigvals(self, gamma: float) -> np.ndarray:
-        """Spectrum of M at gamma, solved once: the threshold search and the
-        tracking of an input without a ``ChainForm`` share their solves."""
-        if gamma not in self._spectra:
-            self._spectra[gamma] = np.linalg.eigvals(self.matrix(gamma))
-        return self._spectra[gamma]
-
     def max_imag(self, gamma: float) -> float:
-        return float(self.eigvals(gamma).imag.max())
-
-    def eig(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-        if self.tridiagonal:
-            w = self.eigvals(gamma)
-            v = _tridiagonal_vectors(self.sub, self.diagonal(gamma), self.sup, w,
-                                     self.start, self.tol.residual_rel)
-            if v is not None:
-                return w, v
-        w, v = np.linalg.eig(self.matrix(gamma))
-        return w, v / np.linalg.norm(v, axis=0)
+        return float(np.linalg.eigvals(self.matrix(gamma)).imag.max())
 
     def solve(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """Exact spectrum and unit vectors: of T(gamma) for a chain, else of M."""
         if self.form is None:
-            return self.eig(gamma)
-        off, diag = self.form.off, self.diagonal(gamma)
-        if gamma == 0:
-            try:
-                lam, phi = eigh_tridiagonal(self.form.diag, off, check_finite=False)
-            except np.linalg.LinAlgError:
-                pass    # the dense solve decides
-            else:
-                w, x = lam - 1j * self.kappa0, phi.T.astype(complex)
-                if np.all(_residual_norms(off, diag, off, w, x)
-                          <= self.tol.residual_rel * _column_norm(off, diag, off)):
-                    return w, x.T
-        t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        if gamma != 0:
-            w = np.linalg.eigvals(t)
-            v = _tridiagonal_vectors(off, diag, off, w, self.start, self.tol.residual_rel)
-            if v is not None:
-                return w, v
-        w, v = np.linalg.eig(t)
+            a = self.matrix(gamma)
+        else:
+            off, diag = self.form.off, self.diagonal(gamma)
+            if gamma == 0:
+                try:
+                    lam, phi = eigh_tridiagonal(self.form.diag, off, check_finite=False)
+                except np.linalg.LinAlgError:
+                    pass    # the dense solve decides
+                else:
+                    w, x = lam - 1j * self.kappa0, phi.T.astype(complex)
+                    res = np.linalg.norm(_tridiagonal_product(off, diag, x) - w[:, None] * x,
+                                         axis=1)
+                    if np.all(res <= self.tol.residual_rel * _column_norm(off, diag)):
+                        return w, x.T
+            a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        w, v = np.linalg.eig(a)
         return w, v / np.linalg.norm(v, axis=0)
 
     def step(self, w: np.ndarray, v: np.ndarray, gamma0: float,
              gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """The tracked modes (w, v) at gamma0, solved again at gamma."""
         if self.form is None:
-            return self.eig(gamma)
+            return self.solve(gamma)
         moved = _continue(self.form.off, self.diagonal(gamma), self.p, w, v.T,
                           gamma - gamma0, self.tol)
         return moved if moved is not None else self.solve(gamma)
@@ -213,7 +183,7 @@ class _PumpedChain:
         if self.form is None:
             return v
         x = v.T
-        lu = _stacked_factors(self.form.off, self.diagonal(gamma), self.form.off, w)
+        lu = _stacked_factors(self.form.off, self.diagonal(gamma), w)
         if lu is not None:
             with np.errstate(all="ignore"):
                 y = _stacked_solve(lu, x)
@@ -222,9 +192,9 @@ class _PumpedChain:
         return _lapack_phase(x / self.form.d).T
 
 
-def _stacked_factors(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                     w: np.ndarray) -> list | None:
-    """One ``zgttrf`` for all shifted systems ``m - w_k`` of a tridiagonal m.
+def _stacked_factors(off: np.ndarray, diag: np.ndarray, w: np.ndarray) -> list | None:
+    """One ``zgttrf`` for all shifted systems ``T - w_k`` of a symmetric
+    tridiagonal T (off-diagonal ``off``, diagonal ``diag``).
 
     The shifted matrices are the blocks of one length-(k n) tridiagonal
     system with zero couplings between blocks.  Returns the LU factors, or
@@ -232,7 +202,7 @@ def _stacked_factors(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     """
     k, n = len(w), len(diag)
     dl, du = np.zeros((2, k, n), dtype=complex)
-    dl[:, :-1], du[:, :-1] = sub, sup
+    dl[:, :-1], du[:, :-1] = off, off
     *lu, info = zgttrf(dl.ravel()[:-1], (diag[None, :] - w[:, None]).ravel(),
                        du.ravel()[:-1])
     return lu if info == 0 else None
@@ -247,26 +217,19 @@ def _stacked_solve(lu: list, x: np.ndarray) -> np.ndarray:
     return y / np.abs(y).max(axis=1, keepdims=True)
 
 
-def _tridiagonal_product(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                         x: np.ndarray) -> np.ndarray:
-    """m x_k for every row x_k of x ([mode, site]), from m's three diagonals."""
+def _tridiagonal_product(off: np.ndarray, diag: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x_k for every row x_k of x ([mode, site]), T symmetric tridiagonal."""
     y = diag * x
-    y[:, :-1] += sup * x[:, 1:]
-    y[:, 1:] += sub * x[:, :-1]
+    y[:, :-1] += off * x[:, 1:]
+    y[:, 1:] += off * x[:, :-1]
     return y
 
 
-def _residual_norms(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, w: np.ndarray,
-                    x: np.ndarray) -> np.ndarray:
-    """||m x_k - w_k x_k|| for every row x_k of x ([mode, site])."""
-    return np.linalg.norm(_tridiagonal_product(sub, diag, sup, x) - w[:, None] * x, axis=1)
-
-
-def _column_norm(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> float:
-    """Largest column 2-norm of a tridiagonal matrix, a lower bound on its norm."""
+def _column_norm(off: np.ndarray, diag: np.ndarray) -> float:
+    """Largest column 2-norm of a symmetric tridiagonal T, a lower bound on its norm."""
     col = np.abs(diag) ** 2
-    col[:-1] += np.abs(sub) ** 2
-    col[1:] += np.abs(sup) ** 2
+    col[:-1] += np.abs(off) ** 2
+    col[1:] += np.abs(off) ** 2
     return float(np.sqrt(col.max()))
 
 
@@ -276,30 +239,6 @@ def _lapack_phase(x: np.ndarray) -> np.ndarray:
     x = x * (np.abs(x[rows, big]) / x[rows, big])[:, None]
     x[rows, big] = x[rows, big].real
     return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
-def _tridiagonal_vectors(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                         w: np.ndarray, start: np.ndarray,
-                         residual_rel: float) -> np.ndarray | None:
-    """Unit right vectors of a tridiagonal matrix at its eigenvalues ``w``.
-
-    Two steps of inverse iteration for every shift at once, through one
-    ``_stacked_factors`` and two ``_stacked_solve``.  Returns None when a
-    pivot is exactly zero or some vector's residual exceeds
-    ``residual_rel * ||m||`` (||m|| bounded below by its largest column norm).
-    """
-    lu = _stacked_factors(sub, diag, sup, w)
-    if lu is None:
-        return None
-    x = np.tile(start, (len(w), 1))
-    with np.errstate(all="ignore"):          # an overflow fails the certificate
-        for _ in range(2):
-            x = _stacked_solve(lu, x)
-        x = _lapack_phase(x)
-        res = _residual_norms(sub, diag, sup, w, x)
-    if not np.all(res <= residual_rel * _column_norm(sub, diag, sup)):
-        return None
-    return x.T
 
 
 def _continue(off: np.ndarray, diag: np.ndarray, p: np.ndarray, w: np.ndarray,
@@ -318,19 +257,19 @@ def _continue(off: np.ndarray, diag: np.ndarray, p: np.ndarray, w: np.ndarray,
     ``cluster_rel * c`` apart, and |sum w - trace T| is within the residual
     bound.
     """
-    c = _column_norm(off, diag, off)
+    c = _column_norm(off, diag)
     bound = tol.residual_rel * c
     with np.errstate(all="ignore"):          # a non-finite value fails a certificate
         sq = phi * phi
         w = w + 1j * dgamma * (sq @ p) / sq.sum(axis=1)
         x = phi
         for _ in range(_CORRECTOR_STEPS):
-            lu = _stacked_factors(off, diag, off, w)
+            lu = _stacked_factors(off, diag, w)
             if lu is None:
                 return None
             x = _stacked_solve(lu, x)
             x = x / np.linalg.norm(x, axis=1, keepdims=True)
-            tx = _tridiagonal_product(off, diag, off, x)
+            tx = _tridiagonal_product(off, diag, x)
             w = np.sum(x * tx, axis=1) / np.sum(x * x, axis=1)
             if np.all(np.linalg.norm(tx - w[:, None] * x, axis=1) <= bound):
                 break
@@ -424,9 +363,9 @@ def track_mode(h: np.ndarray, pump: PumpSpec, gamma_grid: np.ndarray,
                tol: Tolerances = DEFAULT) -> Trajectory:
     """Follow every eigenvalue of the pumped Hamiltonian along the grid."""
     gamma_grid = np.asarray(gamma_grid, dtype=float)
-    if len(gamma_grid) < 2 or np.any(np.diff(gamma_grid) <= 0) or gamma_grid[0] < 0:
-        raise ValueError("gamma_grid must be ascending and start at >= 0")
-    h = np.asarray(h, dtype=complex)
+    if (len(gamma_grid) < 2 or not np.all(np.isfinite(gamma_grid))
+            or np.any(np.diff(gamma_grid) <= 0) or gamma_grid[0] < 0):
+        raise ValueError("gamma_grid must be finite, ascending and start at >= 0")
     return _track(_PumpedChain(h, pump, tol), gamma_grid, tol)
 
 
@@ -452,8 +391,8 @@ class ThresholdResult:
                 }}
 
 
-def find_threshold(h: np.ndarray, pump: PumpSpec, tol: Tolerances = DEFAULT,
-                   grid_points: int = 33) -> ThresholdResult:
+def find_threshold(h: np.ndarray, pump: PumpSpec,
+                   tol: Tolerances = DEFAULT) -> ThresholdResult:
     """Smallest gamma with max Im(w) = 0, by bracketing plus regula falsi.
 
     With f(gamma) = max Im w, the bracket starts at [0, kappa0] and doubles
@@ -462,21 +401,20 @@ def find_threshold(h: np.ndarray, pump: PumpSpec, tol: Tolerances = DEFAULT,
     stored f of the end that survived two steps in a row (Illinois), and
     bisects when the secant point does not land strictly inside the bracket.
     It stops when |f| <= ``threshold_imag * kappa0`` and raises
-    NoThresholdError when the bracket can no longer shrink.  Every f is
-    taken from the dense ``eigvals`` of M(gamma).  The modes are then
-    tracked on a grid ending at the threshold (on T(gamma) for a chain with a
-    ``ChainForm``), whose last point gives the crossing mode.  A tie in that
-    tracking raises TrackingAmbiguityError carrying the converged root and
-    its bracket.
+    NoThresholdError when the bracket can no longer shrink.  Every f is one
+    dense ``eigvals`` of M(gamma), each gamma evaluated once (the bracket ends
+    keep their stored f).  The modes are then tracked as ``track_mode``
+    tracks them, on ``_THRESHOLD_GRID_POINTS`` points from 0 to the root; the
+    last point gives the crossing mode.  A tie in that tracking raises
+    TrackingAmbiguityError carrying the converged root and its bracket.
     """
-    h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
+    chain = _PumpedChain(h, pump, tol)
+    n = chain.n
     k0 = pump.kappa0
     ftol = tol.threshold_imag * k0
-    chain = _PumpedChain(h, pump, tol)
 
     def floor() -> str:
-        return f"eps*||H|| = {np.finfo(float).eps * spectral_norm(h):.3e}"
+        return f"eps*||H|| = {np.finfo(float).eps * spectral_norm(chain.h):.3e}"
 
     lo, f_lo = 0.0, chain.max_imag(0.0)
     if f_lo >= -ftol:
@@ -514,7 +452,7 @@ def find_threshold(h: np.ndarray, pump: PumpSpec, tol: Tolerances = DEFAULT,
             hi, f_hi, side = g, f_star, 1
 
     try:
-        trajectory = _track(chain, np.linspace(0.0, gstar, grid_points), tol)
+        trajectory = _track(chain, np.linspace(0.0, gstar, _THRESHOLD_GRID_POINTS), tol)
     except TrackingAmbiguityError as exc:
         raise TrackingAmbiguityError(
             f"{exc}; the threshold search had converged to gamma* = {gstar!r} "

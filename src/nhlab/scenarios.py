@@ -41,6 +41,7 @@ THRESHOLD_TABLE = {                 # kappa0/t -> (D/kappa0 selective, D/kappa0 
     0.02: (1.44, 4.99),
     1.0: (1.35, 1.62),
 }
+CALIBRATION_S_RANGE = (1.01, 4.0)   # geometric ratios scanned by calibrate_s
 
 
 class CalibrationError(RuntimeError):
@@ -155,8 +156,7 @@ def _product_pair(n: int, s: float, t: float = 1.0,
 
 
 def calibrate_s(anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9, t: float = 1.0,
-                tol: Tolerances = DEFAULT,
-                s_range: tuple[float, float] = (1.01, 4.0)) -> dict:
+                tol: Tolerances = DEFAULT) -> dict:
     """Find the geometric ratio that puts the first nonzero |w| at anchor*t.
 
     Scans a logarithmic grid for a sign change of the gap, bisects it, then
@@ -167,7 +167,8 @@ def calibrate_s(anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9, t: float = 1.0,
         h, _ = _product_pair(n, s, t, tol)
         return smallest_nonzero_abs(h, tol) / t - anchor
 
-    grid = np.geomspace(s_range[0], s_range[1], 121)
+    s_lo, s_hi = CALIBRATION_S_RANGE
+    grid = np.geomspace(s_lo, s_hi, 121)
     values = [gap(s) for s in grid]
     bracket = None
     for i in range(len(grid) - 1):
@@ -177,7 +178,7 @@ def calibrate_s(anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9, t: float = 1.0,
     if bracket is None:
         best = int(np.argmin(np.abs(values)))
         raise CalibrationError(
-            f"no s in [{s_range[0]}, {s_range[1]}] reaches anchor {anchor}; "
+            f"no s in [{s_lo}, {s_hi}] reaches anchor {anchor}; "
             f"best s = {grid[best]:.6f} with gap {values[best]:.3e}")
 
     lo, hi = bracket

@@ -119,10 +119,12 @@ def test_cli_seed_changes_fig1_output(tmp_path):
     assert a != b
 
 
-def test_idempotent_outputs(tmp_path):
-    main(["oscillators", "--out", str(tmp_path)])
-    first = (tmp_path / "oscillators_report.json").read_bytes()
-    tables = (tmp_path / "oscillators_trajectory.csv").read_bytes()
-    main(["oscillators", "--out", str(tmp_path)])
-    assert (tmp_path / "oscillators_report.json").read_bytes() == first
-    assert (tmp_path / "oscillators_trajectory.csv").read_bytes() == tables
+@pytest.mark.parametrize("scenario", ["oscillators", "fig3"])
+def test_idempotent_outputs(tmp_path, scenario):
+    def outputs():   # every file but the timestamped run.log sidecar
+        assert main([scenario, "--out", str(tmp_path)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())
+                if p.name != "run.log"}
+    first = outputs()
+    assert f"{scenario}_report.json" in first
+    assert outputs() == first

@@ -94,6 +94,34 @@ def test_track_grid_validation(chain9):
         track_mode(h, pump, np.array([0.5, 0.2]))
 
 
+def _bad_input(kind):
+    h = build_h0(LatticeSpec(n=4, t=1.0)).astype(complex)
+    grid = np.linspace(0.0, 0.1, 5)
+    if kind in ("nan", "inf"):
+        h[1, 2] = np.nan if kind == "nan" else np.inf
+    elif kind == "non_square":
+        h = h[:, :3]
+    else:
+        grid[2] = np.nan if kind == "nan_grid" else np.inf
+    return h, grid
+
+
+@pytest.mark.parametrize("entry, kind", [
+    (entry, kind) for entry in ("find_threshold", "track_mode")
+    for kind in ("nan", "inf", "non_square")] + [
+    ("track_mode", "nan_grid"), ("track_mode", "inf_grid")])
+def test_laser_entry_points_reject_bad_input(entry, kind):
+    # a typed message, not numpy's LinAlgError (a ValueError subclass) or an
+    # incidental broadcast error
+    h, grid = _bad_input(kind)
+    pump = PumpSpec(kappa0=0.02, pumped_sites=(1,))
+    with pytest.raises(ValueError, match="non-finite|must be square|gamma_grid must be finite"):
+        if entry == "find_threshold":
+            find_threshold(h, pump)
+        else:
+            track_mode(h, pump, grid)
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 

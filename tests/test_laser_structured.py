@@ -1,7 +1,7 @@
-"""The structured pumped-chain solve against the dense oracle: tridiagonal
-inverse-iteration vectors, tracking, the overlap-matching fast path, the
-regula falsi threshold root, and call counts that keep dense eigensolves from
-returning to the tridiagonal path."""
+"""The pumped-chain solve against the dense oracle: the pumped matrices and
+their dense spectra, tracking, the overlap-matching fast path, the regula
+falsi threshold root, and call counts that keep each input kind on its one
+exact solve."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from nhlab.config import DEFAULT
 from nhlab.eig import chain_form
 from nhlab.laser import (NoThresholdError, PumpSpec, TrackingAmbiguityError, _match_modes,
-                         _PumpedChain, _tridiagonal_vectors, find_threshold,
-                         pumped_hamiltonian, track_mode)
+                         _PumpedChain, find_threshold, pumped_hamiltonian, track_mode)
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_gauge, construct_product
 
 from conftest import random_hermitian
@@ -92,28 +91,17 @@ class Counter:
 
 
 # ---------------------------------------------------------------------------
-# structured eigenvectors against np.linalg.eig
+# the pumped matrices and tracking against np.linalg
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=pumped_chains(), gamma_factor=st.sampled_from([0.0, 0.7, 1.5, 4.0]))
-def test_structured_vectors_match_dense_oracle(case, gamma_factor):
+def test_pumped_matrix_and_max_imag_match_dense(case, gamma_factor):
     m, pump = case
     g = gamma_factor * pump.kappa0
     chain = _PumpedChain(m, pump, DEFAULT)
-    assert chain.tridiagonal
     dense = pumped_hamiltonian(m, pump, g)
     assert np.array_equal(chain.matrix(g), dense)
-    w = chain.eigvals(g)
-    assert np.array_equal(w, np.linalg.eigvals(dense))
-    v = _tridiagonal_vectors(chain.sub, chain.diagonal(g), chain.sup, w, chain.start,
-                             DEFAULT.residual_rel)
-    assert v is not None
-    norm = np.linalg.norm(dense, 2)
-    assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-14)
-    assert np.linalg.norm(dense @ v - v * w, axis=0).max() <= DEFAULT.residual_rel * norm
-    w_ref = np.linalg.eig(dense)[0]
-    gap = np.abs(w[:, None] - w_ref[None, :])
-    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= DEFAULT.spectra_match_rel * norm
+    assert chain.max_imag(g) == np.linalg.eigvals(dense).imag.max()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -139,18 +127,26 @@ def test_dense_input_and_failed_certificate_use_np_eig(monkeypatch, chain9):
     pump = PumpSpec(kappa0=0.02, pumped_sites=(1,))
     grid = np.linspace(0.0, 0.05, 9)
     ref = dense_track(h, pump, grid)
-    dense_h = random_hermitian(np.random.default_rng(4), 9)
-    dense_ref = dense_track(dense_h, pump, grid)
+    # inputs without a ChainForm: a dense matrix, a chain with a sign-flipped
+    # coupling pair, and a Hermitian chain with complex couplings
+    flipped = LatticeSpec(n=9, t=1.0, scaling="explicit",
+                          values=(1, 1.2, 0.8, 1.1, 0.9, 1.3, 0.7, 1.05, -0.5))
+    others = [random_hermitian(np.random.default_rng(4), 9),
+              construct_product(build_h0(flipped), build_scaling(flipped, allow_indefinite=True)),
+              np.diag(np.full(8, np.exp(0.3j)), 1) + np.diag(np.full(8, np.exp(-0.3j)), -1)]
+    assert all(chain_form(m) is None for m in others)
+    refs = [dense_track(m, pump, grid) for m in others]
     counter = Counter(monkeypatch)
-    # a zero residual bound fails every structured vector: dense fallback per point
+    # a zero residual bound fails every certificate: dense fallback per point
     strict = DEFAULT.with_overrides({"residual_rel": 0.0})
     got = track_mode(h, pump, grid, strict).eigenvalues
-    assert counter.calls["eig"] == len(grid)
-    assert np.abs(got - ref).max() <= 1e-12 * np.linalg.norm(h, 2)
-    counter.calls.update(eig=0, eigvals=0)
-    got = track_mode(dense_h, pump, grid).eigenvalues
     assert counter.calls == {"eig": len(grid), "eigvals": 0}
-    assert np.array_equal(got, dense_ref)
+    assert np.abs(got - ref).max() <= 1e-12 * np.linalg.norm(h, 2)
+    for m, m_ref in zip(others, refs):
+        counter.calls.update(eig=0, eigvals=0)
+        got = track_mode(m, pump, grid).eigenvalues
+        assert counter.calls == {"eig": len(grid), "eigvals": 0}
+        assert np.array_equal(got, m_ref)
 
 
 # ---------------------------------------------------------------------------
