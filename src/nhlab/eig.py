@@ -175,11 +175,13 @@ def chain_form(m: np.ndarray) -> ChainForm | None:
     return ChainForm(diag=np.diagonal(m).copy(), off=off, d=d)
 
 
-def _tridiagonal_product(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M v for a tridiagonal M, from its three diagonals (v one column per mode)."""
-    out = np.diagonal(m)[:, None] * v
-    out[1:] += np.diagonal(m, -1)[:, None] * v[:-1]
-    out[:-1] += np.diagonal(m, 1)[:, None] * v[1:]
+def _tridiagonal_product(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                         v: np.ndarray) -> np.ndarray:
+    """T v for the tridiagonal T with diagonals (sub, diag, sup), one vector
+    per column of v."""
+    out = diag[:, None] * v
+    out[:-1] += sup[:, None] * v[1:]
+    out[1:] += sub[:, None] * v[:-1]
     return out
 
 
@@ -213,9 +215,10 @@ def _paired_system(m: np.ndarray, norm: float, w: np.ndarray, rhat: np.ndarray,
     right, left = right / phase, left * phase
     status = tuple(SELF_ORTHOGONAL if so else BIORTHONORMAL for so in self_orth)
     # residual certificates (per unit vector)
-    product = _tridiagonal_product if tridiagonal else np.matmul
-    residuals = np.maximum(_residuals(product(m, right), right, w),
-                           _residuals(product(m.T, left), left, w))
+    bands = [np.diagonal(m, k) for k in (-1, 0, 1)]    # M^T has them reversed
+    mr, ml = ((_tridiagonal_product(*bands, right), _tridiagonal_product(*bands[::-1], left))
+              if tridiagonal else (m @ right, m.T @ left))
+    residuals = np.maximum(_residuals(mr, right, w), _residuals(ml, left, w))
     return EigenSystem(dim=n, eigenvalues=w, right_vectors=right, left_vectors=left,
                        norm_status=status, overlaps=overlaps, residuals=residuals,
                        matrix_norm=norm)

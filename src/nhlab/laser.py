@@ -23,7 +23,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .config import DEFAULT, Tolerances
-from .eig import _validated, chain_form
+from .eig import _tridiagonal_product, _validated, chain_form
 from .model import spectral_norm
 
 
@@ -156,8 +156,8 @@ class _PumpedChain:
                     pass    # the dense solve decides
                 else:
                     w, x = lam - 1j * self.kappa0, phi.T.astype(complex)
-                    res = np.linalg.norm(_tridiagonal_product(off, diag, x) - w[:, None] * x,
-                                         axis=1)
+                    tx = _tridiagonal_product(off, diag, off, x.T).T
+                    res = np.linalg.norm(tx - w[:, None] * x, axis=1)
                     if np.all(res <= self.tol.residual_rel * _column_norm(off, diag)):
                         return w, x.T
             a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -217,14 +217,6 @@ def _stacked_solve(lu: list, x: np.ndarray) -> np.ndarray:
     return y / np.abs(y).max(axis=1, keepdims=True)
 
 
-def _tridiagonal_product(off: np.ndarray, diag: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T x_k for every row x_k of x ([mode, site]), T symmetric tridiagonal."""
-    y = diag * x
-    y[:, :-1] += off * x[:, 1:]
-    y[:, 1:] += off * x[:, :-1]
-    return y
-
-
 def _column_norm(off: np.ndarray, diag: np.ndarray) -> float:
     """Largest column 2-norm of a symmetric tridiagonal T, a lower bound on its norm."""
     col = np.abs(diag) ** 2
@@ -269,7 +261,7 @@ def _continue(off: np.ndarray, diag: np.ndarray, p: np.ndarray, w: np.ndarray,
                 return None
             x = _stacked_solve(lu, x)
             x = x / np.linalg.norm(x, axis=1, keepdims=True)
-            tx = _tridiagonal_product(off, diag, x)
+            tx = _tridiagonal_product(off, diag, off, x.T).T
             w = np.sum(x * tx, axis=1) / np.sum(x * x, axis=1)
             if np.all(np.linalg.norm(tx - w[:, None] * x, axis=1) <= bound):
                 break

@@ -236,7 +236,8 @@ def _chain_eigenvector(h: np.ndarray, form: ChainForm, k: int, target: complex,
         return None
     v = phi[:, 0] / form.d
     v = (v / np.linalg.norm(v)).astype(complex)
-    resid = float(np.linalg.norm(_tridiagonal_product(h, v[:, None])[:, 0] - target * v))
+    hv = _tridiagonal_product(*(np.diagonal(h, k) for k in (-1, 0, 1)), v[:, None])[:, 0]
+    resid = float(np.linalg.norm(hv - target * v))
     return (v, resid) if resid <= ntol else None
 
 

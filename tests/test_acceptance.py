@@ -17,7 +17,7 @@ from nhlab.model import (LatticeSpec, build_h0, build_scaling, construct_product
                          spectral_norm)
 from nhlab.perturb import first_order, matrix_elements
 from nhlab.scenarios import (THRESHOLD_TABLE, ScenarioConfig, scenario_fig3,
-                             scenario_fig4)
+                             scenario_fig4, scenario_oscillators)
 from nhlab.skin import find_zero_mode, geometric_envelope, mode_reports, zero_mode_equality
 
 from conftest import random_hermitian, random_psd
@@ -137,6 +137,11 @@ FIG4_NAMES = [
     "fig4.a4.analytic_chain_vector", "fig4.a4.generalized_vector_span",
     "fig4.a1n9.simple_zero", "fig4.a1n9.vector_is_e1",
     "fig4.a1n8.ep2", "fig4.a1n8.vector_is_e1", "fig4.a1n8.chain_residual",
+]
+OSCILLATORS_NAMES = [
+    "oscillators.two_mass_eigenvalues", "oscillators.two_mass_frequencies",
+    "oscillators.spectrum_imag", "oscillators.single_mode_frequency",
+    "oscillators.energy_conservation", "oscillators.fourier_peaks_on_spectrum",
 ]
 
 
@@ -278,8 +283,18 @@ def test_criterion_8_oscillators():
         freq_errs.append(float(np.abs(peaks - w_target).min() / w_target))
     freq_ok = max(freq_errs) <= 1e-3
 
-    ok = spectra_ok and analytic_ok and freq_ok
+    # the scenario's own assertions, with the literal bounds restated
+    got = scenario_checks(scenario_oscillators(ScenarioConfig(scenario="oscillators"),
+                                               DEFAULT), OSCILLATORS_NAMES)
+    bounds = {"two_mass_eigenvalues": 1e-10, "two_mass_frequencies": 1e-10,
+              "single_mode_frequency": 1e-3, "energy_conservation": 1e-6}
+    scenario_ok = all(a.passed for a in got.values()) and all(
+        got[f"oscillators.{name}"].expected == f"<= {bound:g}"
+        and got[f"oscillators.{name}"].measured <= bound for name, bound in bounds.items())
+
+    ok = spectra_ok and analytic_ok and freq_ok and scenario_ok
     report(8, "oscillators", ok,
            f"worst |Im|/||M|| = {worst_imag:.2e}, 2-mass gap = "
-           f"{np.abs(lam2 - target).max():.2e}, worst freq err = {max(freq_errs):.2e}")
-    assert ok
+           f"{np.abs(lam2 - target).max():.2e}, worst freq err = {max(freq_errs):.2e}, "
+           f"energy drift = {got['oscillators.energy_conservation'].measured:.2e}")
+    assert ok, {name: a.passed for name, a in got.items()}

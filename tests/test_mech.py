@@ -135,3 +135,58 @@ def test_fourier_recovers_all_excited_frequencies(random_chain):
     resolution = 2 * np.pi / (steps * dt)
     for pk in peaks:
         assert np.abs(freqs - pk).min() <= max(1e-3 * freqs.max(), 2 * resolution)
+
+
+def _reference_verlet(m, x, v, dt, steps):
+    """The per-step velocity-Verlet loop, kept literally as the oracle."""
+    xs = np.empty((steps, len(x)))
+    vs = np.empty((steps, len(x)))
+    acc = m @ x
+    for i in range(steps):
+        xs[i], vs[i] = x, v
+        x = x + v * dt + 0.5 * acc * dt * dt
+        acc_new = m @ x
+        v = v + 0.5 * (acc + acc_new) * dt
+        acc = acc_new
+    return xs, vs
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 5, 1000, 4097, 1 << 15])
+def test_integrate_matches_reference_loop(random_chain, steps):
+    rng = np.random.default_rng(6)
+    x0, v0 = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5)
+    m = dynamical_matrix(random_chain)
+    dt = 0.05 / eigenfrequencies(m).max()
+    traj = integrate(random_chain, x0, v0, dt, steps)
+    xs, vs = _reference_verlet(m.real, x0, v0, dt, steps)
+    assert traj.positions.shape == traj.velocities.shape == (steps, 5)
+    assert np.array_equal(traj.times, np.arange(steps) * dt)
+    if steps == 0:
+        return
+    assert np.array_equal(traj.positions[0], x0) and np.array_equal(traj.velocities[0], v0)
+    assert np.abs(traj.positions - xs).max() <= 1e-10 * np.abs(xs).max()
+    assert np.abs(traj.velocities - vs).max() <= 1e-10 * np.abs(vs).max()
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"dt": np.nan}, "dt"),
+    ({"dt": np.inf}, "dt"),
+    ({"dt": 0.0}, "dt"),
+    ({"dt": -1e-3}, "dt"),
+    ({"dt": -10.0}, "dt"),
+    ({"steps": -1}, "steps"),
+    ({"steps": 2.5}, "steps"),
+    ({"steps": "10"}, "steps"),
+    ({"x0": np.array([0.0, np.nan, 0.0, 0.0, 0.0])}, "finite"),
+    ({"v0": np.array([0.0, 0.0, np.inf, 0.0, 0.0])}, "finite"),
+    ({"x0": np.zeros(4)}, "length"),
+    ({"v0": np.zeros((5, 1))}, "length"),
+])
+def test_integrate_rejects_bad_input_before_eigensolve(random_chain, monkeypatch, bad, match):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("input reached the eigensolve")
+
+    monkeypatch.setattr("nhlab.mech.eigenfrequencies", no_eigensolve)
+    args = {"x0": np.zeros(5), "v0": np.zeros(5), "dt": 1e-3, "steps": 10, **bad}
+    with pytest.raises(ValueError, match=match):
+        integrate(random_chain, **args)
