@@ -51,14 +51,12 @@ class PerturbationPrediction:
     gamma1: float
     energy_correction: complex         # i*gamma1*H_{g,mu mu}
     state_correction: np.ndarray       # sum over nu != mu
-    nhph_pairs: list[tuple[int, int]]  # particle-hole partner indices, if any
 
     def to_dict(self) -> dict:
         return {"base_mode_index": self.base_mode_index, "gamma1": self.gamma1,
                 "energy_correction": [self.energy_correction.real,
                                       self.energy_correction.imag],
-                "state_correction": [[z.real, z.imag] for z in self.state_correction],
-                "nhph_pairs": [list(p) for p in self.nhph_pairs]}
+                "state_correction": [[z.real, z.imag] for z in self.state_correction]}
 
 
 def first_order(es: EigenSystem, pumped_sites: tuple[int, ...], gamma1: float,
@@ -80,11 +78,9 @@ def first_order(es: EigenSystem, pumped_sites: tuple[int, ...], gamma1: float,
         state += hg[nu, mode] / (w[mode] - w[nu]) * es.right(nu)
     state *= 1j * gamma1
 
-    pairing = nhph_pairs(es, tol)
     return PerturbationPrediction(base_mode_index=mode, gamma1=float(gamma1),
                                   energy_correction=complex(energy),
-                                  state_correction=state,
-                                  nhph_pairs=pairing.pairs)
+                                  state_correction=state)
 
 
 @dataclass

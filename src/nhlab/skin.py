@@ -52,70 +52,56 @@ class ModeReport:
 CSV_HEADER = ["index", "omega_re", "omega_im", "ipr", "com", "decay_rate", "class"]
 
 
-def profile(mode: np.ndarray, tol: Tolerances = DEFAULT) -> dict:
-    """Scale-free localization metrics of a nonzero mode vector.
+def _metrics(mags: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
+    """ipr, com, decay_rate, fit_rms and support parity of each row of |psi|.
 
-    The decay-rate fit runs over the mode's support parity only (odd or even
+    The decay rate is the least-squares slope of ln|psi_j| against the 1-based
+    site j, fitted in closed form over the mode's support parity (odd or even
     sublattice when the other one is dark), skipping sites below
-    ``profile_floor`` times the max amplitude.
+    ``profile_floor`` times the row's max amplitude.
     """
-    v = np.asarray(mode, dtype=complex)
-    amax = np.abs(v).max()
-    if amax == 0:
+    amax = mags.max(axis=1)
+    if not amax.all():
         raise ValueError("zero vector has no profile")
-    n = len(v)
-    p = np.abs(v) ** 2
-    ipr = float((np.abs(v) ** 4).sum() / p.sum() ** 2)
-    com = float((np.arange(1, n + 1) * p).sum() / p.sum())
+    j = np.arange(1.0, mags.shape[1] + 1.0)
+    p = mags ** 2
+    norm2 = p.sum(axis=1)
+    ipr = (mags ** 4).sum(axis=1) / norm2 ** 2
+    com = (j * p).sum(axis=1) / norm2
 
-    odd_max = np.abs(v[0::2]).max()                        # 1-based odd sites
-    even_max = np.abs(v[1::2]).max() if n > 1 else 0.0
-    if even_max <= tol.parity_rel * amax:
-        parity, sites = ODD_SITES, np.arange(0, n, 2)
-    elif odd_max <= tol.parity_rel * amax:
-        parity, sites = EVEN_SITES, np.arange(1, n, 2)
-    else:
-        parity, sites = MIXED, np.arange(n)
-    sites = sites[np.abs(v[sites]) > tol.profile_floor * amax]
+    odd_dark = mags[:, 0::2].max(axis=1) <= tol.parity_rel * amax
+    even_dark = mags[:, 1::2].max(axis=1, initial=0.0) <= tol.parity_rel * amax
+    parity = np.where(even_dark, ODD_SITES, np.where(odd_dark, EVEN_SITES, MIXED))
+    odd_site = j % 2 == 1
+    mask = (np.where(even_dark[:, None], odd_site,
+                     np.where(odd_dark[:, None], ~odd_site, True))
+            & (mags > tol.profile_floor * amax[:, None]))
 
-    if len(sites) >= 2:
-        js = sites + 1.0
-        y = np.log(np.abs(v[sites]))
-        slope, icpt = np.polyfit(js, y, 1)
-        fit_rms = float(np.sqrt(np.mean((y - slope * js - icpt) ** 2)))
-        decay = float(slope)
-    else:
-        decay, fit_rms = 0.0, 0.0
-
-    return {"ipr": ipr, "com": com, "decay_rate": decay, "fit_rms": fit_rms,
-            "support_parity": parity}
-
-
-def classify(metrics: dict, n: int, s: float, tol: Tolerances = DEFAULT) -> str:
-    """Skin/bulk call from profile metrics, for a chain scaled by ratio s."""
-    half_rate = np.log(s) / 2.0
-    com, decay, rms = metrics["com"], metrics["decay_rate"], metrics["fit_rms"]
-    if (com < tol.com_fraction * n and decay <= -half_rate + tol.decay_margin
-            and rms <= tol.envelope_rms):
-        return SKIN_LEFT
-    if (com > (1.0 - tol.com_fraction) * n and decay >= half_rate - tol.decay_margin
-            and rms <= tol.envelope_rms):
-        return SKIN_RIGHT
-    return BULK
-
-
-def mode_report(index: int, eigenvalue: complex, vector: np.ndarray, s: float,
-                tol: Tolerances = DEFAULT) -> ModeReport:
-    m = profile(vector, tol)
-    return ModeReport(mode_index=index, eigenvalue=complex(eigenvalue),
-                      ipr=m["ipr"], com=m["com"], decay_rate=m["decay_rate"],
-                      fit_rms=m["fit_rms"], support_parity=m["support_parity"],
-                      classification=classify(m, len(vector), s, tol))
+    k = mask.sum(axis=1)
+    y = np.log(np.where(mask, mags, 1.0))
+    jc = np.where(mask, j - (mask @ j / k)[:, None], 0.0)
+    yc = np.where(mask, y - (y.sum(axis=1) / k)[:, None], 0.0)
+    sxx = (jc * jc).sum(axis=1)
+    slope = np.divide((jc * yc).sum(axis=1), sxx, out=np.zeros_like(sxx), where=k >= 2)
+    fit_rms = np.sqrt(((yc - slope[:, None] * jc) ** 2).sum(axis=1) / k)
+    return ipr, com, slope, fit_rms, parity
 
 
 def mode_reports(es: EigenSystem, s: float, tol: Tolerances = DEFAULT) -> list[ModeReport]:
-    return [mode_report(mu, es.eigenvalues[mu], es.right(mu), s, tol)
-            for mu in range(es.dim)]
+    """Profile and classify every mode of ``es`` for a chain scaled by ratio s."""
+    if not (np.isfinite(s) and s > 0):
+        raise ValueError(f"skin ratio s must be finite and positive, got s = {s!r}")
+    ipr, com, decay, rms, parity = _metrics(
+        np.ascontiguousarray(np.abs(es.right_vectors).T), tol)
+    n, half_rate = es.dim, np.log(s) / 2.0
+    envelope = rms <= tol.envelope_rms
+    left = (com < tol.com_fraction * n) & (decay <= -half_rate + tol.decay_margin) & envelope
+    right = ((com > (1.0 - tol.com_fraction) * n) & (decay >= half_rate - tol.decay_margin)
+             & envelope)
+    calls = np.where(left, SKIN_LEFT, np.where(right, SKIN_RIGHT, BULK))
+    columns = zip(es.eigenvalues.tolist(), ipr.tolist(), com.tolist(), decay.tolist(),
+                  rms.tolist(), parity.tolist(), calls.tolist())
+    return [ModeReport(mu, complex(w), *row) for mu, (w, *row) in enumerate(columns)]
 
 
 def find_zero_mode(es: EigenSystem, tol: Tolerances = DEFAULT) -> int:
@@ -156,6 +142,18 @@ class SkinReport:
                 "passed": self.passed}
 
 
+def _zero_mode_core(system: EigenSystem, h0_system: EigenSystem, s: float,
+                    tol: Tolerances) -> tuple[list[ModeReport], int, int, float, str]:
+    """What both verdicts share: the mode reports, the zero modes of H and H0,
+    the left zero-eigenvector's center of mass and the zero mode's expected class."""
+    if system.dim != h0_system.dim:
+        raise ValueError(f"eigensystems differ in size: {system.dim} vs {h0_system.dim} (H0)")
+    zi, zi0 = find_zero_mode(system, tol), find_zero_mode(h0_system, tol)
+    reports = mode_reports(system, s, tol)
+    lcom = float(_metrics(np.abs(system.left(zi))[None, :], tol)[1][0])
+    return reports, zi, zi0, lcom, SKIN_LEFT if s > 1 else BULK if s == 1 else SKIN_RIGHT
+
+
 def verify_selective_skin(h_system: EigenSystem, h0_system: EigenSystem, s: float,
                           tol: Tolerances = DEFAULT) -> SkinReport:
     """Selective skin effect: only the zero mode localizes.
@@ -164,23 +162,15 @@ def verify_selective_skin(h_system: EigenSystem, h0_system: EigenSystem, s: floa
     (ii) every nonzero mode classifies as bulk, (iii) the left zero-
     eigenvector of H is extended, equal to the H0 zero mode.
     """
-    zi = find_zero_mode(h_system, tol)
-    zi0 = find_zero_mode(h0_system, tol)
+    reports, zi, zi0, lcom, want = _zero_mode_core(h_system, h0_system, s, tol)
     ref = h0_system.right(zi0)
-
-    target = geometric_envelope(ref, s)
-    env_res = collinearity_residual(h_system.right(zi), target)
+    env_res = collinearity_residual(h_system.right(zi), geometric_envelope(ref, s))
     left_res = collinearity_residual(h_system.left(zi), ref)
-
-    reports = mode_reports(h_system, s, tol)
     nonzero_bulk = all(r.classification == BULK
                        for r in reports if r.mode_index != zi)
-    zero_skin = reports[zi].classification == (SKIN_LEFT if s > 1 else
-                                               BULK if s == 1 else SKIN_RIGHT)
-    lcom = profile(h_system.left(zi), tol)["com"]
 
     passed = (env_res <= tol.zero_mode_rel and left_res <= tol.zero_mode_rel
-              and nonzero_bulk and zero_skin)
+              and nonzero_bulk and reports[zi].classification == want)
     return SkinReport(zero_mode_index=zi, envelope_residual=float(env_res),
                       left_zero_residual=float(left_res), left_zero_com=lcom,
                       classifications=reports, passed=bool(passed))
@@ -210,6 +200,7 @@ def verify_standard_skin(hpp_system: EigenSystem, h0_system: EigenSystem, s: flo
     spectrum); for s > 1 all modes must classify skin_left and the left
     zero-eigenvector must localize on the right edge.
     """
+    reports, zi, zi0, lcom, want = _zero_mode_core(hpp_system, h0_system, s, tol)
     residuals = []
     n = hpp_system.dim
     for mu in range(n):
@@ -218,15 +209,9 @@ def verify_standard_skin(hpp_system: EigenSystem, h0_system: EigenSystem, s: flo
         target = geometric_envelope(h0_system.right(nu), s)
         residuals.append(float(collinearity_residual(hpp_system.right(mu), target)))
 
-    zi = find_zero_mode(hpp_system, tol)
-    zi0 = find_zero_mode(h0_system, tol)
     # couplings seen by the left problem are swapped, localizing it oppositely
     left_pred = h0_system.right(zi0) * s ** (+np.arange(n, dtype=float))
     left_res = collinearity_residual(hpp_system.left(zi), left_pred)
-    lcom = profile(hpp_system.left(zi), tol)["com"]
-
-    reports = mode_reports(hpp_system, s, tol)
-    want = SKIN_LEFT if s > 1 else BULK if s == 1 else SKIN_RIGHT
     all_skin = all(r.classification == want for r in reports)
 
     passed = (max(residuals) <= tol.zero_mode_rel and all_skin
@@ -239,6 +224,8 @@ def verify_standard_skin(hpp_system: EigenSystem, h0_system: EigenSystem, s: flo
 def zero_mode_equality(h_system: EigenSystem, hpp_system: EigenSystem,
                        tol: Tolerances = DEFAULT) -> float:
     """Residual between the zero modes of the two constructions."""
+    if h_system.dim != hpp_system.dim:
+        raise ValueError(f"eigensystems differ in size: {h_system.dim} vs {hpp_system.dim}")
     zi = find_zero_mode(h_system, tol)
     zj = find_zero_mode(hpp_system, tol)
     return float(collinearity_residual(h_system.right(zi), hpp_system.right(zj)))

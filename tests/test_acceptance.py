@@ -16,8 +16,8 @@ from nhlab.mech import OscillatorChain, dynamical_matrix, eigenfrequencies, inte
 from nhlab.model import (LatticeSpec, build_h0, build_scaling, construct_product,
                          spectral_norm)
 from nhlab.perturb import first_order, matrix_elements
-from nhlab.scenarios import (THRESHOLD_TABLE, ScenarioConfig, scenario_fig3,
-                             scenario_fig4, scenario_oscillators)
+from nhlab.scenarios import (THRESHOLD_TABLE, ScenarioConfig, scenario_fig2, scenario_fig3,
+                             scenario_fig4, scenario_fig5, scenario_oscillators)
 from nhlab.skin import find_zero_mode, geometric_envelope, mode_reports, zero_mode_equality
 
 from conftest import random_hermitian, random_psd
@@ -97,6 +97,17 @@ def test_criterion_3_skin_anchors(calibration, chain9, chain9_systems):
     checks["gauge modes skin_left"] = all(
         r.classification == "skin_left" for r in mode_reports(es_hpp, s))
 
+    # the scenario's own assertions, with the literal bounds restated
+    got = scenario_checks(scenario_fig2(ScenarioConfig(scenario="fig2"), DEFAULT,
+                                        calibration), FIG2_NAMES)
+    bounds = {"gauge_anchor": 1e-3, "product_anchor": 1e-2, "zero_mode_equality": 1e-8,
+              "zero_mode_envelope": 1e-8, "left_zero_extended": 1e-8,
+              "standard_envelopes": 1e-8}
+    checks.update({name: a.passed for name, a in got.items()})
+    checks["fig2 bounds"] = all(
+        got[f"fig2.{name}"].expected == f"<= {bound:g}"
+        and got[f"fig2.{name}"].measured <= bound for name, bound in bounds.items())
+
     ok = all(checks.values())
     report(3, "selective skin anchors", ok,
            "; ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in checks.items()))
@@ -125,6 +136,11 @@ def test_criterion_4_harmonic_demo():
     assert real_ok and contain_ok
 
 
+FIG2_NAMES = [
+    "fig2.gauge_anchor", "fig2.product_anchor", "fig2.zero_mode_equality",
+    "fig2.zero_mode_envelope", "fig2.left_zero_extended", "fig2.nonzero_modes_bulk",
+    "fig2.all_gauge_modes_skin_left", "fig2.standard_envelopes", "fig2.spectral_repulsion",
+]
 FIG3_NAMES = [
     "fig3.threshold_selective_kappa0.02", "fig3.threshold_standard_kappa0.02",
     "fig3.threshold_selective_kappa1", "fig3.threshold_standard_kappa1",
@@ -138,6 +154,9 @@ FIG4_NAMES = [
     "fig4.a1n9.simple_zero", "fig4.a1n9.vector_is_e1",
     "fig4.a1n8.ep2", "fig4.a1n8.vector_is_e1", "fig4.a1n8.chain_residual",
 ]
+FIG5_NAMES = [f"fig5.{label}.{name}" for label in ("selective", "standard")
+              for name in ("dw_dgamma_match", "odd_site_correction",
+                           "quadratic_residual_scaling")]
 OSCILLATORS_NAMES = [
     "oscillators.two_mass_eigenvalues", "oscillators.two_mass_frequencies",
     "oscillators.spectrum_imag", "oscillators.single_mode_frequency",
@@ -200,7 +219,7 @@ def test_criterion_6_ep_structure(calibration):
     assert ok, checks
 
 
-def test_criterion_7_perturbation_theory(chain9):
+def test_criterion_7_perturbation_theory(calibration, chain9):
     _, _, _, h, _ = chain9
     kappa0 = 0.02
     pump = PumpSpec(kappa0=kappa0, pumped_sites=(1,))
@@ -236,6 +255,19 @@ def test_criterion_7_perturbation_theory(chain9):
             - tr.eigenvalues[0, tr.zero_mode_index]) / (2 * h_fd)
     gap = abs(dwdg - 1j * hg[zi, zi])
     checks["dw/dgamma matches iH_g00"] = gap <= 1e-6 * kappa0
+
+    # the scenario's own assertions, with the literal bounds restated
+    got = scenario_checks(scenario_fig5(ScenarioConfig(scenario="fig5"), DEFAULT,
+                                        calibration), FIG5_NAMES)
+    checks.update({name: a.passed for name, a in got.items()})
+    for label in ("selective", "standard"):
+        match = got[f"fig5.{label}.dw_dgamma_match"]
+        odd = got[f"fig5.{label}.odd_site_correction"]
+        scaling = got[f"fig5.{label}.quadratic_residual_scaling"]
+        checks[f"fig5 {label} bounds"] = (
+            match.expected == f"<= {1e-6 * kappa0:g}" and match.measured <= 1e-6 * kappa0
+            and odd.expected == "<= 1e-10" and odd.measured <= 1e-10
+            and scaling.expected == ">= 1.7" and scaling.measured >= 1.7)
 
     ok = all(checks.values())
     report(7, "perturbation theory", ok,

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from nhlab.eig import collinearity_residual, eig_full
+from nhlab.config import DEFAULT
+from nhlab.eig import EigenSystem, collinearity_residual, eig_full
 from nhlab.laser import PumpSpec, pumped_hamiltonian
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_gauge, construct_product
 from nhlab.skin import (BULK, EVEN_SITES, MIXED, ODD_SITES, SKIN_LEFT, SKIN_RIGHT,
-                        NoZeroModeError, classify, find_zero_mode, mode_report,
-                        mode_reports, profile, verify_selective_skin,
-                        verify_standard_skin, zero_mode_equality)
+                        NoZeroModeError, find_zero_mode, mode_reports,
+                        verify_selective_skin, verify_standard_skin, zero_mode_equality)
 
 
 def systems_for(n, s):
@@ -19,50 +19,168 @@ def systems_for(n, s):
             eig_full(h0))
 
 
+def columns_system(*vectors):
+    """An EigenSystem whose right vectors are the given site profiles."""
+    v = np.stack([np.asarray(x, dtype=complex) for x in vectors], axis=1)
+    m = v.shape[1]
+    return EigenSystem(dim=v.shape[0], eigenvalues=np.zeros(m, dtype=complex),
+                       right_vectors=v, left_vectors=v, norm_status=("biorthonormal",) * m,
+                       overlaps=np.ones(m, dtype=complex), residuals=np.zeros(m),
+                       matrix_norm=1.0)
+
+
+def report_of(vector, s=2.0):
+    return mode_reports(columns_system(vector), s)[0]
+
+
 # ---------------------------------------------------------------------------
-# profile
+# the per-mode profile and classification that mode_reports replaced, kept
+# verbatim as the oracle for the batched metrics
+
+def reference_profile(mode, tol=DEFAULT):
+    v = np.asarray(mode, dtype=complex)
+    amax = np.abs(v).max()
+    if amax == 0:
+        raise ValueError("zero vector has no profile")
+    n = len(v)
+    p = np.abs(v) ** 2
+    ipr = float((np.abs(v) ** 4).sum() / p.sum() ** 2)
+    com = float((np.arange(1, n + 1) * p).sum() / p.sum())
+
+    odd_max = np.abs(v[0::2]).max()                        # 1-based odd sites
+    even_max = np.abs(v[1::2]).max() if n > 1 else 0.0
+    if even_max <= tol.parity_rel * amax:
+        parity, sites = ODD_SITES, np.arange(0, n, 2)
+    elif odd_max <= tol.parity_rel * amax:
+        parity, sites = EVEN_SITES, np.arange(1, n, 2)
+    else:
+        parity, sites = MIXED, np.arange(n)
+    sites = sites[np.abs(v[sites]) > tol.profile_floor * amax]
+
+    if len(sites) >= 2:
+        js = sites + 1.0
+        y = np.log(np.abs(v[sites]))
+        slope, icpt = np.polyfit(js, y, 1)
+        fit_rms = float(np.sqrt(np.mean((y - slope * js - icpt) ** 2)))
+        decay = float(slope)
+    else:
+        decay, fit_rms = 0.0, 0.0
+
+    return {"ipr": ipr, "com": com, "decay_rate": decay, "fit_rms": fit_rms,
+            "support_parity": parity}
+
+
+def reference_classify(metrics, n, s, tol=DEFAULT):
+    half_rate = np.log(s) / 2.0
+    com, decay, rms = metrics["com"], metrics["decay_rate"], metrics["fit_rms"]
+    if (com < tol.com_fraction * n and decay <= -half_rate + tol.decay_margin
+            and rms <= tol.envelope_rms):
+        return SKIN_LEFT
+    if (com > (1.0 - tol.com_fraction) * n and decay >= half_rate - tol.decay_margin
+            and rms <= tol.envelope_rms):
+        return SKIN_RIGHT
+    return BULK
+
+
+def assert_matches_reference(es, s):
+    reports = mode_reports(es, s)
+    assert len(reports) == es.right_vectors.shape[1]
+    for mu, r in enumerate(reports):
+        ref = reference_profile(es.right(mu))
+        assert r.mode_index == mu
+        assert r.eigenvalue == es.eigenvalues[mu]
+        assert r.support_parity == ref["support_parity"], mu
+        assert r.classification == reference_classify(ref, es.dim, s), mu
+        for key in ("ipr", "com", "decay_rate", "fit_rms"):
+            assert abs(getattr(r, key) - ref[key]) <= 1e-12, (mu, key)
+
+
+def _ratios(n):
+    big = 1e4 ** (1.0 / (n - 1))
+    return (big, 1.0, 1.0 / big)
+
+
+@pytest.mark.parametrize("n", [9, 11, 101, 201])
+def test_batched_profile_matches_reference_on_chains(n):
+    h0_done = False
+    for s in _ratios(n):
+        es_h, es_hpp, es_h0 = systems_for(n, s)
+        for es in (es_h, es_hpp) if h0_done else (es_h, es_hpp, es_h0):
+            assert_matches_reference(es, s)
+        h0_done = True
+
+
+def test_batched_profile_matches_reference_on_lossy_and_zeroed_chains():
+    for n in (9, 101):
+        s = 1e4 ** (1.0 / (n - 1))
+        spec = LatticeSpec(n=n, t=1.0, scaling="geometric", s=s)
+        h = construct_product(build_h0(spec), build_scaling(spec))
+        lossy = pumped_hamiltonian(h, PumpSpec(kappa0=0.02, pumped_sites=(1,)), 0.0)
+        assert_matches_reference(eig_full(lossy), s)
+    spec = LatticeSpec(n=9, t=1.0, scaling="geometric", s=2.0, zeroed_sites=(4,))
+    es = eig_full(construct_product(build_h0(spec), build_scaling(spec)))
+    assert_matches_reference(es, 2.0)
+
+
+def test_batched_profile_matches_reference_on_random_vectors():
+    rng = np.random.default_rng(10)
+    for n in (1, 2, 3, 8, 9, 40):
+        vectors = []
+        for _ in range(6):
+            vectors.append(rng.normal(size=n) + 1j * rng.normal(size=n))
+        odd_only, even_only, floored = (v.copy() for v in vectors[:3])
+        odd_only[1::2] = 0.0
+        even_only[0::2] *= 1e-10 if n > 1 else 1.0
+        floored[rng.random(n) < 0.4] *= 1e-14
+        vectors += [odd_only, even_only, floored]
+        vectors.append(np.exp(-0.7 * np.arange(n)) * rng.choice((-1.0, 1.0), n))
+        for s in (0.5, 1.0, 2.0):
+            assert_matches_reference(columns_system(*vectors), s)
+
+
+# ---------------------------------------------------------------------------
+# profile metrics through the batched reports
 
 def test_profile_uniform_vector():
-    m = profile(np.ones(9))
-    assert m["ipr"] == pytest.approx(1 / 9)
-    assert m["com"] == pytest.approx(5.0)
-    assert abs(m["decay_rate"]) < 1e-12
-    assert m["support_parity"] == MIXED
+    m = report_of(np.ones(9))
+    assert m.ipr == pytest.approx(1 / 9)
+    assert m.com == pytest.approx(5.0)
+    assert abs(m.decay_rate) < 1e-12
+    assert m.support_parity == MIXED
 
 
 def test_profile_exact_geometric_decay():
     v = 2.0 ** -np.arange(9, dtype=float)
-    m = profile(v)
-    assert m["decay_rate"] == pytest.approx(-np.log(2), abs=1e-10)
-    assert m["fit_rms"] < 1e-12
+    m = report_of(v)
+    assert m.decay_rate == pytest.approx(-np.log(2), abs=1e-10)
+    assert m.fit_rms < 1e-12
 
 
 def test_profile_delta_vector():
-    m = profile(np.eye(9)[3])          # e_4
-    assert m["ipr"] == pytest.approx(1.0)
-    assert m["com"] == pytest.approx(4.0)
-    assert m["support_parity"] == EVEN_SITES
+    m = report_of(np.eye(9)[3])          # e_4
+    assert m.ipr == pytest.approx(1.0)
+    assert m.com == pytest.approx(4.0)
+    assert m.support_parity == EVEN_SITES
 
 
 def test_profile_parity_detection():
     v = np.zeros(9)
     v[0::2] = [1, -0.5, 0.25, -0.125, 0.0625]
-    assert profile(v)["support_parity"] == ODD_SITES
+    assert report_of(v).support_parity == ODD_SITES
 
 
 def test_profile_rejects_zero_vector():
     with pytest.raises(ValueError):
-        profile(np.zeros(5))
+        mode_reports(columns_system(np.ones(5), np.zeros(5)), 2.0)
 
 
 def test_profile_scale_invariance():
     rng = np.random.default_rng(8)
     v = rng.normal(size=11) + 1j * rng.normal(size=11)
-    m1 = profile(v)
-    m2 = profile(v * (3.7 - 2.2j))
+    m1, m2 = mode_reports(columns_system(v, v * (3.7 - 2.2j)), 2.0)
     for key in ("ipr", "com", "decay_rate", "fit_rms"):
-        assert m1[key] == pytest.approx(m2[key], rel=1e-12)
-    assert classify(m1, 11, 2.0) == classify(m2, 11, 2.0)
+        assert getattr(m1, key) == pytest.approx(getattr(m2, key), rel=1e-12)
+    assert m1.classification == m2.classification
 
 
 def test_profile_bounds_random_vectors():
@@ -70,9 +188,36 @@ def test_profile_bounds_random_vectors():
     for _ in range(50):
         n = int(rng.integers(2, 40))
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        m = profile(v)
-        assert 1 / n - 1e-12 <= m["ipr"] <= 1 + 1e-12
-        assert 1 - 1e-12 <= m["com"] <= n + 1e-12
+        m = report_of(v)
+        assert 1 / n - 1e-12 <= m.ipr <= 1 + 1e-12
+        assert 1 - 1e-12 <= m.com <= n + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# typed input errors
+
+@pytest.mark.parametrize("s", [0.0, -1.0, np.nan, np.inf])
+def test_mode_reports_rejects_bad_ratio(chain9_systems, s):
+    with pytest.raises(ValueError, match="s = "):
+        mode_reports(chain9_systems[1], s)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("verdict", [verify_selective_skin, verify_standard_skin])
+def test_verdicts_reject_bad_ratio(chain9_systems, verdict, s):
+    es_h0, es_h, _ = chain9_systems
+    with pytest.raises(ValueError, match="s = "):
+        verdict(es_h, es_h0, s)
+
+
+@pytest.mark.parametrize("verdict", [verify_selective_skin, verify_standard_skin,
+                                     zero_mode_equality])
+def test_skin_entry_points_reject_mismatched_dims(chain9_systems, verdict):
+    _, es_h, _ = chain9_systems
+    other = systems_for(11, 1.5)[1]
+    args = (es_h, other) if verdict is zero_mode_equality else (es_h, other, 1.5)
+    with pytest.raises(ValueError, match="9 vs 11"):
+        verdict(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +339,7 @@ def test_chiral_pairing_profiles(chain9_systems):
 
 def test_mode_report_csv_row(chain9_systems, calibration):
     _, es_h, _ = chain9_systems
-    r = mode_report(0, es_h.eigenvalues[0], es_h.right(0), calibration["s"])
+    r = mode_reports(es_h, calibration["s"])[0]
     row = r.csv_row()
     assert row[0] == 0
     assert len(row) == 7
