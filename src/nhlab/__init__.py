@@ -8,7 +8,7 @@ from .mech import OscillatorChain, dynamical_matrix, eigenfrequencies, integrate
 from .model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
                     construct_product, factor_psd, hermitian_equivalent,
                     shift_spectrum, splitmix64_stream)
-from .perturb import first_order, matrix_elements, nhph_pairs
+from .perturb import first_order, matrix_elements
 from .skin import mode_reports, verify_selective_skin, verify_standard_skin, zero_mode_equality
 from .spectra import (CertificateError, IllConditionedError, bmap_correspondence, certify,
                       ep_analyze, inner_product_audit)
@@ -25,7 +25,7 @@ __all__ = [
     "zero_mode_equality",
     "PumpSpec", "ThresholdResult", "pumped_hamiltonian", "track_mode",
     "find_threshold", "power_flows",
-    "matrix_elements", "first_order", "nhph_pairs",
+    "matrix_elements", "first_order",
     "OscillatorChain", "dynamical_matrix", "eigenfrequencies", "integrate",
 ]
 

@@ -42,8 +42,6 @@ class Tolerances:
     gamma_max_factor: float = 1e4     # abandon threshold search above this * kappa0
     # perturbation theory
     denominator_rel: float = 1e-6     # smallest |w_mu - w_nu| for first-order sums
-    nhph_vector: float = 1e-6         # wavefunction residual for an NHPH partner match
-    nhph_eigen_rel: float = 1e-8      # eigenvalue residual for an NHPH partner match
     # mechanics
     mech_spectrum_rel: float = 1e-8   # reality / nonpositivity of the dynamical matrix
     integrator_guard: float = 0.1     # dt * max eigenfrequency must stay below this

@@ -1,5 +1,4 @@
-"""First-order perturbation theory in the pump strength, with the
-particle-hole bookkeeping of bipartite chains.
+"""First-order perturbation theory in the pump strength.
 
 The pump enters as i*gamma1*P with P the diagonal indicator of the pumped
 sites.  In a biorthonormal basis the first-order energy shift of mode mu is
@@ -28,19 +27,23 @@ class SelfOrthogonalModeError(RuntimeError):
     """Perturbation theory is invalid at an exceptional point."""
 
 
-def matrix_elements(es: EigenSystem, pumped_sites: tuple[int, ...]) -> np.ndarray:
-    """Pump matrix elements psi~_nu^T P psi_mu in the biorthonormal basis.
+def matrix_elements(es: EigenSystem, pumped_sites: tuple[int, ...],
+                    mode: int) -> np.ndarray:
+    """Pump matrix-element column psi~_nu^T P psi_mode over nu, in the
+    biorthonormal basis.
 
     Raises if any pair is not biorthonormal: an incomplete (EP) basis cannot
     support the expansion.
     """
+    if not isinstance(mode, (int, np.integer)) or not 0 <= mode < es.dim:
+        raise ValueError(f"mode must be an integer in [0, n) with n = {es.dim}; "
+                         f"got {mode!r}")
     bad = [mu for mu, st in enumerate(es.norm_status) if st != BIORTHONORMAL]
     if bad:
         raise SelfOrthogonalModeError(
             f"modes {bad} are not biorthonormal; the system is at or near an EP")
     p = pump_indicator(pumped_sites, es.dim)
-    weighted = es.right_vectors * p[:, None]
-    return es.left_vectors.T @ weighted
+    return es.left_vectors.T @ (p * es.right_vectors[:, mode])
 
 
 @dataclass
@@ -62,78 +65,19 @@ class PerturbationPrediction:
 def first_order(es: EigenSystem, pumped_sites: tuple[int, ...], gamma1: float,
                 mode: int, tol: Tolerances = DEFAULT) -> PerturbationPrediction:
     """Energy and state corrections of ``mode`` at pump strength gamma1."""
-    hg = matrix_elements(es, pumped_sites)
+    if not np.isfinite(gamma1):
+        raise ValueError(f"gamma1 must be finite, got {gamma1!r}")
+    hg = matrix_elements(es, pumped_sites, mode)
     w = es.eigenvalues
-    denoms = w[mode] - np.delete(w, mode)
+    others = np.arange(es.dim) != mode
+    denoms = w[mode] - w[others]
     if np.abs(denoms).min() < tol.denominator_rel * max(es.matrix_norm, 1e-300):
         raise DegenerateModeError(
             f"mode {mode} is near-degenerate (gap {np.abs(denoms).min():.3e}); "
             "degenerate perturbation theory is not implemented")
 
-    energy = 1j * gamma1 * hg[mode, mode]
-    state = np.zeros(es.dim, dtype=complex)
-    for nu in range(es.dim):
-        if nu == mode:
-            continue
-        state += hg[nu, mode] / (w[mode] - w[nu]) * es.right(nu)
-    state *= 1j * gamma1
-
+    energy = 1j * gamma1 * hg[mode]
+    state = 1j * gamma1 * (es.right_vectors[:, others] @ (hg[others] / denoms))
     return PerturbationPrediction(base_mode_index=mode, gamma1=float(gamma1),
                                   energy_correction=complex(energy),
                                   state_correction=state)
-
-
-@dataclass
-class NhphPairing:
-    """Particle-hole partner assignment among the modes.
-
-    ``pairs`` holds (nu, nu') with w_nu = -w_nu'* and site-alternating
-    partner wave functions; a self-pair (nu, nu) marks a zero mode.
-    ``unmatched`` lists modes for which no partner satisfied the tolerances
-    (on-site potentials break the symmetry).
-    """
-
-    pairs: list[tuple[int, int]]
-    residuals: list[float]
-    unmatched: list[int]
-
-    def to_dict(self) -> dict:
-        return {"pairs": [list(p) for p in self.pairs],
-                "residuals": self.residuals, "unmatched": self.unmatched}
-
-
-def nhph_pairs(es: EigenSystem, tol: Tolerances = DEFAULT) -> NhphPairing:
-    """Match every mode with its particle-hole partner (or flag it)."""
-    w = es.eigenvalues
-    n = es.dim
-    norm = max(es.matrix_norm, 1e-300)
-    sign = (-1.0) ** np.arange(n)  # +1 on 1-based odd sites
-
-    pairs, residuals, unmatched = [], [], []
-    done = np.zeros(n, dtype=bool)
-    for nu in range(n):
-        if done[nu]:
-            continue
-        target = -np.conj(w[nu])
-        cand = [m for m in range(n) if not done[m]]
-        m = min(cand, key=lambda m: abs(w[m] - target))
-        if abs(w[m] - target) > tol.nhph_eigen_rel * norm:
-            done[nu] = True
-            unmatched.append(nu)
-            continue
-        flipped = sign * es.right(nu)
-        flipped = flipped / np.linalg.norm(flipped)
-        partner = es.right(m) / np.linalg.norm(es.right(m))
-        # residual at the optimal relative phase (alignment by the largest
-        # component is ambiguous when magnitudes tie)
-        overlap = np.vdot(flipped, partner)
-        phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-        res = float(np.linalg.norm(partner - phase * flipped))
-        if res > tol.nhph_vector:
-            done[nu] = True
-            unmatched.append(nu)
-            continue
-        done[nu] = done[m] = True
-        pairs.append((nu, m))
-        residuals.append(res)
-    return NhphPairing(pairs=pairs, residuals=residuals, unmatched=unmatched)

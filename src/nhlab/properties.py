@@ -171,13 +171,13 @@ def run_trial(suite: str, seed: int, trial: int, tol: Tolerances = DEFAULT) -> s
         s = float(rng.uniform(1.1, 2.2))
         spec = LatticeSpec(n=n, t=1.0, scaling="geometric", s=s)
         es = eig_full(construct_product(build_h0(spec), build_scaling(spec), tol), tol)
-        w = es.eigenvalues.real
-        for mu in range(es.dim):
-            if abs(w[mu]) <= tol.zero_mode_rel * es.matrix_norm:
+        w = es.eigenvalues
+        pairs, resid = conjugate_pairs(1j * w)
+        for (mu, nu), r in zip(pairs, resid):
+            if mu == nu and abs(w[mu]) <= tol.zero_mode_rel * es.matrix_norm:
                 continue
-            nu = int(np.argmin(np.abs(w + w[mu])))
-            if abs(w[nu] + w[mu]) > tol.reality_rel * es.matrix_norm:
-                return f"no chiral partner for w = {w[mu]:.6g} (n={n}, s={s:.3f})"
+            if r > tol.reality_rel * es.matrix_norm:
+                return f"no chiral partner for w = {w[mu].real:.6g} (n={n}, s={s:.3f})"
             p = np.abs(es.right(mu)) / np.linalg.norm(es.right(mu))
             q = np.abs(es.right(nu)) / np.linalg.norm(es.right(nu))
             if np.abs(p - q).max() > 1e-8:

@@ -77,6 +77,10 @@ def conjugate_pairs(eigenvalues: np.ndarray) -> tuple[list[tuple[int, int]], lis
     Every index ends up in exactly one pair; a real eigenvalue self-pairs
     (mu, mu).  The per-pair residual |w_mu - w_nu*| quantifies closure under
     conjugation.
+
+    The particle-hole pairing w_nu = -w_mu* of a bipartite chain is the
+    conjugate pairing of i*w: multiplying by 1j is exact in float64, so
+    ``conjugate_pairs(1j * w)`` matches with the costs |w_mu + w_nu*|.
     """
     w = np.asarray(eigenvalues, dtype=complex)
     n = len(w)

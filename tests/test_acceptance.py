@@ -128,12 +128,19 @@ def test_criterion_4_harmonic_demo():
             for q in range(1, 6)]
     real_ok = np.abs(w.imag).max() <= 1e-8 * spectral_norm(h)
     contain_ok = w.real.min() < w0[0] and w.real.max() > w0[-1]
-    ok = max(devs) <= 0.05 and real_ok and contain_ok
+    # Ostrowski: the sorted levels are theta_k lambda_k(H0), theta_k in [a_min, a_max]
+    a = build_scaling(spec).diagonal().real
+    lo = np.minimum(a.min() * w0, a.max() * w0)
+    hi = np.maximum(a.min() * w0, a.max() * w0)
+    wr = np.sort(w.real)
+    ostrowski_ok = bool(((wr >= lo - 1e-8 * spectral_norm(h))
+                         & (wr <= hi + 1e-8 * spectral_norm(h))).all())
+    ok = max(devs) <= 0.05 and real_ok and contain_ok and ostrowski_ok
     report(4, "harmonic demo", ok,
            f"max level dev = {max(devs):.4f} omega~, real={real_ok}, "
-           f"spread contains H0: {contain_ok}")
+           f"spread contains H0: {contain_ok}, Ostrowski bound: {ostrowski_ok}")
     assert max(devs) <= 0.05
-    assert real_ok and contain_ok
+    assert real_ok and contain_ok and ostrowski_ok
 
 
 FIG2_NAMES = [
@@ -248,12 +255,12 @@ def test_criterion_7_perturbation_theory(calibration, chain9):
                                    for r, g in zip(resids, gammas))
     checks["even-site residual O(gamma^2)"] = quad_ok
 
-    hg = matrix_elements(es, (1,))
+    h_zz = matrix_elements(es, (1,), zi)[zi]
     h_fd = 1e-3 * kappa0
     tr = track_mode(h, pump, np.array([0.0, h_fd, 2 * h_fd]))
     dwdg = (tr.eigenvalues[2, tr.zero_mode_index]
             - tr.eigenvalues[0, tr.zero_mode_index]) / (2 * h_fd)
-    gap = abs(dwdg - 1j * hg[zi, zi])
+    gap = abs(dwdg - 1j * h_zz)
     checks["dw/dgamma matches iH_g00"] = gap <= 1e-6 * kappa0
 
     # the scenario's own assertions, with the literal bounds restated

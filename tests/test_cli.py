@@ -99,10 +99,11 @@ def test_cli_tolerance_override_can_trip_contract_error(tmp_path, capsys):
 
 
 def test_cli_unknown_tolerance_key(tmp_path, capsys):
-    for override in ("nope=1", "collinear=1"):
+    # nhph_vector and nhph_eigen_rel were removed: a config setting them fails loudly
+    for override in ("nope=1", "collinear=1", "nhph_vector=1e-6", "nhph_eigen_rel=1e-8"):
         code = main(["fig1", "--out", str(tmp_path), "--tol", override])
         assert code == 2
-        assert "unknown tolerance" in capsys.readouterr().err
+        assert "unknown tolerance keys" in capsys.readouterr().err
 
 
 def test_cli_bad_config_scenario_mismatch(tmp_path):
@@ -117,6 +118,17 @@ def test_cli_seed_changes_fig1_output(tmp_path):
     a = (tmp_path / "a" / "fig1_spectra.csv").read_text()
     b = (tmp_path / "b" / "fig1_spectra.csv").read_text()
     assert a != b
+
+
+def test_cli_fig1_seed_1001_passes_without_spread_containment(tmp_path):
+    # this scaling leaves H0's lowest level below H's: the spread need not
+    # contain H0's, while Ostrowski's bound holds at every level
+    assert main(["fig1", "--out", str(tmp_path), "--seed", "1001"]) == 0
+    report = json.loads((tmp_path / "fig1_report.json").read_text())
+    assert report["report"]["h_range"][0] > report["report"]["h0_range"][0]
+    checks = {a["name"]: a for a in report["assertions"]}
+    assert checks["fig1.ostrowski_bound"]["passed"]
+    assert "fig1.spread_contains_h0" not in checks
 
 
 @pytest.mark.parametrize("scenario", ["oscillators", "fig3"])
