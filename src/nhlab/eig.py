@@ -305,16 +305,19 @@ class MetricPairingReport:
                 "all_diagonal": self.all_diagonal}
 
 
-def collinearity_residual(x: np.ndarray, y: np.ndarray) -> float:
-    """min over complex c of ||x - c y|| / ||x|| (1.0 if y is zero)."""
-    nx = np.linalg.norm(x)
-    ny2 = np.vdot(y, y).real
-    if nx == 0:
-        return 0.0
-    if ny2 == 0:
-        return 1.0
-    c = np.vdot(y, x) / ny2
-    return float(np.linalg.norm(x - c * y) / nx)
+def collinearity_residual(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """min over complex c of ||x - c y|| / ||x|| (0.0 if x is zero, else 1.0
+    if y is zero).
+
+    2-D x and y give one residual per column pair; 1-D vectors give a float.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    nx = np.linalg.norm(x, axis=0)
+    ny2 = np.sum(y.conj() * y, axis=0).real
+    # a zero y gives c = 0 and a zero x a zero numerator: no 0/0 is formed
+    c = np.sum(y.conj() * x, axis=0) / np.where(ny2 > 0, ny2, 1.0)
+    res = np.linalg.norm(x - c * y, axis=0) / np.where(nx > 0, nx, 1.0)
+    return float(res) if x.ndim == 1 else res
 
 
 def _square_operator(op: np.ndarray, es: EigenSystem, name: str) -> np.ndarray:
@@ -347,14 +350,8 @@ def apply_metric_pairing(es: EigenSystem, a: np.ndarray,
     # |psi~_nu^T A psi_mu| / ||psi~_nu|| is largest
     gram = np.abs(es.left_vectors.T @ images)
     best = np.argmax(gram / np.linalg.norm(es.left_vectors, axis=0)[:, None], axis=0)
-    entries = []
-    for mu in range(es.dim):
-        if kernel[mu]:
-            entries.append(MetricPairEntry(mu=mu, nu=None, collinearity=0.0,
-                                           diagonal=False, kernel=True))
-            continue
-        nu = int(best[mu])
-        entries.append(MetricPairEntry(
-            mu=mu, nu=nu, collinearity=collinearity_residual(images[:, mu].conj(), es.left(nu)),
-            diagonal=(nu == mu), kernel=False))
-    return MetricPairingReport(entries=entries)
+    coll = np.where(kernel, 0.0, collinearity_residual(images.conj(), es.left_vectors[:, best]))
+    return MetricPairingReport(entries=[
+        MetricPairEntry(mu=mu, nu=None if k else nu, collinearity=c,
+                        diagonal=not k and nu == mu, kernel=k)
+        for mu, (nu, c, k) in enumerate(zip(best.tolist(), coll.tolist(), kernel.tolist()))])

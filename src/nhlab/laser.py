@@ -48,11 +48,11 @@ class TrackingAmbiguityError(RuntimeError):
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """Uniform cavity loss plus a pump on selected sites (1-based)."""
+    """Uniform cavity loss plus a pump on selected sites (1-based); the pump
+    strength gamma is an argument of each function that applies it."""
 
     kappa0: float
     pumped_sites: tuple[int, ...]
-    gamma: float = 0.0
 
     def __post_init__(self):
         if not self.kappa0 > 0:
@@ -61,12 +61,9 @@ class PumpSpec:
             raise ValueError("pumped_sites must be nonempty")
         object.__setattr__(self, "pumped_sites",
                            tuple(int(j) for j in self.pumped_sites))
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
 
     def to_dict(self) -> dict:
-        return {"kappa0": self.kappa0, "pumped_sites": list(self.pumped_sites),
-                "gamma": self.gamma}
+        return {"kappa0": self.kappa0, "pumped_sites": list(self.pumped_sites)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PumpSpec":
@@ -79,22 +76,22 @@ class PumpSpec:
 
 
 def pump_indicator(pumped_sites: tuple[int, ...], n: int) -> np.ndarray:
-    """0/1 site vector of the pumped sites (1-based), range-checked."""
+    """0/1 site vector of the pumped sites (1-based integers), range-checked."""
     p = np.zeros(n)
     for j in pumped_sites:
+        if not isinstance(j, (int, np.integer)):
+            raise ValueError(f"pumped site {j!r} is not an integer")
         if not 1 <= j <= n:
             raise ValueError(f"pumped site {j} outside 1..{n}")
         p[j - 1] = 1.0
     return p
 
 
-def pumped_hamiltonian(h: np.ndarray, pump: PumpSpec,
-                       gamma: float | None = None) -> np.ndarray:
+def pumped_hamiltonian(h: np.ndarray, pump: PumpSpec, gamma: float) -> np.ndarray:
     """H - i*kappa0*I + i*gamma*P (loss and pump are purely diagonal)."""
     m = np.array(h, dtype=complex)
-    g = pump.gamma if gamma is None else gamma
     np.fill_diagonal(m, m.diagonal() - 1j * pump.kappa0
-                     + 1j * g * pump_indicator(pump.pumped_sites, m.shape[0]))
+                     + 1j * gamma * pump_indicator(pump.pumped_sites, m.shape[0]))
     return m
 
 
@@ -489,7 +486,7 @@ class PowerFlowReport:
 
 
 def power_flows(mode: np.ndarray, h_a: np.ndarray, pump: PumpSpec,
-                gamma: float | None = None) -> PowerFlowReport:
+                gamma: float) -> PowerFlowReport:
     """Junction gains and site gain/loss terms for a threshold mode.
 
     Couplings are the off-diagonal entries of the construction matrix (the
@@ -501,21 +498,13 @@ def power_flows(mode: np.ndarray, h_a: np.ndarray, pump: PumpSpec,
         raise ValueError("mode vanishes at site 1; cannot normalize psi_1 = 1")
     v = v / v[0]
     h_a = np.asarray(h_a, dtype=complex)
-    n = len(v)
-    g = pump.gamma if gamma is None else gamma
-
-    gammas = g * pump_indicator(pump.pumped_sites, n)
+    gammas = gamma * pump_indicator(pump.pumped_sites, len(v))
     site_terms = 2.0 * (gammas - pump.kappa0) * np.abs(v) ** 2
 
-    fwd = np.zeros(n - 1)
-    bwd = np.zeros(n - 1)
-    gains = np.zeros(n - 1)
-    for j in range(n - 1):
-        t_fwd = h_a[j, j + 1]        # t_{j,j+1}
-        t_bwd = h_a[j + 1, j]        # t_{j+1,j}
-        fwd[j] = 2.0 * np.real(1j * np.conj(t_fwd) * np.conj(v[j + 1]) * v[j])
-        bwd[j] = 2.0 * np.real(1j * np.conj(t_bwd) * np.conj(v[j]) * v[j + 1])
-        gains[j] = fwd[j] + bwd[j]
+    t_fwd, t_bwd = np.diagonal(h_a, 1), np.diagonal(h_a, -1)    # t_{j,j+1}, t_{j+1,j}
+    fwd = 2.0 * np.real(1j * np.conj(t_fwd) * np.conj(v[1:]) * v[:-1])
+    bwd = 2.0 * np.real(1j * np.conj(t_bwd) * np.conj(v[:-1]) * v[1:])
+    gains = fwd + bwd
 
     residual = abs(site_terms.sum() + gains.sum())
     max_term = float(max(np.abs(site_terms).max(initial=0.0),

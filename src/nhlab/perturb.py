@@ -71,9 +71,10 @@ def first_order(es: EigenSystem, pumped_sites: tuple[int, ...], gamma1: float,
     w = es.eigenvalues
     others = np.arange(es.dim) != mode
     denoms = w[mode] - w[others]
-    if np.abs(denoms).min() < tol.denominator_rel * max(es.matrix_norm, 1e-300):
+    gap = np.abs(denoms).min(initial=np.inf)     # a one-mode system has no other mode
+    if gap < tol.denominator_rel * max(es.matrix_norm, 1e-300):
         raise DegenerateModeError(
-            f"mode {mode} is near-degenerate (gap {np.abs(denoms).min():.3e}); "
+            f"mode {mode} is near-degenerate (gap {gap:.3e}); "
             "degenerate perturbation theory is not implemented")
 
     energy = 1j * gamma1 * hg[mode]

@@ -164,7 +164,8 @@ def calibrate_s(anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9, t: float = 1.0,
     the calibration record (also consumed by the fig2/3/5 scenarios).
     """
     def gap(s: float) -> float:
-        h, _ = _product_pair(n, s, t, tol)
+        spec = LatticeSpec(n=n, t=t, scaling="geometric", s=s)
+        h = construct_product(build_h0(spec), build_scaling(spec), tol)
         return smallest_nonzero_abs(h, tol) / t - anchor
 
     s_lo, s_hi = CALIBRATION_S_RANGE
@@ -571,8 +572,8 @@ def scenario_fig5(cfg: ScenarioConfig, tol: Tolerances,
             if g1 == d:
                 assertions.append(_assert_le(f"fig5.{label}.odd_site_correction",
                                              odd_rel, 1e-10))
-            wa, va = np.linalg.eig(pumped_hamiltonian(matrix, pump, g1))
-            exact = va[:, int(np.argmin(np.abs(wa.real)))]
+            pumped = eig_full(pumped_hamiltonian(matrix, pump, g1), tol)
+            exact = pumped.right(find_zero_mode(pumped, tol))
             exact = exact / (es.left(zi) @ exact)
             predicted = es.right(zi) + pred.state_correction
             resids.append(float(np.linalg.norm(exact - predicted)))

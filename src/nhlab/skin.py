@@ -119,9 +119,10 @@ def find_zero_mode(es: EigenSystem, tol: Tolerances = DEFAULT) -> int:
 
 
 def geometric_envelope(reference: np.ndarray, s: float) -> np.ndarray:
-    """reference_j * s^-(j-1): the skin-mode image of a reference profile."""
-    n = len(reference)
-    return np.asarray(reference) * s ** (-np.arange(n, dtype=float))
+    """reference_j * s^-(j-1): the skin-mode image of a reference profile, or
+    of each column of a block of them."""
+    scale = s ** (-np.arange(len(reference), dtype=float))
+    return (np.asarray(reference).T * scale).T
 
 
 @dataclass
@@ -201,16 +202,14 @@ def verify_standard_skin(hpp_system: EigenSystem, h0_system: EigenSystem, s: flo
     zero-eigenvector must localize on the right edge.
     """
     reports, zi, zi0, lcom, want = _zero_mode_core(hpp_system, h0_system, s, tol)
-    residuals = []
-    n = hpp_system.dim
-    for mu in range(n):
-        lam = hpp_system.eigenvalues[mu]
-        nu = int(np.argmin(np.abs(h0_system.eigenvalues - lam)))
-        target = geometric_envelope(h0_system.right(nu), s)
-        residuals.append(float(collinearity_residual(hpp_system.right(mu), target)))
+    nearest = np.argmin(np.abs(h0_system.eigenvalues[:, None] - hpp_system.eigenvalues),
+                        axis=0)
+    residuals = collinearity_residual(
+        hpp_system.right_vectors,
+        geometric_envelope(h0_system.right_vectors[:, nearest], s)).tolist()
 
     # couplings seen by the left problem are swapped, localizing it oppositely
-    left_pred = h0_system.right(zi0) * s ** (+np.arange(n, dtype=float))
+    left_pred = h0_system.right(zi0) * s ** (+np.arange(hpp_system.dim, dtype=float))
     left_res = collinearity_residual(hpp_system.left(zi), left_pred)
     all_skin = all(r.classification == want for r in reports)
 

@@ -308,12 +308,14 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
     q = z[:, :k]
     nk = t[:k, :k] - target * np.eye(k)
 
-    # rank sequence of the restricted nilpotent part -> block sizes
-    ranks = [k]
+    # kernels of the powers of the restricted nilpotent part; their rank
+    # sequence gives the block sizes
+    kernels = [np.zeros((k, 0), dtype=complex)]
     power = np.eye(k, dtype=complex)
     for _ in range(k):
         power = power @ nk
-        ranks.append(int(np.sum(np.linalg.svd(power, compute_uv=False) > ntol)))
+        kernels.append(_nullspace(power, ntol))
+    ranks = [k - kernel.shape[1] for kernel in kernels]
     geq = [ranks[p - 1] - ranks[p] for p in range(1, k + 1)]  # blocks of size >= p
     orders: list[int] = []
     for p in range(k, 0, -1):
@@ -321,11 +323,6 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
         orders.extend([p] * exact)
 
     # chain tops, tallest first; carried images N^(q-p) w_q block lower levels
-    kernels = {0: np.zeros((k, 0), dtype=complex)}
-    power = np.eye(k, dtype=complex)
-    for p in range(1, k + 1):
-        power = power @ nk if p > 1 else nk.copy()
-        kernels[p] = _nullspace(power, ntol)
     chains: list[list[np.ndarray]] = []
     carried: list[np.ndarray] = []
     pmax = orders[0] if orders else 0
@@ -439,12 +436,9 @@ def bmap_correspondence(h0: np.ndarray, b: np.ndarray,
     if invertible:
         mapped_back = vecs_e / bd[:, None] if diagonal else np.linalg.solve(b, vecs_e)
         nearest = np.argmin(np.abs(evals_e[None, :] - w.real[:, None]), axis=1)
-        entries = []
-        for mu, nu in enumerate(nearest):
-            back = mapped_back[:, nu]
-            res = collinearity_residual(back / np.linalg.norm(back), es.right(mu))
-            entries.append(BMapModeEntry(mu=mu, eigenvalue=complex(w[mu]), mapped=True,
-                                         residual=float(res)))
+        res = collinearity_residual(mapped_back[:, nearest], es.right_vectors)
+        entries = [BMapModeEntry(mu=mu, eigenvalue=complex(w[mu]), mapped=True,
+                                 residual=float(res[mu])) for mu in range(es.dim)]
     else:
         psi = es.right_vectors / np.linalg.norm(es.right_vectors, axis=0)
         images = bd[:, None] * psi if diagonal else b @ psi

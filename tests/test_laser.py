@@ -11,10 +11,18 @@ def test_pump_spec_validation():
         PumpSpec(kappa0=0.0, pumped_sites=(1,))
     with pytest.raises(ValueError):
         PumpSpec(kappa0=1.0, pumped_sites=())
-    with pytest.raises(ValueError):
-        PumpSpec(kappa0=1.0, pumped_sites=(1,), gamma=-0.1)
     with pytest.raises(ValueError, match="unknown"):
         PumpSpec.from_dict({"kappa0": 1.0, "pumped_sites": [1], "extra": 2})
+
+
+def test_pump_strength_is_not_a_pump_spec_field():
+    # gamma is passed to each function that applies the pump, never stored
+    with pytest.raises(ValueError, match=r"unknown pump fields: \['gamma'\]"):
+        PumpSpec.from_dict({"kappa0": 1.0, "pumped_sites": [1], "gamma": 0.5})
+    with pytest.raises(TypeError):
+        PumpSpec(kappa0=1.0, pumped_sites=(1,), gamma=0.5)
+    with pytest.raises(TypeError):
+        pumped_hamiltonian(np.zeros((2, 2)), PumpSpec(kappa0=1.0, pumped_sites=(1,)))
 
 
 def test_single_cavity_threshold_is_kappa0():
@@ -35,14 +43,14 @@ def test_unpumped_spectrum_shifts_rigidly(chain9):
 
 def test_uniform_pump_at_kappa0_restores_h(chain9):
     _, _, _, h, _ = chain9
-    pump = PumpSpec(kappa0=0.02, pumped_sites=tuple(range(1, 10)), gamma=0.02)
-    assert np.array_equal(pumped_hamiltonian(h, pump), h)
+    pump = PumpSpec(kappa0=0.02, pumped_sites=tuple(range(1, 10)))
+    assert np.array_equal(pumped_hamiltonian(h, pump, 0.02), h)
 
 
 def test_pumped_sites_bounds_checked(chain9):
     _, _, _, h, _ = chain9
     with pytest.raises(ValueError, match="outside"):
-        pumped_hamiltonian(h, PumpSpec(kappa0=1.0, pumped_sites=(10,)))
+        pumped_hamiltonian(h, PumpSpec(kappa0=1.0, pumped_sites=(10,)), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,30 @@ def test_pumped_site_outside_range_refused(passive):
         first_order(es, (10,), 0.01, zi)
 
 
+@pytest.mark.parametrize("site", [1.5, "1", 1.0])
+def test_non_integer_pumped_site_refused(passive, site):
+    _, _, es, zi = passive
+    with pytest.raises(ValueError, match=f"pumped site {site!r} is not an integer"):
+        pump_indicator((site,), es.dim)
+    with pytest.raises(ValueError, match=f"pumped site {site!r}"):
+        matrix_elements(es, (site,), zi)
+    with pytest.raises(ValueError, match=f"pumped site {site!r}"):
+        first_order(es, (site,), 0.01, zi)
+
+
+def test_indicator_accepts_numpy_integer_sites():
+    assert pump_indicator(np.array([1, 3]), 4).tolist() == [1.0, 0.0, 1.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # first order
+
+def test_one_mode_system_has_zero_state_correction():
+    es = eig_full(np.array([[0.5 + 0j]]))
+    pred = first_order(es, (1,), 0.1, 0)
+    assert pred.energy_correction == 1j * 0.1 * (es.left(0) @ es.right(0))
+    assert pred.state_correction.tolist() == [0j]
+
 
 def test_zero_gamma_gives_zero_corrections(passive):
     _, _, es, zi = passive
