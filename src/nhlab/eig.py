@@ -298,12 +298,6 @@ class MetricPairingReport:
     def all_diagonal(self) -> bool:
         return all(e.diagonal for e in self.entries if not e.kernel)
 
-    def to_dict(self) -> dict:
-        return {"entries": [{"mu": e.mu, "nu": e.nu, "collinearity": e.collinearity,
-                             "diagonal": e.diagonal, "kernel": e.kernel}
-                            for e in self.entries],
-                "all_diagonal": self.all_diagonal}
-
 
 def collinearity_residual(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """min over complex c of ||x - c y|| / ||x|| (0.0 if x is zero, else 1.0

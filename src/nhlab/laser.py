@@ -46,6 +46,13 @@ class TrackingAmbiguityError(RuntimeError):
         self.bracket = bracket
 
 
+def _pump_site(j) -> int:
+    """The one pumped-site rule: an int or numpy integer, stored as int."""
+    if not isinstance(j, (int, np.integer)):
+        raise ValueError(f"pumped site {j!r} is not an integer")
+    return int(j)
+
+
 @dataclass(frozen=True)
 class PumpSpec:
     """Uniform cavity loss plus a pump on selected sites (1-based); the pump
@@ -60,10 +67,7 @@ class PumpSpec:
         if not self.pumped_sites:
             raise ValueError("pumped_sites must be nonempty")
         object.__setattr__(self, "pumped_sites",
-                           tuple(int(j) for j in self.pumped_sites))
-
-    def to_dict(self) -> dict:
-        return {"kappa0": self.kappa0, "pumped_sites": list(self.pumped_sites)}
+                           tuple(_pump_site(j) for j in self.pumped_sites))
 
     @classmethod
     def from_dict(cls, d: dict) -> "PumpSpec":
@@ -78,9 +82,7 @@ class PumpSpec:
 def pump_indicator(pumped_sites: tuple[int, ...], n: int) -> np.ndarray:
     """0/1 site vector of the pumped sites (1-based integers), range-checked."""
     p = np.zeros(n)
-    for j in pumped_sites:
-        if not isinstance(j, (int, np.integer)):
-            raise ValueError(f"pumped site {j!r} is not an integer")
+    for j in map(_pump_site, pumped_sites):
         if not 1 <= j <= n:
             raise ValueError(f"pumped site {j} outside 1..{n}")
         p[j - 1] = 1.0
@@ -475,14 +477,6 @@ class PowerFlowReport:
     flows_backward: np.ndarray       # P_{j+1,j}: power into site j+1 from j
     balance_residual: float
     max_term: float
-
-    def to_dict(self) -> dict:
-        return {"junction_gains": [float(g) for g in self.junction_gains],
-                "site_terms": [float(x) for x in self.site_terms],
-                "flows_forward": [float(x) for x in self.flows_forward],
-                "flows_backward": [float(x) for x in self.flows_backward],
-                "balance_residual": self.balance_residual,
-                "max_term": self.max_term}
 
 
 def power_flows(mode: np.ndarray, h_a: np.ndarray, pump: PumpSpec,

@@ -37,9 +37,6 @@ class OscillatorChain:
         if not self.spring_k > 0:
             raise ValueError(f"spring constant must be positive, got {self.spring_k}")
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "masses": list(self.masses), "spring_k": self.spring_k}
-
 
 def stiffness_matrix(chain: OscillatorChain) -> np.ndarray:
     """Tridiagonal M0: -2k on the diagonal, k on the off-diagonals."""

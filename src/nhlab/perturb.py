@@ -55,12 +55,6 @@ class PerturbationPrediction:
     energy_correction: complex         # i*gamma1*H_{g,mu mu}
     state_correction: np.ndarray       # sum over nu != mu
 
-    def to_dict(self) -> dict:
-        return {"base_mode_index": self.base_mode_index, "gamma1": self.gamma1,
-                "energy_correction": [self.energy_correction.real,
-                                      self.energy_correction.imag],
-                "state_correction": [[z.real, z.imag] for z in self.state_correction]}
-
 
 def first_order(es: EigenSystem, pumped_sites: tuple[int, ...], gamma1: float,
                 mode: int, tol: Tolerances = DEFAULT) -> PerturbationPrediction:

@@ -7,13 +7,13 @@ record that replays the identical instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .eig import SELF_ORTHOGONAL, eig_full
-from .mech import OscillatorChain, dynamical_matrix, stiffness_matrix
+from .mech import OscillatorChain, dynamical_matrix, eigenfrequencies, stiffness_matrix
 from .model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
                     construct_product, spectral_norm)
 from .spectra import conjugate_pairs
@@ -60,10 +60,6 @@ class TrialFailure:
     seed: int
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"suite": self.suite, "trial": self.trial, "seed": self.seed,
-                "detail": self.detail}
-
 
 @dataclass
 class SuiteReport:
@@ -78,7 +74,7 @@ class SuiteReport:
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "trials": self.trials, "passes": self.passes,
-                "failures": [f.to_dict() for f in self.failures],
+                "failures": [asdict(f) for f in self.failures],
                 "all_passed": self.all_passed}
 
 
@@ -188,13 +184,10 @@ def run_trial(suite: str, seed: int, trial: int, tol: Tolerances = DEFAULT) -> s
         n = int(rng.integers(1, 41))
         chain = OscillatorChain(n=n, masses=tuple(rng.uniform(0.2, 5.0, n)),
                                 spring_k=float(rng.uniform(0.5, 2.0)))
-        m = dynamical_matrix(chain)
-        lam = np.linalg.eigvals(m)
-        scale = spectral_norm(m)
-        if np.abs(lam.imag).max() > tol.mech_spectrum_rel * scale:
-            return f"complex oscillator eigenvalue (n={n})"
-        if lam.real.max() > tol.mech_spectrum_rel * scale:
-            return f"positive oscillator eigenvalue {lam.real.max():.3e} (n={n})"
+        try:
+            eigenfrequencies(dynamical_matrix(chain), tol)
+        except ValueError as exc:
+            return f"{exc} (n={n})"
         return None
 
     if suite == "mech_hermitian_equivalent":
@@ -213,12 +206,11 @@ def run_trial(suite: str, seed: int, trial: int, tol: Tolerances = DEFAULT) -> s
         return None
 
 
-def run_properties(trials: int, seed: int, tol: Tolerances = DEFAULT,
-                   suites: tuple[str, ...] = SUITE_NAMES) -> SuiteReport:
+def run_properties(trials: int, seed: int, tol: Tolerances = DEFAULT) -> SuiteReport:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     report = SuiteReport(seed=seed, trials=trials)
-    for suite in suites:
+    for suite in SUITE_NAMES:
         passed = 0
         for trial in range(trials):
             detail = run_trial(suite, seed, trial, tol)

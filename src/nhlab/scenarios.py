@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -103,10 +103,6 @@ class Assertion:
     passed: bool
     measured: Any
     expected: str
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "measured": self.measured, "expected": self.expected}
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -441,7 +437,7 @@ def scenario_fig3(cfg: ScenarioConfig, tol: Tolerances,
                   for j in range(n - 1)]
     tables["fig3_junction_gains"] = (
         ["junction_center", "selective_gain", "standard_gain"], gains_rows)
-    report["power_flows"] = {"selective": sel.to_dict(), "standard": std.to_dict()}
+    report["power_flows"] = {"selective": _plain(sel), "standard": _plain(std)}
     return ScenarioResult("fig3", assertions, tables, report)
 
 
@@ -461,7 +457,7 @@ def scenario_fig4(cfg: ScenarioConfig, tol: Tolerances,
     # zeroed interior even site: threefold zero, one 2-block plus one 1-block
     h = product_with_zeros(9, [4])
     rep = ep_analyze(h, 0.0, tol)
-    report["cases"]["a4_zero_n9"] = rep.to_dict()
+    report["cases"]["a4_zero_n9"] = _plain(rep)
     assertions += [
         _assert_true("fig4.a4.algebraic_3", rep.algebraic_multiplicity == 3,
                      rep.algebraic_multiplicity),
@@ -495,7 +491,7 @@ def scenario_fig4(cfg: ScenarioConfig, tol: Tolerances,
     # zeroed first site, odd chain: simple zero, no EP
     h = product_with_zeros(9, [1])
     rep = ep_analyze(h, 0.0, tol)
-    report["cases"]["a1_zero_n9"] = rep.to_dict()
+    report["cases"]["a1_zero_n9"] = _plain(rep)
     e1 = np.zeros(9)
     e1[0] = 1.0
     assertions += [
@@ -513,7 +509,7 @@ def scenario_fig4(cfg: ScenarioConfig, tol: Tolerances,
     # zeroed first site, even chain: the zero becomes a second-order EP
     h = product_with_zeros(8, [1])
     rep = ep_analyze(h, 0.0, tol)
-    report["cases"]["a1_zero_n8"] = rep.to_dict()
+    report["cases"]["a1_zero_n8"] = _plain(rep)
     e1 = np.zeros(8)
     e1[0] = 1.0
     assertions += [
@@ -589,7 +585,7 @@ def scenario_fig5(cfg: ScenarioConfig, tol: Tolerances,
         report["systems"][label] = {
             "threshold": d, "gammas": gammas, "residuals": resids,
             "scaling_exponent": float(slope),
-            "energy_slope": [float(np.real(1j * h_zz)), float(np.imag(1j * h_zz))],
+            "energy_slope": _plain(1j * h_zz),
         }
 
     rows = [[site + 1] + [overlay_cols[c][site] for c in
@@ -665,9 +661,9 @@ def scenario_oscillators(cfg: ScenarioConfig, tol: Tolerances) -> ScenarioResult
     tables = {"oscillators_trajectory": (
         ["time"] + [f"x{i + 1}" for i in range(n)], rows)}
     report = {
-        "two_mass_eigenvalues": [float(x) for x in lam],
+        "two_mass_eigenvalues": _plain(lam),
         "chain_masses": list(chain.masses),
-        "eigenfrequencies": [float(f) for f in freqs],
+        "eigenfrequencies": _plain(freqs),
         "measured_frequency": float(measured[np.argmin(np.abs(measured - w_target))])
         if len(measured) else None,
         "energy_drift": drift,
@@ -731,7 +727,7 @@ def scenario_custom(cfg: ScenarioConfig, tol: Tolerances) -> ScenarioResult:
     }
     report = {
         "lattice": spec.to_dict(),
-        "certificate": cert.to_dict(),
+        "certificate": _plain(cert),
         "eigensystem": es.to_dict(),
     }
     return ScenarioResult("custom", assertions, tables, report)
@@ -739,6 +735,21 @@ def scenario_custom(cfg: ScenarioConfig, tol: Tolerances) -> ScenarioResult:
 
 # ---------------------------------------------------------------------------
 # dispatch and output writing
+
+def _plain(obj: Any) -> Any:
+    """The one output format: a dataclass becomes the dict of its fields, an
+    array or tuple a list, a complex number [re, im], a numpy scalar its
+    Python value."""
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(x) for x in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    return [obj.real, obj.imag] if isinstance(obj, complex) else obj
+
 
 def _json_text(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -781,7 +792,7 @@ def run(cfg: ScenarioConfig) -> ScenarioResult:
 
     payload = {
         "scenario": result.scenario,
-        "assertions": [a.to_dict() for a in result.assertions],
+        "assertions": _plain(result.assertions),
         "passed": result.passed,
         "report": result.report,
     }

@@ -59,17 +59,6 @@ class SpectralCertificate:
     inner_products: list[complex]             # unit-normalized psi~^T psi per mode
     matrix_norm: float
 
-    def to_dict(self) -> dict:
-        return {
-            "max_imag": self.max_imag,
-            "is_real": self.is_real,
-            "pseudo_hermitian_residual": self.pseudo_hermitian_residual,
-            "conjugate_pairs": [list(p) for p in self.conjugate_pairs],
-            "pair_residuals": self.pair_residuals,
-            "inner_products": [[z.real, z.imag] for z in self.inner_products],
-            "matrix_norm": self.matrix_norm,
-        }
-
 
 def conjugate_pairs(eigenvalues: np.ndarray) -> tuple[list[tuple[int, int]], list[float]]:
     """Greedy matching of the spectrum against its complex conjugate.
@@ -201,19 +190,6 @@ class EPReport:
     boundary_warning: bool                  # an eigenvalue sits near the cluster edge
     matrix_norm: float
 
-    def to_dict(self) -> dict:
-        return {
-            "target_energy": [self.target_energy.real, self.target_energy.imag],
-            "algebraic_multiplicity": self.algebraic_multiplicity,
-            "geometric_multiplicity": self.geometric_multiplicity,
-            "ep_orders": self.ep_orders,
-            "jordan_chains": [[[ [z.real, z.imag] for z in v] for v in chain]
-                              for chain in self.jordan_chains],
-            "chain_residuals": self.chain_residuals,
-            "boundary_warning": self.boundary_warning,
-            "matrix_norm": self.matrix_norm,
-        }
-
 
 def _orthobasis(columns: np.ndarray, tol_abs: float) -> np.ndarray:
     """Orthonormal basis of the column span (SVD, absolute threshold)."""
@@ -254,10 +230,12 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
     form).  A chain whose cluster holds one eigenvalue has geometric
     multiplicity 1 (an unreduced tridiagonal matrix is nonderogatory) and
     Jordan chain D^-1 phi, accepted when ||(H - target) v|| <=
-    ``nullity_rel * ||H||``.  Otherwise the geometric multiplicity is the
-    SVD nullity of H - target*I, block sizes come from rank tests of the
-    Schur-restricted operator, and chains are built inside that invariant
-    subspace then lifted back.
+    ``nullity_rel * ||H||``.  Otherwise H is Schur-reduced to the cluster's
+    invariant subspace, where N = T_cluster - target*I: the geometric
+    multiplicity is the nullity of N, block sizes come from the ranks of its
+    powers, and chains are built inside that subspace then lifted back.  No
+    n x n decomposition of H - target*I is taken; an empty cluster reports
+    geometric multiplicity 0.
 
     Raises
     ------
@@ -291,12 +269,9 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
                             chain_residuals=resid, boundary_warning=boundary,
                             matrix_norm=norm)
 
-    sv = np.linalg.svd(h - target * np.eye(n), compute_uv=False)
-    geometric = int(np.sum(sv <= ntol))
-
     if algebraic == 0:
         return EPReport(target_energy=complex(target), algebraic_multiplicity=0,
-                        geometric_multiplicity=geometric, ep_orders=[],
+                        geometric_multiplicity=0, ep_orders=[],
                         jordan_chains=[], chain_residuals=0.0,
                         boundary_warning=boundary, matrix_norm=norm)
 
@@ -316,6 +291,7 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
         power = power @ nk
         kernels.append(_nullspace(power, ntol))
     ranks = [k - kernel.shape[1] for kernel in kernels]
+    geometric = kernels[1].shape[1]
     geq = [ranks[p - 1] - ranks[p] for p in range(1, k + 1)]  # blocks of size >= p
     orders: list[int] = []
     for p in range(k, 0, -1):
@@ -384,14 +360,6 @@ class BMapReport:
     @property
     def spectra_agree(self) -> bool:
         return self.spectral_gap <= self.gap_tol
-
-    def to_dict(self) -> dict:
-        return {"invertible": self.invertible, "spectral_gap": self.spectral_gap,
-                "spectra_agree": self.spectra_agree,
-                "entries": [{"mu": e.mu,
-                             "eigenvalue": [e.eigenvalue.real, e.eigenvalue.imag],
-                             "mapped": e.mapped, "residual": e.residual}
-                            for e in self.entries]}
 
 
 def bmap_correspondence(h0: np.ndarray, b: np.ndarray,

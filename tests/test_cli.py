@@ -18,6 +18,21 @@ def test_scenario_config_rejects_unknown_keys():
         ScenarioConfig(scenario="fig1", format="xml")
 
 
+def test_scenario_config_refuses_non_integer_pump_site():
+    with pytest.raises(ValueError, match="pumped site 1.9 is not an integer"):
+        ScenarioConfig.from_dict({"scenario": "fig5",
+                                  "pump": {"kappa0": 0.02, "pumped_sites": [1.9]}})
+
+
+def test_cli_fig5_non_integer_pump_site_exits_2(tmp_path, capsys):
+    config = {"scenario": "fig5", "pump": {"kappa0": 0.02, "pumped_sites": [1.9]}}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code = main(["fig5", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert code == 2
+    assert "pumped site 1.9 is not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "fig5_report.json").exists()
+
+
 def test_custom_requires_lattice(tmp_path):
     cfg = ScenarioConfig(scenario="custom", out_dir=str(tmp_path))
     with pytest.raises(ValueError, match="lattice"):

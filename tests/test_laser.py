@@ -15,6 +15,16 @@ def test_pump_spec_validation():
         PumpSpec.from_dict({"kappa0": 1.0, "pumped_sites": [1], "extra": 2})
 
 
+def test_pump_spec_refuses_non_integer_sites():
+    # the same rule as pump_indicator: a non-integer site is refused, not truncated
+    for site in (1.9, 1.0, "3", None):
+        with pytest.raises(ValueError, match=f"pumped site {site!r} is not an integer"):
+            PumpSpec(kappa0=1.0, pumped_sites=(1, site))
+    pump = PumpSpec(kappa0=1.0, pumped_sites=(np.int64(2), 3))
+    assert pump.pumped_sites == (2, 3)
+    assert all(type(j) is int for j in pump.pumped_sites)
+
+
 def test_pump_strength_is_not_a_pump_spec_field():
     # gamma is passed to each function that applies the pump, never stored
     with pytest.raises(ValueError, match=r"unknown pump fields: \['gamma'\]"):

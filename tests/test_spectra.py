@@ -1,5 +1,7 @@
 import numpy as np
 
+from nhlab import spectra
+from nhlab.config import DEFAULT
 from nhlab.eig import SELF_ORTHOGONAL, eig_full, collinearity_residual
 from nhlab.model import (LatticeSpec, build_h0, build_scaling, construct_product,
                          factor_psd, shift_spectrum, spectral_norm)
@@ -158,7 +160,48 @@ def test_ep_no_cluster_at_target():
     h = construct_product(build_h0(LatticeSpec(n=4)), np.eye(4, dtype=complex))
     rep = ep_analyze(h, 100.0)
     assert rep.algebraic_multiplicity == 0
+    assert rep.geometric_multiplicity == 0
     assert rep.ep_orders == []
+
+
+def _fig4_and_dense_cluster(s):
+    """The three fig4 matrices and a dense H0 A whose zero is semisimple of order 2."""
+    rng = np.random.default_rng(5)
+    dense = construct_product(random_hermitian(rng, 12), random_psd(rng, 12, 2))
+    return [chain_with_zeros(9, [4], s), chain_with_zeros(9, [1], s),
+            chain_with_zeros(8, [1], s), dense]
+
+
+def test_ep_geometric_multiplicity_matches_full_svd_nullity(calibration):
+    geometric = []
+    for h in _fig4_and_dense_cluster(calibration["s"]):
+        n = h.shape[0]
+        # the former rule, written out: nullity of H - target*I at nullity_rel*||H||
+        ntol = DEFAULT.nullity_rel * np.linalg.svd(h, compute_uv=False)[0]
+        sv = np.linalg.svd(h - 0.0 * np.eye(n), compute_uv=False)
+        geometric.append(ep_analyze(h, 0.0).geometric_multiplicity)
+        assert geometric[-1] == int(np.sum(sv <= ntol))
+    assert geometric == [2, 1, 1, 2]
+
+
+def test_ep_takes_no_full_size_svd(calibration, monkeypatch):
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    for h in _fig4_and_dense_cluster(calibration["s"]):
+        n = h.shape[0]
+        # the norm is the tolerance scale, not a rank decision; take it out of the count
+        monkeypatch.setattr(spectra, "spectral_norm", lambda m, v=spectral_norm(h): v)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        shapes.clear()
+        rep = ep_analyze(h, 0.0)
+        monkeypatch.undo()
+        assert rep.algebraic_multiplicity < n
+        assert (n, n) not in shapes, shapes
 
 
 def test_ep_canonical_jordan_block():
