@@ -70,20 +70,6 @@ class EigenSystem:
     def all_biorthonormal(self) -> bool:
         return all(s == BIORTHONORMAL for s in self.norm_status)
 
-    def to_dict(self) -> dict:
-        def cvec(v):
-            return [[float(z.real), float(z.imag)] for z in v]
-        return {
-            "dim": self.dim,
-            "eigenvalues": cvec(self.eigenvalues),
-            "right_vectors": [cvec(self.right_vectors[:, k]) for k in range(self.dim)],
-            "left_vectors": [cvec(self.left_vectors[:, k]) for k in range(self.dim)],
-            "norm_status": list(self.norm_status),
-            "overlaps": cvec(self.overlaps),
-            "residuals": [float(r) for r in self.residuals],
-            "matrix_norm": self.matrix_norm,
-        }
-
 
 def _clusters(values: np.ndarray, tol_abs: float) -> list[list[int]]:
     """Connected components of |w_i - w_j| <= tol_abs (desk-scale O(n^2))."""

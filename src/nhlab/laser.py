@@ -24,7 +24,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .config import DEFAULT, Tolerances
 from .eig import _tridiagonal_product, _validated, chain_form
-from .model import spectral_norm
+from .model import _integer, spectral_norm
 
 
 class NoThresholdError(RuntimeError):
@@ -46,13 +46,6 @@ class TrackingAmbiguityError(RuntimeError):
         self.bracket = bracket
 
 
-def _pump_site(j) -> int:
-    """The one pumped-site rule: an int or numpy integer, stored as int."""
-    if not isinstance(j, (int, np.integer)):
-        raise ValueError(f"pumped site {j!r} is not an integer")
-    return int(j)
-
-
 @dataclass(frozen=True)
 class PumpSpec:
     """Uniform cavity loss plus a pump on selected sites (1-based); the pump
@@ -67,7 +60,7 @@ class PumpSpec:
         if not self.pumped_sites:
             raise ValueError("pumped_sites must be nonempty")
         object.__setattr__(self, "pumped_sites",
-                           tuple(_pump_site(j) for j in self.pumped_sites))
+                           tuple(_integer(j, "pumped site") for j in self.pumped_sites))
 
     @classmethod
     def from_dict(cls, d: dict) -> "PumpSpec":
@@ -82,7 +75,8 @@ class PumpSpec:
 def pump_indicator(pumped_sites: tuple[int, ...], n: int) -> np.ndarray:
     """0/1 site vector of the pumped sites (1-based integers), range-checked."""
     p = np.zeros(n)
-    for j in map(_pump_site, pumped_sites):
+    for site in pumped_sites:
+        j = _integer(site, "pumped site")
         if not 1 <= j <= n:
             raise ValueError(f"pumped site {j} outside 1..{n}")
         p[j - 1] = 1.0
@@ -123,29 +117,24 @@ class _PumpedChain:
 
     def __init__(self, h: np.ndarray, pump: PumpSpec, tol: Tolerances):
         self.h = _validated(h)
-        self.m = self.h.copy()
-        self.n = self.m.shape[0]
-        self.form = chain_form(self.m)
-        self.kappa0 = pump.kappa0
-        self.base = self.m.diagonal() - 1j * pump.kappa0
+        self.n = self.h.shape[0]
+        self.form = chain_form(self.h)
+        self.pump = pump
+        self.base = self.h.diagonal() - 1j * pump.kappa0
         self.p = pump_indicator(pump.pumped_sites, self.n)
         self.tol = tol
 
     def diagonal(self, gamma: float) -> np.ndarray:
         return self.base + 1j * gamma * self.p
 
-    def matrix(self, gamma: float) -> np.ndarray:
-        """The pumped matrix (a shared buffer, valid until the next call)."""
-        np.fill_diagonal(self.m, self.diagonal(gamma))
-        return self.m
-
     def max_imag(self, gamma: float) -> float:
-        return float(np.linalg.eigvals(self.matrix(gamma)).imag.max())
+        m = pumped_hamiltonian(self.h, self.pump, gamma)
+        return float(np.linalg.eigvals(m).imag.max())
 
     def solve(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """Exact spectrum and unit vectors: of T(gamma) for a chain, else of M."""
         if self.form is None:
-            a = self.matrix(gamma)
+            a = pumped_hamiltonian(self.h, self.pump, gamma)
         else:
             off, diag = self.form.off, self.diagonal(gamma)
             if gamma == 0:
@@ -154,7 +143,7 @@ class _PumpedChain:
                 except np.linalg.LinAlgError:
                     pass    # the dense solve decides
                 else:
-                    w, x = lam - 1j * self.kappa0, phi.T.astype(complex)
+                    w, x = lam - 1j * self.pump.kappa0, phi.T.astype(complex)
                     tx = _tridiagonal_product(off, diag, off, x.T).T
                     res = np.linalg.norm(tx - w[:, None] * x, axis=1)
                     if np.all(res <= self.tol.residual_rel * _column_norm(off, diag)):
@@ -289,9 +278,6 @@ class Trajectory:
     final_vectors: np.ndarray        # eigenvectors at the last grid point
     zero_mode_index: int | None
 
-    def mode(self, mu: int) -> np.ndarray:
-        return self.eigenvalues[:, mu]
-
 
 def _match_modes(overlaps: np.ndarray, margin: float, gamma: float) -> np.ndarray:
     """Greedy maximal-overlap permutation, ``overlaps[prev, new] >= 0``.
@@ -369,17 +355,6 @@ class ThresholdResult:
     threshold_mode: np.ndarray        # eigenvector, normalized to psi_1 = 1
     trajectory: Trajectory
     bracket: tuple[float, float]
-
-    def to_dict(self) -> dict:
-        return {"threshold": self.threshold,
-                "crossing_mode_index": self.crossing_mode_index,
-                "threshold_mode": [[z.real, z.imag] for z in self.threshold_mode],
-                "bracket": list(self.bracket),
-                "trajectory": {
-                    "gammas": [float(g) for g in self.trajectory.gammas],
-                    "crossing_mode": [[z.real, z.imag] for z in
-                                      self.trajectory.mode(self.crossing_mode_index)],
-                }}
 
 
 def find_threshold(h: np.ndarray, pump: PumpSpec,

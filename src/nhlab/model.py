@@ -46,6 +46,14 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     return out
 
 
+def _integer(value, name: str) -> int:
+    """The one rule for a user-facing count or index: an int or numpy
+    integer, stored as int."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Declarative description of a chain Hamiltonian and its site scaling.
@@ -86,6 +94,10 @@ class LatticeSpec:
     zeroed_sites: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "zeroed_sites",
+                           tuple(_integer(j, "zeroed site") for j in self.zeroed_sites))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.t == 0:
@@ -102,7 +114,6 @@ class LatticeSpec:
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if self.scaling == "random" and not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
-        object.__setattr__(self, "zeroed_sites", tuple(int(j) for j in self.zeroed_sites))
         for j in self.zeroed_sites:
             if not 1 <= j <= self.n:
                 raise ValueError(f"zeroed site {j} outside 1..{self.n}")

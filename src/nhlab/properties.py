@@ -7,7 +7,7 @@ record that replays the identical instance.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,11 +71,6 @@ class SuiteReport:
     @property
     def all_passed(self) -> bool:
         return not self.failures
-
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "trials": self.trials, "passes": self.passes,
-                "failures": [asdict(f) for f in self.failures],
-                "all_passed": self.all_passed}
 
 
 def run_trial(suite: str, seed: int, trial: int, tol: Tolerances = DEFAULT) -> str | None:

@@ -23,11 +23,11 @@ from .eig import collinearity_residual, eig_full
 from .laser import PumpSpec, find_threshold, power_flows, pumped_hamiltonian, track_mode
 from .mech import (OscillatorChain, dynamical_matrix, eigenfrequencies,
                    integrate, spectral_peaks, total_energy)
-from .model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
+from .model import (LatticeSpec, _integer, build_h0, build_scaling, construct_gauge,
                     construct_product, spectral_norm)
 from .perturb import first_order, matrix_elements
 from .properties import SUITE_NAMES, run_properties
-from .skin import (CSV_HEADER, find_zero_mode, mode_reports, verify_selective_skin,
+from .skin import (ModeReport, find_zero_mode, mode_reports, verify_selective_skin,
                    verify_standard_skin, zero_mode_equality)
 from .spectra import certify, ep_analyze
 
@@ -66,6 +66,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
+        for name in ("seed", "trials", "n"):
+            setattr(self, name, _integer(getattr(self, name), name))
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ScenarioConfig":
@@ -167,21 +169,19 @@ def calibrate_s(anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9, t: float = 1.0,
     s_lo, s_hi = CALIBRATION_S_RANGE
     grid = np.geomspace(s_lo, s_hi, 121)
     values = [gap(s) for s in grid]
-    bracket = None
-    for i in range(len(grid) - 1):
-        if values[i] == 0 or values[i] * values[i + 1] < 0:
-            bracket = (grid[i], grid[i + 1])
-            break
-    if bracket is None:
+    i = next((i for i in range(len(grid) - 1)
+              if values[i] == 0 or values[i] * values[i + 1] < 0), None)
+    if i is None:
         best = int(np.argmin(np.abs(values)))
         raise CalibrationError(
             f"no s in [{s_lo}, {s_hi}] reaches anchor {anchor}; "
             f"best s = {grid[best]:.6f} with gap {values[best]:.3e}")
 
-    lo, hi = bracket
-    glo = gap(lo)
+    lo, hi, glo = grid[i], grid[i + 1], values[i]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:       # float64 convergence: the bracket is fixed
+            break
         gm = gap(mid)
         if glo * gm <= 0:
             hi = mid
@@ -244,12 +244,11 @@ def scenario_fig1(cfg: ScenarioConfig, tol: Tolerances) -> ScenarioResult:
                    tol.reality_rel * es.matrix_norm),
     ]
     omega_tilde = np.sqrt(spec.omega2) * np.sqrt(2.0 * t)
-    level_rows = []
-    for q in range(1, 6):
-        approx = (q - 0.5) * omega_tilde - 2.0 * t
-        dev = abs(w0[q - 1] - approx) / omega_tilde
-        level_rows.append([q, float(w0[q - 1]), float(approx), float(dev)])
-        assertions.append(_assert_le(f"fig1.harmonic_level_q{q}", dev, 0.05))
+    q = np.arange(1, 6)
+    approx = (q - 0.5) * omega_tilde - 2.0 * t
+    dev = np.abs(w0[:5] - approx) / omega_tilde
+    assertions += [_assert_le(f"fig1.harmonic_level_q{k}", d, 0.05)
+                   for k, d in zip(q, dev)]
     # H0 A is similar to A^1/2 H0 A^1/2, so by Ostrowski's theorem the sorted
     # levels are w_k = theta_k lambda_k(H0) with theta_k in [a_min, a_max]
     a_eigs = np.linalg.eigvalsh(a)
@@ -259,16 +258,9 @@ def scenario_fig1(cfg: ScenarioConfig, tol: Tolerances) -> ScenarioResult:
     assertions.append(_assert_le("fig1.ostrowski_bound", excess,
                                  tol.spectra_match_rel * es.matrix_norm))
 
-    spectra_rows = [[k + 1, float(w0[k]), float(w[k].real), float(w[k].imag)]
-                    for k in range(spec.n)]
     _, v0 = np.linalg.eigh(h0)
-    mode_rows = []
-    order = np.argsort(w.real)
-    for site in range(spec.n):
-        row = [site + 1]
-        row += [float(abs(v0[site, q])) for q in range(3)]
-        row += [float(abs(es.right(order[q])[site])) for q in range(3)]
-        mode_rows.append(row)
+    v = es.right_vectors[:, np.argsort(w.real)]
+    sites = np.arange(1, spec.n + 1)
 
     report = {
         "lattice": spec.to_dict(),
@@ -278,11 +270,13 @@ def scenario_fig1(cfg: ScenarioConfig, tol: Tolerances) -> ScenarioResult:
         "max_imag": float(np.abs(w.imag).max()),
     }
     tables = {
-        "fig1_spectra": (["index", "omega0", "omega_re", "omega_im"], spectra_rows),
-        "fig1_levels": (["q", "energy", "continuum", "deviation_over_omega_tilde"],
-                        level_rows),
-        "fig1_modes": (["site", "h0_mode1_abs", "h0_mode2_abs", "h0_mode3_abs",
-                        "h_mode1_abs", "h_mode2_abs", "h_mode3_abs"], mode_rows),
+        "fig1_spectra": _table({"index": sites, "omega0": w0, "omega": w}),
+        "fig1_levels": _table({"q": q, "energy": w0[:5], "continuum": approx,
+                               "deviation_over_omega_tilde": dev}),
+        "fig1_modes": _table({
+            "site": sites,
+            **{f"h0_mode{k + 1}_abs": np.abs(v0[:, k]) for k in range(3)},
+            **{f"h_mode{k + 1}_abs": np.abs(v[:, k]) for k in range(3)}}),
     }
     return ScenarioResult("fig1", assertions, tables, report)
 
@@ -328,32 +322,25 @@ def scenario_fig2(cfg: ScenarioConfig, tol: Tolerances,
                      [anchor_h, anchor_hpp]),
     ]
 
-    def profile_rows(es):
-        rows = []
-        for mu in range(es.dim):
-            v = es.right(mu)
-            v = v / np.abs(v).max()
-            for site in range(es.dim):
-                rows.append([mu, site + 1, float(v[site].real), float(v[site].imag)])
-        return rows
+    def profiles(es):
+        v = es.right_vectors / np.abs(es.right_vectors).max(axis=0)
+        return _table({"mode": np.repeat(np.arange(n), n),
+                       "site": np.tile(np.arange(1, n + 1), n), "psi": v.T.ravel()})
 
     tables = {
-        "fig2_modes_product": (CSV_HEADER,
-                               [r.csv_row() for r in selective.classifications]),
-        "fig2_modes_gauge": (CSV_HEADER,
-                             [r.csv_row() for r in standard.classifications]),
-        "fig2_profiles_product": (["mode", "site", "psi_re", "psi_im"],
-                                  profile_rows(es_h)),
-        "fig2_profiles_gauge": (["mode", "site", "psi_re", "psi_im"],
-                                profile_rows(es_hpp)),
+        "fig2_modes_product": _mode_table(selective.classifications),
+        "fig2_modes_gauge": _mode_table(standard.classifications),
+        "fig2_profiles_product": profiles(es_h),
+        "fig2_profiles_gauge": profiles(es_hpp),
     }
     report = {
         "s": s,
         "product_anchor": anchor_h,
         "gauge_anchor": anchor_hpp,
         "zero_mode_equality_residual": eq_resid,
-        "selective": selective.to_dict(),
-        "standard": standard.to_dict(),
+        **{label: {**_plain(verdict),
+                   "classifications": _mode_table(verdict.classifications)[1]}
+           for label, verdict in (("selective", selective), ("standard", standard))},
     }
     return ScenarioResult("fig2", assertions, tables, report)
 
@@ -381,15 +368,19 @@ def scenario_fig3(cfg: ScenarioConfig, tol: Tolerances,
                 passed=bool(abs(ratio - expect) <= 0.01 * expect),
                 measured=float(ratio), expected=f"{expect} +- 1%"))
             results[label] = res
-        report["thresholds"][str(kappa_over_t)] = {
-            lbl: results[lbl].to_dict() for lbl in results}
+        report["thresholds"][str(kappa_over_t)] = {lbl: _plain({
+            "threshold": res.threshold, "crossing_mode_index": res.crossing_mode_index,
+            "threshold_mode": res.threshold_mode, "bracket": res.bracket,
+            "trajectory": {"gammas": res.trajectory.gammas,
+                           "crossing_mode": res.trajectory.eigenvalues[
+                               :, res.crossing_mode_index]}})
+            for lbl, res in results.items()}
         if kappa_over_t == 0.02:
             flow_reports = {
                 lbl: power_flows(results[lbl].threshold_mode,
                                  pumped_hamiltonian(mat, pump, results[lbl].threshold),
                                  pump, gamma=results[lbl].threshold)
                 for lbl, mat in (("selective", h), ("standard", hpp))}
-            traj_rows = []
             # the two searches used different grids; retrack on a shared one
             shared = np.linspace(0.0, max(results["selective"].threshold,
                                           results["standard"].threshold), 41)
@@ -397,25 +388,14 @@ def scenario_fig3(cfg: ScenarioConfig, tol: Tolerances,
             tr_std = track_mode(hpp, pump, shared, tol)
             if tr_sel.zero_mode_index is None or tr_std.zero_mode_index is None:
                 raise RuntimeError("no frequency-pinned mode along the pump sweep")
-            for k, g in enumerate(shared):
-                row = [float(g)]
-                for tr in (tr_sel, tr_std):
-                    z = tr.eigenvalues[k, tr.zero_mode_index]
-                    row += [float(z.real), float(z.imag)]
-                traj_rows.append(row)
-            tables["fig3_trajectories"] = (
-                ["gamma", "selective_re", "selective_im",
-                 "standard_re", "standard_im"], traj_rows)
-            mode_rows = []
-            for site in range(n):
-                row = [site + 1]
-                for lbl in ("selective", "standard"):
-                    z = results[lbl].threshold_mode[site]
-                    row += [float(z.real), float(z.imag)]
-                mode_rows.append(row)
-            tables["fig3_threshold_modes"] = (
-                ["site", "selective_re", "selective_im",
-                 "standard_re", "standard_im"], mode_rows)
+            tables["fig3_trajectories"] = _table({
+                "gamma": shared,
+                "selective": tr_sel.eigenvalues[:, tr_sel.zero_mode_index],
+                "standard": tr_std.eigenvalues[:, tr_std.zero_mode_index]})
+            tables["fig3_threshold_modes"] = _table({
+                "site": np.arange(1, n + 1),
+                "selective": results["selective"].threshold_mode,
+                "standard": results["standard"].threshold_mode})
 
     sel, std = flow_reports["selective"], flow_reports["standard"]
     assertions += [
@@ -433,10 +413,9 @@ def scenario_fig3(cfg: ScenarioConfig, tol: Tolerances,
         _assert_le("fig3.balance_standard",
                    std.balance_residual, tol.balance_rel * std.max_term),
     ]
-    gains_rows = [[j + 1.5, float(sel.junction_gains[j]), float(std.junction_gains[j])]
-                  for j in range(n - 1)]
-    tables["fig3_junction_gains"] = (
-        ["junction_center", "selective_gain", "standard_gain"], gains_rows)
+    tables["fig3_junction_gains"] = _table({
+        "junction_center": np.arange(n - 1) + 1.5,
+        "selective_gain": sel.junction_gains, "standard_gain": std.junction_gains})
     report["power_flows"] = {"selective": _plain(sel), "standard": _plain(std)}
     return ScenarioResult("fig3", assertions, tables, report)
 
@@ -538,7 +517,7 @@ def scenario_fig5(cfg: ScenarioConfig, tol: Tolerances,
 
     assertions = []
     report: dict[str, Any] = {"s": s, "kappa0": kappa0, "systems": {}}
-    overlay_cols: dict[str, list[float]] = {}
+    overlay: dict[str, np.ndarray] = {"site": np.arange(1, n + 1)}
 
     for label, matrix in (("selective", h), ("standard", hpp)):
         hp = pumped_hamiltonian(matrix, pump, gamma=0.0)
@@ -574,10 +553,8 @@ def scenario_fig5(cfg: ScenarioConfig, tol: Tolerances,
             predicted = es.right(zi) + pred.state_correction
             resids.append(float(np.linalg.norm(exact - predicted)))
             if g1 == d:
-                exact_abs = np.abs(exact / exact[0])
-                pred_abs = np.abs(predicted / predicted[0])
-                overlay_cols[f"{label}_exact_abs"] = [float(x) for x in exact_abs]
-                overlay_cols[f"{label}_predicted_abs"] = [float(x) for x in pred_abs]
+                overlay[f"{label}_exact_abs"] = np.abs(exact / exact[0])
+                overlay[f"{label}_predicted_abs"] = np.abs(predicted / predicted[0])
         slope = np.polyfit(np.log(gammas), np.log(resids), 1)[0]
         assertions.append(Assertion(
             name=f"fig5.{label}.quadratic_residual_scaling",
@@ -588,13 +565,7 @@ def scenario_fig5(cfg: ScenarioConfig, tol: Tolerances,
             "energy_slope": _plain(1j * h_zz),
         }
 
-    rows = [[site + 1] + [overlay_cols[c][site] for c in
-                          ("selective_exact_abs", "selective_predicted_abs",
-                           "standard_exact_abs", "standard_predicted_abs")]
-            for site in range(n)]
-    tables = {"fig5_overlay": (["site", "selective_exact_abs",
-                                "selective_predicted_abs", "standard_exact_abs",
-                                "standard_predicted_abs"], rows)}
+    tables = {"fig5_overlay": _table(overlay)}
     return ScenarioResult("fig5", assertions, tables, report)
 
 
@@ -656,10 +627,8 @@ def scenario_oscillators(cfg: ScenarioConfig, tol: Tolerances) -> ScenarioResult
     assertions.append(_assert_le("oscillators.fourier_peaks_on_spectrum", worst,
                                  max(1e-3 * freqs.max(), 2 * resolution)))
 
-    rows = [[float(traj.times[k])] + [float(x) for x in traj.positions[k]]
-            for k in range(0, len(traj.times), 50)]
-    tables = {"oscillators_trajectory": (
-        ["time"] + [f"x{i + 1}" for i in range(n)], rows)}
+    tables = {"oscillators_trajectory": _table({
+        "time": traj.times[::50], **{f"x{i + 1}": traj.positions[::50, i] for i in range(n)}})}
     report = {
         "two_mass_eigenvalues": _plain(lam),
         "chain_masses": list(chain.masses),
@@ -678,7 +647,8 @@ def scenario_properties(cfg: ScenarioConfig, tol: Tolerances) -> ScenarioResult:
                      f"{suite.passes.get(name, 0)}/{cfg.trials}")
         for name in SUITE_NAMES
     ]
-    return ScenarioResult("properties", assertions, {}, suite.to_dict())
+    return ScenarioResult("properties", assertions, {},
+                          {**_plain(suite), "all_passed": suite.all_passed})
 
 
 def scenario_calibrate(cfg: ScenarioConfig, tol: Tolerances) -> ScenarioResult:
@@ -719,16 +689,16 @@ def scenario_custom(cfg: ScenarioConfig, tol: Tolerances) -> ScenarioResult:
 
     s_for_class = spec.s if spec.scaling == "geometric" else 1.0
     reports = mode_reports(es, s_for_class, tol)
-    spectrum_rows = [[mu, float(es.eigenvalues[mu].real),
-                      float(es.eigenvalues[mu].imag)] for mu in range(es.dim)]
     tables = {
-        "custom_spectrum": (["index", "omega_re", "omega_im"], spectrum_rows),
-        "custom_modes": (CSV_HEADER, [r.csv_row() for r in reports]),
+        "custom_spectrum": _table({"index": np.arange(es.dim), "omega": es.eigenvalues}),
+        "custom_modes": _mode_table(reports),
     }
     report = {
         "lattice": spec.to_dict(),
         "certificate": _plain(cert),
-        "eigensystem": es.to_dict(),
+        # vectors mode by mode: the rows of the transposed matrices
+        "eigensystem": _plain(replace(es, right_vectors=es.right_vectors.T,
+                                      left_vectors=es.left_vectors.T)),
     }
     return ScenarioResult("custom", assertions, tables, report)
 
@@ -749,6 +719,31 @@ def _plain(obj: Any) -> Any:
     if isinstance(obj, np.generic):
         obj = obj.item()
     return [obj.real, obj.imag] if isinstance(obj, complex) else obj
+
+
+def _table(columns: dict[str, Any]) -> tuple[list[str], list[list]]:
+    """The one table format: ordered columns of equal length become a header
+    and rows, a complex column the pair ``<name>_re``, ``<name>_im``, every
+    cell a Python scalar."""
+    header, cells = [], []
+    for name, col in columns.items():
+        col = np.asarray(col)
+        if np.iscomplexobj(col):
+            header += [f"{name}_re", f"{name}_im"]
+            cells += [col.real.tolist(), col.imag.tolist()]
+        else:
+            header.append(name)
+            cells.append(col.tolist())
+    return header, [list(row) for row in zip(*cells)]
+
+
+_MODE_COLUMNS = (("index", "mode_index"), ("omega", "eigenvalue"), ("ipr", "ipr"),
+                 ("com", "com"), ("decay_rate", "decay_rate"), ("class", "classification"))
+
+
+def _mode_table(reports: list[ModeReport]) -> tuple[list[str], list[list]]:
+    """The mode table: one row per ``ModeReport``."""
+    return _table({col: [getattr(r, attr) for r in reports] for col, attr in _MODE_COLUMNS})
 
 
 def _json_text(obj: Any) -> str:

@@ -44,13 +44,6 @@ class ModeReport:
     support_parity: str     # odd_sites | even_sites | mixed
     classification: str     # skin_left | skin_right | bulk
 
-    def csv_row(self) -> list:
-        return [self.mode_index, self.eigenvalue.real, self.eigenvalue.imag,
-                self.ipr, self.com, self.decay_rate, self.classification]
-
-
-CSV_HEADER = ["index", "omega_re", "omega_im", "ipr", "com", "decay_rate", "class"]
-
 
 def _metrics(mags: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
     """ipr, com, decay_rate, fit_rms and support parity of each row of |psi|.
@@ -134,14 +127,6 @@ class SkinReport:
     classifications: list[ModeReport]
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {"zero_mode_index": self.zero_mode_index,
-                "envelope_residual": self.envelope_residual,
-                "left_zero_residual": self.left_zero_residual,
-                "left_zero_com": self.left_zero_com,
-                "classifications": [r.csv_row() for r in self.classifications],
-                "passed": self.passed}
-
 
 def _zero_mode_core(system: EigenSystem, h0_system: EigenSystem, s: float,
                     tol: Tolerances) -> tuple[list[ModeReport], int, int, float, str]:
@@ -184,13 +169,6 @@ class StandardSkinReport:
     left_zero_com: float
     classifications: list[ModeReport]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"envelope_residuals": self.envelope_residuals,
-                "left_zero_residual": self.left_zero_residual,
-                "left_zero_com": self.left_zero_com,
-                "classifications": [r.csv_row() for r in self.classifications],
-                "passed": self.passed}
 
 
 def verify_standard_skin(hpp_system: EigenSystem, h0_system: EigenSystem, s: float,

@@ -1,10 +1,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from nhlab import scenarios
 from nhlab.cli import main
-from nhlab.scenarios import ScenarioConfig, run
+from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_product
+from nhlab.scenarios import ScenarioConfig, run, smallest_nonzero_abs
 
 
 def test_scenario_config_rejects_unknown_keys():
@@ -31,6 +34,56 @@ def test_cli_fig5_non_integer_pump_site_exits_2(tmp_path, capsys):
     assert code == 2
     assert "pumped site 1.9 is not an integer" in capsys.readouterr().err
     assert not (tmp_path / "fig5_report.json").exists()
+
+
+@pytest.mark.parametrize("scenario, config, field", [
+    ("custom", {"lattice": {"n": 9.5, "scaling": "geometric", "s": 1.8}}, "n 9.5"),
+    ("calibrate_s", {"n": "9"}, "n '9'"),
+    ("properties", {"trials": 2.5}, "trials 2.5"),
+    ("oscillators", {"seed": 1.5}, "seed 1.5"),
+    ("custom", {"lattice": {"n": 9, "scaling": "geometric", "s": 1.8,
+                            "zeroed_sites": [4.5]}}, "zeroed site 4.5"),
+    ("fig1", {"seed": 1.5}, "seed 1.5"),
+])
+def test_cli_non_integer_count_or_index_exits_2(tmp_path, capsys, scenario, config, field):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code = main([scenario, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"{field} is not an integer" in capsys.readouterr().err
+    assert not (tmp_path / f"{scenario}_report.json").exists()
+
+
+def test_calibrate_s_stops_at_float64_convergence(monkeypatch):
+    calls = []
+
+    def counted(h, tol):
+        calls.append(1)
+        return smallest_nonzero_abs(h, tol)
+
+    monkeypatch.setattr(scenarios, "smallest_nonzero_abs", counted)
+    record = scenarios.calibrate_s()
+    # 121 grid points, 46 bisection steps until the midpoint stops moving, 1 check
+    assert len(calls) == 168
+
+    # the fixed 60-step bisection it replaced reaches the same ratio
+    def gap(s):
+        spec = LatticeSpec(n=9, scaling="geometric", s=s)
+        h = construct_product(build_h0(spec), build_scaling(spec))
+        return smallest_nonzero_abs(h) - scenarios.ANCHOR_NEXT_TO_ZERO
+
+    grid = np.geomspace(*scenarios.CALIBRATION_S_RANGE, 121)
+    values = [gap(s) for s in grid]
+    i = next(i for i in range(120) if values[i] * values[i + 1] < 0)
+    lo, hi = grid[i], grid[i + 1]
+    glo = gap(lo)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        gm = gap(mid)
+        if glo * gm <= 0:
+            hi = mid
+        else:
+            lo, glo = mid, gm
+    assert record["s"] == 0.5 * (lo + hi)
 
 
 def test_custom_requires_lattice(tmp_path):

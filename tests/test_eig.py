@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
+from nhlab.config import DEFAULT
 from nhlab.eig import (BIORTHONORMAL, SELF_ORTHOGONAL, apply_metric_pairing,
                        collinearity_residual, eig_full)
 from nhlab.model import (LatticeSpec, build_h0, build_scaling, construct_product,
                          spectral_norm)
+from nhlab.scenarios import ScenarioConfig, scenario_custom
 
 from conftest import random_hermitian, random_psd
 
@@ -70,14 +74,18 @@ def test_rejects_nonfinite_and_nonsquare():
         eig_full(np.zeros((2, 3), dtype=complex))
 
 
-def test_serialization_roundtrip(chain9_systems):
+def test_serialization_roundtrip(chain9, chain9_systems):
     _, es, _ = chain9_systems
-    d = es.to_dict()
+    cfg = ScenarioConfig(scenario="custom", lattice=chain9[0])
+    d = json.loads(json.dumps(scenario_custom(cfg, DEFAULT).report["eigensystem"]))
     assert d["dim"] == es.dim
     assert len(d["eigenvalues"]) == es.dim
     w0 = complex(*d["eigenvalues"][0])
     assert w0 == es.eigenvalues[0]
     assert set(d["norm_status"]) == {BIORTHONORMAL}
+    # vectors are written mode by mode
+    for key, vectors in (("right_vectors", es.right_vectors), ("left_vectors", es.left_vectors)):
+        assert np.array_equal([[complex(*z) for z in v] for v in d[key]], vectors.T)
 
 
 # ---------------------------------------------------------------------------

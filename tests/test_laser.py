@@ -73,7 +73,7 @@ def test_zero_mode_frequency_pinned(chain9):
         d = find_threshold(matrix, pump).threshold
         tr = track_mode(matrix, pump, np.linspace(0.0, 2 * d, 33))
         assert tr.zero_mode_index is not None
-        z = tr.mode(tr.zero_mode_index)
+        z = tr.eigenvalues[:, tr.zero_mode_index]
         assert np.abs(z.real).max() <= 1e-8 * np.abs(tr.eigenvalues).max()
 
 

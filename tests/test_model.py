@@ -29,6 +29,14 @@ def test_spec_rejects_bad_fields():
         LatticeSpec(n=3, onsite="parabolic")
 
 
+def test_spec_integer_fields_stored_as_int():
+    spec = LatticeSpec(n=np.int64(9), scaling="random", seed=np.uint64(3),
+                       zeroed_sites=(np.int32(4),))
+    assert [type(x) for x in (spec.n, spec.seed, *spec.zeroed_sites)] == [int, int, int]
+    with pytest.raises(ValueError, match="zeroed site 4.5 is not an integer"):
+        LatticeSpec(n=9, zeroed_sites=(4.5,))
+
+
 def test_spec_roundtrip_json_dict():
     spec = LatticeSpec(n=9, t=2.0, scaling="geometric", s=1.5, zeroed_sites=(4,))
     assert LatticeSpec.from_dict(spec.to_dict()) == spec

@@ -13,7 +13,7 @@ def test_all_suites_pass_small():
 def test_determinism_and_replay():
     r1 = run_properties(trials=5, seed=3)
     r2 = run_properties(trials=5, seed=3)
-    assert r1.to_dict() == r2.to_dict()
+    assert r1 == r2
     # replay contract: rerunning a serialized instance reproduces the outcome
     record = {"suite": "reality_psd", "seed": 3, "trial": 2}
     assert replay_instance(record) == run_trial("reality_psd", 3, 2)

@@ -8,6 +8,7 @@ from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_gauge, c
 from nhlab.skin import (BULK, EVEN_SITES, MIXED, ODD_SITES, SKIN_LEFT, SKIN_RIGHT,
                         NoZeroModeError, find_zero_mode, mode_reports,
                         verify_selective_skin, verify_standard_skin, zero_mode_equality)
+from nhlab.scenarios import _mode_table
 
 
 def systems_for(n, s):
@@ -339,8 +340,7 @@ def test_chiral_pairing_profiles(chain9_systems):
 
 def test_mode_report_csv_row(chain9_systems, calibration):
     _, es_h, _ = chain9_systems
-    r = mode_reports(es_h, calibration["s"])[0]
-    row = r.csv_row()
+    row = _mode_table(mode_reports(es_h, calibration["s"]))[1][0]
     assert row[0] == 0
     assert len(row) == 7
     assert row[-1] in (SKIN_LEFT, SKIN_RIGHT, BULK)
