@@ -72,23 +72,27 @@ class EigenSystem:
 
 
 def _clusters(values: np.ndarray, tol_abs: float) -> list[list[int]]:
-    """Connected components of |w_i - w_j| <= tol_abs (desk-scale O(n^2))."""
+    """Connected components of |w_i - w_j| <= tol_abs, each sorted, in the
+    order of their smallest members.
+
+    Each index takes the smallest label among itself and its neighbours, then
+    the label of that label, until no label moves; every index of a component
+    then holds the component's smallest member.  Each round is one O(n^2)
+    array pass, and pointer jumping keeps the rounds few on long chains.
+    """
     n = len(values)
-    seen = np.zeros(n, dtype=bool)
-    out = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        stack, comp = [i], []
-        seen[i] = True
-        while stack:
-            k = stack.pop()
-            comp.append(k)
-            close = np.flatnonzero(~seen & (np.abs(values - values[k]) <= tol_abs))
-            seen[close] = True
-            stack.extend(close.tolist())
-        out.append(sorted(comp))
-    return out
+    close = np.abs(values[:, None] - values[None, :]) <= tol_abs
+    label = np.arange(n)
+    while True:
+        nxt = np.minimum(label, np.where(close, label, n).min(axis=1, initial=n))
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    comps: dict[int, list[int]] = {}
+    for i, root in enumerate(label.tolist()):
+        comps.setdefault(root, []).append(i)
+    return list(comps.values())
 
 
 def _unit_columns(v: np.ndarray) -> np.ndarray:

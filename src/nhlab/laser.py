@@ -24,7 +24,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .config import DEFAULT, Tolerances
 from .eig import _tridiagonal_product, _validated, chain_form
-from .model import _integer, spectral_norm
+from .model import _integer, _real, _sites, spectral_norm
 
 
 class NoThresholdError(RuntimeError):
@@ -55,21 +55,21 @@ class PumpSpec:
     pumped_sites: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "kappa0", _real(self.kappa0, "kappa0"))
+        object.__setattr__(self, "pumped_sites", _sites(self.pumped_sites, "pumped_sites"))
         if not self.kappa0 > 0:
             raise ValueError(f"kappa0 must be positive, got {self.kappa0}")
         if not self.pumped_sites:
             raise ValueError("pumped_sites must be nonempty")
-        object.__setattr__(self, "pumped_sites",
-                           tuple(_integer(j, "pumped site") for j in self.pumped_sites))
 
     @classmethod
     def from_dict(cls, d: dict) -> "PumpSpec":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown pump fields: {sorted(unknown)}")
-        kwargs = dict(d)
-        kwargs["pumped_sites"] = tuple(kwargs["pumped_sites"])
-        return cls(**kwargs)
+        names = {f.name for f in fields(cls)}
+        if set(d) - names:
+            raise ValueError(f"unknown pump fields: {sorted(set(d) - names)}")
+        if names - set(d):
+            raise ValueError(f"missing pump fields: {sorted(names - set(d))}")
+        return cls(**d)
 
 
 def pump_indicator(pumped_sites: tuple[int, ...], n: int) -> np.ndarray:

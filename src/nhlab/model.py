@@ -48,10 +48,30 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
 
 def _integer(value, name: str) -> int:
     """The one rule for a user-facing count or index: an int or numpy
-    integer, stored as int."""
-    if not isinstance(value, (int, np.integer)):
+    integer but not a bool, stored as int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} {value!r} is not an integer")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """The one rule for a user-facing real number: an int, float or numpy
+    real but not a bool, stored as float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} {value!r} is not a real number")
+    return float(value)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1
+
+
+def _sites(value, name: str) -> tuple[int, ...]:
+    """The one rule for a user-facing list of 1-based sites: a list, tuple or
+    1-D array of integers, stored as a tuple of int."""
+    if not _is_list(value):
+        raise ValueError(f"{name} {value!r} is not a list of sites")
+    return tuple(_integer(j, name.replace("_sites", " site")) for j in value)
 
 
 @dataclass(frozen=True)
@@ -96,8 +116,9 @@ class LatticeSpec:
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "n"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        object.__setattr__(self, "zeroed_sites",
-                           tuple(_integer(j, "zeroed site") for j in self.zeroed_sites))
+        for name in ("t", "omega2", "s"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        object.__setattr__(self, "zeroed_sites", _sites(self.zeroed_sites, "zeroed_sites"))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.t == 0:
@@ -109,9 +130,9 @@ class LatticeSpec:
         if self.scaling == "geometric" and not self.s > 0:
             raise ValueError(f"geometric scaling needs s > 0, got {self.s}")
         if self.scaling == "explicit":
-            if self.values is None or len(self.values) != self.n:
-                raise ValueError("explicit scaling needs len(values) == n")
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+            if not _is_list(self.values) or len(self.values) != self.n:
+                raise ValueError("explicit scaling needs a list of n values")
+            object.__setattr__(self, "values", tuple(_real(v, "value") for v in self.values))
         if self.scaling == "random" and not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
         for j in self.zeroed_sites:
@@ -138,12 +159,9 @@ class LatticeSpec:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown lattice fields: {sorted(unknown)}")
-        kwargs = dict(d)
-        if "values" in kwargs and kwargs["values"] is not None:
-            kwargs["values"] = tuple(kwargs["values"])
-        if "zeroed_sites" in kwargs:
-            kwargs["zeroed_sites"] = tuple(kwargs["zeroed_sites"])
-        return cls(**kwargs)
+        if "n" not in d:
+            raise ValueError("lattice needs the field n")
+        return cls(**d)
 
 
 # Smallest n at which a tridiagonal norm takes the banded route: below it one
@@ -151,21 +169,29 @@ class LatticeSpec:
 BANDED_NORM_MIN_N = 32
 
 
-def spectral_norm(m: np.ndarray) -> float:
+def spectral_norm(m: np.ndarray) -> float | np.ndarray:
     """2-norm used as the tolerance scale throughout.
 
     A square tridiagonal matrix with n >= ``BANDED_NORM_MIN_N`` takes the
     banded route of ``_tridiagonal_norm``; every other input, and a banded
     solve that fails, takes a dense SVD.  The size is tested first, so a
     small input pays nothing for the structure test.
+
+    A stack of shape (..., n, n) gives an array of one norm per matrix,
+    each equal to its 2-D call: below ``BANDED_NORM_MIN_N`` from one stacked
+    SVD, from there on matrix by matrix.
     """
     m = np.asarray(m)
+    if m.ndim > 2 and m.shape[-1] >= BANDED_NORM_MIN_N:
+        flat = m.reshape(-1, *m.shape[-2:])
+        return np.array([spectral_norm(x) for x in flat]).reshape(m.shape[:-2])
     if m.ndim == 2 and m.shape[0] >= BANDED_NORM_MIN_N and _is_tridiagonal(m):
         try:
             return _tridiagonal_norm(np.diagonal(m, -1), np.diagonal(m), np.diagonal(m, 1))
         except np.linalg.LinAlgError:
             pass
-    return float(np.linalg.svd(m, compute_uv=False).max(initial=0.0))
+    norm = np.linalg.svd(m, compute_uv=False).max(axis=-1, initial=0.0)
+    return float(norm) if m.ndim == 2 else norm
 
 
 def _tridiagonal_norm(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> float:
@@ -195,26 +221,37 @@ def _tridiagonal_norm(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> flo
     return float(c * np.sqrt(max(top[0], 0.0)))
 
 
-def hermitian_defect(m: np.ndarray) -> float:
-    """Max-norm Hermiticity defect relative to the max entry (0 for m = 0)."""
-    scale = np.abs(m).max()
-    if scale == 0:
-        return 0.0
-    return float(np.abs(m - m.conj().T).max() / scale)
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
+
+
+def hermitian_defect(m: np.ndarray) -> float | np.ndarray:
+    """Max-norm Hermiticity defect relative to the max entry (0 for m = 0).
+
+    A stack of shape (..., n, n) gives an array of one defect per matrix.
+    """
+    m = np.asarray(m)
+    scale = np.abs(m).max(axis=(-2, -1))
+    # a zero matrix has a zero gap, so 0 / 1 gives its defect 0
+    defect = np.abs(m - _adjoint(m)).max(axis=(-2, -1)) / np.where(scale == 0, 1.0, scale)
+    return float(defect) if m.ndim == 2 else defect
 
 
 def assert_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT, name: str = "matrix") -> np.ndarray:
     """Validate the Hermitian tag and return an exactly-Hermitian copy.
 
     The returned storage satisfies ``out[i, j] == conj(out[j, i])`` bitwise,
-    which makes the adjoint identity (H0 A)^dag == A H0 hold entrywise.
+    which makes the adjoint identity (H0 A)^dag == A H0 hold entrywise.  A
+    stack of shape (..., n, n) is validated and symmetrized matrix by matrix.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if hermitian_defect(m) > tol.hermitian_rel:
-        raise ValueError(f"{name} is not Hermitian (defect {hermitian_defect(m):.3e})")
-    return (m + m.conj().T) / 2
+    defect = hermitian_defect(m)
+    if np.any(defect > tol.hermitian_rel):
+        raise ValueError(f"{name} is not Hermitian (defect {np.nanmax(defect):.3e})")
+    return (m + _adjoint(m)) / 2
 
 
 def assert_psd(m: np.ndarray, tol: Tolerances = DEFAULT, name: str = "matrix") -> np.ndarray:
@@ -278,8 +315,9 @@ def build_scaling(spec: LatticeSpec, allow_indefinite: bool = False) -> np.ndarr
 
 
 def _is_diagonal(m: np.ndarray) -> bool:
-    """Every nonzero on the diagonal (counted in place, no n x n temporary)."""
-    return bool(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)))
+    """Every nonzero on the diagonal, of every matrix of a stack (counted in
+    place, no n x n temporary)."""
+    return bool(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m, axis1=-2, axis2=-1)))
 
 
 def _is_tridiagonal(m: np.ndarray) -> bool:
@@ -293,22 +331,27 @@ def construct_product(h0: np.ndarray, a: np.ndarray, tol: Tolerances = DEFAULT) 
 
     Both inputs must carry the Hermitian tag.  The contraction uses a fixed
     accumulation order so that (H0 A)^dag == A H0 holds exactly entrywise.
+    Stacks of shape (..., n, n) give the stack of products, each equal to
+    its 2-D call when every A of the stack is diagonal or none is.
     """
     h0 = assert_hermitian(h0, tol, "h0")
     a = assert_hermitian(a, tol, "a")
     if h0.shape != a.shape:
         raise ValueError(f"dimension mismatch: {h0.shape} vs {a.shape}")
     if _is_diagonal(a):
-        return h0 * np.diagonal(a)[None, :]
-    return np.einsum("ik,kj->ij", h0, a)
+        return h0 * np.diagonal(a, axis1=-2, axis2=-1)[..., None, :]
+    return np.einsum("...ik,...kj->...ij", h0, a)
 
 
 def construct_gauge(h0: np.ndarray, a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Similarity transform H'' = A^-1 H0 A (spectrum equals H0's)."""
+    """Similarity transform H'' = A^-1 H0 A (spectrum equals H0's) of two
+    square matrices; a stack is refused."""
     h0 = np.asarray(h0, dtype=complex)
     a = np.asarray(a, dtype=complex)
     if h0.shape != a.shape:
         raise ValueError(f"dimension mismatch: {h0.shape} vs {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"h0 and a must be square matrices, got shape {a.shape}")
     if _is_diagonal(a):
         d = np.diagonal(a)
         zero = np.flatnonzero(d == 0)
@@ -344,16 +387,17 @@ def factor_psd(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
 
 
 def hermitian_equivalent(h0: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Hermitian partner H_e = B H0 B^dag of the product construction."""
+    """Hermitian partner H_e = B H0 B^dag of the product construction (of
+    each pair of a stack)."""
     h0 = assert_hermitian(h0, tol, "h0")
     b = np.asarray(b, dtype=complex)
     if h0.shape != b.shape:
         raise ValueError(f"dimension mismatch: {h0.shape} vs {b.shape}")
     if _is_diagonal(b):
-        bd = np.diagonal(b)
-        he = bd[:, None] * h0 * bd.conj()[None, :]
+        bd = np.diagonal(b, axis1=-2, axis2=-1)
+        he = bd[..., :, None] * h0 * bd.conj()[..., None, :]
     else:
-        he = b @ h0 @ b.conj().T
+        he = b @ h0 @ _adjoint(b)
     return assert_hermitian(he, tol, "B H0 B^dag")
 
 

@@ -1,40 +1,27 @@
 """Randomized property suites over the spectral theorems.
 
-Each suite runs ``trials`` independent instances drawn from a deterministic
-RNG keyed by (seed, suite, trial), so any failure serializes to a small
-record that replays the identical instance.
+Each suite runs over a list of trial indices.  Every instance is drawn from
+its own deterministic RNG keyed by (seed, suite, trial), the instances are
+grouped by size, and each group is checked with one stacked LAPACK call per
+kernel.  One trial is the same suite code on a list of one, so any failure
+serializes to a small record that replays the identical instance.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .eig import SELF_ORTHOGONAL, eig_full
+from .eig import SELF_ORTHOGONAL, EigenSystem, eig_full
 from .mech import OscillatorChain, dynamical_matrix, eigenfrequencies, stiffness_matrix
-from .model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
+from .model import (LatticeSpec, _adjoint, build_h0, build_scaling, construct_gauge,
                     construct_product, spectral_norm)
 from .spectra import conjugate_pairs
 
-SUITE_NAMES = (
-    "reality_psd",
-    "pseudo_hermiticity",
-    "conjugate_closure_indefinite",
-    "no_ep_psd_invertible",
-    "ep_location_psd_singular",
-    "gauge_similarity",
-    "coupling_ratio_geometric",
-    "chiral_pairing",
-    "mech_reality",
-    "mech_hermitian_equivalent",
-)
-
-
 def _rng(seed: int, suite: str, trial: int) -> np.random.Generator:
-    if suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite!r}; known: {SUITE_NAMES}")
     return np.random.default_rng([seed, SUITE_NAMES.index(suite), trial])
 
 
@@ -73,132 +60,230 @@ class SuiteReport:
         return not self.failures
 
 
+def _sized(seed: int, suite: str, trials: Sequence[int],
+           size: Callable[[np.random.Generator], int]
+           ) -> Iterator[tuple[int, list[int], list[np.random.Generator]]]:
+    """Each trial's RNG after its first draw ``size(rng)``, grouped by that size.
+
+    Yields (n, positions, rngs) per size, with positions into ``trials``.  The
+    caller draws the rest of each instance from its own RNG, in the order a
+    lone trial draws it, so grouping never changes an instance.
+    """
+    groups: dict[int, list[tuple[int, np.random.Generator]]] = {}
+    for pos, trial in enumerate(trials):
+        rng = _rng(seed, suite, trial)
+        groups.setdefault(size(rng), []).append((pos, rng))
+    for n, members in groups.items():
+        yield n, [p for p, _ in members], [rng for _, rng in members]
+
+
+def _stack(draws: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """Per-instance tuples of arrays as one stacked array per field."""
+    return tuple(np.stack(column) for column in zip(*draws))
+
+
+def _random_chain(rng, n: int) -> OscillatorChain:
+    return OscillatorChain(n=n, masses=tuple(rng.uniform(0.2, 5.0, n)),
+                           spring_k=float(rng.uniform(0.5, 2.0)))
+
+
+def _reality_psd(seed, trials, tol):
+    for n, pos, rngs in _sized(seed, "reality_psd", trials,
+                               lambda rng: int(rng.integers(2, 31))):
+        h = construct_product(*_stack([(_random_hermitian(r, n), _random_psd(r, n))
+                                       for r in rngs]), tol)
+        imag = np.abs(np.linalg.eigvals(h).imag).max(axis=-1)
+        lim = tol.reality_rel * spectral_norm(h)
+        for k in np.flatnonzero(imag > lim):
+            yield pos[k], f"max|Im w| = {imag[k]:.3e} > {lim[k]:.3e} (n={n})"
+
+
+def _pseudo_hermiticity(seed, trials, tol):
+    for n, pos, rngs in _sized(seed, "pseudo_hermiticity", trials,
+                               lambda rng: int(rng.integers(2, 31))):
+        h0 = np.stack([_random_hermitian(r, n) for r in rngs])
+        sv = np.linalg.svd(h0, compute_uv=False)
+        # a singular metric is vacuously skipped, before its A is drawn
+        keep = np.flatnonzero(sv[:, -1] > tol.invertible_rel * sv[:, 0])
+        if not keep.size:
+            continue
+        h0 = h0[keep]
+        h = construct_product(h0, np.stack([_random_psd(rngs[k], n) for k in keep]), tol)
+        resid = spectral_norm(np.linalg.solve(h0, h @ h0) - _adjoint(h))
+        lim = tol.metric_rel * spectral_norm(h)
+        for k in np.flatnonzero(resid > lim):
+            yield pos[keep[k]], f"metric residual {resid[k]:.3e} > {lim[k]:.3e} (n={n})"
+
+
+def _conjugate_closure_indefinite(seed, trials, tol):
+    for n, pos, rngs in _sized(seed, "conjugate_closure_indefinite", trials,
+                               lambda rng: int(rng.integers(2, 31))):
+        h = construct_product(*_stack([(_random_hermitian(r, n), _random_hermitian(r, n))
+                                       for r in rngs]), tol)
+        lim = tol.reality_rel * spectral_norm(h)
+        for k, w in enumerate(np.linalg.eigvals(h)):
+            resid = max(conjugate_pairs(w)[1])
+            if resid > lim[k]:
+                yield pos[k], (f"conjugation-closure residual {resid:.3e} > {lim[k]:.3e} "
+                               f"(n={n})")
+
+
+def _no_ep_psd_invertible(seed, trials, tol):
+    for n, pos, rngs in _sized(seed, "no_ep_psd_invertible", trials,
+                               lambda rng: int(rng.integers(2, 21))):
+        h = construct_product(*_stack([(_random_hermitian(r, n), _random_psd(r, n))
+                                       for r in rngs]), tol)
+        for p, hk in zip(pos, h):
+            es = eig_full(hk, tol)
+            if not es.all_biorthonormal:
+                yield p, f"statuses {es.norm_status} for invertible PSD scaling (n={n})"
+
+
+def _ep_location_detail(es: EigenSystem, a: np.ndarray, n: int, tol: Tolerances) -> str | None:
+    """The first self-orthogonal mode away from w = 0 or outside ker A."""
+    for mu, status in enumerate(es.norm_status):
+        if status != SELF_ORTHOGONAL:
+            continue
+        if abs(es.eigenvalues[mu]) > tol.cluster_rel * es.matrix_norm:
+            return (f"self-orthogonal mode at w = {es.eigenvalues[mu]:.3e}, "
+                    f"away from zero (n={n})")
+        v = es.right(mu)
+        if np.linalg.norm(a @ v) > tol.nullity_rel * np.linalg.norm(v):
+            return f"self-orthogonal mode with A psi != 0 (n={n})"
+    return None
+
+
+def _ep_location_psd_singular(seed, trials, tol):
+    for n, pos, rngs in _sized(seed, "ep_location_psd_singular", trials,
+                               lambda rng: int(rng.integers(3, 21))):
+        draws = []
+        for r in rngs:     # A is drawn before H0
+            a = _random_psd(r, n, rank_deficiency=int(r.integers(1, max(2, n // 2))))
+            draws.append((_random_hermitian(r, n), a))
+        h0, a = _stack(draws)
+        h = construct_product(h0, a, tol)
+        for p, hk, ak in zip(pos, h, a):
+            yield p, _ep_location_detail(eig_full(hk, tol), ak, n, tol)
+
+
+def _gauge_similarity(seed, trials, tol):
+    for n, pos, rngs in _sized(seed, "gauge_similarity", trials,
+                               lambda rng: int(rng.integers(2, 31))):
+        draws = []
+        for r in rngs:
+            h0 = _random_hermitian(r, n)
+            draws.append((h0, construct_gauge(h0, np.diag(r.uniform(0.2, 3.0, n)).astype(complex),
+                                              tol)))
+        h0, hpp = _stack(draws)
+        w0 = np.sort(np.linalg.eigvalsh(h0), axis=-1)
+        w = np.sort(np.linalg.eigvals(hpp).real, axis=-1)
+        lim = tol.spectra_match_rel * np.maximum(spectral_norm(h0), 1e-300)
+        gap = np.abs(w - w0).max(axis=-1)
+        for k in np.flatnonzero(gap > lim):
+            yield pos[k], f"gauge spectrum gap {gap[k]:.3e} > {lim[k]:.3e} (n={n})"
+
+
+def _geometric_products(ratios: list[float], n: int, tol: Tolerances) -> np.ndarray:
+    """The stack of products H0 A of unit-coupling geometric chains, one per ratio."""
+    specs = [LatticeSpec(n=n, t=1.0, scaling="geometric", s=s) for s in ratios]
+    return construct_product(np.stack([build_h0(spec) for spec in specs]),
+                             np.stack([build_scaling(spec) for spec in specs]), tol)
+
+
+def _coupling_ratio_geometric(seed, trials, tol):
+    for n, pos, rngs in _sized(seed, "coupling_ratio_geometric", trials,
+                               lambda rng: int(rng.integers(3, 21))):
+        ratios = [float(r.uniform(1.05, 3.0)) for r in rngs]
+        h = _geometric_products(ratios, n, tol)
+        s = np.array(ratios)[:, None]
+        ratio = (np.diagonal(h, 1, -2, -1) / np.diagonal(h, -1, -2, -1)).real
+        off = np.abs(ratio - s) > 1e-13 * s
+        for k in np.flatnonzero(off.any(axis=1)):
+            j = int(np.argmax(off[k]))
+            yield pos[k], (f"coupling ratio {ratio[k, j]!r} != s = {ratios[k]!r} "
+                           f"at bond {j + 1}")
+
+
+def _chiral_detail(es: EigenSystem, n: int, s: float, tol: Tolerances) -> str | None:
+    """The first mode without a partner at -w of the same |psi| profile."""
+    w = es.eigenvalues
+    pairs, resid = conjugate_pairs(1j * w)
+    for (mu, nu), r in zip(pairs, resid):
+        if mu == nu and abs(w[mu]) <= tol.zero_mode_rel * es.matrix_norm:
+            continue
+        if r > tol.reality_rel * es.matrix_norm:
+            return f"no chiral partner for w = {w[mu].real:.6g} (n={n}, s={s:.3f})"
+        p = np.abs(es.right(mu)) / np.linalg.norm(es.right(mu))
+        q = np.abs(es.right(nu)) / np.linalg.norm(es.right(nu))
+        if np.abs(p - q).max() > 1e-8:
+            return f"chiral partners differ in |psi| (n={n}, s={s:.3f})"
+    return None
+
+
+def _chiral_pairing(seed, trials, tol):
+    for n, pos, rngs in _sized(seed, "chiral_pairing", trials,
+                               lambda rng: int(rng.integers(2, 8)) * 2 + 1):   # odd
+        ratios = [float(r.uniform(1.1, 2.2)) for r in rngs]
+        for p, s, hk in zip(pos, ratios, _geometric_products(ratios, n, tol)):
+            yield p, _chiral_detail(eig_full(hk, tol), n, s, tol)
+
+
+def _mech_reality(seed, trials, tol):
+    for n, pos, rngs in _sized(seed, "mech_reality", trials,
+                               lambda rng: int(rng.integers(1, 41))):
+        for p, r in zip(pos, rngs):
+            try:
+                eigenfrequencies(dynamical_matrix(_random_chain(r, n)), tol)
+            except ValueError as exc:
+                yield p, f"{exc} (n={n})"
+
+
+def _mech_hermitian_equivalent(seed, trials, tol):
+    for n, pos, rngs in _sized(seed, "mech_hermitian_equivalent", trials,
+                               lambda rng: int(rng.integers(1, 41))):
+        chains = [_random_chain(r, n) for r in rngs]
+        m, root, k0 = _stack([(dynamical_matrix(c), np.diag(1.0 / np.sqrt(np.array(c.masses))),
+                               stiffness_matrix(c)) for c in chains])
+        w = np.sort(np.linalg.eigvals(m).real, axis=-1)
+        we = np.sort(np.linalg.eigvalsh(root @ k0 @ root), axis=-1)
+        gap = np.abs(w - we).max(axis=-1)
+        lim = tol.spectra_match_rel * np.maximum(spectral_norm(m), 1e-300)
+        for k in np.flatnonzero(gap > lim):
+            yield pos[k], (f"mass-graded equivalent spectrum gap {gap[k]:.3e} > "
+                           f"{lim[k]:.3e} (n={n})")
+
+
+# suite name -> the suite over (seed, trials, tol), yielding (position in trials,
+# failure detail or None); the order of the names keys every trial's RNG
+_SUITES: dict[str, Callable[[int, Sequence[int], Tolerances],
+                            Iterator[tuple[int, str | None]]]] = {
+    "reality_psd": _reality_psd,
+    "pseudo_hermiticity": _pseudo_hermiticity,
+    "conjugate_closure_indefinite": _conjugate_closure_indefinite,
+    "no_ep_psd_invertible": _no_ep_psd_invertible,
+    "ep_location_psd_singular": _ep_location_psd_singular,
+    "gauge_similarity": _gauge_similarity,
+    "coupling_ratio_geometric": _coupling_ratio_geometric,
+    "chiral_pairing": _chiral_pairing,
+    "mech_reality": _mech_reality,
+    "mech_hermitian_equivalent": _mech_hermitian_equivalent,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
+def _details(suite: str, seed: int, trials: Sequence[int], tol: Tolerances) -> list[str | None]:
+    """One entry per trial: None on a pass, the failure detail otherwise."""
+    if suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; known: {SUITE_NAMES}")
+    details = [None] * len(trials)
+    for pos, detail in _SUITES[suite](seed, trials, tol):
+        details[pos] = detail
+    return details
+
+
 def run_trial(suite: str, seed: int, trial: int, tol: Tolerances = DEFAULT) -> str | None:
     """Run one instance; return None on pass, a failure detail on violation."""
-    rng = _rng(seed, suite, trial)
-
-    if suite == "reality_psd":
-        n = int(rng.integers(2, 31))
-        h = construct_product(_random_hermitian(rng, n), _random_psd(rng, n), tol)
-        w = np.linalg.eigvals(h)
-        lim = tol.reality_rel * spectral_norm(h)
-        if np.abs(w.imag).max() > lim:
-            return f"max|Im w| = {np.abs(w.imag).max():.3e} > {lim:.3e} (n={n})"
-        return None
-
-    if suite == "pseudo_hermiticity":
-        n = int(rng.integers(2, 31))
-        h0 = _random_hermitian(rng, n)
-        sv = np.linalg.svd(h0, compute_uv=False)
-        if sv[-1] <= tol.invertible_rel * sv[0]:
-            return None  # singular metric: vacuously skipped
-        h = construct_product(h0, _random_psd(rng, n), tol)
-        resid = spectral_norm(np.linalg.solve(h0, h @ h0) - h.conj().T)
-        lim = tol.metric_rel * spectral_norm(h)
-        if resid > lim:
-            return f"metric residual {resid:.3e} > {lim:.3e} (n={n})"
-        return None
-
-    if suite == "conjugate_closure_indefinite":
-        n = int(rng.integers(2, 31))
-        h = construct_product(_random_hermitian(rng, n), _random_hermitian(rng, n), tol)
-        _, resid = conjugate_pairs(np.linalg.eigvals(h))
-        lim = tol.reality_rel * spectral_norm(h)
-        if max(resid) > lim:
-            return f"conjugation-closure residual {max(resid):.3e} > {lim:.3e} (n={n})"
-        return None
-
-    if suite == "no_ep_psd_invertible":
-        n = int(rng.integers(2, 21))
-        h = construct_product(_random_hermitian(rng, n), _random_psd(rng, n), tol)
-        es = eig_full(h, tol)
-        if not es.all_biorthonormal:
-            return f"statuses {es.norm_status} for invertible PSD scaling (n={n})"
-        return None
-
-    if suite == "ep_location_psd_singular":
-        n = int(rng.integers(3, 21))
-        defect = int(rng.integers(1, max(2, n // 2)))
-        a = _random_psd(rng, n, rank_deficiency=defect)
-        h = construct_product(_random_hermitian(rng, n), a, tol)
-        es = eig_full(h, tol)
-        for mu, status in enumerate(es.norm_status):
-            if status != SELF_ORTHOGONAL:
-                continue
-            if abs(es.eigenvalues[mu]) > tol.cluster_rel * es.matrix_norm:
-                return (f"self-orthogonal mode at w = {es.eigenvalues[mu]:.3e}, "
-                        f"away from zero (n={n})")
-            v = es.right(mu)
-            if np.linalg.norm(a @ v) > tol.nullity_rel * np.linalg.norm(v):
-                return f"self-orthogonal mode with A psi != 0 (n={n})"
-        return None
-
-    if suite == "gauge_similarity":
-        n = int(rng.integers(2, 31))
-        h0 = _random_hermitian(rng, n)
-        a = np.diag(rng.uniform(0.2, 3.0, n)).astype(complex)
-        hpp = construct_gauge(h0, a, tol)
-        w0 = np.sort(np.linalg.eigvalsh(h0))
-        w = np.sort(np.linalg.eigvals(hpp).real)
-        lim = tol.spectra_match_rel * max(spectral_norm(h0), 1e-300)
-        gap = np.abs(w - w0).max()
-        if gap > lim:
-            return f"gauge spectrum gap {gap:.3e} > {lim:.3e} (n={n})"
-        return None
-
-    if suite == "coupling_ratio_geometric":
-        n = int(rng.integers(3, 21))
-        s = float(rng.uniform(1.05, 3.0))
-        spec = LatticeSpec(n=n, t=1.0, scaling="geometric", s=s)
-        h = construct_product(build_h0(spec), build_scaling(spec), tol)
-        for j in range(n - 1):
-            ratio = (h[j, j + 1] / h[j + 1, j]).real
-            if abs(ratio - s) > 1e-13 * s:
-                return f"coupling ratio {ratio!r} != s = {s!r} at bond {j + 1}"
-        return None
-
-    if suite == "chiral_pairing":
-        n = int(rng.integers(2, 8)) * 2 + 1   # odd
-        s = float(rng.uniform(1.1, 2.2))
-        spec = LatticeSpec(n=n, t=1.0, scaling="geometric", s=s)
-        es = eig_full(construct_product(build_h0(spec), build_scaling(spec), tol), tol)
-        w = es.eigenvalues
-        pairs, resid = conjugate_pairs(1j * w)
-        for (mu, nu), r in zip(pairs, resid):
-            if mu == nu and abs(w[mu]) <= tol.zero_mode_rel * es.matrix_norm:
-                continue
-            if r > tol.reality_rel * es.matrix_norm:
-                return f"no chiral partner for w = {w[mu].real:.6g} (n={n}, s={s:.3f})"
-            p = np.abs(es.right(mu)) / np.linalg.norm(es.right(mu))
-            q = np.abs(es.right(nu)) / np.linalg.norm(es.right(nu))
-            if np.abs(p - q).max() > 1e-8:
-                return f"chiral partners differ in |psi| (n={n}, s={s:.3f})"
-        return None
-
-    if suite == "mech_reality":
-        n = int(rng.integers(1, 41))
-        chain = OscillatorChain(n=n, masses=tuple(rng.uniform(0.2, 5.0, n)),
-                                spring_k=float(rng.uniform(0.5, 2.0)))
-        try:
-            eigenfrequencies(dynamical_matrix(chain), tol)
-        except ValueError as exc:
-            return f"{exc} (n={n})"
-        return None
-
-    if suite == "mech_hermitian_equivalent":
-        n = int(rng.integers(1, 41))
-        chain = OscillatorChain(n=n, masses=tuple(rng.uniform(0.2, 5.0, n)),
-                                spring_k=float(rng.uniform(0.5, 2.0)))
-        m = dynamical_matrix(chain)
-        root = np.diag(1.0 / np.sqrt(np.array(chain.masses)))
-        equiv = root @ stiffness_matrix(chain) @ root
-        w = np.sort(np.linalg.eigvals(m).real)
-        we = np.sort(np.linalg.eigvalsh(equiv))
-        gap = np.abs(w - we).max()
-        lim = tol.spectra_match_rel * max(spectral_norm(m), 1e-300)
-        if gap > lim:
-            return f"mass-graded equivalent spectrum gap {gap:.3e} > {lim:.3e} (n={n})"
-        return None
+    return _details(suite, seed, [trial], tol)[0]
 
 
 def run_properties(trials: int, seed: int, tol: Tolerances = DEFAULT) -> SuiteReport:
@@ -206,15 +291,10 @@ def run_properties(trials: int, seed: int, tol: Tolerances = DEFAULT) -> SuiteRe
         raise ValueError("trials must be >= 1")
     report = SuiteReport(seed=seed, trials=trials)
     for suite in SUITE_NAMES:
-        passed = 0
-        for trial in range(trials):
-            detail = run_trial(suite, seed, trial, tol)
-            if detail is None:
-                passed += 1
-            else:
-                report.failures.append(TrialFailure(suite=suite, trial=trial,
-                                                    seed=seed, detail=detail))
-        report.passes[suite] = passed
+        details = _details(suite, seed, range(trials), tol)
+        report.passes[suite] = details.count(None)
+        report.failures += [TrialFailure(suite=suite, trial=trial, seed=seed, detail=detail)
+                            for trial, detail in enumerate(details) if detail is not None]
     return report
 
 

@@ -23,7 +23,7 @@ from .eig import collinearity_residual, eig_full
 from .laser import PumpSpec, find_threshold, power_flows, pumped_hamiltonian, track_mode
 from .mech import (OscillatorChain, dynamical_matrix, eigenfrequencies,
                    integrate, spectral_peaks, total_energy)
-from .model import (LatticeSpec, _integer, build_h0, build_scaling, construct_gauge,
+from .model import (LatticeSpec, _integer, _real, build_h0, build_scaling, construct_gauge,
                     construct_product, spectral_norm)
 from .perturb import first_order, matrix_elements
 from .properties import SUITE_NAMES, run_properties
@@ -68,6 +68,7 @@ class ScenarioConfig:
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         for name in ("seed", "trials", "n"):
             setattr(self, name, _integer(getattr(self, name), name))
+        self.anchor = _real(self.anchor, "anchor")
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ScenarioConfig":

@@ -53,6 +53,44 @@ def test_cli_non_integer_count_or_index_exits_2(tmp_path, capsys, scenario, conf
     assert not (tmp_path / f"{scenario}_report.json").exists()
 
 
+@pytest.mark.parametrize("scenario, config, message", [
+    # a bare integer where a list of sites belongs
+    ("custom", {"lattice": {"n": 9, "scaling": "geometric", "s": 1.8, "zeroed_sites": 4}},
+     "zeroed_sites 4 is not a list of sites"),
+    ("fig5", {"pump": {"kappa0": 0.02, "pumped_sites": 1}},
+     "pumped_sites 1 is not a list of sites"),
+    ("fig5", {"pump": {"kappa0": 0.02}}, "missing pump fields: ['pumped_sites']"),
+    ("custom", {"lattice": {"scaling": "identity"}}, "lattice needs the field n"),
+    # a string or a bool where a real number belongs
+    ("calibrate_s", {"anchor": "2.38"}, "anchor '2.38' is not a real number"),
+    ("custom", {"lattice": {"n": 9, "scaling": "geometric", "s": "1.8"}},
+     "s '1.8' is not a real number"),
+    ("custom", {"lattice": {"n": 9, "t": True}}, "t True is not a real number"),
+    ("custom", {"lattice": {"n": 9, "onsite": "harmonic", "omega2": [1.0]}},
+     "omega2 [1.0] is not a real number"),
+    ("custom", {"lattice": {"n": 2, "scaling": "explicit", "values": [1.0, "2"]}},
+     "value '2' is not a real number"),
+    ("fig5", {"pump": {"kappa0": "0.02", "pumped_sites": [1]}},
+     "kappa0 '0.02' is not a real number"),
+    # a JSON boolean where an integer belongs
+    ("custom", {"lattice": {"n": True, "scaling": "identity"}}, "n True is not an integer"),
+    ("properties", {"trials": False}, "trials False is not an integer"),
+])
+def test_cli_mistyped_config_field_exits_2(tmp_path, capsys, scenario, config, message):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code = main([scenario, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / f"{scenario}_report.json").exists()
+
+
+def test_real_config_fields_stored_as_float():
+    spec = LatticeSpec(n=3, t=2, onsite="harmonic", omega2=np.float32(0.5),
+                       scaling="explicit", values=[1, np.int64(2), 3.5])
+    assert [type(x) for x in (spec.t, spec.omega2, spec.s, *spec.values)] == [float] * 6
+    assert type(ScenarioConfig(scenario="calibrate_s", anchor=2).anchor) is float
+
+
 def test_calibrate_s_stops_at_float64_convergence(monkeypatch):
     calls = []
 

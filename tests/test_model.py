@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhlab.model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
-                         construct_product, factor_psd, hermitian_equivalent,
+from nhlab.model import (LatticeSpec, assert_hermitian, build_h0, build_scaling,
+                         construct_gauge, construct_product, factor_psd,
+                         hermitian_defect, hermitian_equivalent,
                          onsite_values, scaling_values, shift_spectrum,
                          spectral_norm, splitmix64_stream)
 
@@ -148,6 +149,36 @@ def test_product_adjoint_identity_exact_dense():
         assert np.array_equal(h.conj().T, rev)
 
 
+def test_stacked_inputs_give_each_matrix_its_2d_result():
+    rng = np.random.default_rng(8)
+    for n in (1, 5, 31, 40):
+        h0 = np.stack([random_hermitian(rng, n) for _ in range(4)])
+        a = np.stack([random_psd(rng, n) for _ in range(4)])
+        d = np.stack([np.diag(rng.uniform(0.2, 3.0, n)).astype(complex) for _ in range(4)])
+        # tridiagonal chains take the banded norm route from n = 32 on
+        chains = np.stack([build_h0(LatticeSpec(n=n, t=t)) * d[0].diagonal()
+                           for t in (0.5, 1.0, 2.0)])
+        for stack, each in [
+            (construct_product(h0, a), [construct_product(x, y) for x, y in zip(h0, a)]),
+            (construct_product(h0, d), [construct_product(x, y) for x, y in zip(h0, d)]),
+            (assert_hermitian(h0), [assert_hermitian(x) for x in h0]),
+            (hermitian_defect(h0 + 1e-3 * a.imag), [hermitian_defect(x + 1e-3 * y.imag)
+                                                    for x, y in zip(h0, a)]),
+            (spectral_norm(h0 @ a), [spectral_norm(x @ y) for x, y in zip(h0, a)]),
+            (spectral_norm(chains), [spectral_norm(x) for x in chains]),
+            (hermitian_equivalent(h0, d), [hermitian_equivalent(x, y) for x, y in zip(h0, d)]),
+        ]:
+            assert np.array_equal(stack, np.array(each))
+    assert type(hermitian_defect(h0[0])) is float and type(spectral_norm(h0[0])) is float
+    assert hermitian_defect(np.zeros((3, 2, 2))).tolist() == [0.0, 0.0, 0.0]
+    broken = h0.copy()
+    broken[2, 0, -1] += 1.0
+    with pytest.raises(ValueError, match="h0 is not Hermitian"):
+        construct_product(broken, a)
+    with pytest.raises(ValueError, match="must be square"):
+        assert_hermitian(np.zeros(3))
+
+
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(2, 16), s=st.floats(1.05, 3.0), seed=st.integers(0, 2**32 - 1))
 def test_geometric_coupling_ratio(n, s, seed):
@@ -207,6 +238,9 @@ def test_gauge_names_singular_sites():
     spec = LatticeSpec(n=3, scaling="geometric", s=2.0, zeroed_sites=(2,))
     with pytest.raises(ValueError, match=r"\[2\]"):
         construct_gauge(build_h0(spec), build_scaling(spec))
+    # a stack of invertible scalings is refused as a stack, not as singular
+    with pytest.raises(ValueError, match="must be square matrices"):
+        construct_gauge(np.stack([build_h0(spec)] * 2), np.stack([np.eye(3)] * 2))
 
 
 # ---------------------------------------------------------------------------

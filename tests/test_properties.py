@@ -1,6 +1,7 @@
 import numpy as np
 
 from nhlab import properties
+from nhlab.config import Tolerances
 from nhlab.properties import SUITE_NAMES, replay_instance, run_properties, run_trial
 
 
@@ -37,3 +38,96 @@ def test_chiral_pairing_fails_under_onsite_ramp(monkeypatch):
         "no chiral partner for w = -22.8345 (n=11, s=1.383)",
         "no chiral partner for w = -2.65705 (n=5, s=1.264)",
     ]
+
+
+# Tolerances under which every suite fails, and the coupling-ratio suite's
+# fixed 1e-13 test is tripped by raising the upper half of each geometric
+# scaling by a relative 1e-12.
+TIGHT = Tolerances(reality_rel=0.0, metric_rel=0.0, spectra_match_rel=0.0,
+                   mech_spectrum_rel=-1.0, self_orth=0.3)
+
+
+def _statuses(code: str, n: int) -> str:
+    names = tuple({"b": "biorthonormal", "s": "self_orthogonal"}[c] for c in code)
+    return f"statuses {names} for invertible PSD scaling (n={n})"
+
+
+# The first three (trial, detail) failures per suite at seed 1 over 10 trials,
+# recorded from the trial-by-trial implementation the stacked suites replaced.
+GOLDEN_FAILURES = {
+    "reality_psd": [
+        (0, "max|Im w| = 4.339e-14 > 0.000e+00 (n=15)"),
+        (1, "max|Im w| = 2.512e-13 > 0.000e+00 (n=30)"),
+        (2, "max|Im w| = 6.069e-14 > 0.000e+00 (n=17)"),
+    ],
+    "pseudo_hermiticity": [
+        (0, "metric residual 9.909e-13 > 0.000e+00 (n=17)"),
+        (1, "metric residual 3.197e-13 > 0.000e+00 (n=12)"),
+        (2, "metric residual 3.912e-11 > 0.000e+00 (n=30)"),
+    ],
+    "conjugate_closure_indefinite": [
+        (0, "conjugation-closure residual 3.843e-14 > 0.000e+00 (n=20)"),
+        (1, "conjugation-closure residual 4.632e-14 > 0.000e+00 (n=20)"),
+        (2, "conjugation-closure residual 7.816e-14 > 0.000e+00 (n=23)"),
+    ],
+    "no_ep_psd_invertible": [
+        (3, _statuses("bbbsssbbbb", 10)),
+        (5, _statuses("bbbbbbbbsssbsbbbbbbb", 20)),
+        (7, _statuses("bbbbssbbb", 9)),
+    ],
+    "ep_location_psd_singular": [
+        (0, "self-orthogonal mode at w = -8.212e+00+2.430e-14j, away from zero (n=13)"),
+        (1, "self-orthogonal mode at w = -2.166e+01+6.468e-14j, away from zero (n=13)"),
+        (2, "self-orthogonal mode at w = -2.135e-01-3.193e-13j, away from zero (n=17)"),
+    ],
+    "gauge_similarity": [
+        (0, "gauge spectrum gap 2.931e-14 > 0.000e+00 (n=25)"),
+        (1, "gauge spectrum gap 1.776e-15 > 0.000e+00 (n=6)"),
+        (2, "gauge spectrum gap 4.086e-14 > 0.000e+00 (n=29)"),
+    ],
+    "coupling_ratio_geometric": [
+        (0, "coupling ratio np.float64(2.833506496681504) != s = 2.8335064966786705 at bond 8"),
+        (1, "coupling ratio np.float64(2.553336336700012) != s = 2.5533363366974586 at bond 7"),
+        (2, "coupling ratio np.float64(2.05975617995987) != s = 2.0597561799578097 at bond 6"),
+    ],
+    "chiral_pairing": [
+        (0, "no chiral partner for w = -23.8039 (n=13, s=1.778)"),
+        (1, "no chiral partner for w = -27.8744 (n=11, s=1.383)"),
+        (2, "no chiral partner for w = -3.07231 (n=5, s=1.264)"),
+    ],
+    "mech_reality": [
+        (0, "non-real eigenvalue (max |Im| = 0.000e+00) (n=2)"),
+        (1, "non-real eigenvalue (max |Im| = 0.000e+00) (n=11)"),
+        (2, "non-real eigenvalue (max |Im| = 0.000e+00) (n=38)"),
+    ],
+    "mech_hermitian_equivalent": [
+        (0, "mass-graded equivalent spectrum gap 2.487e-14 > 0.000e+00 (n=12)"),
+        (1, "mass-graded equivalent spectrum gap 2.665e-15 > 0.000e+00 (n=25)"),
+        (2, "mass-graded equivalent spectrum gap 1.599e-14 > 0.000e+00 (n=25)"),
+    ],
+}
+
+
+def test_stacked_failure_details_match_recorded_trials(monkeypatch):
+    build_scaling = properties.build_scaling
+    monkeypatch.setattr(properties, "build_scaling", lambda spec: build_scaling(spec) * (
+        1 + 1e-12 * (np.arange(spec.n) >= spec.n // 2)))
+    report = run_properties(trials=10, seed=1, tol=TIGHT)
+    found = {}
+    for failure in report.failures:
+        found.setdefault(failure.suite, []).append((failure.trial, failure.detail))
+    assert {suite: records[:3] for suite, records in found.items()} == GOLDEN_FAILURES
+    assert report.passes == {name: 0 for name in SUITE_NAMES} | {
+        "no_ep_psd_invertible": 6, "ep_location_psd_singular": 1}
+    for suite, records in GOLDEN_FAILURES.items():
+        for trial, detail in records:
+            assert replay_instance({"suite": suite, "seed": 1, "trial": trial}, TIGHT) == detail
+
+
+def test_trial_subsets_give_the_same_details():
+    # grouping by size never changes an instance: any list of trials, in any
+    # order, gives each trial the detail it has in the full run
+    full = properties._details("ep_location_psd_singular", 2, range(40), TIGHT)
+    subset = [37, 3, 12, 3, 0]
+    assert properties._details("ep_location_psd_singular", 2, subset, TIGHT) == [
+        full[k] for k in subset]
