@@ -75,23 +75,14 @@ def config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     else:
         cfg = ScenarioConfig(scenario=args.scenario)
 
-    updates = {}
-    if args.out is not None:
-        updates["out_dir"] = str(args.out)
-    if args.format is not None:
-        updates["format"] = args.format
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        updates["trials"] = args.trials
-    if getattr(args, "anchor", None) is not None:
-        updates["anchor"] = args.anchor
-    if getattr(args, "n", None) is not None:
-        updates["n"] = args.n
+    # the command-line options a scenario has, where given, over the config
+    updates = {field: getattr(args, option) for option, field in (
+        ("out", "out_dir"), ("format", "format"), ("seed", "seed"), ("trials", "trials"),
+        ("anchor", "anchor"), ("n", "n")) if getattr(args, option, None) is not None}
+    if "out_dir" in updates:
+        updates["out_dir"] = str(updates["out_dir"])
     if args.tol:
-        merged = dict(cfg.tolerances)
-        merged.update(_parse_tol(args.tol))
-        updates["tolerances"] = merged
+        updates["tolerances"] = {**cfg.tolerances, **_parse_tol(args.tol)}
     return replace(cfg, **updates) if updates else cfg
 
 

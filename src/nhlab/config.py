@@ -8,7 +8,16 @@ matrix under analysis (or to another scale stated in the consuming function).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
+
+
+def _real(value, name: str) -> float:
+    """The one rule for a user-facing real number: an int, float or numpy
+    real but not a bool, stored as float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} {value!r} is not a real number")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -47,12 +56,13 @@ class Tolerances:
     integrator_guard: float = 0.1     # dt * max eigenfrequency must stay below this
 
     def with_overrides(self, overrides: dict[str, float]) -> "Tolerances":
-        """Return a copy with the given named tolerances replaced."""
+        """Return a copy with the given named tolerances replaced, each a real
+        number by ``_real``'s rule (a ValueError names a bool or non-real)."""
         known = {f.name for f in fields(self)}
         unknown = set(overrides) - known
         if unknown:
             raise KeyError(f"unknown tolerance keys: {sorted(unknown)}; known: {sorted(known)}")
-        return replace(self, **{k: float(v) for k, v in overrides.items()})
+        return replace(self, **{k: _real(v, k) for k, v in overrides.items()})
 
 
 DEFAULT = Tolerances()

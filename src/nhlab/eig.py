@@ -18,6 +18,9 @@ pairing stands.  Biorthonormal pairs are rescaled so psi~^T psi = 1,
 self-orthogonal pairs (EP candidates) are kept at unit 2-norm, and every
 pair is rotated so the largest entry of psi is real positive.  Every
 returned pair carries a residual certificate.
+
+A (k, n, n) stack gives one system per matrix (a matrix is a stack of one);
+all but the LAPACK calls are array expressions over the stack.
 """
 
 from __future__ import annotations
@@ -71,6 +74,15 @@ class EigenSystem:
         return all(s == BIORTHONORMAL for s in self.norm_status)
 
 
+class EigenSystems(list):
+    """The eigensystems of a stack, one per matrix, in stack order."""
+
+    @property
+    def norm_status(self) -> tuple[str, ...]:
+        """Every mode's status, matrix after matrix."""
+        return tuple(s for es in self for s in es.norm_status)
+
+
 def _clusters(values: np.ndarray, tol_abs: float) -> list[list[int]]:
     """Connected components of |w_i - w_j| <= tol_abs, each sorted, in the
     order of their smallest members.
@@ -96,13 +108,13 @@ def _clusters(values: np.ndarray, tol_abs: float) -> list[list[int]]:
 
 
 def _unit_columns(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=0)
+    return v / np.linalg.norm(v, axis=-2)[..., None, :]
 
 
 def _residuals(mv: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """||M v - w v|| / ||v|| per column, given M v (overwritten in place)."""
-    mv -= v * w
-    return np.linalg.norm(mv, axis=0) / np.linalg.norm(v, axis=0)
+    mv -= v * w[..., None, :]
+    return np.linalg.norm(mv, axis=-2) / np.linalg.norm(v, axis=-2)
 
 
 def _condition(m: np.ndarray) -> float:
@@ -168,50 +180,51 @@ def chain_form(m: np.ndarray) -> ChainForm | None:
 def _tridiagonal_product(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
                          v: np.ndarray) -> np.ndarray:
     """T v for the tridiagonal T with diagonals (sub, diag, sup), one vector
-    per column of v."""
-    out = diag[:, None] * v
-    out[:-1] += sup[:, None] * v[1:]
-    out[1:] += sub[:, None] * v[:-1]
+    per column of v (for each matrix of a stack of diagonals and of v)."""
+    out = diag[..., :, None] * v
+    out[..., :-1, :] += sup[..., :, None] * v[..., 1:, :]
+    out[..., 1:, :] += sub[..., :, None] * v[..., :-1, :]
     return out
 
 
-def _validated(m: np.ndarray) -> np.ndarray:
+def _validated(m: np.ndarray, stack: bool = False) -> np.ndarray:
     """The input as a complex array, or a ValueError if it is not a finite,
-    nonempty square matrix."""
+    nonempty square matrix (or, with ``stack``, a (k, n, n) stack of them)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"matrix must be square, got {m.shape}")
-    if m.shape[0] == 0:
-        raise ValueError("matrix is empty (0x0)")
+    if m.size == 0:
+        raise ValueError("matrix is empty (0x0)" if m.ndim == 2 else
+                         f"matrix stack is empty, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
 
 
-def _paired_system(m: np.ndarray, norm: float, w: np.ndarray, rhat: np.ndarray,
-                   lhat: np.ndarray, tol: Tolerances, tridiagonal: bool = False) -> EigenSystem:
-    """Normalize, phase and certify index-paired unit right/left vectors.
-
-    For a ``tridiagonal`` M the residuals take O(n^2) from its diagonals.
-    """
-    n = m.shape[0]
-    overlaps = np.sum(lhat * rhat, axis=0)
+def _paired_systems(m: np.ndarray, norm: np.ndarray, w: np.ndarray, rhat: np.ndarray,
+                    lhat: np.ndarray, tol: Tolerances,
+                    tridiagonal: bool = False) -> list[EigenSystem]:
+    """Normalize, phase and certify index-paired unit right/left vectors, one
+    ``EigenSystem`` per matrix of the stack ``m``; for a ``tridiagonal`` M the
+    residuals take O(n^2) from its diagonals."""
+    overlaps = np.sum(lhat * rhat, axis=-2)
     self_orth = np.abs(overlaps) < tol.self_orth
     # split the rescaling symmetrically, principal branch
-    scale = np.where(self_orth, 1.0, np.sqrt(overlaps))
+    scale = np.where(self_orth, 1.0, np.sqrt(overlaps))[..., None, :]
     right, left = rhat / scale, lhat / scale
-    top = right[np.argmax(np.abs(right), axis=0), np.arange(n)]
+    top = np.take_along_axis(right, np.argmax(np.abs(right), axis=-2)[..., None, :], axis=-2)
     phase = top / np.abs(top)
     right, left = right / phase, left * phase
-    status = tuple(SELF_ORTHOGONAL if so else BIORTHONORMAL for so in self_orth)
     # residual certificates (per unit vector)
-    bands = [np.diagonal(m, k) for k in (-1, 0, 1)]    # M^T has them reversed
+    bands = [np.diagonal(m, k, -2, -1) for k in (-1, 0, 1)]    # M^T has them reversed
     mr, ml = ((_tridiagonal_product(*bands, right), _tridiagonal_product(*bands[::-1], left))
-              if tridiagonal else (m @ right, m.T @ left))
+              if tridiagonal else (m @ right, m.swapaxes(-1, -2) @ left))
     residuals = np.maximum(_residuals(mr, right, w), _residuals(ml, left, w))
-    return EigenSystem(dim=n, eigenvalues=w, right_vectors=right, left_vectors=left,
-                       norm_status=status, overlaps=overlaps, residuals=residuals,
-                       matrix_norm=norm)
+    return [EigenSystem(dim=m.shape[-1], eigenvalues=w[i], right_vectors=right[i],
+                        left_vectors=left[i], norm_status=tuple(
+                            SELF_ORTHOGONAL if so else BIORTHONORMAL for so in self_orth[i]),
+                        overlaps=overlaps[i], residuals=residuals[i], matrix_norm=float(norm[i]))
+            for i in range(len(m))]
 
 
 def _certified(es: EigenSystem, tol: Tolerances) -> bool:
@@ -219,54 +232,96 @@ def _certified(es: EigenSystem, tol: Tolerances) -> bool:
     return bool(es.residuals.max() <= tol.residual_rel * max(es.matrix_norm, 1e-300))
 
 
-def eig_full(m: np.ndarray, tol: Tolerances = DEFAULT) -> EigenSystem:
-    """Full biorthogonal eigensystem of a dense complex matrix.
+def _stacked(arrays: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
+    """The arrays as one stack (one array is not copied), each slice in its own
+    layout: numpy sums a contiguous axis pairwise, so LAPACK's Fortran order
+    keeps each column sum's round-off that of a lone matrix."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _chain_systems(stack: np.ndarray, norm: np.ndarray,
+                   tol: Tolerances) -> dict[int, EigenSystem]:
+    """Certified systems of the stack's real chains, by stack index: one
+    ``eigh_tridiagonal`` per chain, then the pairing over all of them.  A
+    chain whose solve fails or that misses its certificate is left out."""
+    solved = {}
+    for i, form in enumerate(map(chain_form, stack)):
+        try:
+            if form is not None:
+                w, phi = scipy.linalg.eigh_tridiagonal(form.diag, form.off, check_finite=False)
+                solved[i] = (form.d, w, phi.astype(complex))
+        except np.linalg.LinAlgError:
+            pass    # the dense path decides
+    if not solved:
+        return {}
+    index = list(solved)
+    d, w, phi = map(_stacked, zip(*solved.values()))    # rebinding frees the loop's real phi
+    d = d[..., None]
+    systems = _paired_systems(_stacked([stack[i] for i in index]), norm[index], w.astype(complex),
+                              _unit_columns(phi / d), _unit_columns(phi * d), tol, tridiagonal=True)
+    return {i: es for i, es in zip(index, systems) if _certified(es, tol)}
+
+
+def _dense_systems(stack: np.ndarray, norm: np.ndarray, index: list[int], tol: Tolerances,
+                   prefix: str) -> dict[int, EigenSystem]:
+    """Certified systems of the matrices ``index`` of the stack, by stack
+    index, from one ``scipy.linalg.eig`` each.  Only a matrix with two
+    eigenvalues within ``cluster_rel * ||M||`` has its clusters treated.  An
+    ``EigensolveError`` message starts with ``prefix.format(i)``."""
+    n = stack.shape[-1]
+    solved = []
+    for i in index:
+        try:
+            wi, vli, vri = scipy.linalg.eig(stack[i], left=True, right=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolveError(prefix.format(i) + f"eigensolve failed for {n}x{n} matrix "
+                                  f"(||M||={norm[i]:.3e}, cond={_condition(stack[i]):.3e}): "
+                                  f"{exc}") from exc
+        solved.append((wi, np.conjugate(vli, out=vli), vri))    # psi~ = conj(vl), in place
+    w, vl, vr = map(_stacked, zip(*solved))
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    w = np.take_along_axis(w, order, axis=-1)
+    # gather on the transposed vectors, so every slice stays in LAPACK's Fortran order
+    rhat, lhat = (_unit_columns(np.take_along_axis(v.swapaxes(-1, -2), order[..., None], -2)
+                                .swapaxes(-1, -2)) for v in (vr, vl))
+    lim = tol.cluster_rel * norm[index]
+    close = np.abs(w[:, :, None] - w[:, None, :]) <= lim[:, None, None]
+    for j in np.flatnonzero((close & ~np.eye(n, dtype=bool)).any(axis=(-2, -1))):
+        for comp in _clusters(w[j], lim[j]):
+            if len(comp) > 1:
+                _biorthogonalize_cluster(comp, lhat[j], rhat[j], tol)
+    systems = _paired_systems(_stacked([stack[i] for i in index]), norm[index], w, rhat, lhat, tol)
+    for i, es in zip(index, systems):
+        if not _certified(es, tol):
+            raise EigensolveError(prefix.format(i) + f"eigenpair residual "
+                                  f"{es.residuals.max():.3e} exceeds {tol.residual_rel:.1e} * "
+                                  f"||M|| = {tol.residual_rel * norm[i]:.3e} "
+                                  f"(cond={_condition(stack[i]):.3e})")
+    return dict(zip(index, systems))
+
+
+def eig_full(m: np.ndarray, tol: Tolerances = DEFAULT) -> EigenSystem | EigenSystems:
+    """Full biorthogonal eigensystem of a dense complex matrix, or the list of
+    one per matrix of a (k, n, n) stack, each equal to its matrix's own call.
 
     Raises
     ------
     ValueError
-        If M is not a finite, nonempty square matrix.
+        If M is not a finite, nonempty square matrix or stack of them.
     EigensolveError
         If LAPACK fails to converge or a residual exceeds the certificate
-        bound ``residual_rel * ||M||``.
+        bound ``residual_rel * ||M||``; for a stack the message starts with
+        the stack index of the matrix.
     """
-    m = _validated(m)
-    n = m.shape[0]
-    norm = spectral_norm(m)
-    form = chain_form(m)
-    if form is not None:
-        try:
-            w, phi = scipy.linalg.eigh_tridiagonal(form.diag, form.off, check_finite=False)
-        except np.linalg.LinAlgError:
-            pass    # the dense path decides
-        else:
-            phi = phi.astype(complex)
-            d = form.d[:, None]
-            es = _paired_system(m, norm, w.astype(complex), _unit_columns(phi / d),
-                                _unit_columns(phi * d), tol, tridiagonal=True)
-            if _certified(es, tol):
-                return es
-
-    try:
-        w, vl, vr = scipy.linalg.eig(m, left=True, right=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveError(f"eigensolve failed for {n}x{n} matrix "
-                              f"(||M||={norm:.3e}, cond={_condition(m):.3e}): {exc}") from exc
-
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    rhat = _unit_columns(vr[:, order])
-    lhat = _unit_columns(vl[:, order].conj())
-    for comp in _clusters(w, tol.cluster_rel * norm):
-        if len(comp) > 1:
-            _biorthogonalize_cluster(comp, lhat, rhat, tol)
-
-    es = _paired_system(m, norm, w, rhat, lhat, tol)
-    if not _certified(es, tol):
-        raise EigensolveError(f"eigenpair residual {es.residuals.max():.3e} exceeds "
-                              f"{tol.residual_rel:.1e} * ||M|| = {tol.residual_rel * norm:.3e} "
-                              f"(cond={_condition(m):.3e})")
-    return es
+    m = _validated(m, stack=True)
+    stack = m if m.ndim == 3 else m[None]
+    norm = spectral_norm(stack)
+    systems = _chain_systems(stack, norm, tol)
+    dense = [i for i in range(len(stack)) if i not in systems]
+    if dense:
+        systems.update(_dense_systems(stack, norm, dense, tol,
+                                      "stack index {}: " if m.ndim == 3 else ""))
+    return EigenSystems(systems[i] for i in range(len(stack))) if m.ndim == 3 else systems[0]
 
 
 @dataclass

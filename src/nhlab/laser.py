@@ -22,9 +22,9 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, _real
 from .eig import _tridiagonal_product, _validated, chain_form
-from .model import _integer, _real, _sites, spectral_norm
+from .model import _integer, _sites, spectral_norm
 
 
 class NoThresholdError(RuntimeError):

@@ -13,13 +13,13 @@ All builders are pure functions and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, _real
 
 _MASK64 = (1 << 64) - 1
 
@@ -52,14 +52,6 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} {value!r} is not an integer")
     return int(value)
-
-
-def _real(value, name: str) -> float:
-    """The one rule for a user-facing real number: an int, float or numpy
-    real but not a bool, stored as float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} {value!r} is not a real number")
-    return float(value)
 
 
 def _is_list(value) -> bool:
@@ -277,9 +269,8 @@ def build_h0(spec: LatticeSpec) -> np.ndarray:
     """Tridiagonal real-symmetric chain: diagonal w_j, off-diagonals t."""
     h = np.zeros((spec.n, spec.n), dtype=complex)
     np.fill_diagonal(h, onsite_values(spec))
-    for j in range(spec.n - 1):
-        h[j, j + 1] = spec.t
-        h[j + 1, j] = spec.t
+    j = np.arange(spec.n - 1)
+    h[j, j + 1] = h[j + 1, j] = spec.t
     return h
 
 
@@ -295,8 +286,7 @@ def scaling_values(spec: LatticeSpec) -> np.ndarray:
     else:
         a = np.array(spec.values, dtype=float)
     a = a.copy()
-    for j in spec.zeroed_sites:
-        a[j - 1] = 0.0
+    a[[j - 1 for j in spec.zeroed_sites]] = 0.0
     return a
 
 

@@ -2,9 +2,9 @@
 
 Each suite runs over a list of trial indices.  Every instance is drawn from
 its own deterministic RNG keyed by (seed, suite, trial), the instances are
-grouped by size, and each group is checked with one stacked LAPACK call per
-kernel.  One trial is the same suite code on a list of one, so any failure
-serializes to a small record that replays the identical instance.
+grouped by size, and each group is checked with one stacked call per kernel
+(``eig_full`` included).  One trial is the same suite code on a list of one,
+so any failure serializes to a small record that replays the identical instance.
 """
 
 from __future__ import annotations
@@ -133,17 +133,14 @@ def _no_ep_psd_invertible(seed, trials, tol):
                                lambda rng: int(rng.integers(2, 21))):
         h = construct_product(*_stack([(_random_hermitian(r, n), _random_psd(r, n))
                                        for r in rngs]), tol)
-        for p, hk in zip(pos, h):
-            es = eig_full(hk, tol)
+        for p, es in zip(pos, eig_full(h, tol)):
             if not es.all_biorthonormal:
                 yield p, f"statuses {es.norm_status} for invertible PSD scaling (n={n})"
 
 
 def _ep_location_detail(es: EigenSystem, a: np.ndarray, n: int, tol: Tolerances) -> str | None:
     """The first self-orthogonal mode away from w = 0 or outside ker A."""
-    for mu, status in enumerate(es.norm_status):
-        if status != SELF_ORTHOGONAL:
-            continue
+    for mu in np.flatnonzero(np.array(es.norm_status) == SELF_ORTHOGONAL):
         if abs(es.eigenvalues[mu]) > tol.cluster_rel * es.matrix_norm:
             return (f"self-orthogonal mode at w = {es.eigenvalues[mu]:.3e}, "
                     f"away from zero (n={n})")
@@ -156,25 +153,20 @@ def _ep_location_detail(es: EigenSystem, a: np.ndarray, n: int, tol: Tolerances)
 def _ep_location_psd_singular(seed, trials, tol):
     for n, pos, rngs in _sized(seed, "ep_location_psd_singular", trials,
                                lambda rng: int(rng.integers(3, 21))):
-        draws = []
-        for r in rngs:     # A is drawn before H0
-            a = _random_psd(r, n, rank_deficiency=int(r.integers(1, max(2, n // 2))))
-            draws.append((_random_hermitian(r, n), a))
-        h0, a = _stack(draws)
-        h = construct_product(h0, a, tol)
-        for p, hk, ak in zip(pos, h, a):
-            yield p, _ep_location_detail(eig_full(hk, tol), ak, n, tol)
+        # each instance draws A before H0
+        a = np.stack([_random_psd(r, n, rank_deficiency=int(r.integers(1, max(2, n // 2))))
+                      for r in rngs])
+        h = construct_product(np.stack([_random_hermitian(r, n) for r in rngs]), a, tol)
+        for p, es, ak in zip(pos, eig_full(h, tol), a):
+            yield p, _ep_location_detail(es, ak, n, tol)
 
 
 def _gauge_similarity(seed, trials, tol):
     for n, pos, rngs in _sized(seed, "gauge_similarity", trials,
                                lambda rng: int(rng.integers(2, 31))):
-        draws = []
-        for r in rngs:
-            h0 = _random_hermitian(r, n)
-            draws.append((h0, construct_gauge(h0, np.diag(r.uniform(0.2, 3.0, n)).astype(complex),
-                                              tol)))
-        h0, hpp = _stack(draws)
+        h0 = np.stack([_random_hermitian(r, n) for r in rngs])
+        hpp = np.stack([construct_gauge(h, np.diag(r.uniform(0.2, 3.0, n)).astype(complex), tol)
+                        for h, r in zip(h0, rngs)])
         w0 = np.sort(np.linalg.eigvalsh(h0), axis=-1)
         w = np.sort(np.linalg.eigvals(hpp).real, axis=-1)
         lim = tol.spectra_match_rel * np.maximum(spectral_norm(h0), 1e-300)
@@ -208,24 +200,25 @@ def _chiral_detail(es: EigenSystem, n: int, s: float, tol: Tolerances) -> str | 
     """The first mode without a partner at -w of the same |psi| profile."""
     w = es.eigenvalues
     pairs, resid = conjugate_pairs(1j * w)
-    for (mu, nu), r in zip(pairs, resid):
-        if mu == nu and abs(w[mu]) <= tol.zero_mode_rel * es.matrix_norm:
-            continue
-        if r > tol.reality_rel * es.matrix_norm:
-            return f"no chiral partner for w = {w[mu].real:.6g} (n={n}, s={s:.3f})"
-        p = np.abs(es.right(mu)) / np.linalg.norm(es.right(mu))
-        q = np.abs(es.right(nu)) / np.linalg.norm(es.right(nu))
-        if np.abs(p - q).max() > 1e-8:
-            return f"chiral partners differ in |psi| (n={n}, s={s:.3f})"
-    return None
+    mu, nu = np.array(pairs).T
+    checked = (mu != nu) | (np.abs(w[mu]) > tol.zero_mode_rel * es.matrix_norm)
+    unpaired = checked & (np.array(resid) > tol.reality_rel * es.matrix_norm)
+    profile = np.abs(es.right_vectors) / np.linalg.norm(es.right_vectors, axis=0)
+    differ = checked & (np.abs(profile[:, mu] - profile[:, nu]).max(axis=0) > 1e-8)
+    bad = np.flatnonzero(unpaired | differ)
+    if not bad.size:
+        return None
+    if unpaired[bad[0]]:
+        return f"no chiral partner for w = {w[mu[bad[0]]].real:.6g} (n={n}, s={s:.3f})"
+    return f"chiral partners differ in |psi| (n={n}, s={s:.3f})"
 
 
 def _chiral_pairing(seed, trials, tol):
     for n, pos, rngs in _sized(seed, "chiral_pairing", trials,
                                lambda rng: int(rng.integers(2, 8)) * 2 + 1):   # odd
         ratios = [float(r.uniform(1.1, 2.2)) for r in rngs]
-        for p, s, hk in zip(pos, ratios, _geometric_products(ratios, n, tol)):
-            yield p, _chiral_detail(eig_full(hk, tol), n, s, tol)
+        for p, s, es in zip(pos, ratios, eig_full(_geometric_products(ratios, n, tol), tol)):
+            yield p, _chiral_detail(es, n, s, tol)
 
 
 def _mech_reality(seed, trials, tol):

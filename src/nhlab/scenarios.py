@@ -18,12 +18,12 @@ from typing import Any
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, _real
 from .eig import collinearity_residual, eig_full
 from .laser import PumpSpec, find_threshold, power_flows, pumped_hamiltonian, track_mode
 from .mech import (OscillatorChain, dynamical_matrix, eigenfrequencies,
                    integrate, spectral_peaks, total_energy)
-from .model import (LatticeSpec, _integer, _real, build_h0, build_scaling, construct_gauge,
+from .model import (LatticeSpec, _integer, build_h0, build_scaling, construct_gauge,
                     construct_product, spectral_norm)
 from .perturb import first_order, matrix_elements
 from .properties import SUITE_NAMES, run_properties
@@ -446,8 +446,7 @@ def scenario_fig4(cfg: ScenarioConfig, tol: Tolerances,
         _assert_true("fig4.a4.orders_2_1", rep.ep_orders == [2, 1], rep.ep_orders),
         _assert_le("fig4.a4.chain_residual", rep.chain_residuals, tol.zero_mode_rel),
     ]
-    e4 = np.zeros(9)
-    e4[3] = 1.0
+    e4 = np.eye(9)[3]
     two_block = next(c for c, size in zip(rep.jordan_chains, rep.ep_orders) if size == 2)
     assertions.append(_assert_le(
         "fig4.a4.ep2_vector_is_e4",
@@ -468,42 +467,19 @@ def scenario_fig4(cfg: ScenarioConfig, tol: Tolerances,
                                  float(misfit / np.linalg.norm(two_block[1])),
                                  tol.zero_mode_rel))
 
-    # zeroed first site, odd chain: simple zero, no EP
-    h = product_with_zeros(9, [1])
-    rep = ep_analyze(h, 0.0, tol)
-    report["cases"]["a1_zero_n9"] = _plain(rep)
-    e1 = np.zeros(9)
-    e1[0] = 1.0
-    assertions += [
-        _assert_true("fig4.a1n9.simple_zero",
-                     rep.algebraic_multiplicity == 1
-                     and rep.geometric_multiplicity == 1
-                     and rep.ep_orders == [1],
-                     [rep.algebraic_multiplicity, rep.geometric_multiplicity,
-                      rep.ep_orders]),
-        _assert_le("fig4.a1n9.vector_is_e1",
-                   collinearity_residual(rep.jordan_chains[0][0], e1),
-                   tol.zero_mode_rel),
-    ]
-
-    # zeroed first site, even chain: the zero becomes a second-order EP
-    h = product_with_zeros(8, [1])
-    rep = ep_analyze(h, 0.0, tol)
-    report["cases"]["a1_zero_n8"] = _plain(rep)
-    e1 = np.zeros(8)
-    e1[0] = 1.0
-    assertions += [
-        _assert_true("fig4.a1n8.ep2",
-                     rep.algebraic_multiplicity == 2
-                     and rep.geometric_multiplicity == 1
-                     and rep.ep_orders == [2],
-                     [rep.algebraic_multiplicity, rep.geometric_multiplicity,
-                      rep.ep_orders]),
-        _assert_le("fig4.a1n8.vector_is_e1",
-                   collinearity_residual(rep.jordan_chains[0][0], e1),
-                   tol.zero_mode_rel),
-        _assert_le("fig4.a1n8.chain_residual", rep.chain_residuals, tol.zero_mode_rel),
-    ]
+    # zeroed first site: a simple zero for odd n, a second-order EP for even n
+    for n, order, name in ((9, 1, "simple_zero"), (8, 2, "ep2")):
+        rep = ep_analyze(product_with_zeros(n, [1]), 0.0, tol)
+        report["cases"][f"a1_zero_n{n}"] = _plain(rep)
+        structure = [rep.algebraic_multiplicity, rep.geometric_multiplicity, rep.ep_orders]
+        assertions += [
+            _assert_true(f"fig4.a1n{n}.{name}", structure == [order, 1, [order]], structure),
+            _assert_le(f"fig4.a1n{n}.vector_is_e1",
+                       collinearity_residual(rep.jordan_chains[0][0], np.eye(n)[0]),
+                       tol.zero_mode_rel),
+        ]
+    assertions.append(_assert_le("fig4.a1n8.chain_residual", rep.chain_residuals,
+                                 tol.zero_mode_rel))
     return ScenarioResult("fig4", assertions, {}, report)
 
 
@@ -765,26 +741,17 @@ def run(cfg: ScenarioConfig) -> ScenarioResult:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfg.scenario == "fig1":
-        result = scenario_fig1(cfg, tol)
-    elif cfg.scenario == "fig2":
-        result = scenario_fig2(cfg, tol, load_or_calibrate(out_dir, tol))
-    elif cfg.scenario == "fig3":
-        result = scenario_fig3(cfg, tol, load_or_calibrate(out_dir, tol))
-    elif cfg.scenario == "fig4":
-        result = scenario_fig4(cfg, tol, load_or_calibrate(out_dir, tol))
-    elif cfg.scenario == "fig5":
-        result = scenario_fig5(cfg, tol, load_or_calibrate(out_dir, tol))
-    elif cfg.scenario == "oscillators":
-        result = scenario_oscillators(cfg, tol)
-    elif cfg.scenario == "properties":
-        result = scenario_properties(cfg, tol)
-    elif cfg.scenario == "calibrate_s":
-        result = scenario_calibrate(cfg, tol)
+    calibrated = {"fig2": scenario_fig2, "fig3": scenario_fig3, "fig4": scenario_fig4,
+                  "fig5": scenario_fig5}
+    if cfg.scenario in calibrated:
+        result = calibrated[cfg.scenario](cfg, tol, load_or_calibrate(out_dir, tol))
+    else:
+        result = {"fig1": scenario_fig1, "oscillators": scenario_oscillators,
+                  "properties": scenario_properties, "calibrate_s": scenario_calibrate,
+                  "custom": scenario_custom}[cfg.scenario](cfg, tol)
+    if cfg.scenario == "calibrate_s":
         (out_dir / "calibration.json").write_text(_json_text(result.report))
         result.files.append(str(out_dir / "calibration.json"))
-    else:
-        result = scenario_custom(cfg, tol)
 
     payload = {
         "scenario": result.scenario,

@@ -260,20 +260,17 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
     algebraic = int(np.sum(dist <= ctol))
     boundary = bool(np.any((dist > ctol / 2) & (dist < 2 * ctol)))
 
-    if form is not None and algebraic == 1:
-        found = _chain_eigenvector(h, form, int(np.argmin(dist)), target, ntol)
-        if found is not None:
-            v, resid = found
-            return EPReport(target_energy=complex(target), algebraic_multiplicity=1,
-                            geometric_multiplicity=1, ep_orders=[1], jordan_chains=[[v]],
-                            chain_residuals=resid, boundary_warning=boundary,
-                            matrix_norm=norm)
+    def report(geometric, orders, chains, resid) -> EPReport:
+        return EPReport(target_energy=complex(target), algebraic_multiplicity=algebraic,
+                        geometric_multiplicity=geometric, ep_orders=orders, jordan_chains=chains,
+                        chain_residuals=resid, boundary_warning=boundary, matrix_norm=norm)
 
+    found = (_chain_eigenvector(h, form, int(np.argmin(dist)), target, ntol)
+             if form is not None and algebraic == 1 else None)
+    if found is not None:
+        return report(1, [1], [[found[0]]], found[1])
     if algebraic == 0:
-        return EPReport(target_energy=complex(target), algebraic_multiplicity=0,
-                        geometric_multiplicity=0, ep_orders=[],
-                        jordan_chains=[], chain_residuals=0.0,
-                        boundary_warning=boundary, matrix_norm=norm)
+        return report(0, [], [], 0.0)
 
     t, z, k = scipy.linalg.schur(h, output="complex",
                                  sort=lambda x: abs(x - target) <= ctol)
@@ -335,10 +332,7 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
             err = np.linalg.norm(hm @ chain[i] - chain[i - 1])
             worst = max(worst, err / np.linalg.norm(chain[i - 1]))
 
-    return EPReport(target_energy=complex(target), algebraic_multiplicity=algebraic,
-                    geometric_multiplicity=geometric, ep_orders=orders,
-                    jordan_chains=chains, chain_residuals=float(worst),
-                    boundary_warning=boundary, matrix_norm=norm)
+    return report(geometric, orders, chains, float(worst))
 
 
 @dataclass

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nhlab import scenarios
-from nhlab.cli import main
+from nhlab.cli import build_parser, config_from_args, main
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_product
 from nhlab.scenarios import ScenarioConfig, run, smallest_nonzero_abs
 
@@ -75,6 +75,10 @@ def test_cli_non_integer_count_or_index_exits_2(tmp_path, capsys, scenario, conf
     # a JSON boolean where an integer belongs
     ("custom", {"lattice": {"n": True, "scaling": "identity"}}, "n True is not an integer"),
     ("properties", {"trials": False}, "trials False is not an integer"),
+    # a bool or a string where a tolerance belongs
+    ("fig1", {"tolerances": {"reality_rel": True}}, "reality_rel True is not a real number"),
+    ("properties", {"tolerances": {"residual_rel": "1e-9"}},
+     "residual_rel '1e-9' is not a real number"),
 ])
 def test_cli_mistyped_config_field_exits_2(tmp_path, capsys, scenario, config, message):
     (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -202,6 +206,15 @@ def test_cli_tolerance_override_can_trip_contract_error(tmp_path, capsys):
                  "--tol", "residual_rel=1e-30"])
     assert code == 2
     assert "residual" in capsys.readouterr().err
+
+
+def test_cli_tolerance_override_is_a_real_number(tmp_path):
+    args = build_parser().parse_args(["fig1", "--out", str(tmp_path),
+                                      "--tol", "reality_rel=1e-9", "--tol", "cluster_rel=2"])
+    tol = config_from_args(args).tol()
+    assert (tol.reality_rel, tol.cluster_rel) == (1e-9, 2.0)
+    assert type(tol.cluster_rel) is float
+    assert main(["fig1", "--out", str(tmp_path), "--tol", "reality_rel=1e-9"]) == 0
 
 
 def test_cli_unknown_tolerance_key(tmp_path, capsys):

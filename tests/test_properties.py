@@ -1,8 +1,14 @@
+import inspect
+from dataclasses import replace
+
 import numpy as np
 
 from nhlab import properties
-from nhlab.config import Tolerances
+from nhlab.config import DEFAULT, Tolerances
+from nhlab.eig import eig_full
+from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_product
 from nhlab.properties import SUITE_NAMES, replay_instance, run_properties, run_trial
+from nhlab.spectra import conjugate_pairs
 
 
 def test_all_suites_pass_small():
@@ -131,3 +137,55 @@ def test_trial_subsets_give_the_same_details():
     subset = [37, 3, 12, 3, 0]
     assert properties._details("ep_location_psd_singular", 2, subset, TIGHT) == [
         full[k] for k in subset]
+
+
+def test_stacked_suites_call_eig_full_once_per_size_group(monkeypatch):
+    calls = {}
+    eig_full = properties.eig_full
+
+    def counted(h, tol):
+        calls.setdefault(inspect.currentframe().f_back.f_code.co_name, []).append(h.shape)
+        return eig_full(h, tol)
+
+    monkeypatch.setattr(properties, "eig_full", counted)
+    run_properties(trials=50, seed=1)
+    assert set(calls) == {"_no_ep_psd_invertible", "_ep_location_psd_singular", "_chiral_pairing"}
+    for suite, shapes in calls.items():
+        sizes = [n for _, n, _ in shapes]
+        assert len(sizes) == len(set(sizes)) > 1, suite      # one stack per size
+        assert sum(k for k, _, _ in shapes) == 50, suite     # every trial in one of them
+
+
+def loop_chiral_detail(es, n, s, tol):
+    """The per-mode loop that ``_chiral_detail``'s column expressions replaced."""
+    w = es.eigenvalues
+    pairs, resid = conjugate_pairs(1j * w)
+    for (mu, nu), r in zip(pairs, resid):
+        if mu == nu and abs(w[mu]) <= tol.zero_mode_rel * es.matrix_norm:
+            continue
+        if r > tol.reality_rel * es.matrix_norm:
+            return f"no chiral partner for w = {w[mu].real:.6g} (n={n}, s={s:.3f})"
+        p = np.abs(es.right(mu)) / np.linalg.norm(es.right(mu))
+        q = np.abs(es.right(nu)) / np.linalg.norm(es.right(nu))
+        if np.abs(p - q).max() > 1e-8:
+            return f"chiral partners differ in |psi| (n={n}, s={s:.3f})"
+    return None
+
+
+def test_chiral_detail_matches_the_mode_loop():
+    rng = np.random.default_rng(4)
+    outcomes = set()
+    for n in (3, 9, 15):
+        for s in (1.1, 1.7, 2.2):
+            spec = LatticeSpec(n=n, t=1.0, scaling="geometric", s=s)
+            h0, a = build_h0(spec), build_scaling(spec)
+            ramp = build_h0(spec) + np.diag(np.linspace(0, 0.3, n))
+            for es in eig_full(np.stack([construct_product(h0, a), construct_product(ramp, a)])):
+                spoiled = es.right_vectors.copy()
+                spoiled[rng.integers(n), rng.integers(n)] *= 1.5
+                for case in (es, replace(es, right_vectors=spoiled)):
+                    for tol in (DEFAULT, TIGHT):
+                        detail = properties._chiral_detail(case, n, s, tol)
+                        assert detail == loop_chiral_detail(case, n, s, tol)
+                        outcomes.add(detail and detail.split(" (")[0].split(" for ")[0])
+    assert outcomes == {None, "no chiral partner", "chiral partners differ in |psi|"}
