@@ -28,7 +28,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .scenarios import SCENARIOS, ScenarioConfig, run
+from .scenarios import SCENARIOS, ScenarioConfig, _object, run
 
 
 def _parse_tol(pairs: list[str]) -> dict[str, float]:
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     if args.config is not None:
-        doc = json.loads(Path(args.config).read_text())
+        doc = _object(json.loads(Path(args.config).read_text()), "config")
         doc.setdefault("scenario", args.scenario)
         if doc["scenario"] != args.scenario:
             raise SystemExit(f"config names scenario {doc['scenario']!r} but the "

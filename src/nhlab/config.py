@@ -20,6 +20,13 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _object(value, name: str) -> dict:
+    """The one rule for a config document and each of its sections: a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} {value!r} is not a JSON object")
+    return value
+
+
 @dataclass(frozen=True)
 class Tolerances:
     # matrix tagging

@@ -1,26 +1,25 @@
 """Paired right/left eigensystems with biorthogonal normalization.
 
-A real tridiagonal matrix whose coupling pairs m[i, i+1], m[i+1, i] are
-nonzero with one sign (every real chain H0, H0 A, A^-1 H0 A of the product
-construction with A > 0) is solved through its symmetric form
-T = D M D^-1, with D diagonal: ``eigh_tridiagonal`` gives T = Phi w Phi^T,
-and psi = D^-1 phi, psi~ = D phi are biorthogonal by construction.  Every
-other matrix, and a chain whose pairs miss their certificate, takes the
-dense path.
-
-One dense LAPACK solve (``zgeev`` with both vector sets) returns right
-vectors psi and left vectors psi~ = conj(vl), paired by index because both
-come from the same Schur form (psi~^T M = w psi~^T).  Only a semisimple
-multiplet, a cluster of eigenvalues whose index-paired overlap block is
-invertible but not already biorthogonal, needs more: its left vectors are
-biorthogonalized in place.  Inside a defective cluster (an EP) the index
+A real chain (real tridiagonal, coupling pairs m[i, i+1], m[i+1, i] nonzero
+with one sign: H0, H0 A and A^-1 H0 A with A > 0) is solved in real
+arithmetic through its symmetric form T = D M D^-1 = U w U^T: psi = U / d
+and psi~ = U * d take closed-form scales from their column norms, so
+psi~^T psi = u^T u; each pair is signed so its largest |psi| entry is
+positive and certified by one real tridiagonal product per side, and the
+complex arrays are formed once, at the end.  Every other matrix, and a chain
+that misses its certificate, takes one dense ``zgeev`` solve with both
+vector sets: psi and psi~ = conj(vl) pair by index (one Schur form).  Only a
+semisimple multiplet (an invertible, non-biorthogonal overlap block) has its
+left vectors biorthogonalized; inside a defective cluster (an EP) the index
 pairing stands.  Biorthonormal pairs are rescaled so psi~^T psi = 1,
-self-orthogonal pairs (EP candidates) are kept at unit 2-norm, and every
-pair is rotated so the largest entry of psi is real positive.  Every
-returned pair carries a residual certificate.
+self-orthogonal pairs (EP candidates) keep unit 2-norm, and each pair is
+rotated so the largest entry of psi is real positive and carries a residual
+certificate.
 
-A (k, n, n) stack gives one system per matrix (a matrix is a stack of one);
-all but the LAPACK calls are array expressions over the stack.
+``apply_metric_pairing`` takes nu = mu wherever (A psi_mu)* is collinear
+with psi~_mu within ``metric_rel`` and forms the Gram only over the other
+modes.  A (k, n, n) stack gives one system per matrix; all but the LAPACK
+calls are array expressions over the stack.
 """
 
 from __future__ import annotations
@@ -201,30 +200,15 @@ def _validated(m: np.ndarray, stack: bool = False) -> np.ndarray:
     return m
 
 
-def _paired_systems(m: np.ndarray, norm: np.ndarray, w: np.ndarray, rhat: np.ndarray,
-                    lhat: np.ndarray, tol: Tolerances,
-                    tridiagonal: bool = False) -> list[EigenSystem]:
-    """Normalize, phase and certify index-paired unit right/left vectors, one
-    ``EigenSystem`` per matrix of the stack ``m``; for a ``tridiagonal`` M the
-    residuals take O(n^2) from its diagonals."""
-    overlaps = np.sum(lhat * rhat, axis=-2)
-    self_orth = np.abs(overlaps) < tol.self_orth
-    # split the rescaling symmetrically, principal branch
-    scale = np.where(self_orth, 1.0, np.sqrt(overlaps))[..., None, :]
-    right, left = rhat / scale, lhat / scale
-    top = np.take_along_axis(right, np.argmax(np.abs(right), axis=-2)[..., None, :], axis=-2)
-    phase = top / np.abs(top)
-    right, left = right / phase, left * phase
-    # residual certificates (per unit vector)
-    bands = [np.diagonal(m, k, -2, -1) for k in (-1, 0, 1)]    # M^T has them reversed
-    mr, ml = ((_tridiagonal_product(*bands, right), _tridiagonal_product(*bands[::-1], left))
-              if tridiagonal else (m @ right, m.swapaxes(-1, -2) @ left))
-    residuals = np.maximum(_residuals(mr, right, w), _residuals(ml, left, w))
-    return [EigenSystem(dim=m.shape[-1], eigenvalues=w[i], right_vectors=right[i],
+def _systems(norm: np.ndarray, w: np.ndarray, right: np.ndarray, left: np.ndarray,
+             self_orth: np.ndarray, overlaps: np.ndarray,
+             residuals: np.ndarray) -> list[EigenSystem]:
+    """One ``EigenSystem`` per matrix of the stacked arrays."""
+    return [EigenSystem(dim=right.shape[-1], eigenvalues=w[i], right_vectors=right[i],
                         left_vectors=left[i], norm_status=tuple(
                             SELF_ORTHOGONAL if so else BIORTHONORMAL for so in self_orth[i]),
                         overlaps=overlaps[i], residuals=residuals[i], matrix_norm=float(norm[i]))
-            for i in range(len(m))]
+            for i in range(len(right))]
 
 
 def _certified(es: EigenSystem, tol: Tolerances) -> bool:
@@ -241,24 +225,36 @@ def _stacked(arrays: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
 
 def _chain_systems(stack: np.ndarray, norm: np.ndarray,
                    tol: Tolerances) -> dict[int, EigenSystem]:
-    """Certified systems of the stack's real chains, by stack index: one
-    ``eigh_tridiagonal`` per chain, then the pairing over all of them.  A
-    chain whose solve fails or that misses its certificate is left out."""
+    """Certified systems of the stack's real chains by stack index, in real arithmetic; a
+    chain whose ``eigh_tridiagonal`` fails or that misses its certificate is left out."""
     solved = {}
     for i, form in enumerate(map(chain_form, stack)):
         try:
             if form is not None:
-                w, phi = scipy.linalg.eigh_tridiagonal(form.diag, form.off, check_finite=False)
-                solved[i] = (form.d, w, phi.astype(complex))
+                w, u = scipy.linalg.eigh_tridiagonal(form.diag, form.off, check_finite=False)
+                solved[i] = (form.d, w, u)
         except np.linalg.LinAlgError:
             pass    # the dense path decides
     if not solved:
         return {}
     index = list(solved)
-    d, w, phi = map(_stacked, zip(*solved.values()))    # rebinding frees the loop's real phi
-    d = d[..., None]
-    systems = _paired_systems(_stacked([stack[i] for i in index]), norm[index], w.astype(complex),
-                              _unit_columns(phi / d), _unit_columns(phi * d), tol, tridiagonal=True)
+    d, w, right = map(_stacked, zip(*solved.values()))
+    left, right = right * d[..., None], right / d[..., None]
+    # unit overlap 1 / (||u/d|| ||u*d||); scales sqrt(||u*d|| / ||u/d||)^(+-1) give u^T u
+    nr, nl = np.linalg.norm(right, axis=-2), np.linalg.norm(left, axis=-2)
+    overlaps = 1.0 / (nr * nl)
+    self_orth = overlaps < tol.self_orth
+    sign = np.sign(np.take_along_axis(right, np.argmax(np.abs(right), -2)[..., None, :], -2))
+    right *= sign * np.where(self_orth, 1.0 / nr, np.sqrt(nl / nr))[..., None, :]
+    left *= sign * np.where(self_orth, 1.0 / nl, np.sqrt(nr / nl))[..., None, :]
+    bands = [np.diagonal(stack, k, -2, -1)[index].real for k in (-1, 0, 1)]
+    residuals = np.maximum(_residuals(_tridiagonal_product(*bands, right), right, w),
+                           _residuals(_tridiagonal_product(*bands[::-1], left), left, w))
+    # both complex vector sets in one allocation, each slice in LAPACK's column order
+    vectors = np.empty((2,) + right.shape, dtype=complex).swapaxes(-1, -2)
+    vectors[0], vectors[1] = right, left
+    systems = _systems(norm[index], w.astype(complex), *vectors, self_orth,
+                       overlaps.astype(complex), residuals)
     return {i: es for i, es in zip(index, systems) if _certified(es, tol)}
 
 
@@ -290,7 +286,18 @@ def _dense_systems(stack: np.ndarray, norm: np.ndarray, index: list[int], tol: T
         for comp in _clusters(w[j], lim[j]):
             if len(comp) > 1:
                 _biorthogonalize_cluster(comp, lhat[j], rhat[j], tol)
-    systems = _paired_systems(_stacked([stack[i] for i in index]), norm[index], w, rhat, lhat, tol)
+    # biorthonormal pairs rescaled symmetrically (principal branch), each phased and certified
+    overlaps = np.sum(lhat * rhat, axis=-2)
+    self_orth = np.abs(overlaps) < tol.self_orth
+    scale = np.where(self_orth, 1.0, np.sqrt(overlaps))[..., None, :]
+    right, left = rhat / scale, lhat / scale
+    top = np.take_along_axis(right, np.argmax(np.abs(right), axis=-2)[..., None, :], axis=-2)
+    phase = top / np.abs(top)
+    right, left = right / phase, left * phase
+    m = _stacked([stack[i] for i in index])
+    residuals = np.maximum(_residuals(m @ right, right, w),
+                           _residuals(m.swapaxes(-1, -2) @ left, left, w))
+    systems = _systems(norm[index], w, right, left, self_orth, overlaps, residuals)
     for i, es in zip(index, systems):
         if not _certified(es, tol):
             raise EigensolveError(prefix.format(i) + f"eigenpair residual "
@@ -379,17 +386,17 @@ def apply_metric_pairing(es: EigenSystem, a: np.ndarray,
     reported on the kernel branch (w_mu = 0).
     """
     a = _square_operator(a, es, "A")
-    if _is_diagonal(a):
-        images = np.diagonal(a)[:, None] * es.right_vectors
-    else:
-        images = a @ es.right_vectors
-    kernel = (np.linalg.norm(images, axis=0)
-              <= tol.kernel_rel * np.linalg.norm(es.right_vectors, axis=0))
-    # the residual of (A psi_mu)* against psi~_nu is smallest where
-    # |psi~_nu^T A psi_mu| / ||psi~_nu|| is largest
-    gram = np.abs(es.left_vectors.T @ images)
-    best = np.argmax(gram / np.linalg.norm(es.left_vectors, axis=0)[:, None], axis=0)
-    coll = np.where(kernel, 0.0, collinearity_residual(images.conj(), es.left_vectors[:, best]))
+    right, left = es.right_vectors, es.left_vectors
+    images = np.diagonal(a)[:, None] * right if _is_diagonal(a) else a @ right
+    kernel = np.linalg.norm(images, axis=0) <= tol.kernel_rel * np.linalg.norm(right, axis=0)
+    # (A psi_mu)* is closest to the psi~_nu of largest |psi~_nu^T A psi_mu| / ||psi~_nu||; by
+    # Cauchy-Schwarz only a psi~_nu within metric_rel of psi~_mu can beat a nu = mu that meets it
+    best, coll = np.arange(es.dim), collinearity_residual(images.conj(), left)
+    miss = np.flatnonzero(~kernel & ~(coll <= tol.metric_rel))
+    gram = np.abs(left.T @ images[:, miss])
+    best[miss] = np.argmax(gram / np.linalg.norm(left, axis=0)[:, None], axis=0)
+    coll[miss] = collinearity_residual(images[:, miss].conj(), left[:, best[miss]])
+    coll[kernel] = 0.0
     return MetricPairingReport(entries=[
         MetricPairEntry(mu=mu, nu=None if k else nu, collinearity=c,
                         diagonal=not k and nu == mu, kernel=k)

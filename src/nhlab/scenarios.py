@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances, _real
+from .config import DEFAULT, Tolerances, _object, _real
 from .eig import collinearity_residual, eig_full
 from .laser import PumpSpec, find_threshold, power_flows, pumped_hamiltonian, track_mode
 from .mech import (OscillatorChain, dynamical_matrix, eigenfrequencies,
@@ -72,28 +72,22 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ScenarioConfig":
-        known = {"scenario", "lattice", "pump", "tolerances", "output", "seed",
-                 "trials", "anchor", "n"}
-        unknown = set(d) - known
+        unknown = set(d) - {"scenario", "lattice", "pump", "tolerances", "output", "seed",
+                            "trials", "anchor", "n"}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        sections = {k: _object(d[k], k) for k in ("lattice", "pump", "tolerances", "output")
+                    if d.get(k) is not None}
         kwargs: dict[str, Any] = {k: d[k] for k in
                                   ("scenario", "seed", "trials", "anchor", "n") if k in d}
-        if d.get("lattice") is not None:
-            kwargs["lattice"] = LatticeSpec.from_dict(d["lattice"])
-        if d.get("pump") is not None:
-            kwargs["pump"] = PumpSpec.from_dict(d["pump"])
-        if d.get("tolerances"):
-            kwargs["tolerances"] = dict(d["tolerances"])
-        out = d.get("output", {})
-        if out:
-            extra = set(out) - {"path", "format"}
-            if extra:
-                raise ValueError(f"unknown output fields: {sorted(extra)}")
-            if "path" in out:
-                kwargs["out_dir"] = out["path"]
-            if "format" in out:
-                kwargs["format"] = out["format"]
+        kwargs.update({k: spec.from_dict(sections[k]) for k, spec in
+                       (("lattice", LatticeSpec), ("pump", PumpSpec)) if k in sections})
+        kwargs["tolerances"] = dict(sections.get("tolerances", {}))
+        out = sections.get("output", {})
+        if set(out) - {"path", "format"}:
+            raise ValueError(f"unknown output fields: {sorted(set(out) - {'path', 'format'})}")
+        kwargs.update({k: out[f] for k, f in (("out_dir", "path"), ("format", "format"))
+                       if f in out})
         return cls(**kwargs)
 
     def tol(self) -> Tolerances:

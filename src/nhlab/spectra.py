@@ -364,23 +364,25 @@ def bmap_correspondence(h0: np.ndarray, b: np.ndarray,
     an H eigenvector B^-1 phi, while for singular B every H mode with
     B psi != 0 maps forward to an H_e mode at the same eigenvalue.
 
-    Invertibility is decided first (from |b_jj| for a diagonal B, else an
-    SVD), then H_e is solved once: by ``eigh_tridiagonal`` when it is a
-    chain, else by ``eigh`` (invertible B) or ``eigvalsh`` (singular B).
-    A diagonal B is applied elementwise throughout.
+    H0 is validated once.  Invertibility is decided from |b_jj| for a
+    diagonal B (which builds H and H_e elementwise), else from an SVD; H_e is
+    solved once, by ``eigh_tridiagonal`` when it is a chain, else by ``eigh``
+    (invertible B) or ``eigvalsh`` (singular B).
     """
     b = np.asarray(b, dtype=complex)
+    h0 = assert_hermitian(h0, tol, "h0")
+    if h0.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {h0.shape} vs {b.shape}")
     diagonal = _is_diagonal(b)
     if diagonal:
         bd = np.diagonal(b)
-        a = np.diag(bd.conj() * bd)
         sv = np.abs(bd)
+        # H0 A as construct_product forms it; b_i conj(b_j) keeps H_e exactly Hermitian
+        h, he = h0 * (bd.conj() * bd), h0 * (bd[:, None] * bd.conj())
     else:
-        a = b.conj().T @ b
         sv = np.linalg.svd(b, compute_uv=False)
+        h, he = construct_product(h0, b.conj().T @ b, tol), hermitian_equivalent(h0, b, tol)
     invertible = bool(sv.min() > tol.invertible_rel * max(sv.max(), 1e-300))
-    h = construct_product(h0, a, tol)
-    he = hermitian_equivalent(h0, b, tol)
 
     es = eig_full(h, tol)
     norm = max(es.matrix_norm, 1e-300)
@@ -397,20 +399,20 @@ def bmap_correspondence(h0: np.ndarray, b: np.ndarray,
 
     if invertible:
         mapped_back = vecs_e / bd[:, None] if diagonal else np.linalg.solve(b, vecs_e)
-        nearest = np.argmin(np.abs(evals_e[None, :] - w.real[:, None]), axis=1)
+        # the nearest of H_e's ascending eigenvalues (the first of a tie), from its neighbours
+        hi = np.minimum(np.searchsorted(evals_e, w.real), es.dim - 1)     # first >= Re w
+        lo = np.searchsorted(evals_e, evals_e[np.maximum(hi - 1, 0)])      # first of the run below
+        nearest = np.where(np.abs(evals_e[lo] - w.real) <= np.abs(evals_e[hi] - w.real), lo, hi)
         res = collinearity_residual(mapped_back[:, nearest], es.right_vectors)
-        entries = [BMapModeEntry(mu=mu, eigenvalue=complex(w[mu]), mapped=True,
-                                 residual=float(res[mu])) for mu in range(es.dim)]
+        mapped = np.ones(es.dim, dtype=bool)
     else:
         psi = es.right_vectors / np.linalg.norm(es.right_vectors, axis=0)
         images = bd[:, None] * psi if diagonal else b @ psi
         image_norms = np.linalg.norm(images, axis=0)
         mapped = image_norms > tol.kernel_rel
         images = images / np.where(mapped, image_norms, 1.0)
-        res = np.linalg.norm(he @ images - images * w, axis=0) / norm
-        entries = [BMapModeEntry(mu=mu, eigenvalue=complex(w[mu]), mapped=bool(mapped[mu]),
-                                 residual=float(res[mu]) if mapped[mu] else 0.0)
-                   for mu in range(es.dim)]
-
-    return BMapReport(invertible=invertible, spectral_gap=gap, entries=entries,
-                      gap_tol=tol.spectra_match_rel * norm)
+        res = np.where(mapped, np.linalg.norm(he @ images - images * w, axis=0) / norm, 0.0)
+    return BMapReport(invertible=invertible, spectral_gap=gap, entries=[
+        BMapModeEntry(mu=mu, eigenvalue=x, mapped=m, residual=r)
+        for mu, (x, m, r) in enumerate(zip(w.tolist(), mapped.tolist(), res.tolist()))],
+        gap_tol=tol.spectra_match_rel * norm)

@@ -79,6 +79,13 @@ def test_cli_non_integer_count_or_index_exits_2(tmp_path, capsys, scenario, conf
     ("fig1", {"tolerances": {"reality_rel": True}}, "reality_rel True is not a real number"),
     ("properties", {"tolerances": {"residual_rel": "1e-9"}},
      "residual_rel '1e-9' is not a real number"),
+    # a document or section that is not a JSON object
+    ("fig1", [1], "config [1] is not a JSON object"),
+    ("fig1", {"tolerances": [1]}, "tolerances [1] is not a JSON object"),
+    ("fig1", {"tolerances": 5}, "tolerances 5 is not a JSON object"),
+    ("custom", {"lattice": 5}, "lattice 5 is not a JSON object"),
+    ("fig1", {"output": 5}, "output 5 is not a JSON object"),
+    ("fig5", {"pump": [0.02, 1]}, "pump [0.02, 1] is not a JSON object"),
 ])
 def test_cli_mistyped_config_field_exits_2(tmp_path, capsys, scenario, config, message):
     (tmp_path / "cfg.json").write_text(json.dumps(config))

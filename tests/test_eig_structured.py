@@ -1,8 +1,11 @@
 """The structured chain path of ``eig_full`` and ``ep_analyze`` against the
 dense solve: a property suite over real chains, call counts that pin which
-path each input takes, and the diagonal shortcuts of the metric pairing and
-the inner-product audit against their dense products."""
+path each input takes, the real chain path against the complex chain pairing
+it replaced, its peak memory, the metric pairing against the full overlap
+Gram, and the diagonal shortcuts of the metric pairing and the inner-product
+audit against their dense products."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,10 +16,11 @@ from hypothesis import strategies as st
 
 import nhlab.eig
 from nhlab.config import DEFAULT
-from nhlab.eig import (BIORTHONORMAL, EigensolveError, apply_metric_pairing,
-                       collinearity_residual, eig_full)
+from nhlab.eig import (BIORTHONORMAL, SELF_ORTHOGONAL, EigensolveError, _tridiagonal_product,
+                       apply_metric_pairing, chain_form, collinearity_residual, eig_full)
 from nhlab.model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
                          construct_product, factor_psd)
+from nhlab.properties import _geometric_products
 from nhlab.spectra import ep_analyze, inner_product_audit
 
 from conftest import random_hermitian, random_psd
@@ -174,3 +178,133 @@ def test_metric_pairing_and_audit_match_dense_products(coupling):
     # the zeroed site puts a kernel mode on both branches
     assert sum(e.kernel for e in pairing.entries) == 1
     assert sum(e.ep_candidate for e in audit) == 1
+
+
+# ---------------------------------------------------------------------------
+# the real chain path against the complex chain pairing it replaced
+
+EPS = np.finfo(float).eps
+PAPER_S = 1.797692959776262     # calibrate_s's ratio at the paper's n = 9
+
+
+def reference_chain_system(h, tol=DEFAULT):
+    """The complex chain pairing of the former ``eig_full``, kept literally as
+    the oracle: (eigenvalues, right, left, norm_status, overlaps, residuals)."""
+    form = chain_form(h)
+    w, phi = scipy.linalg.eigh_tridiagonal(form.diag, form.off, check_finite=False)
+    phi, d = phi.astype(complex), form.d[:, None]
+    rhat, lhat = phi / d, phi * d
+    rhat, lhat = rhat / np.linalg.norm(rhat, axis=0), lhat / np.linalg.norm(lhat, axis=0)
+    overlaps = np.sum(lhat * rhat, axis=0)
+    self_orth = np.abs(overlaps) < tol.self_orth
+    scale = np.where(self_orth, 1.0, np.sqrt(overlaps))[None, :]
+    right, left = rhat / scale, lhat / scale
+    top = np.take_along_axis(right, np.argmax(np.abs(right), axis=0)[None, :], axis=0)
+    phase = top / np.abs(top)
+    right, left = right / phase, left * phase
+    bands = [np.diagonal(h, k) for k in (-1, 0, 1)]
+    residuals = [np.linalg.norm(_tridiagonal_product(*b, v) - v * w, axis=0)
+                 / np.linalg.norm(v, axis=0) for b, v in ((bands, right), (bands[::-1], left))]
+    status = tuple(SELF_ORTHOGONAL if so else BIORTHONORMAL for so in self_orth)
+    return w.astype(complex), right, left, status, overlaps, np.maximum(*residuals)
+
+
+def assert_matches_reference(es, h):
+    """Eigenvalues and statuses equal; each vector within 32 eps of its column's
+    largest entry, each overlap within 32 eps relative, each residual within
+    16 eps ||M|| (observed: 7, 12 and 1 eps at n = 401)."""
+    w, right, left, status, overlaps, residuals = reference_chain_system(h)
+    np.testing.assert_array_equal(es.eigenvalues, w)
+    assert es.norm_status == status
+    for got, want in ((es.right_vectors, right), (es.left_vectors, left)):
+        assert (np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)).max() <= 32 * EPS
+    assert (np.abs(es.overlaps - overlaps) / np.abs(overlaps)).max() <= 32 * EPS
+    assert np.abs(es.residuals - residuals).max() <= 16 * EPS * es.matrix_norm
+
+
+@pytest.mark.parametrize("form", ["H0", "H0 A", "A^-1 H0 A"])
+@pytest.mark.parametrize("ratio", ["skin_1e4", "paper"])
+@pytest.mark.parametrize("n", [2, 3, 9, 100, 401])
+def test_real_chain_path_matches_complex_pairing(n, ratio, form):
+    s = 1e4 ** (1.0 / (n - 1)) if ratio == "skin_1e4" else PAPER_S
+    spec = LatticeSpec(n=n, scaling="geometric", s=s)
+    h0, a = build_h0(spec), build_scaling(spec)
+    h = {"H0": h0, "H0 A": construct_product(h0, a), "A^-1 H0 A": construct_gauge(h0, a)}[form]
+    with spy(scipy.linalg, "eig") as dense:
+        es = eig_full(h)
+    assert dense.call_count == 0
+    assert_matches_reference(es, h)
+
+
+def test_real_chain_path_matches_complex_pairing_on_a_chiral_stack():
+    # the chiral_pairing suite's stacks: odd unit-coupling chains H0 A
+    for n in (5, 9, 15):
+        stack = _geometric_products([1.1, 1.5, 2.2], n, DEFAULT)
+        for es, h in zip(eig_full(stack), stack):
+            assert_matches_reference(es, h)
+
+
+def test_chain_path_peak_memory_is_four_complex_matrices():
+    n = 401
+    spec = LatticeSpec(n=n, scaling="geometric", s=1e4 ** (1.0 / (n - 1)))
+    h = construct_product(build_h0(spec), build_scaling(spec))
+    eig_full(h)
+    tracemalloc.start()
+    try:
+        eig_full(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * h.nbytes     # h is one complex n x n array
+
+
+# ---------------------------------------------------------------------------
+# the metric pairing against the full overlap Gram it replaced
+
+def gram_pairing(es, a, tol=DEFAULT):
+    """The former pairing, kept literally as the oracle: (nu, collinearity,
+    kernel) from the argmax over the full Gram psi~^T A R."""
+    images = a @ es.right_vectors
+    kernel = (np.linalg.norm(images, axis=0)
+              <= tol.kernel_rel * np.linalg.norm(es.right_vectors, axis=0))
+    gram = np.abs(es.left_vectors.T @ images)
+    best = np.argmax(gram / np.linalg.norm(es.left_vectors, axis=0)[:, None], axis=0)
+    coll = np.where(kernel, 0.0, collinearity_residual(images.conj(), es.left_vectors[:, best]))
+    return best, coll, kernel
+
+
+def skin_chain_pair():
+    spec = LatticeSpec(n=101, scaling="geometric", s=1e4 ** (1.0 / 100))
+    return build_h0(spec), build_scaling(spec)
+
+
+def dense_singular_pair():
+    rng = np.random.default_rng(11)
+    return random_hermitian(rng, 12), random_psd(rng, 12, 3)
+
+
+def indefinite_pair():
+    spec = LatticeSpec(n=9, scaling="explicit", values=(1, 2, -1, 0.5, 1, -2, 1, 1, 3))
+    return build_h0(spec), build_scaling(spec, allow_indefinite=True)
+
+
+def zeroed_pair():
+    spec = LatticeSpec(n=15, scaling="random", seed=9, zeroed_sites=(3,))
+    return build_h0(spec), build_scaling(spec)
+
+
+@pytest.mark.parametrize("make, misses, kernels", [
+    (skin_chain_pair, False, 0), (dense_singular_pair, False, 3), (indefinite_pair, True, 0),
+    (zeroed_pair, False, 1)], ids=["chain", "dense_psd_zero_cluster", "indefinite", "zeroed"])
+def test_metric_pairing_matches_full_gram(make, misses, kernels):
+    h0, a = make()
+    es = eig_full(construct_product(h0, a))
+    entries = apply_metric_pairing(es, a).entries
+    best, coll, kernel = gram_pairing(es, a)
+    assert [e.kernel for e in entries] == kernel.tolist()
+    assert [e.nu for e in entries] == [None if k else int(b) for b, k in zip(best, kernel)]
+    assert [e.diagonal for e in entries] == (~kernel & (best == np.arange(es.dim))).tolist()
+    np.testing.assert_allclose([e.collinearity for e in entries], coll, rtol=1e-10, atol=1e-14)
+    assert sum(kernel) == kernels
+    # a conjugate pair misses nu = mu, and its pairing comes from the Gram columns
+    assert any(not e.diagonal for e in entries if not e.kernel) == misses
