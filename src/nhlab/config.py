@@ -8,16 +8,23 @@ matrix under analysis (or to another scale stated in the consuming function).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields, replace
 
 
 def _real(value, name: str) -> float:
-    """The one rule for a user-facing real number: an int, float or numpy
-    real but not a bool, stored as float."""
+    """The one rule for a user-facing real number: a finite int, float or
+    numpy real but not a bool, stored as float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} {value!r} is not a real number")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:       # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} {value!r} is not finite")
+    return x
 
 
 def _object(value, name: str) -> dict:
@@ -62,14 +69,19 @@ class Tolerances:
     mech_spectrum_rel: float = 1e-8   # reality / nonpositivity of the dynamical matrix
     integrator_guard: float = 0.1     # dt * max eigenfrequency must stay below this
 
+    def __post_init__(self):
+        # every tolerance is a finite real by ``_real``'s rule (zero and negative allowed)
+        for f in fields(self):
+            object.__setattr__(self, f.name, _real(getattr(self, f.name), f.name))
+
     def with_overrides(self, overrides: dict[str, float]) -> "Tolerances":
-        """Return a copy with the given named tolerances replaced, each a real
-        number by ``_real``'s rule (a ValueError names a bool or non-real)."""
+        """Return a copy with the given named tolerances replaced (a ValueError
+        names a value that is not a finite real)."""
         known = {f.name for f in fields(self)}
         unknown = set(overrides) - known
         if unknown:
             raise KeyError(f"unknown tolerance keys: {sorted(unknown)}; known: {sorted(known)}")
-        return replace(self, **{k: _real(v, k) for k, v in overrides.items()})
+        return replace(self, **overrides)
 
 
 DEFAULT = Tolerances()

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
-from .model import spectral_norm
+from .config import DEFAULT, Tolerances, _real
+from .model import _integer, _is_list, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,13 @@ class OscillatorChain:
     spring_k: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "spring_k", _real(self.spring_k, "spring_k"))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if len(self.masses) != self.n:
-            raise ValueError(f"need {self.n} masses, got {len(self.masses)}")
-        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
+        if not _is_list(self.masses) or len(self.masses) != self.n:
+            raise ValueError(f"masses {self.masses!r} is not a list of {self.n} masses")
+        object.__setattr__(self, "masses", tuple(_real(m, "mass") for m in self.masses))
         if min(self.masses) <= 0:
             raise ValueError("all masses must be positive")
         if not self.spring_k > 0:

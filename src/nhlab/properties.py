@@ -1,15 +1,16 @@
 """Randomized property suites over the spectral theorems.
 
-Each suite runs over a list of trial indices.  Every instance is drawn from
-its own deterministic RNG keyed by (seed, suite, trial), the instances are
-grouped by size, and each group is checked with one stacked call per kernel
-(``eig_full`` included).  One trial is the same suite code on a list of one,
-so any failure serializes to a small record that replays the identical instance.
+A suite is a size law and a check of one size group.  One driver runs any
+list of trial indices: every instance is drawn from its own deterministic RNG
+keyed by (seed, suite, trial), the instances are grouped by size, and each
+group is checked with one stacked call per kernel (``eig_full`` included).
+One trial is the same code on a list of one, so any failure serializes to a
+small record that replays the identical instance.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +21,6 @@ from .mech import OscillatorChain, dynamical_matrix, eigenfrequencies, stiffness
 from .model import (LatticeSpec, _adjoint, build_h0, build_scaling, construct_gauge,
                     construct_product, spectral_norm)
 from .spectra import conjugate_pairs
-
-def _rng(seed: int, suite: str, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, SUITE_NAMES.index(suite), trial])
 
 
 def _random_hermitian(rng, n: int) -> np.ndarray:
@@ -60,23 +58,6 @@ class SuiteReport:
         return not self.failures
 
 
-def _sized(seed: int, suite: str, trials: Sequence[int],
-           size: Callable[[np.random.Generator], int]
-           ) -> Iterator[tuple[int, list[int], list[np.random.Generator]]]:
-    """Each trial's RNG after its first draw ``size(rng)``, grouped by that size.
-
-    Yields (n, positions, rngs) per size, with positions into ``trials``.  The
-    caller draws the rest of each instance from its own RNG, in the order a
-    lone trial draws it, so grouping never changes an instance.
-    """
-    groups: dict[int, list[tuple[int, np.random.Generator]]] = {}
-    for pos, trial in enumerate(trials):
-        rng = _rng(seed, suite, trial)
-        groups.setdefault(size(rng), []).append((pos, rng))
-    for n, members in groups.items():
-        yield n, [p for p, _ in members], [rng for _, rng in members]
-
-
 def _stack(draws: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
     """Per-instance tuples of arrays as one stacked array per field."""
     return tuple(np.stack(column) for column in zip(*draws))
@@ -87,55 +68,47 @@ def _random_chain(rng, n: int) -> OscillatorChain:
                            spring_k=float(rng.uniform(0.5, 2.0)))
 
 
-def _reality_psd(seed, trials, tol):
-    for n, pos, rngs in _sized(seed, "reality_psd", trials,
-                               lambda rng: int(rng.integers(2, 31))):
-        h = construct_product(*_stack([(_random_hermitian(r, n), _random_psd(r, n))
-                                       for r in rngs]), tol)
-        imag = np.abs(np.linalg.eigvals(h).imag).max(axis=-1)
-        lim = tol.reality_rel * spectral_norm(h)
-        for k in np.flatnonzero(imag > lim):
-            yield pos[k], f"max|Im w| = {imag[k]:.3e} > {lim[k]:.3e} (n={n})"
+def _exceeding(what: str, values: np.ndarray, limits: np.ndarray,
+               n: int) -> list[tuple[int, str]]:
+    """(index, detail) of each instance whose value exceeds its limit."""
+    return [(k, f"{what} {values[k]:.3e} > {limits[k]:.3e} (n={n})")
+            for k in np.flatnonzero(values > limits)]
 
 
-def _pseudo_hermiticity(seed, trials, tol):
-    for n, pos, rngs in _sized(seed, "pseudo_hermiticity", trials,
-                               lambda rng: int(rng.integers(2, 31))):
-        h0 = np.stack([_random_hermitian(r, n) for r in rngs])
-        sv = np.linalg.svd(h0, compute_uv=False)
-        # a singular metric is vacuously skipped, before its A is drawn
-        keep = np.flatnonzero(sv[:, -1] > tol.invertible_rel * sv[:, 0])
-        if not keep.size:
-            continue
-        h0 = h0[keep]
-        h = construct_product(h0, np.stack([_random_psd(rngs[k], n) for k in keep]), tol)
-        resid = spectral_norm(np.linalg.solve(h0, h @ h0) - _adjoint(h))
-        lim = tol.metric_rel * spectral_norm(h)
-        for k in np.flatnonzero(resid > lim):
-            yield pos[keep[k]], f"metric residual {resid[k]:.3e} > {lim[k]:.3e} (n={n})"
+def _reality_psd(n, rngs, tol):
+    h = construct_product(*_stack([(_random_hermitian(r, n), _random_psd(r, n))
+                                   for r in rngs]), tol)
+    return _exceeding("max|Im w| =", np.abs(np.linalg.eigvals(h).imag).max(axis=-1),
+                      tol.reality_rel * spectral_norm(h), n)
 
 
-def _conjugate_closure_indefinite(seed, trials, tol):
-    for n, pos, rngs in _sized(seed, "conjugate_closure_indefinite", trials,
-                               lambda rng: int(rng.integers(2, 31))):
-        h = construct_product(*_stack([(_random_hermitian(r, n), _random_hermitian(r, n))
-                                       for r in rngs]), tol)
-        lim = tol.reality_rel * spectral_norm(h)
-        for k, w in enumerate(np.linalg.eigvals(h)):
-            resid = max(conjugate_pairs(w)[1])
-            if resid > lim[k]:
-                yield pos[k], (f"conjugation-closure residual {resid:.3e} > {lim[k]:.3e} "
-                               f"(n={n})")
+def _pseudo_hermiticity(n, rngs, tol):
+    h0 = np.stack([_random_hermitian(r, n) for r in rngs])
+    sv = np.linalg.svd(h0, compute_uv=False)
+    # a singular metric is vacuously skipped, before its A is drawn
+    keep = np.flatnonzero(sv[:, -1] > tol.invertible_rel * sv[:, 0])
+    if not keep.size:
+        return []
+    h0 = h0[keep]
+    h = construct_product(h0, np.stack([_random_psd(rngs[k], n) for k in keep]), tol)
+    resid = spectral_norm(np.linalg.solve(h0, h @ h0) - _adjoint(h))
+    return [(keep[k], detail) for k, detail in
+            _exceeding("metric residual", resid, tol.metric_rel * spectral_norm(h), n)]
 
 
-def _no_ep_psd_invertible(seed, trials, tol):
-    for n, pos, rngs in _sized(seed, "no_ep_psd_invertible", trials,
-                               lambda rng: int(rng.integers(2, 21))):
-        h = construct_product(*_stack([(_random_hermitian(r, n), _random_psd(r, n))
-                                       for r in rngs]), tol)
-        for p, es in zip(pos, eig_full(h, tol)):
-            if not es.all_biorthonormal:
-                yield p, f"statuses {es.norm_status} for invertible PSD scaling (n={n})"
+def _conjugate_closure_indefinite(n, rngs, tol):
+    h = construct_product(*_stack([(_random_hermitian(r, n), _random_hermitian(r, n))
+                                   for r in rngs]), tol)
+    resid = np.array([max(conjugate_pairs(w)[1]) for w in np.linalg.eigvals(h)])
+    return _exceeding("conjugation-closure residual", resid,
+                      tol.reality_rel * spectral_norm(h), n)
+
+
+def _no_ep_psd_invertible(n, rngs, tol):
+    h = construct_product(*_stack([(_random_hermitian(r, n), _random_psd(r, n))
+                                   for r in rngs]), tol)
+    return [(k, f"statuses {es.norm_status} for invertible PSD scaling (n={n})")
+            for k, es in enumerate(eig_full(h, tol)) if not es.all_biorthonormal]
 
 
 def _ep_location_detail(es: EigenSystem, a: np.ndarray, n: int, tol: Tolerances) -> str | None:
@@ -150,29 +123,23 @@ def _ep_location_detail(es: EigenSystem, a: np.ndarray, n: int, tol: Tolerances)
     return None
 
 
-def _ep_location_psd_singular(seed, trials, tol):
-    for n, pos, rngs in _sized(seed, "ep_location_psd_singular", trials,
-                               lambda rng: int(rng.integers(3, 21))):
-        # each instance draws A before H0
-        a = np.stack([_random_psd(r, n, rank_deficiency=int(r.integers(1, max(2, n // 2))))
-                      for r in rngs])
-        h = construct_product(np.stack([_random_hermitian(r, n) for r in rngs]), a, tol)
-        for p, es, ak in zip(pos, eig_full(h, tol), a):
-            yield p, _ep_location_detail(es, ak, n, tol)
+def _ep_location_psd_singular(n, rngs, tol):
+    # each instance draws A before H0
+    a = np.stack([_random_psd(r, n, rank_deficiency=int(r.integers(1, max(2, n // 2))))
+                  for r in rngs])
+    h = construct_product(np.stack([_random_hermitian(r, n) for r in rngs]), a, tol)
+    return [(k, _ep_location_detail(es, ak, n, tol))
+            for k, (es, ak) in enumerate(zip(eig_full(h, tol), a))]
 
 
-def _gauge_similarity(seed, trials, tol):
-    for n, pos, rngs in _sized(seed, "gauge_similarity", trials,
-                               lambda rng: int(rng.integers(2, 31))):
-        h0 = np.stack([_random_hermitian(r, n) for r in rngs])
-        hpp = np.stack([construct_gauge(h, np.diag(r.uniform(0.2, 3.0, n)).astype(complex), tol)
-                        for h, r in zip(h0, rngs)])
-        w0 = np.sort(np.linalg.eigvalsh(h0), axis=-1)
-        w = np.sort(np.linalg.eigvals(hpp).real, axis=-1)
-        lim = tol.spectra_match_rel * np.maximum(spectral_norm(h0), 1e-300)
-        gap = np.abs(w - w0).max(axis=-1)
-        for k in np.flatnonzero(gap > lim):
-            yield pos[k], f"gauge spectrum gap {gap[k]:.3e} > {lim[k]:.3e} (n={n})"
+def _gauge_similarity(n, rngs, tol):
+    h0 = np.stack([_random_hermitian(r, n) for r in rngs])
+    hpp = np.stack([construct_gauge(h, np.diag(r.uniform(0.2, 3.0, n)).astype(complex), tol)
+                    for h, r in zip(h0, rngs)])
+    w0 = np.sort(np.linalg.eigvalsh(h0), axis=-1)
+    w = np.sort(np.linalg.eigvals(hpp).real, axis=-1)
+    return _exceeding("gauge spectrum gap", np.abs(w - w0).max(axis=-1),
+                      tol.spectra_match_rel * np.maximum(spectral_norm(h0), 1e-300), n)
 
 
 def _geometric_products(ratios: list[float], n: int, tol: Tolerances) -> np.ndarray:
@@ -182,18 +149,15 @@ def _geometric_products(ratios: list[float], n: int, tol: Tolerances) -> np.ndar
                              np.stack([build_scaling(spec) for spec in specs]), tol)
 
 
-def _coupling_ratio_geometric(seed, trials, tol):
-    for n, pos, rngs in _sized(seed, "coupling_ratio_geometric", trials,
-                               lambda rng: int(rng.integers(3, 21))):
-        ratios = [float(r.uniform(1.05, 3.0)) for r in rngs]
-        h = _geometric_products(ratios, n, tol)
-        s = np.array(ratios)[:, None]
-        ratio = (np.diagonal(h, 1, -2, -1) / np.diagonal(h, -1, -2, -1)).real
-        off = np.abs(ratio - s) > 1e-13 * s
-        for k in np.flatnonzero(off.any(axis=1)):
-            j = int(np.argmax(off[k]))
-            yield pos[k], (f"coupling ratio {ratio[k, j]!r} != s = {ratios[k]!r} "
-                           f"at bond {j + 1}")
+def _coupling_ratio_geometric(n, rngs, tol):
+    ratios = [float(r.uniform(1.05, 3.0)) for r in rngs]
+    h = _geometric_products(ratios, n, tol)
+    s = np.array(ratios)[:, None]
+    ratio = (np.diagonal(h, 1, -2, -1) / np.diagonal(h, -1, -2, -1)).real
+    off = np.abs(ratio - s) > 1e-13 * s
+    bond = np.argmax(off, axis=1)
+    return [(k, f"coupling ratio {ratio[k, bond[k]]!r} != s = {ratios[k]!r} "
+                f"at bond {bond[k] + 1}") for k in np.flatnonzero(off.any(axis=1))]
 
 
 def _chiral_detail(es: EigenSystem, n: int, s: float, tol: Tolerances) -> str | None:
@@ -213,64 +177,74 @@ def _chiral_detail(es: EigenSystem, n: int, s: float, tol: Tolerances) -> str | 
     return f"chiral partners differ in |psi| (n={n}, s={s:.3f})"
 
 
-def _chiral_pairing(seed, trials, tol):
-    for n, pos, rngs in _sized(seed, "chiral_pairing", trials,
-                               lambda rng: int(rng.integers(2, 8)) * 2 + 1):   # odd
-        ratios = [float(r.uniform(1.1, 2.2)) for r in rngs]
-        for p, s, es in zip(pos, ratios, eig_full(_geometric_products(ratios, n, tol), tol)):
-            yield p, _chiral_detail(es, n, s, tol)
+def _chiral_pairing(n, rngs, tol):
+    ratios = [float(r.uniform(1.1, 2.2)) for r in rngs]
+    return [(k, _chiral_detail(es, n, s, tol)) for k, (s, es) in
+            enumerate(zip(ratios, eig_full(_geometric_products(ratios, n, tol), tol)))]
 
 
-def _mech_reality(seed, trials, tol):
-    for n, pos, rngs in _sized(seed, "mech_reality", trials,
-                               lambda rng: int(rng.integers(1, 41))):
-        for p, r in zip(pos, rngs):
-            try:
-                eigenfrequencies(dynamical_matrix(_random_chain(r, n)), tol)
-            except ValueError as exc:
-                yield p, f"{exc} (n={n})"
+def _mech_reality(n, rngs, tol):
+    for k, r in enumerate(rngs):
+        try:
+            eigenfrequencies(dynamical_matrix(_random_chain(r, n)), tol)
+        except ValueError as exc:
+            yield k, f"{exc} (n={n})"
 
 
-def _mech_hermitian_equivalent(seed, trials, tol):
-    for n, pos, rngs in _sized(seed, "mech_hermitian_equivalent", trials,
-                               lambda rng: int(rng.integers(1, 41))):
-        chains = [_random_chain(r, n) for r in rngs]
-        m, root, k0 = _stack([(dynamical_matrix(c), np.diag(1.0 / np.sqrt(np.array(c.masses))),
-                               stiffness_matrix(c)) for c in chains])
-        w = np.sort(np.linalg.eigvals(m).real, axis=-1)
-        we = np.sort(np.linalg.eigvalsh(root @ k0 @ root), axis=-1)
-        gap = np.abs(w - we).max(axis=-1)
-        lim = tol.spectra_match_rel * np.maximum(spectral_norm(m), 1e-300)
-        for k in np.flatnonzero(gap > lim):
-            yield pos[k], (f"mass-graded equivalent spectrum gap {gap[k]:.3e} > "
-                           f"{lim[k]:.3e} (n={n})")
+def _mech_hermitian_equivalent(n, rngs, tol):
+    chains = [_random_chain(r, n) for r in rngs]
+    m, root, k0 = _stack([(dynamical_matrix(c), np.diag(1.0 / np.sqrt(np.array(c.masses))),
+                           stiffness_matrix(c)) for c in chains])
+    w = np.sort(np.linalg.eigvals(m).real, axis=-1)
+    we = np.sort(np.linalg.eigvalsh(root @ k0 @ root), axis=-1)
+    return _exceeding("mass-graded equivalent spectrum gap", np.abs(w - we).max(axis=-1),
+                      tol.spectra_match_rel * np.maximum(spectral_norm(m), 1e-300), n)
 
 
-# suite name -> the suite over (seed, trials, tol), yielding (position in trials,
-# failure detail or None); the order of the names keys every trial's RNG
-_SUITES: dict[str, Callable[[int, Sequence[int], Tolerances],
-                            Iterator[tuple[int, str | None]]]] = {
-    "reality_psd": _reality_psd,
-    "pseudo_hermiticity": _pseudo_hermiticity,
-    "conjugate_closure_indefinite": _conjugate_closure_indefinite,
-    "no_ep_psd_invertible": _no_ep_psd_invertible,
-    "ep_location_psd_singular": _ep_location_psd_singular,
-    "gauge_similarity": _gauge_similarity,
-    "coupling_ratio_geometric": _coupling_ratio_geometric,
-    "chiral_pairing": _chiral_pairing,
-    "mech_reality": _mech_reality,
-    "mech_hermitian_equivalent": _mech_hermitian_equivalent,
+def _between(lo: int, hi: int) -> Callable[[np.random.Generator], int]:
+    return lambda rng: int(rng.integers(lo, hi))
+
+
+# suite name -> (size law: a trial's first draw, its n; check of one size group:
+# (n, rngs, tol) -> (index in the group, failure detail or None) pairs).  The
+# order of the names keys every trial's RNG.
+_SUITES: dict[str, tuple[Callable[[np.random.Generator], int],
+                         Callable[[int, Sequence[np.random.Generator], Tolerances],
+                                  Iterable[tuple[int, str | None]]]]] = {
+    "reality_psd": (_between(2, 31), _reality_psd),
+    "pseudo_hermiticity": (_between(2, 31), _pseudo_hermiticity),
+    "conjugate_closure_indefinite": (_between(2, 31), _conjugate_closure_indefinite),
+    "no_ep_psd_invertible": (_between(2, 21), _no_ep_psd_invertible),
+    "ep_location_psd_singular": (_between(3, 21), _ep_location_psd_singular),
+    "gauge_similarity": (_between(2, 31), _gauge_similarity),
+    "coupling_ratio_geometric": (_between(3, 21), _coupling_ratio_geometric),
+    "chiral_pairing": (lambda rng: int(rng.integers(2, 8)) * 2 + 1, _chiral_pairing),  # odd
+    "mech_reality": (_between(1, 41), _mech_reality),
+    "mech_hermitian_equivalent": (_between(1, 41), _mech_hermitian_equivalent),
 }
 SUITE_NAMES = tuple(_SUITES)
 
 
 def _details(suite: str, seed: int, trials: Sequence[int], tol: Tolerances) -> list[str | None]:
-    """One entry per trial: None on a pass, the failure detail otherwise."""
+    """One entry per trial: None on a pass, the failure detail otherwise.
+
+    Each trial's RNG, keyed by (seed, suite, trial), first draws the size;
+    the trials of one size are checked together, each drawing the rest of its
+    instance from its own RNG in the order a lone trial draws it, so grouping
+    never changes an instance.
+    """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {SUITE_NAMES}")
-    details = [None] * len(trials)
-    for pos, detail in _SUITES[suite](seed, trials, tol):
-        details[pos] = detail
+    size, check = _SUITES[suite]
+    groups: dict[int, list[tuple[int, np.random.Generator]]] = {}
+    for pos, trial in enumerate(trials):
+        rng = np.random.default_rng([seed, SUITE_NAMES.index(suite), trial])
+        groups.setdefault(size(rng), []).append((pos, rng))
+    details: list[str | None] = [None] * len(trials)
+    for n, members in groups.items():
+        positions, rngs = zip(*members)
+        for k, detail in check(n, rngs, tol):
+            details[positions[k]] = detail
     return details
 
 

@@ -404,6 +404,14 @@ def bmap_correspondence(h0: np.ndarray, b: np.ndarray,
         lo = np.searchsorted(evals_e, evals_e[np.maximum(hi - 1, 0)])      # first of the run below
         nearest = np.where(np.abs(evals_e[lo] - w.real) <= np.abs(evals_e[hi] - w.real), lo, hi)
         res = collinearity_residual(mapped_back[:, nearest], es.right_vectors)
+        # inside a repeated eigenvalue H_e's basis is arbitrary: measure such a psi
+        # against the span of its whole cluster (within cluster_rel * ||H|| on the axis)
+        first = np.searchsorted(evals_e, w.real - tol.cluster_rel * norm)
+        last = np.searchsorted(evals_e, w.real + tol.cluster_rel * norm, side="right")
+        for mu in np.flatnonzero(last - first > 1):
+            q = np.linalg.qr(mapped_back[:, first[mu]:last[mu]])[0]
+            psi = es.right_vectors[:, mu]
+            res[mu] = np.linalg.norm(psi - q @ (q.conj().T @ psi)) / np.linalg.norm(psi)
         mapped = np.ones(es.dim, dtype=bool)
     else:
         psi = es.right_vectors / np.linalg.norm(es.right_vectors, axis=0)

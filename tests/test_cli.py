@@ -6,6 +6,7 @@ import pytest
 
 from nhlab import scenarios
 from nhlab.cli import build_parser, config_from_args, main
+from nhlab.config import DEFAULT, Tolerances
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_product
 from nhlab.scenarios import ScenarioConfig, run, smallest_nonzero_abs
 
@@ -86,6 +87,13 @@ def test_cli_non_integer_count_or_index_exits_2(tmp_path, capsys, scenario, conf
     ("custom", {"lattice": 5}, "lattice 5 is not a JSON object"),
     ("fig1", {"output": 5}, "output 5 is not a JSON object"),
     ("fig5", {"pump": [0.02, 1]}, "pump [0.02, 1] is not a JSON object"),
+    # a non-finite real (json writes and reads NaN, Infinity and big integers)
+    ("fig1", {"tolerances": {"hermitian_rel": float("nan")}}, "hermitian_rel nan is not finite"),
+    ("calibrate_s", {"anchor": float("inf")}, "anchor inf is not finite"),
+    ("calibrate_s", {"anchor": 10 ** 400}, f"anchor {10 ** 400} is not finite"),
+    ("custom", {"lattice": {"n": 9, "scaling": "geometric", "s": float("nan")}},
+     "s nan is not finite"),
+    ("fig5", {"pump": {"kappa0": float("inf"), "pumped_sites": [1]}}, "kappa0 inf is not finite"),
 ])
 def test_cli_mistyped_config_field_exits_2(tmp_path, capsys, scenario, config, message):
     (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -222,6 +230,32 @@ def test_cli_tolerance_override_is_a_real_number(tmp_path):
     assert (tol.reality_rel, tol.cluster_rel) == (1e-9, 2.0)
     assert type(tol.cluster_rel) is float
     assert main(["fig1", "--out", str(tmp_path), "--tol", "reality_rel=1e-9"]) == 0
+
+
+@pytest.mark.parametrize("override, message", [
+    ("threshold_imag=nan", "threshold_imag nan is not finite"),
+    ("threshold_imag=inf", "threshold_imag inf is not finite"),
+    ("hermitian_rel=-inf", "hermitian_rel -inf is not finite"),
+])
+def test_cli_non_finite_tolerance_exits_2(tmp_path, capsys, override, message):
+    # a NaN threshold_imag would skip every fig3 root search and exit 1
+    code = main(["fig3", "--out", str(tmp_path), "--tol", override])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "fig3_report.json").exists()
+
+
+def test_tolerances_are_finite_reals():
+    with pytest.raises(ValueError, match="self_orth nan is not finite"):
+        Tolerances(self_orth=float("nan"))
+    with pytest.raises(ValueError, match="psd_rel True is not a real number"):
+        Tolerances(psd_rel=True)
+    with pytest.raises(ValueError, match="hermitian_rel nan is not finite"):
+        DEFAULT.with_overrides({"hermitian_rel": float("nan")})
+    # zero and negative tolerances stay legal, stored as float
+    tol = Tolerances(reality_rel=0, mech_spectrum_rel=-1)
+    assert (tol.reality_rel, tol.mech_spectrum_rel) == (0.0, -1.0)
+    assert type(tol.reality_rel) is float
 
 
 def test_cli_unknown_tolerance_key(tmp_path, capsys):

@@ -15,6 +15,28 @@ def test_chain_validation():
         OscillatorChain(n=1, masses=(1.0,), spring_k=0.0)
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"n": True}, "n True is not an integer"),
+    ({"n": 2.0}, "n 2.0 is not an integer"),
+    ({"masses": "ab"}, "masses 'ab' is not a list"),
+    ({"masses": (1.0, "2")}, "mass '2' is not a real number"),
+    ({"masses": (1.0, np.nan)}, "mass nan is not finite"),
+    ({"masses": (1.0, np.inf)}, "mass inf is not finite"),
+    ({"spring_k": np.inf}, "spring_k inf is not finite"),
+    ({"spring_k": np.nan}, "spring_k nan is not finite"),
+    ({"spring_k": "1"}, "spring_k '1' is not a real number"),
+])
+def test_chain_rejects_mistyped_fields(bad, match):
+    with pytest.raises(ValueError, match=match):
+        OscillatorChain(**{"n": 2, "masses": (1.0, 2.0), "spring_k": 1.0, **bad})
+
+
+def test_chain_fields_stored_as_python_numbers():
+    chain = OscillatorChain(n=np.int64(2), masses=np.array([1, 2]), spring_k=np.float32(0.5))
+    assert (type(chain.n), chain.masses, type(chain.spring_k)) == (int, (1.0, 2.0), float)
+    assert [type(m) for m in chain.masses] == [float, float]
+
+
 def test_two_mass_matrix_and_eigenvalues():
     chain = OscillatorChain(n=2, masses=(1.0, 2.0), spring_k=1.0)
     m = dynamical_matrix(chain)

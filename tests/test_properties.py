@@ -2,6 +2,7 @@ import inspect
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from nhlab import properties
 from nhlab.config import DEFAULT, Tolerances
@@ -26,8 +27,16 @@ def test_determinism_and_replay():
     assert replay_instance(record) == run_trial("reality_psd", 3, 2)
 
 
+def test_suite_names_are_pinned():
+    # the position of a name keys every trial's RNG: reordering would redraw every instance
+    assert SUITE_NAMES == (
+        "reality_psd", "pseudo_hermiticity", "conjugate_closure_indefinite",
+        "no_ep_psd_invertible", "ep_location_psd_singular", "gauge_similarity",
+        "coupling_ratio_geometric", "chiral_pairing", "mech_reality",
+        "mech_hermitian_equivalent")
+
+
 def test_unknown_suite_rejected():
-    import pytest
     with pytest.raises(ValueError, match="unknown suite"):
         run_trial("bogus", 0, 0)
     with pytest.raises(ValueError, match="trials"):
@@ -114,10 +123,14 @@ GOLDEN_FAILURES = {
 }
 
 
-def test_stacked_failure_details_match_recorded_trials(monkeypatch):
+@pytest.fixture
+def perturbed_scaling(monkeypatch):
     build_scaling = properties.build_scaling
     monkeypatch.setattr(properties, "build_scaling", lambda spec: build_scaling(spec) * (
         1 + 1e-12 * (np.arange(spec.n) >= spec.n // 2)))
+
+
+def test_stacked_failure_details_match_recorded_trials(perturbed_scaling):
     report = run_properties(trials=10, seed=1, tol=TIGHT)
     found = {}
     for failure in report.failures:
@@ -130,13 +143,15 @@ def test_stacked_failure_details_match_recorded_trials(monkeypatch):
             assert replay_instance({"suite": suite, "seed": 1, "trial": trial}, TIGHT) == detail
 
 
-def test_trial_subsets_give_the_same_details():
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_trial_subsets_give_the_same_details(perturbed_scaling, suite):
     # grouping by size never changes an instance: any list of trials, in any
     # order, gives each trial the detail it has in the full run
-    full = properties._details("ep_location_psd_singular", 2, range(40), TIGHT)
+    full = properties._details(suite, 2, range(40), TIGHT)
     subset = [37, 3, 12, 3, 0]
-    assert properties._details("ep_location_psd_singular", 2, subset, TIGHT) == [
-        full[k] for k in subset]
+    details = properties._details(suite, 2, subset, TIGHT)
+    assert details == [full[k] for k in subset]
+    assert any(details), suite              # the failure details are compared too
 
 
 def test_stacked_suites_call_eig_full_once_per_size_group(monkeypatch):

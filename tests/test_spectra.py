@@ -240,6 +240,18 @@ def test_bmap_identity():
     assert rep.spectral_gap <= 1e-12
 
 
+def test_bmap_degenerate_spectrum_measures_the_cluster_span():
+    # inside the repeated w = 1 the eigenbases of H and H_e are arbitrary: each
+    # H mode lies in the span of the cluster's mapped-back vectors, not on one of them
+    rng = np.random.default_rng(0)
+    q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    h0 = q @ np.diag([1.0, 1.0, 2.0, -1.0]) @ q.conj().T
+    rep = bmap_correspondence((h0 + h0.conj().T) / 2, np.eye(4))
+    assert rep.invertible and rep.spectra_agree
+    assert sorted(round(e.eigenvalue.real, 8) for e in rep.entries) == [-1.0, 1.0, 1.0, 2.0]
+    assert max(e.residual for e in rep.entries) <= 1e-12
+
+
 def test_bmap_singular_maps_nonzero_modes():
     spec = LatticeSpec(n=9, t=1.0, scaling="geometric", s=2.0, zeroed_sites=(4,))
     b = factor_psd(build_scaling(spec))
