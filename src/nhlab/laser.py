@@ -2,16 +2,15 @@
 
 Each site is a cavity with uniform loss kappa0 (a -i*kappa0 on the diagonal);
 pumping adds +i*gamma on the pumped sites.  The threshold is the smallest
-gamma at which some eigenvalue reaches the real axis, found by bracketing
-and Illinois regula falsi on max Im(w) of the dense ``eigvals`` of M(gamma);
-modes are followed in gamma by eigenvector overlap so the crossing mode can
-be identified unambiguously.  A chain with a ``ChainForm`` is tracked on its
-complex-symmetric form T(gamma) = D M(gamma) D^-1, whose modes are continued
-from one pump strength to the next in O(n^2) (a first-order predictor and a
-batched Rayleigh-quotient corrector), with a dense solve of T wherever a
-step misses its certificate; any other input is solved densely at every
-grid point.  Power flows at the coupling junctions quantify the exchange
-with the environment that sets the threshold scale.
+gamma at which some eigenvalue reaches the real axis: a bracket and Illinois
+regula falsi on max Im(w) of the dense ``eigvals`` of M(gamma).  A chain with
+a ``ChainForm`` is worked on its complex-symmetric T(gamma) = D M(gamma) D^-1:
+Newton's method on T's crossing mode proposes the root, and the modes are
+continued in order from one pump strength to the next in O(n^2) (a first-order
+predictor, a Rayleigh-quotient corrector), with a dense solve of T and an
+overlap match where a step misses its certificate.  Any other input is solved
+densely and matched by overlap at every grid point.  Power flows at the
+coupling junctions quantify the exchange that sets the threshold scale.
 """
 
 from __future__ import annotations
@@ -97,22 +96,23 @@ _CORRECTOR_STEPS = 3
 # tracking grid points of find_threshold, from gamma = 0 to the root
 _THRESHOLD_GRID_POINTS = 33
 
+# inverse-iteration plus Newton steps of _PumpedChain.t_root
+_NEWTON_STEPS = 20
+
 
 class _PumpedChain:
     """The pumped matrices of one (h, pump): only the diagonal moves with gamma.
 
-    ``max_imag`` takes the dense ``eigvals`` of M(gamma) for the threshold
-    search.  Tracking takes ``solve`` at the first grid point and ``step``
-    at each later one, and solves a point one of two ways.  When h has a
-    ``ChainForm`` (from ``eig.chain_form``) both act on
-    T(gamma) = D M(gamma) D^-1 = T - i*kappa0 + i*gamma*P, which has M's
-    eigenvalues without its non-normality: ``solve`` is exact
-    (``eigh_tridiagonal`` at gamma = 0 if its residuals certify, else a dense
-    ``np.linalg.eig`` of T) and ``step`` continues the previous modes
-    (``_continue``), falling back to ``solve`` where a step misses its
-    certificate.  Their vectors are the unit phi of T; ``right_vectors`` maps
-    them to M's psi = phi / d.  Any other input is solved at every point by
-    a dense ``np.linalg.eig`` of M.
+    ``top`` takes the dense ``eigvals`` of M(gamma) for the threshold
+    search.  When h has a ``ChainForm`` (from ``eig.chain_form``) the rest
+    acts on T(gamma) = D M(gamma) D^-1 = T - i*kappa0 + i*gamma*P, which has
+    M's eigenvalues without its non-normality: ``t_root`` proposes the root,
+    ``solve`` is exact (``eigh_tridiagonal`` at gamma = 0 if its residuals
+    certify, else a dense ``np.linalg.eig`` of T) and ``step`` continues the
+    tracked modes in their order (``_continue``).  Their vectors are the
+    unit phi of T; ``right_vectors`` maps them to M's psi = phi / d.  Any
+    other input has no ``step``: ``solve`` takes a dense ``np.linalg.eig``
+    of M at every point.
     """
 
     def __init__(self, h: np.ndarray, pump: PumpSpec, tol: Tolerances):
@@ -127,9 +127,13 @@ class _PumpedChain:
     def diagonal(self, gamma: float) -> np.ndarray:
         return self.base + 1j * gamma * self.p
 
+    def top(self, gamma: float) -> complex:
+        """The eigenvalue of largest Im w of M(gamma), from a dense ``eigvals``."""
+        w = np.linalg.eigvals(pumped_hamiltonian(self.h, self.pump, gamma))
+        return complex(w[w.imag.argmax()])
+
     def max_imag(self, gamma: float) -> float:
-        m = pumped_hamiltonian(self.h, self.pump, gamma)
-        return float(np.linalg.eigvals(m).imag.max())
+        return self.top(gamma).imag
 
     def solve(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """Exact spectrum and unit vectors: of T(gamma) for a chain, else of M."""
@@ -152,14 +156,34 @@ class _PumpedChain:
         w, v = np.linalg.eig(a)
         return w, v / np.linalg.norm(v, axis=0)
 
-    def step(self, w: np.ndarray, v: np.ndarray, gamma0: float,
-             gamma: float) -> tuple[np.ndarray, np.ndarray]:
-        """The tracked modes (w, v) at gamma0, solved again at gamma."""
-        if self.form is None:
-            return self.solve(gamma)
-        moved = _continue(self.form.off, self.diagonal(gamma), self.p, w, v.T,
-                          gamma - gamma0, self.tol)
-        return moved if moved is not None else self.solve(gamma)
+    def step(self, w: np.ndarray, v: np.ndarray, gamma0: float, gamma: float) -> tuple | None:
+        """The tracked modes (w, v) at gamma0 continued to gamma in their order;
+        None without a ``ChainForm`` or when the step misses its certificate."""
+        return None if self.form is None else _continue(
+            self.form.off, self.diagonal(gamma), self.p, w, v.T, gamma - gamma0, self.tol)
+
+    def t_root(self, gamma: float, w: complex) -> float:
+        """Root of Im w of T's mode w at gamma by Newton's method, NaN on a
+        breakdown: two inverse-iteration steps on T(gamma) for its vector, then
+        steps gamma -= Im w / Re(phi^T P phi / phi^T phi) (the Hellmann-Feynman
+        slope), each followed by one O(n) Rayleigh-quotient step on T(gamma)."""
+        off, x = self.form.off, np.linspace(1.0, 2.0, self.n)[None].astype(complex)
+        with np.errstate(all="ignore"):
+            for k in range(_NEWTON_STEPS):
+                diag = self.diagonal(gamma)
+                lu = _stacked_factors(off, diag, np.array([w]))
+                if lu is None:
+                    return np.nan
+                x = _stacked_solve(lu, x)
+                sq = x * x
+                w = (x @ _tridiagonal_product(off, diag, off, x.T)).item() / sq.sum()
+                if k > 1:                 # the first two steps are inverse iteration
+                    slope = (sq @ self.p).item() / sq.sum()
+                    step = -w.imag / slope.real
+                    gamma, w = gamma + step, w + 1j * step * slope
+                    if not abs(step) > 4 * np.finfo(float).eps * abs(gamma):
+                        break
+        return float(gamma)
 
     def right_vectors(self, w: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
         """M's unit right vectors for the tracked modes (w, v) at gamma.
@@ -229,36 +253,41 @@ def _continue(off: np.ndarray, diag: np.ndarray, p: np.ndarray, w: np.ndarray,
     ``phi`` holds the modes as rows.  The predictor is first-order
     perturbation theory, dw = i dgamma (phi o phi)^T p / phi^T phi (T's left
     vectors are its right vectors).  The corrector is at most
-    ``_CORRECTOR_STEPS`` steps of batched complex-symmetric Rayleigh-quotient
-    iteration: one ``_stacked_solve`` for all modes, then
-    w = x^T T x / x^T x.  Returns (w, unit vectors as columns), or None
-    unless every residual is within ``residual_rel * c`` (c the largest
-    column norm of T), the eigenvalues are pairwise more than
-    ``cluster_rel * c`` apart, and |sum w - trace T| is within the residual
-    bound.
+    ``_CORRECTOR_STEPS`` steps of complex-symmetric Rayleigh-quotient
+    iteration, one ``_stacked_solve`` and w = x^T T x / x^T x for the modes
+    whose residual still exceeds ``residual_rel * c`` (c the largest column
+    norm of T).  Returns (w, unit vectors as columns) in the input's order, or
+    None unless every residual is within that bound, the eigenvalues are
+    pairwise more than ``cluster_rel * c`` apart, |sum w - trace T| is within
+    the bound, and each prediction is nearest its own corrected eigenvalue.
     """
     c = _column_norm(off, diag)
     bound = tol.residual_rel * c
     with np.errstate(all="ignore"):          # a non-finite value fails a certificate
         sq = phi * phi
-        w = w + 1j * dgamma * (sq @ p) / sq.sum(axis=1)
-        x = phi
-        for _ in range(_CORRECTOR_STEPS):
-            lu = _stacked_factors(off, diag, w)
-            if lu is None:
-                return None
-            x = _stacked_solve(lu, x)
-            x = x / np.linalg.norm(x, axis=1, keepdims=True)
-            tx = _tridiagonal_product(off, diag, off, x.T).T
-            w = np.sum(x * tx, axis=1) / np.sum(x * x, axis=1)
-            if np.all(np.linalg.norm(tx - w[:, None] * x, axis=1) <= bound):
+        guess = w + 1j * dgamma * (sq @ p) / sq.sum(axis=1)
+        w, x, todo = guess.copy(), phi.copy(), np.arange(len(w))
+        for k in range(_CORRECTOR_STEPS + 1):   # the predicted vectors, then corrections
+            if k:
+                lu = _stacked_factors(off, diag, w[todo])
+                if lu is None:
+                    return None
+                y = _stacked_solve(lu, x[todo])
+                x[todo] = y / np.linalg.norm(y, axis=1, keepdims=True)
+            y = x[todo]
+            ty = _tridiagonal_product(off, diag, off, y.T).T
+            if k:
+                w[todo] = np.sum(y * ty, axis=1) / np.sum(y * y, axis=1)
+            todo = todo[~(np.linalg.norm(ty - w[todo, None] * y, axis=1) <= bound)]
+            if not todo.size:
                 break
         else:
             return None
         gaps = np.abs(w[:, None] - w[None, :])
         np.fill_diagonal(gaps, np.inf)
         if not (gaps.min() > tol.cluster_rel * c
-                and abs(w.sum() - diag.sum()) <= bound):
+                and abs(w.sum() - diag.sum()) <= bound
+                and np.array_equal(np.abs(guess[:, None] - w).argmin(axis=1), np.arange(len(w)))):
             return None
     return w, x.T
 
@@ -267,10 +296,10 @@ def _continue(off: np.ndarray, diag: np.ndarray, p: np.ndarray, w: np.ndarray,
 class Trajectory:
     """Eigenvalues followed along a pump-strength grid.
 
-    ``eigenvalues[k, mu]`` is mode mu at gammas[k]; mode identity is kept by
-    maximal eigenvector overlap between consecutive grid points, starting
-    from the (Re, Im)-sorted order at the first point.  ``zero_mode_index``
-    flags the mode whose Re(w) stays pinned at zero, if there is exactly one.
+    ``eigenvalues[k, mu]`` is mode mu at gammas[k], from the (Re, Im)-sorted
+    order at the first point; a continued step keeps the order, a dense solve
+    is matched by maximal eigenvector overlap.  ``zero_mode_index`` flags the
+    mode whose Re(w) stays pinned at zero, if there is exactly one.
     """
 
     gammas: np.ndarray
@@ -284,28 +313,15 @@ def _match_modes(overlaps: np.ndarray, margin: float, gamma: float) -> np.ndarra
 
     Rows are served in order, each taking its largest unused column; a row
     whose best and second-best unused overlaps differ by less than
-    ``margin * best`` raises TrackingAmbiguityError.  When every row's
-    argmax is a distinct column and passes the margin test against its
-    second-largest entry overall, the greedy result is that argmax, so it is
-    returned without the loop.
+    ``margin * best`` raises TrackingAmbiguityError.
     """
     n = overlaps.shape[0]
-    best = overlaps.argmax(axis=1)
-    if n == 1:
-        return best
-    top2 = np.partition(overlaps, n - 2, axis=1)[:, -2:]
-    clear = ~((top2[:, 0] > 0) & (top2[:, 1] - top2[:, 0] < margin * top2[:, 1]))
-    if clear.all() and np.unique(best).size == n:
-        return best
-    perm = np.full(n, -1, dtype=int)
-    used = np.zeros(n, dtype=bool)
+    perm, used = np.full(n, -1), np.zeros(n, dtype=bool)
     for prev in range(n):
         row = overlaps[prev].copy()
         row[used] = -1.0
         b = int(np.argmax(row))
-        rest = row.copy()
-        rest[b] = -1.0
-        second = rest.max()
+        second = np.delete(row, b).max(initial=-1.0)
         if second > 0 and (row[b] - second) < margin * row[b]:
             raise TrackingAmbiguityError(
                 f"overlap tie at gamma={gamma:.6g} "
@@ -323,9 +339,12 @@ def _track(chain: _PumpedChain, gamma_grid: np.ndarray, tol: Tolerances) -> Traj
     traj[0] = w
 
     for k in range(1, len(gamma_grid)):
-        wn, vn = chain.step(w, v, gamma_grid[k - 1], gamma_grid[k])
-        perm = _match_modes(np.abs(v.conj().T @ vn), tol.track_margin, gamma_grid[k])
-        w, v = wn[perm], vn[:, perm]
+        moved = chain.step(w, v, gamma_grid[k - 1], gamma_grid[k])
+        if moved is None:
+            wn, vn = chain.solve(gamma_grid[k])
+            perm = _match_modes(np.abs(v.conj().T @ vn), tol.track_margin, gamma_grid[k])
+            moved = wn[perm], vn[:, perm]
+        w, v = moved
         traj[k] = w
 
     norm = max(spectral_norm(chain.h), 1e-300)
@@ -359,20 +378,22 @@ class ThresholdResult:
 
 def find_threshold(h: np.ndarray, pump: PumpSpec,
                    tol: Tolerances = DEFAULT) -> ThresholdResult:
-    """Smallest gamma with max Im(w) = 0, by bracketing plus regula falsi.
+    """Smallest gamma with max Im(w) = 0: a bracket, then Newton or regula falsi.
 
-    With f(gamma) = max Im w, the bracket starts at [0, kappa0] and doubles
-    its top end until f(lo) < 0 < f(hi).  The root search keeps that
-    invariant: each step takes the regula falsi (secant) point, halves the
-    stored f of the end that survived two steps in a row (Illinois), and
-    bisects when the secant point does not land strictly inside the bracket.
-    It stops when |f| <= ``threshold_imag * kappa0`` and raises
-    NoThresholdError when the bracket can no longer shrink.  Every f is one
-    dense ``eigvals`` of M(gamma), each gamma evaluated once (the bracket ends
-    keep their stored f).  The modes are then tracked as ``track_mode``
-    tracks them, on ``_THRESHOLD_GRID_POINTS`` points from 0 to the root; the
-    last point gives the crossing mode.  A tie in that tracking raises
-    TrackingAmbiguityError carrying the converged root and its bracket.
+    With f(gamma) = max Im w (one dense ``eigvals`` of M(gamma), each gamma
+    evaluated once), the bracket starts at [0, kappa0] and doubles its top
+    end until f(lo) < 0 < f(hi); the search keeps that invariant.  A chain's
+    step proposes the root of T's crossing mode (M(hi)'s eigenvalue of
+    largest Im w) by ``_PumpedChain.t_root``.  The regula falsi point, with
+    Illinois halving, is taken instead without a ``ChainForm``, after a
+    Newton point has missed the stop test, or when the proposal is not
+    strictly inside the bracket, and bisection when neither is.  The search
+    stops at |f| <= ``threshold_imag * kappa0``, or raises NoThresholdError
+    (naming a missed Newton point) when the bracket cannot shrink.  The modes
+    are then tracked as ``track_mode`` tracks them, on
+    ``_THRESHOLD_GRID_POINTS`` points from 0 to the root; the last point
+    gives the crossing mode.  A tie there raises TrackingAmbiguityError
+    carrying the converged root and its bracket.
     """
     chain = _PumpedChain(h, pump, tol)
     n = chain.n
@@ -386,27 +407,36 @@ def find_threshold(h: np.ndarray, pump: PumpSpec,
     if f_lo >= -ftol:
         raise NoThresholdError(f"n = {n}: max Im w = {f_lo:.3e} at gamma = 0, so the "
                                f"lossy chain is not below threshold ({floor()})")
-    hi, f_hi = k0, chain.max_imag(k0)
-    while f_hi < 0 and abs(f_hi) > ftol:
-        lo, f_lo, hi = hi, f_hi, 2 * hi
+    hi, top = k0, chain.top(k0)
+    while top.imag < 0 and abs(top.imag) > ftol:
+        lo, f_lo, hi = hi, top.imag, 2 * hi
         if hi > tol.gamma_max_factor * k0:
             raise NoThresholdError(
                 f"no real-axis crossing below {tol.gamma_max_factor:g} * kappa0")
-        f_hi = chain.max_imag(hi)
+        top = chain.top(hi)
 
+    f_hi = top.imag
     gstar, f_star = hi, f_hi
     closest = min(-f_lo, abs(f_hi))
     side = 0                          # which end the last step moved
+    newton, missed = chain.form is not None, ""
     while abs(f_star) > ftol:
-        g = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        g = chain.t_root(hi, top) if newton else np.nan
+        proposed = lo < g < hi
+        if not proposed:
+            g = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         if not lo < g < hi:
             g = 0.5 * (lo + hi)
         if not lo < g < hi:
             raise NoThresholdError(
                 f"threshold search stalled at n = {n}: bracket [{lo!r}, {hi!r}] "
                 f"cannot shrink; closest |max Im w| = {closest:.3e}, tolerance "
-                f"{ftol:.3e}, {floor()}")
-        gstar, f_star = g, chain.max_imag(g)
+                f"{ftol:.3e}, {floor()}{missed}")
+        gstar, w = g, chain.top(g)
+        f_star = w.imag
+        if proposed and abs(f_star) > ftol:
+            newton, missed = False, (f"; T's root at {g / k0:.6f} kappa0, where "
+                                     f"M's max Im w = {f_star:.3e}")
         closest = min(closest, abs(f_star))
         if f_star < 0:
             if side < 0:
@@ -415,7 +445,7 @@ def find_threshold(h: np.ndarray, pump: PumpSpec,
         else:
             if side > 0:
                 f_lo *= 0.5
-            hi, f_hi, side = g, f_star, 1
+            hi, f_hi, top, side = g, f_star, w, 1
 
     try:
         trajectory = _track(chain, np.linspace(0.0, gstar, _THRESHOLD_GRID_POINTS), tol)

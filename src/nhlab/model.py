@@ -240,10 +240,10 @@ def assert_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT, name: str = "matr
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    defect = hermitian_defect(m)
-    if np.any(defect > tol.hermitian_rel):
+    adjoint = _adjoint(m)                    # moduli only for an inexact input:
+    if (m != adjoint).any() and np.any((defect := hermitian_defect(m)) > tol.hermitian_rel):
         raise ValueError(f"{name} is not Hermitian (defect {np.nanmax(defect):.3e})")
-    return (m + _adjoint(m)) / 2
+    return (m + adjoint) / 2
 
 
 def assert_psd(m: np.ndarray, tol: Tolerances = DEFAULT, name: str = "matrix") -> np.ndarray:

@@ -179,6 +179,21 @@ def test_stacked_inputs_give_each_matrix_its_2d_result():
         assert_hermitian(np.zeros(3))
 
 
+def test_assert_hermitian_returns_the_symmetrized_bits():
+    # an exactly Hermitian stack skips the defect's moduli; both it and a
+    # near-Hermitian stack come back as (m + m^dag) / 2, bit for bit
+    rng = np.random.default_rng(19)
+    exact = np.stack([random_hermitian(rng, n) for n in (7, 7, 7)])
+    exact[0, 2, 2] = -0.0j                        # a signed zero on the diagonal
+    near = exact + 1e-14 * (rng.normal(size=exact.shape) + 1j * rng.normal(size=exact.shape))
+    for m in (exact, near, exact[1], near[2]):
+        out = assert_hermitian(m)
+        ref = (m + np.swapaxes(m.conj(), -1, -2)) / 2
+        assert out.tobytes() == ref.tobytes() and out is not m
+    with pytest.raises(ValueError, match="not Hermitian"):
+        assert_hermitian(exact + 1e-6 * rng.normal(size=exact.shape))
+
+
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(2, 16), s=st.floats(1.05, 3.0), seed=st.integers(0, 2**32 - 1))
 def test_geometric_coupling_ratio(n, s, seed):
