@@ -27,6 +27,14 @@ def _real(value, name: str) -> float:
     return x
 
 
+def _complex(value, name: str) -> complex:
+    """The one rule for a user-facing complex number: an int, float, complex or
+    numpy number but not a bool, each part finite by ``_real``'s rule."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise ValueError(f"{name} {value!r} is not a number")
+    return complex(_real(value.real, name), _real(value.imag, name))
+
+
 def _object(value, name: str) -> dict:
     """The one rule for a config document and each of its sections: a JSON object."""
     if not isinstance(value, dict):

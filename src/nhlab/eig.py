@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT, Tolerances
-from .model import _is_diagonal, _is_tridiagonal, spectral_norm
+from .model import _is_diagonal, _is_tridiagonal, _matrix, spectral_norm
 
 BIORTHONORMAL = "biorthonormal"
 SELF_ORTHOGONAL = "self_orthogonal"
@@ -186,20 +186,6 @@ def _tridiagonal_product(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     return out
 
 
-def _validated(m: np.ndarray, stack: bool = False) -> np.ndarray:
-    """The input as a complex array, or a ValueError if it is not a finite,
-    nonempty square matrix (or, with ``stack``, a (k, n, n) stack of them)."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"matrix must be square, got {m.shape}")
-    if m.size == 0:
-        raise ValueError("matrix is empty (0x0)" if m.ndim == 2 else
-                         f"matrix stack is empty, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    return m
-
-
 def _systems(norm: np.ndarray, w: np.ndarray, right: np.ndarray, left: np.ndarray,
              self_orth: np.ndarray, overlaps: np.ndarray,
              residuals: np.ndarray) -> list[EigenSystem]:
@@ -320,7 +306,7 @@ def eig_full(m: np.ndarray, tol: Tolerances = DEFAULT) -> EigenSystem | EigenSys
         bound ``residual_rel * ||M||``; for a stack the message starts with
         the stack index of the matrix.
     """
-    m = _validated(m, stack=True)
+    m = _matrix(m, stack=True)
     stack = m if m.ndim == 3 else m[None]
     norm = spectral_norm(stack)
     systems = _chain_systems(stack, norm, tol)
@@ -366,16 +352,6 @@ def collinearity_residual(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     return float(res) if x.ndim == 1 else res
 
 
-def _square_operator(op: np.ndarray, es: EigenSystem, name: str) -> np.ndarray:
-    """The operator as a complex array, or a ValueError naming both shapes
-    when it does not act on the eigensystem's vectors."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (es.dim, es.dim):
-        raise ValueError(f"{name} has shape {op.shape}, but the eigensystem's vectors "
-                         f"have shape {es.right_vectors.shape}")
-    return op
-
-
 def apply_metric_pairing(es: EigenSystem, a: np.ndarray,
                          tol: Tolerances = DEFAULT) -> MetricPairingReport:
     """Locate, for each right mode, the left mode proportional to (A psi)*.
@@ -385,7 +361,7 @@ def apply_metric_pairing(es: EigenSystem, a: np.ndarray,
     diagonal exactly when the spectrum is real.  Modes with A psi_mu ~ 0 are
     reported on the kernel branch (w_mu = 0).
     """
-    a = _square_operator(a, es, "A")
+    a = _matrix(a, "A", (es.dim, es.dim))
     right, left = es.right_vectors, es.left_vectors
     images = np.diagonal(a)[:, None] * right if _is_diagonal(a) else a @ right
     kernel = np.linalg.norm(images, axis=0) <= tol.kernel_rel * np.linalg.norm(right, axis=0)

@@ -22,8 +22,8 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .config import DEFAULT, Tolerances, _real
-from .eig import _tridiagonal_product, _validated, chain_form
-from .model import _integer, _sites, spectral_norm
+from .eig import _tridiagonal_product, chain_form
+from .model import _integer, _matrix, _sites, spectral_norm
 
 
 class NoThresholdError(RuntimeError):
@@ -84,9 +84,9 @@ def pump_indicator(pumped_sites: tuple[int, ...], n: int) -> np.ndarray:
 
 def pumped_hamiltonian(h: np.ndarray, pump: PumpSpec, gamma: float) -> np.ndarray:
     """H - i*kappa0*I + i*gamma*P (loss and pump are purely diagonal)."""
-    m = np.array(h, dtype=complex)
+    m = _matrix(h, "h").copy()
     np.fill_diagonal(m, m.diagonal() - 1j * pump.kappa0
-                     + 1j * gamma * pump_indicator(pump.pumped_sites, m.shape[0]))
+                     + 1j * _real(gamma, "gamma") * pump_indicator(pump.pumped_sites, len(m)))
     return m
 
 
@@ -116,7 +116,7 @@ class _PumpedChain:
     """
 
     def __init__(self, h: np.ndarray, pump: PumpSpec, tol: Tolerances):
-        self.h = _validated(h)
+        self.h = _matrix(h, "h")
         self.n = self.h.shape[0]
         self.form = chain_form(self.h)
         self.pump = pump
@@ -492,12 +492,12 @@ def power_flows(mode: np.ndarray, h_a: np.ndarray, pump: PumpSpec,
     loss and pump only touch the diagonal of ``h_a``).  The mode is
     normalized to psi_1 = 1, matching the junction-gain convention.
     """
-    v = np.asarray(mode, dtype=complex)
+    h_a = _matrix(h_a, "h_a")
+    v = _matrix(mode, "mode", h_a.shape[:1])
     if abs(v[0]) == 0:
         raise ValueError("mode vanishes at site 1; cannot normalize psi_1 = 1")
     v = v / v[0]
-    h_a = np.asarray(h_a, dtype=complex)
-    gammas = gamma * pump_indicator(pump.pumped_sites, len(v))
+    gammas = _real(gamma, "gamma") * pump_indicator(pump.pumped_sites, len(v))
     site_terms = 2.0 * (gammas - pump.kappa0) * np.abs(v) ** 2
 
     t_fwd, t_bwd = np.diagonal(h_a, 1), np.diagonal(h_a, -1)    # t_{j,j+1}, t_{j+1,j}

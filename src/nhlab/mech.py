@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Tolerances, _real
-from .model import _integer, _is_list, spectral_norm
+from .model import _integer, _is_list, _matrix, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def eigenfrequencies(m: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     The spectrum is certified real and nonpositive first; violations beyond
     ``mech_spectrum_rel * ||M||`` mean the matrix is not a physical chain.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _matrix(m, "m")
     lam = np.linalg.eigvals(m)
     scale = max(spectral_norm(m), 1e-300)
     if np.abs(lam.imag).max() > tol.mech_spectrum_rel * scale:

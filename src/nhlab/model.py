@@ -230,16 +230,39 @@ def hermitian_defect(m: np.ndarray) -> float | np.ndarray:
     return float(defect) if m.ndim == 2 else defect
 
 
-def assert_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT, name: str = "matrix") -> np.ndarray:
-    """Validate the Hermitian tag and return an exactly-Hermitian copy.
+def _matrix(m, name: str = "matrix", shape: tuple[int, ...] | None = None,
+            stack: bool = False) -> np.ndarray:
+    """The one rule for a matrix argument: a finite, nonempty, square complex
+    array, or with ``stack`` a (k, n, n) stack of them; when ``shape`` (another
+    input's) is given, a finite complex array of that shape.  Anything else is
+    a ValueError that names the argument."""
+    try:
+        m = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not a numeric array") from None
+    if shape is not None:
+        if m.shape != shape:
+            raise ValueError(f"dimension mismatch: {name} has shape {m.shape}, "
+                             f"expected shape {shape}")
+    elif m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{name} must be square, got {m.shape}")
+    elif m.size == 0:
+        raise ValueError(f"{name} is empty, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return m
+
+
+def assert_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT, name: str = "matrix",
+                     shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """Validate a matrix argument (``_matrix``'s rule, stacks allowed) with
+    the Hermitian tag and return an exactly-Hermitian copy.
 
     The returned storage satisfies ``out[i, j] == conj(out[j, i])`` bitwise,
     which makes the adjoint identity (H0 A)^dag == A H0 hold entrywise.  A
-    stack of shape (..., n, n) is validated and symmetrized matrix by matrix.
+    (k, n, n) stack is validated and symmetrized matrix by matrix.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    m = _matrix(m, name, shape, stack=True)
     adjoint = _adjoint(m)                    # moduli only for an inexact input:
     if (m != adjoint).any() and np.any((defect := hermitian_defect(m)) > tol.hermitian_rel):
         raise ValueError(f"{name} is not Hermitian (defect {np.nanmax(defect):.3e})")
@@ -319,15 +342,13 @@ def _is_tridiagonal(m: np.ndarray) -> bool:
 def construct_product(h0: np.ndarray, a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """H = H0 A (this exact order; the reversed order A H0 equals H^dag).
 
-    Both inputs must carry the Hermitian tag.  The contraction uses a fixed
-    accumulation order so that (H0 A)^dag == A H0 holds exactly entrywise.
-    Stacks of shape (..., n, n) give the stack of products, each equal to
-    its 2-D call when every A of the stack is diagonal or none is.
+    Both inputs must carry the Hermitian tag, A with H0's shape.  The
+    contraction uses a fixed accumulation order so that (H0 A)^dag == A H0
+    holds exactly entrywise.  (k, n, n) stacks give the stack of products,
+    each equal to its 2-D call when every A of the stack is diagonal or none is.
     """
     h0 = assert_hermitian(h0, tol, "h0")
-    a = assert_hermitian(a, tol, "a")
-    if h0.shape != a.shape:
-        raise ValueError(f"dimension mismatch: {h0.shape} vs {a.shape}")
+    a = assert_hermitian(a, tol, "a", h0.shape)
     if _is_diagonal(a):
         return h0 * np.diagonal(a, axis1=-2, axis2=-1)[..., None, :]
     return np.einsum("...ik,...kj->...ij", h0, a)
@@ -336,12 +357,8 @@ def construct_product(h0: np.ndarray, a: np.ndarray, tol: Tolerances = DEFAULT) 
 def construct_gauge(h0: np.ndarray, a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Similarity transform H'' = A^-1 H0 A (spectrum equals H0's) of two
     square matrices; a stack is refused."""
-    h0 = np.asarray(h0, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    if h0.shape != a.shape:
-        raise ValueError(f"dimension mismatch: {h0.shape} vs {a.shape}")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"h0 and a must be square matrices, got shape {a.shape}")
+    h0 = _matrix(h0, "h0")
+    a = _matrix(a, "a", h0.shape)
     if _is_diagonal(a):
         d = np.diagonal(a)
         zero = np.flatnonzero(d == 0)
@@ -364,7 +381,7 @@ def factor_psd(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     negatives the PSD check admits) set to zero, so that B is singular
     exactly where A is.
     """
-    a = np.asarray(a, dtype=complex)
+    a = _matrix(a, "a")
     if _is_diagonal(a):
         d = np.diagonal(a).real
         if d.min() < -tol.psd_rel * max(np.abs(d).max(), 1e-300):
@@ -378,11 +395,9 @@ def factor_psd(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
 
 def hermitian_equivalent(h0: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Hermitian partner H_e = B H0 B^dag of the product construction (of
-    each pair of a stack)."""
+    each pair of a stack, B with H0's shape)."""
     h0 = assert_hermitian(h0, tol, "h0")
-    b = np.asarray(b, dtype=complex)
-    if h0.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {h0.shape} vs {b.shape}")
+    b = _matrix(b, "b", h0.shape)
     if _is_diagonal(b):
         bd = np.diagonal(b, axis1=-2, axis2=-1)
         he = bd[..., :, None] * h0 * bd.conj()[..., None, :]
@@ -393,5 +408,5 @@ def hermitian_equivalent(h0: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAUL
 
 def shift_spectrum(h: np.ndarray, c: float) -> np.ndarray:
     """H + c*I; every eigenvalue moves by exactly c."""
-    h = np.asarray(h, dtype=complex)
-    return h + c * np.eye(h.shape[0])
+    h = _matrix(h, "h")
+    return h + _real(c, "c") * np.eye(h.shape[0])

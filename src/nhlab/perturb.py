@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, _real
 from .eig import BIORTHONORMAL, EigenSystem
 from .laser import pump_indicator
 
@@ -59,8 +59,7 @@ class PerturbationPrediction:
 def first_order(es: EigenSystem, pumped_sites: tuple[int, ...], gamma1: float,
                 mode: int, tol: Tolerances = DEFAULT) -> PerturbationPrediction:
     """Energy and state corrections of ``mode`` at pump strength gamma1."""
-    if not np.isfinite(gamma1):
-        raise ValueError(f"gamma1 must be finite, got {gamma1!r}")
+    gamma1 = _real(gamma1, "gamma1")
     hg = matrix_elements(es, pumped_sites, mode)
     w = es.eigenvalues
     others = np.arange(es.dim) != mode
@@ -73,6 +72,6 @@ def first_order(es: EigenSystem, pumped_sites: tuple[int, ...], gamma1: float,
 
     energy = 1j * gamma1 * hg[mode]
     state = 1j * gamma1 * (es.right_vectors[:, others] @ (hg[others] / denoms))
-    return PerturbationPrediction(base_mode_index=mode, gamma1=float(gamma1),
+    return PerturbationPrediction(base_mode_index=mode, gamma1=gamma1,
                                   energy_correction=complex(energy),
                                   state_correction=state)

@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT, Tolerances
-from .eig import (ChainForm, EigenSystem, _square_operator, _tridiagonal_product, _validated,
-                  chain_form, collinearity_residual, eig_full)
-from .model import (_is_diagonal, assert_hermitian, construct_product, hermitian_equivalent,
-                    spectral_norm)
+from .config import DEFAULT, Tolerances, _complex
+from .eig import (ChainForm, EigenSystem, _tridiagonal_product, chain_form,
+                  collinearity_residual, eig_full)
+from .model import (_is_diagonal, _matrix, assert_hermitian, construct_product,
+                    hermitian_equivalent, spectral_norm)
 
 
 class CertificateError(RuntimeError):
@@ -104,9 +104,10 @@ def certify(h: np.ndarray, h0: np.ndarray, es: EigenSystem | None = None,
     The pseudo-Hermiticity residual ||H0^-1 H H0 - H^dag|| / ||H|| is
     reported as None when H0 is numerically singular (for a chain H0, the
     singular values are the moduli of its ``eigh_tridiagonal`` eigenvalues).
+    H must have the shape of ``es``'s matrix when it is given, H0 that of H.
     """
-    h = np.asarray(h, dtype=complex)
-    h0 = assert_hermitian(h0, tol, "h0")
+    h = _matrix(h, "h", None if es is None else (es.dim, es.dim))
+    h0 = assert_hermitian(h0, tol, "h0", h.shape)
     if es is None:
         es = eig_full(h, tol)
     norm = es.matrix_norm
@@ -158,7 +159,7 @@ def inner_product_audit(es: EigenSystem, b: np.ndarray,
     CertificateError
         If the identity misses ``metric_rel`` (relative to max(||B psi||^2, 1)).
     """
-    b = _square_operator(b, es, "B")
+    b = _matrix(b, "B", (es.dim, es.dim))
     psi = es.right_vectors / np.linalg.norm(es.right_vectors, axis=0)
     if _is_diagonal(b):
         bd = np.diagonal(b)[:, None]
@@ -240,11 +241,12 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
     Raises
     ------
     ValueError
-        If H is not a finite, nonempty square matrix.
+        If H is not a finite, nonempty square matrix or target not finite.
     IllConditionedError
         If the rank tests ask for more chain tops than the kernel holds.
     """
-    h = _validated(h)
+    h = _matrix(h)
+    target = _complex(target, "target")
     n = h.shape[0]
     norm = max(spectral_norm(h), 1e-300)
     ctol = tol.cluster_rel * norm
@@ -364,15 +366,13 @@ def bmap_correspondence(h0: np.ndarray, b: np.ndarray,
     an H eigenvector B^-1 phi, while for singular B every H mode with
     B psi != 0 maps forward to an H_e mode at the same eigenvalue.
 
-    H0 is validated once.  Invertibility is decided from |b_jj| for a
-    diagonal B (which builds H and H_e elementwise), else from an SVD; H_e is
-    solved once, by ``eigh_tridiagonal`` when it is a chain, else by ``eigh``
-    (invertible B) or ``eigvalsh`` (singular B).
+    H0 is validated once, with B's shape.  Invertibility is decided from
+    |b_jj| for a diagonal B (which builds H and H_e elementwise), else from an
+    SVD; H_e is solved once, by ``eigh_tridiagonal`` when it is a chain, else
+    by ``eigh`` (invertible B) or ``eigvalsh`` (singular B).
     """
-    b = np.asarray(b, dtype=complex)
-    h0 = assert_hermitian(h0, tol, "h0")
-    if h0.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {h0.shape} vs {b.shape}")
+    b = _matrix(b, "b")
+    h0 = assert_hermitian(h0, tol, "h0", b.shape)
     diagonal = _is_diagonal(b)
     if diagonal:
         bd = np.diagonal(b)
