@@ -9,8 +9,9 @@ Newton's method on T's crossing mode proposes the root, and the modes are
 continued in order from one pump strength to the next in O(n^2) (a first-order
 predictor, a Rayleigh-quotient corrector), with a dense solve of T and an
 overlap match where a step misses its certificate.  Any other input is solved
-densely and matched by overlap at every grid point.  Power flows at the
-coupling junctions quantify the exchange that sets the threshold scale.
+densely and matched by overlap at every grid point.  The threshold mode is
+taken at the root itself, by inverse iteration on T for a chain.  Power flows
+at the coupling junctions quantify the exchange that sets the threshold scale.
 """
 
 from __future__ import annotations
@@ -31,18 +32,8 @@ class NoThresholdError(RuntimeError):
 
 
 class TrackingAmbiguityError(RuntimeError):
-    """Eigenvector overlaps too close to call; a finer gamma grid is needed.
-
-    When ``find_threshold`` had already converged before its tracking grid
-    tied, ``threshold`` and ``bracket`` hold that root and its final bracket
-    (None otherwise).
-    """
-
-    def __init__(self, message: str, threshold: float | None = None,
-                 bracket: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.threshold = threshold
-        self.bracket = bracket
+    """Eigenvector overlaps too close to call in ``track_mode``; a finer gamma
+    grid is needed."""
 
 
 @dataclass(frozen=True)
@@ -93,9 +84,6 @@ def pumped_hamiltonian(h: np.ndarray, pump: PumpSpec, gamma: float) -> np.ndarra
 # Rayleigh-quotient corrector steps per grid point before the exact solve
 _CORRECTOR_STEPS = 3
 
-# tracking grid points of find_threshold, from gamma = 0 to the root
-_THRESHOLD_GRID_POINTS = 33
-
 # inverse-iteration plus Newton steps of _PumpedChain.t_root
 _NEWTON_STEPS = 20
 
@@ -108,9 +96,9 @@ class _PumpedChain:
     acts on T(gamma) = D M(gamma) D^-1 = T - i*kappa0 + i*gamma*P, which has
     M's eigenvalues without its non-normality: ``t_root`` proposes the root,
     ``solve`` is exact (``eigh_tridiagonal`` at gamma = 0 if its residuals
-    certify, else a dense ``np.linalg.eig`` of T) and ``step`` continues the
-    tracked modes in their order (``_continue``).  Their vectors are the
-    unit phi of T; ``right_vectors`` maps them to M's psi = phi / d.  Any
+    certify, else a dense ``np.linalg.eig`` of T), ``step`` continues the
+    tracked modes in their order (``_continue``) and ``right_vector`` takes
+    one mode by inverse iteration on T and maps it to M's psi = phi / d.  Any
     other input has no ``step``: ``solve`` takes a dense ``np.linalg.eig``
     of M at every point.
     """
@@ -171,10 +159,7 @@ class _PumpedChain:
         with np.errstate(all="ignore"):
             for k in range(_NEWTON_STEPS):
                 diag = self.diagonal(gamma)
-                lu = _stacked_factors(off, diag, np.array([w]))
-                if lu is None:
-                    return np.nan
-                x = _stacked_solve(lu, x)
+                x = _stacked_solve(_stacked_factors(off, diag, np.array([w])), x)
                 sq = x * x
                 w = (x @ _tridiagonal_product(off, diag, off, x.T)).item() / sq.sum()
                 if k > 1:                 # the first two steps are inverse iteration
@@ -185,47 +170,49 @@ class _PumpedChain:
                         break
         return float(gamma)
 
-    def right_vectors(self, w: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
-        """M's unit right vectors for the tracked modes (w, v) at gamma.
+    def right_vector(self, gamma: float, w: complex) -> np.ndarray:
+        """M(gamma)'s unit right vector for its eigenvalue w.
 
-        For a chain, psi = unit(phi / d) after one more inverse-iteration
-        step with the converged shifts: the corrector stops at its residual
-        certificate, which can leave the vectors ~1e-13 short of round-off.
+        For a chain, two inverse-iteration steps on T(gamma) shifted by w
+        give phi, and psi = phi / d takes LAPACK's phase; any other input
+        keeps the column of a dense ``solve`` whose eigenvalue is nearest w.
         """
         if self.form is None:
-            return v
-        x = v.T
-        lu = _stacked_factors(self.form.off, self.diagonal(gamma), w)
-        if lu is not None:
-            with np.errstate(all="ignore"):
-                y = _stacked_solve(lu, x)
-            if np.all(np.isfinite(y)):
-                x = y
-        return _lapack_phase(x / self.form.d).T
+            lam, v = self.solve(gamma)
+            return v[:, np.abs(lam - w).argmin()]
+        lu = _stacked_factors(self.form.off, self.diagonal(gamma), np.array([w]))
+        x = np.linspace(1.0, 2.0, self.n)[None].astype(complex)
+        with np.errstate(all="ignore"):
+            for _ in range(2):
+                x = _stacked_solve(lu, x)
+        return _lapack_phase(x / self.form.d)[0]
 
 
-def _stacked_factors(off: np.ndarray, diag: np.ndarray, w: np.ndarray) -> list | None:
+def _stacked_factors(off: np.ndarray, diag: np.ndarray, w: np.ndarray) -> list:
     """One ``zgttrf`` for all shifted systems ``T - w_k`` of a symmetric
     tridiagonal T (off-diagonal ``off``, diagonal ``diag``).
 
-    The shifted matrices are the blocks of one length-(k n) tridiagonal
-    system with zero couplings between blocks.  Returns the LU factors, or
-    None when a pivot is exactly zero.
+    The shifted matrices are the blocks of one tridiagonal system with zero
+    couplings between blocks, closed by a decoupled 1 x 1 block of 1 (the
+    wrapper refuses a system of fewer than 3 rows).  An exactly zero pivot
+    is nudged to eps * c (c the largest column norm of T), as LAPACK's
+    inverse iteration does, so the factors always solve.
     """
     k, n = len(w), len(diag)
     dl, du = np.zeros((2, k, n), dtype=complex)
     dl[:, :-1], du[:, :-1] = off, off
-    *lu, info = zgttrf(dl.ravel()[:-1], (diag[None, :] - w[:, None]).ravel(),
-                       du.ravel()[:-1])
-    return lu if info == 0 else None
+    *lu, info = zgttrf(dl.ravel(), np.append(diag[None, :] - w[:, None], 1.0), du.ravel())
+    if info > 0:
+        lu[1][lu[1] == 0] = np.finfo(float).eps * _column_norm(off, diag)
+    return lu
 
 
 def _stacked_solve(lu: list, x: np.ndarray) -> np.ndarray:
     """Solve every block of ``_stacked_factors`` for its row of x ([mode, site]),
     and rescale each solution by its max-abs entry (near-exact shifts give
     pivots as small as 1e-168, and a 2-norm of the raw iterate overflows)."""
-    y, _ = zgttrs(*lu, x.reshape(-1, 1))
-    y = y.reshape(x.shape)
+    y, _ = zgttrs(*lu, np.append(x, 0.0)[:, None])
+    y = y[:-1].reshape(x.shape)
     return y / np.abs(y).max(axis=1, keepdims=True)
 
 
@@ -269,10 +256,7 @@ def _continue(off: np.ndarray, diag: np.ndarray, p: np.ndarray, w: np.ndarray,
         w, x, todo = guess.copy(), phi.copy(), np.arange(len(w))
         for k in range(_CORRECTOR_STEPS + 1):   # the predicted vectors, then corrections
             if k:
-                lu = _stacked_factors(off, diag, w[todo])
-                if lu is None:
-                    return None
-                y = _stacked_solve(lu, x[todo])
+                y = _stacked_solve(_stacked_factors(off, diag, w[todo]), x[todo])
                 x[todo] = y / np.linalg.norm(y, axis=1, keepdims=True)
             y = x[todo]
             ty = _tridiagonal_product(off, diag, off, y.T).T
@@ -304,7 +288,6 @@ class Trajectory:
 
     gammas: np.ndarray
     eigenvalues: np.ndarray          # shape (len(gammas), n)
-    final_vectors: np.ndarray        # eigenvectors at the last grid point
     zero_mode_index: int | None
 
 
@@ -331,7 +314,17 @@ def _match_modes(overlaps: np.ndarray, margin: float, gamma: float) -> np.ndarra
     return perm
 
 
-def _track(chain: _PumpedChain, gamma_grid: np.ndarray, tol: Tolerances) -> Trajectory:
+def track_mode(h: np.ndarray, pump: PumpSpec, gamma_grid: np.ndarray,
+               tol: Tolerances = DEFAULT) -> Trajectory:
+    """Follow every eigenvalue of the pumped Hamiltonian along the grid."""
+    try:
+        gamma_grid = np.asarray(gamma_grid, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"gamma_grid {gamma_grid!r} is not an array of real numbers") from None
+    if (gamma_grid.ndim != 1 or len(gamma_grid) < 2 or not np.all(np.isfinite(gamma_grid))
+            or np.any(np.diff(gamma_grid) <= 0) or gamma_grid[0] < 0):
+        raise ValueError("gamma_grid must be finite, ascending and start at >= 0")
+    chain = _PumpedChain(h, pump, tol)
     traj = np.zeros((len(gamma_grid), chain.n), dtype=complex)
     w, v = chain.solve(gamma_grid[0])
     order = np.lexsort((w.imag, w.real))
@@ -350,29 +343,16 @@ def _track(chain: _PumpedChain, gamma_grid: np.ndarray, tol: Tolerances) -> Traj
     norm = max(spectral_norm(chain.h), 1e-300)
     pinned = np.flatnonzero(np.abs(traj.real).max(axis=0) <= tol.zero_mode_rel * norm)
     zero_idx = int(pinned[0]) if len(pinned) == 1 else None
-    return Trajectory(gammas=gamma_grid, eigenvalues=traj,
-                      final_vectors=chain.right_vectors(w, v, gamma_grid[-1]),
-                      zero_mode_index=zero_idx)
-
-
-def track_mode(h: np.ndarray, pump: PumpSpec, gamma_grid: np.ndarray,
-               tol: Tolerances = DEFAULT) -> Trajectory:
-    """Follow every eigenvalue of the pumped Hamiltonian along the grid."""
-    gamma_grid = np.asarray(gamma_grid, dtype=float)
-    if (len(gamma_grid) < 2 or not np.all(np.isfinite(gamma_grid))
-            or np.any(np.diff(gamma_grid) <= 0) or gamma_grid[0] < 0):
-        raise ValueError("gamma_grid must be finite, ascending and start at >= 0")
-    return _track(_PumpedChain(h, pump, tol), gamma_grid, tol)
+    return Trajectory(gammas=gamma_grid, eigenvalues=traj, zero_mode_index=zero_idx)
 
 
 @dataclass
 class ThresholdResult:
-    """First real-axis crossing of the pumped spectrum."""
+    """First real-axis crossing of the pumped spectrum.  The crossing mode's
+    path is not kept: ``track_mode`` on a grid ending at ``threshold`` gives it."""
 
     threshold: float                  # pump strength at the crossing
-    crossing_mode_index: int          # index in the tracked order
     threshold_mode: np.ndarray        # eigenvector, normalized to psi_1 = 1
-    trajectory: Trajectory
     bracket: tuple[float, float]
 
 
@@ -389,11 +369,10 @@ def find_threshold(h: np.ndarray, pump: PumpSpec,
     Newton point has missed the stop test, or when the proposal is not
     strictly inside the bracket, and bisection when neither is.  The search
     stops at |f| <= ``threshold_imag * kappa0``, or raises NoThresholdError
-    (naming a missed Newton point) when the bracket cannot shrink.  The modes
-    are then tracked as ``track_mode`` tracks them, on
-    ``_THRESHOLD_GRID_POINTS`` points from 0 to the root; the last point
-    gives the crossing mode.  A tie there raises TrackingAmbiguityError
-    carrying the converged root and its bracket.
+    (naming a missed Newton point) when the bracket cannot shrink.  The
+    threshold mode is M's right vector (``_PumpedChain.right_vector``) for
+    the eigenvalue of largest Im w at the root, the one the stop test took;
+    nothing is tracked.
     """
     chain = _PumpedChain(h, pump, tol)
     n = chain.n
@@ -416,7 +395,7 @@ def find_threshold(h: np.ndarray, pump: PumpSpec,
         top = chain.top(hi)
 
     f_hi = top.imag
-    gstar, f_star = hi, f_hi
+    gstar, w_star, f_star = hi, top, f_hi
     closest = min(-f_lo, abs(f_hi))
     side = 0                          # which end the last step moved
     newton, missed = chain.form is not None, ""
@@ -432,8 +411,8 @@ def find_threshold(h: np.ndarray, pump: PumpSpec,
                 f"threshold search stalled at n = {n}: bracket [{lo!r}, {hi!r}] "
                 f"cannot shrink; closest |max Im w| = {closest:.3e}, tolerance "
                 f"{ftol:.3e}, {floor()}{missed}")
-        gstar, w = g, chain.top(g)
-        f_star = w.imag
+        gstar, w_star = g, chain.top(g)
+        f_star = w_star.imag
         if proposed and abs(f_star) > ftol:
             newton, missed = False, (f"; T's root at {g / k0:.6f} kappa0, where "
                                      f"M's max Im w = {f_star:.3e}")
@@ -445,24 +424,15 @@ def find_threshold(h: np.ndarray, pump: PumpSpec,
         else:
             if side > 0:
                 f_lo *= 0.5
-            hi, f_hi, top, side = g, f_star, w, 1
+            hi, f_hi, top, side = g, f_star, w_star, 1
 
-    try:
-        trajectory = _track(chain, np.linspace(0.0, gstar, _THRESHOLD_GRID_POINTS), tol)
-    except TrackingAmbiguityError as exc:
-        raise TrackingAmbiguityError(
-            f"{exc}; the threshold search had converged to gamma* = {gstar!r} "
-            f"in the bracket [{lo!r}, {hi!r}]",
-            threshold=float(gstar), bracket=(float(lo), float(hi))) from exc
-    mode_idx = int(np.argmax(trajectory.eigenvalues[-1].imag))
-    vec = trajectory.final_vectors[:, mode_idx]
+    vec = chain.right_vector(gstar, w_star)
     if abs(vec[0]) < 1e-12 * np.linalg.norm(vec):
         raise ValueError("threshold mode vanishes at site 1; "
                          "the psi_1 = 1 normalization is undefined")
     vec = vec / vec[0]
     vec[0] = 1.0                      # z / z need not round to exactly 1
-    return ThresholdResult(threshold=float(gstar), crossing_mode_index=mode_idx,
-                           threshold_mode=vec, trajectory=trajectory,
+    return ThresholdResult(threshold=float(gstar), threshold_mode=vec,
                            bracket=(float(lo), float(hi)))
 
 

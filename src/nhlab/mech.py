@@ -102,8 +102,9 @@ def integrate(chain: OscillatorChain, x0: np.ndarray, v0: np.ndarray,
     x, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
     if x.shape != (n,) or v.shape != (n,) or not np.isfinite([x, v]).all():
         raise ValueError("x0 and v0 must be finite vectors of length n")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    dt = _real(dt, "dt")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     m = dynamical_matrix(chain)

@@ -35,7 +35,8 @@ def matrix_elements(es: EigenSystem, pumped_sites: tuple[int, ...],
     Raises if any pair is not biorthonormal: an incomplete (EP) basis cannot
     support the expansion.
     """
-    if not isinstance(mode, (int, np.integer)) or not 0 <= mode < es.dim:
+    if (isinstance(mode, bool) or not isinstance(mode, (int, np.integer))
+            or not 0 <= mode < es.dim):
         raise ValueError(f"mode must be an integer in [0, n) with n = {es.dim}; "
                          f"got {mode!r}")
     bad = [mu for mu, st in enumerate(es.norm_status) if st != BIORTHONORMAL]

@@ -355,6 +355,7 @@ def scenario_fig3(cfg: ScenarioConfig, tol: Tolerances,
         pump = cfg.pump or PumpSpec(kappa0=kappa_over_t * t, pumped_sites=(1,))
         pump = replace(pump, kappa0=kappa_over_t * t)
         results = {}
+        reported = report["thresholds"][str(kappa_over_t)] = {}
         for label, matrix, expect in (("selective", h, d_sel), ("standard", hpp, d_std)):
             res = find_threshold(matrix, pump, tol)
             ratio = res.threshold / pump.kappa0
@@ -363,13 +364,13 @@ def scenario_fig3(cfg: ScenarioConfig, tol: Tolerances,
                 passed=bool(abs(ratio - expect) <= 0.01 * expect),
                 measured=float(ratio), expected=f"{expect} +- 1%"))
             results[label] = res
-        report["thresholds"][str(kappa_over_t)] = {lbl: _plain({
-            "threshold": res.threshold, "crossing_mode_index": res.crossing_mode_index,
-            "threshold_mode": res.threshold_mode, "bracket": res.bracket,
-            "trajectory": {"gammas": res.trajectory.gammas,
-                           "crossing_mode": res.trajectory.eigenvalues[
-                               :, res.crossing_mode_index]}})
-            for lbl, res in results.items()}
+            tr = track_mode(matrix, pump, np.linspace(0.0, res.threshold, 33), tol)
+            crossing = int(np.argmax(tr.eigenvalues[-1].imag))
+            reported[label] = _plain({
+                "threshold": res.threshold, "crossing_mode_index": crossing,
+                "threshold_mode": res.threshold_mode, "bracket": res.bracket,
+                "trajectory": {"gammas": tr.gammas,
+                               "crossing_mode": tr.eigenvalues[:, crossing]}})
         if kappa_over_t == 0.02:
             flow_reports = {
                 lbl: power_flows(results[lbl].threshold_mode,

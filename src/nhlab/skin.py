@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, _real
 from .eig import EigenSystem, collinearity_residual
 
 ODD_SITES = "odd_sites"
@@ -82,8 +82,9 @@ def _metrics(mags: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
 
 def mode_reports(es: EigenSystem, s: float, tol: Tolerances = DEFAULT) -> list[ModeReport]:
     """Profile and classify every mode of ``es`` for a chain scaled by ratio s."""
-    if not (np.isfinite(s) and s > 0):
-        raise ValueError(f"skin ratio s must be finite and positive, got s = {s!r}")
+    s = _real(s, "skin ratio s =")
+    if not s > 0:
+        raise ValueError(f"skin ratio s must be positive, got s = {s!r}")
     ipr, com, decay, rms, parity = _metrics(
         np.ascontiguousarray(np.abs(es.right_vectors).T), tol)
     n, half_rate = es.dim, np.log(s) / 2.0

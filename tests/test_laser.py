@@ -151,7 +151,8 @@ def test_paper_thresholds_weak_loss(chain9):
     assert d.threshold / 0.02 == pytest.approx(1.44, rel=0.01)
     assert dpp.threshold / 0.02 == pytest.approx(4.99, rel=0.01)
     # crossing mode is the frequency-pinned zero mode
-    assert d.trajectory.zero_mode_index == d.crossing_mode_index
+    tr = track_mode(h, pump, np.linspace(0.0, d.threshold, 33))
+    assert tr.zero_mode_index == int(np.argmax(tr.eigenvalues[-1].imag))
 
 
 def test_paper_thresholds_strong_loss(chain9):
@@ -178,6 +179,13 @@ def test_threshold_mode_normalization_and_pinning(chain9):
     assert res.threshold_mode[0] == 1.0
     wa = np.linalg.eigvals(pumped_hamiltonian(h, pump, res.threshold))
     assert abs(wa.imag.max()) <= 1e-9 * pump.kappa0
+
+
+def test_threshold_mode_vanishing_at_site_1_is_refused():
+    # site 1 decoupled and unpumped: the crossing mode lives on sites 2-3
+    h = np.array([[0.5, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="vanishes at site 1"):
+        find_threshold(h, PumpSpec(kappa0=0.1, pumped_sites=(3,)))
 
 
 def test_threshold_monotone_in_added_pump_site(chain9):

@@ -56,13 +56,14 @@ def regula_falsi(h, pump, tol=DEFAULT):
 
 
 def test_continued_order_matches_a_per_point_overlap_tracker(chain9):
-    # every grid step of find_threshold's tracking, against np.linalg.eig of
-    # T at each point matched by maximal overlap: same order, same values
+    # every step of the 33-point track up to the threshold, against
+    # np.linalg.eig of T at each point matched by maximal overlap: same
+    # order, same values
     _, _, _, h, hpp = chain9
     cases = [(m, PumpSpec(kappa0=k0, pumped_sites=(1,)))
              for m in (h, hpp) for k0 in (0.02, 1.0)] + bench_cases()
     for m, pump in cases:
-        traj = find_threshold(m, pump).trajectory
+        traj = track_mode(m, pump, np.linspace(0.0, find_threshold(m, pump).threshold, 33))
         ref = dense_track(symmetric_form(m), pump, traj.gammas)
         norm = np.linalg.norm(symmetric_form(m), 2)
         assert np.abs(traj.eigenvalues - ref).max() <= 1e-12 * norm
@@ -125,7 +126,8 @@ def test_swap_guard_refuses_a_step_that_reorders_modes(chain9):
 
 def test_dense_inputs_keep_the_regula_falsi_bits(chain9):
     # inputs without a ChainForm take no Newton proposal: threshold and
-    # bracket equal the plain search's, bit for bit
+    # bracket equal the plain search's, bit for bit, and the threshold mode
+    # is M's eigenvector for its eigenvalue of largest Im w there
     _, _, _, h, _ = chain9
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
@@ -138,3 +140,9 @@ def test_dense_inputs_keep_the_regula_falsi_bits(chain9):
             res = find_threshold(m, pump)
             threshold, bracket = regula_falsi(m, pump)
             assert res.threshold == threshold and res.bracket == bracket
+            mt = pumped_hamiltonian(m, pump, res.threshold)
+            w = np.linalg.eigvals(mt)
+            psi = res.threshold_mode
+            assert psi[0] == 1.0
+            resid = np.linalg.norm(mt @ psi - w[w.imag.argmax()] * psi)
+            assert resid <= DEFAULT.residual_rel * np.linalg.norm(mt, 2) * np.linalg.norm(psi)

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import zgttrf
 
 from nhlab.config import DEFAULT
 from nhlab.eig import chain_form
-from nhlab.laser import (NoThresholdError, PumpSpec, TrackingAmbiguityError, _match_modes,
-                         _PumpedChain, find_threshold, pumped_hamiltonian, track_mode)
+from nhlab.laser import (NoThresholdError, PumpSpec, TrackingAmbiguityError, _column_norm,
+                         _match_modes, _PumpedChain, _stacked_factors, find_threshold,
+                         pumped_hamiltonian, track_mode)
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_gauge, construct_product
 
 from conftest import random_hermitian
@@ -20,7 +22,7 @@ from conftest import random_hermitian
 @st.composite
 def pumped_chains(draw):
     """(matrix, pump): a scaled chain in either gauge, 1-3 pumped sites."""
-    n = draw(st.integers(3, 60))
+    n = draw(st.integers(2, 60))
     if draw(st.booleans()):
         ratio = draw(st.sampled_from([10.0, 1e2, 1e4]))
         spec = LatticeSpec(n=n, t=1.0, scaling="geometric", s=ratio ** (1.0 / (n - 1)))
@@ -197,21 +199,70 @@ def test_track_mode_makes_no_dense_eig_on_a_chain(monkeypatch, chain9):
     assert counter.calls["eig"] == 0 and counter.calls["eigvals"] <= 2
 
 
+# (kappa0, input) -> (dense eig, dense eigvals) of find_threshold, as measured:
+# the eigvals of its search, and one eig at the root for a dense input's mode
+THRESHOLD_SOLVES = {
+    (0.02, "h"): (0, 4), (0.02, "hpp"): (0, 6), (0.02, "u h u*"): (1, 5),
+    (0.02, "u hpp u*"): (1, 9), (1.0, "h"): (0, 4), (1.0, "hpp"): (0, 4),
+    (1.0, "u h u*"): (1, 8), (1.0, "u hpp u*"): (1, 8),
+}
+
+
 @pytest.mark.parametrize("kappa0", [0.02, 1.0])
 def test_find_threshold_solve_budget(monkeypatch, chain9, kappa0):
-    # 33 tracking points plus the bracket and the regula falsi steps, sharing
-    # the solves at 0 and at the root
+    # the bracket and the root search share the solves at 0 and at the root;
+    # the threshold mode takes no dense solve on a chain, one eig otherwise
     _, _, _, h, hpp = chain9
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    u = np.eye(9, dtype=complex)
+    u[1:, 1:] = q                                 # fixes the pumped site 1
     pump = PumpSpec(kappa0=kappa0, pumped_sites=(1,))
-    for matrix in (h, hpp):
+    for label, matrix in (("h", h), ("hpp", hpp), ("u h u*", u @ h @ u.conj().T),
+                          ("u hpp u*", u @ hpp @ u.conj().T)):
+        assert (chain_form(matrix) is None) == label.startswith("u ")
         counter = Counter(monkeypatch)
         res = find_threshold(matrix, pump)
-        assert counter.calls["eig"] == 0
-        assert counter.solves <= 42
+        eig, eigvals = THRESHOLD_SOLVES[kappa0, label]
+        assert counter.calls == {"eig": eig, "eigvals": eigvals}
         at = np.linalg.eigvals(pumped_hamiltonian(matrix, pump, res.threshold)).imag.max()
         assert abs(at) <= DEFAULT.threshold_imag * kappa0
         lo = np.linalg.eigvals(pumped_hamiltonian(matrix, pump, res.bracket[0])).imag.max()
         assert lo < 0
+
+
+def test_two_site_chain_threshold_passes_dense_oracles():
+    # a 2-site chain's shifted systems are 2 x 2 tridiagonal blocks, which
+    # the stacked factorization closes with its 1 x 1 block
+    h = np.array([[0.3, 1], [2, -0.1]], dtype=complex)
+    pump = PumpSpec(kappa0=0.02, pumped_sites=(1,))
+    assert chain_form(h) is not None
+    res = find_threshold(h, pump)
+    m = pumped_hamiltonian(h, pump, res.threshold)
+    w = np.linalg.eigvals(m)
+    assert abs(w.imag.max()) <= DEFAULT.threshold_imag * pump.kappa0
+    assert np.linalg.eigvals(pumped_hamiltonian(h, pump, res.bracket[0])).imag.max() < 0
+    psi = res.threshold_mode
+    assert psi[0] == 1.0
+    top = w[w.imag.argmax()]
+    assert np.linalg.norm(m @ psi - top * psi) <= 1e-15 * np.linalg.norm(m, 2) * np.linalg.norm(psi)
+
+
+def test_exact_zero_pivot_is_nudged_and_gives_the_eigenvector():
+    # T(gamma) - w of the 3-site chain pumped at site 2, shifted by its exact
+    # eigenvalue -i kappa0, is exactly singular: zgttrf meets a zero pivot,
+    # which is nudged to eps * c, and inverse iteration returns (1, 0, -1)
+    h = (np.eye(3, k=1) + np.eye(3, k=-1)).astype(complex)
+    pump = PumpSpec(kappa0=0.02, pumped_sites=(2,))
+    chain = _PumpedChain(h, pump, DEFAULT)
+    off, diag, w = chain.form.off, chain.diagonal(0.3), -0.02j
+    assert zgttrf(off.astype(complex), diag - w, off.astype(complex))[-1] > 0
+    eps_c = np.finfo(float).eps * _column_norm(off, diag)
+    assert np.count_nonzero(_stacked_factors(off, diag, np.array([w]))[1] == eps_c) == 1
+    psi = chain.right_vector(0.3, w)
+    assert np.abs(psi - np.array([1.0, 0.0, -1.0]) / np.sqrt(2)).max() <= 1e-15
+    m = pumped_hamiltonian(h, pump, 0.3)
+    assert np.linalg.norm(m @ psi - w * psi) <= 1e-15 * np.linalg.norm(m, 2)
 
 
 def test_failing_search_stops_when_bracket_cannot_shrink(monkeypatch, calibration):

@@ -1,8 +1,9 @@
 """Pumped chains tracked on their symmetric form T(gamma) = D M(gamma) D^-1
 against dense solves: the continuation against a per-point greedy tracker on
-T and against M's dense eigvals, the benchmark's A^-1 H0 A chains at
+T and against M's dense eigvals, the threshold mode against the tracked
+crossing mode and M's dense eig, the benchmark's A^-1 H0 A chains at
 kappa0 = t against M-based oracles, the forced fallback, the dense-solve
-budget, and the converged threshold carried by a tracking tie."""
+budget, and a threshold found where tracking to it ties."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhlab.config import DEFAULT
-from nhlab.laser import (PumpSpec, TrackingAmbiguityError, find_threshold,
+from nhlab.eig import chain_form
+from nhlab.laser import (PumpSpec, TrackingAmbiguityError, find_threshold, power_flows,
                          pumped_hamiltonian, track_mode)
 
 from test_laser_structured import Counter, dense_track, pumped_chains, symmetric_form
@@ -50,13 +52,33 @@ def test_continuation_matches_greedy_tracker_on_t_and_dense_m(case, points, top)
         dense = np.linalg.eigvals(pumped_hamiltonian(m, pump, g))
         gap = np.abs(w[:, None] - dense[None, :])
         assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= bound
-    # final vectors: M's unit right vectors, largest entry real positive
-    psi, w = tr.final_vectors, tr.eigenvalues[-1]
-    resid = pumped_hamiltonian(m, pump, grid[-1]) @ psi - psi * w
-    assert np.linalg.norm(resid, axis=0).max() <= DEFAULT.residual_rel * norm
-    assert np.allclose(np.linalg.norm(psi, axis=0), 1.0, atol=1e-14)
-    top_entry = psi[np.abs(psi).argmax(axis=0), np.arange(len(w))]
-    assert np.all(top_entry.imag == 0) and np.all(top_entry.real > 0)
+
+
+def threshold_cases(chain9):
+    """chain9 in both gauges and the threshold benchmark's chains, at both losses."""
+    _, _, _, h, hpp = chain9
+    return [(m, PumpSpec(kappa0=k0, pumped_sites=(1,)))
+            for m in (h, hpp, *skin_chains(41), *skin_chains(101)) for k0 in (0.02, 1.0)]
+
+
+def test_threshold_mode_is_the_tracked_crossing_mode(chain9):
+    # the crossing mode of a 33-point track to the root, its vector from the
+    # dense eig of T mapped to psi = phi / d: an eigenvector of M at the
+    # threshold, psi_1 = 1, in power balance
+    for m, pump in threshold_cases(chain9):
+        res = find_threshold(m, pump)
+        tr = track_mode(m, pump, np.linspace(0.0, res.threshold, 33))
+        w = tr.eigenvalues[-1, np.argmax(tr.eigenvalues[-1].imag)]
+        lam, phi = np.linalg.eig(pumped_hamiltonian(symmetric_form(m), pump, res.threshold))
+        ref = phi[:, np.abs(lam - w).argmin()] / chain_form(m).d
+        psi = res.threshold_mode
+        assert psi[0] == 1.0
+        assert np.linalg.norm(psi - ref / ref[0]) <= 1e-12 * np.linalg.norm(psi)
+        mt = pumped_hamiltonian(m, pump, res.threshold)
+        resid = np.linalg.norm(mt @ psi - w * psi)
+        assert resid <= DEFAULT.residual_rel * np.linalg.norm(mt, 2) * np.linalg.norm(psi)
+        flows = power_flows(psi, mt, pump, res.threshold)
+        assert flows.balance_residual <= DEFAULT.balance_rel * flows.max_term
 
 
 @pytest.mark.parametrize("n", [41, 101])
@@ -88,13 +110,13 @@ def test_forced_fallback_equals_exact_per_point_solve(chain9):
     for m in (h, hpp):
         got = track_mode(m, pump, grid, strict)
         assert np.array_equal(got.eigenvalues, dense_track(symmetric_form(m), pump, grid))
-        exact = track_mode(m, pump, grid)
-        assert np.abs(got.final_vectors - exact.final_vectors).max() <= 1e-12
 
 
 def test_tracking_tie_keeps_the_converged_threshold():
     # A^-1 H0 A at n = 41, kappa0 = t under a unitary similarity that fixes
-    # site 1: a dense input (tracked on M), whose overlaps are those of M
+    # site 1: a dense input (tracked on M), whose overlaps are those of M.
+    # The search tracks nothing: it returns the root, while a 33-point
+    # track to that root ties.
     n = 41
     _, hg = skin_chains(n)
     rng = np.random.default_rng(11)
@@ -102,15 +124,15 @@ def test_tracking_tie_keeps_the_converged_threshold():
     u = scipy.linalg.block_diag(1.0, q * (np.diagonal(r) / np.abs(np.diagonal(r))))
     m = u @ hg @ u.conj().T
     pump = PumpSpec(kappa0=1.0, pumped_sites=(1,))
-    with pytest.raises(TrackingAmbiguityError) as err:
-        find_threshold(m, pump)
-    exc = err.value
-    lo, hi = exc.bracket
-    assert exc.threshold in (lo, hi) and lo < hi
-    for part in ("overlap tie", repr(exc.threshold), repr(lo), repr(hi)):
-        assert part in str(exc)
-    assert isinstance(exc.__cause__, TrackingAmbiguityError)
-    assert exc.__cause__.threshold is None
+    res = find_threshold(m, pump)
+    lo, hi = res.bracket
+    assert res.threshold in (lo, hi) and lo < hi
     assert max_imag(m, pump, lo) < 0
-    assert abs(max_imag(m, pump, exc.threshold)) <= DEFAULT.threshold_imag * pump.kappa0
-    assert exc.threshold == pytest.approx(find_threshold(hg, pump).threshold, rel=1e-8)
+    assert abs(max_imag(m, pump, res.threshold)) <= DEFAULT.threshold_imag * pump.kappa0
+    assert res.threshold == pytest.approx(find_threshold(hg, pump).threshold, rel=1e-8)
+    mt = pumped_hamiltonian(m, pump, res.threshold)
+    w = np.linalg.eigvals(mt)
+    resid = np.linalg.norm(mt @ res.threshold_mode - w[w.imag.argmax()] * res.threshold_mode)
+    assert resid <= DEFAULT.residual_rel * np.linalg.norm(mt, 2) * np.linalg.norm(res.threshold_mode)
+    with pytest.raises(TrackingAmbiguityError, match="overlap tie"):
+        track_mode(m, pump, np.linspace(0.0, res.threshold, 33))

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from nhlab.eig import apply_metric_pairing, eig_full
 from nhlab.laser import (PumpSpec, find_threshold, power_flows, pumped_hamiltonian,
                          track_mode)
-from nhlab.mech import eigenfrequencies
+from nhlab.mech import OscillatorChain, eigenfrequencies, integrate
 from nhlab.model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
                          construct_product, factor_psd, hermitian_equivalent, shift_spectrum)
 from nhlab.perturb import first_order
+from nhlab.skin import mode_reports, verify_standard_skin
 from nhlab.spectra import bmap_correspondence, certify, ep_analyze, inner_product_audit
 
 
@@ -85,6 +86,15 @@ PROBES = {
                                "dimension mismatch: mode has shape (8,), expected shape (9,)"),
     "first_order_tuple_gamma1": (lambda: first_order(ES, (1,), "x", 0),
                                  "gamma1 'x' is not a real number"),
+    "mode_reports_str_s": (lambda: mode_reports(ES, "x"),
+                           "skin ratio s = 'x' is not a real number"),
+    "standard_skin_str_s": (lambda: verify_standard_skin(ES, eig_full(H0), "x"),
+                            "skin ratio s = 'x' is not a real number"),
+    "integrate_str_dt": (lambda: integrate(OscillatorChain(n=3, masses=(1.0, 2.0, 3.0)),
+                                           np.zeros(3), np.zeros(3), "x", 10),
+                         "dt 'x' is not a real number"),
+    "track_mode_str_grid": (lambda: track_mode(H, PUMP, "ab"),
+                            "gamma_grid 'ab' is not an array of real numbers"),
 }
 
 

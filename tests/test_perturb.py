@@ -137,7 +137,7 @@ def test_matrix_elements_refuse_ep_basis():
         matrix_elements(es, (1,), 0)
 
 
-@pytest.mark.parametrize("mode", [9, -1, 4.0, "4"])
+@pytest.mark.parametrize("mode", [9, -1, 4.0, "4", True])
 def test_mode_outside_range_refused(passive, mode):
     _, _, es, _ = passive
     with pytest.raises(ValueError, match=r"mode .*n = 9"):
