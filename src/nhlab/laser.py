@@ -5,13 +5,14 @@ pumping adds +i*gamma on the pumped sites.  The threshold is the smallest
 gamma at which some eigenvalue reaches the real axis: a bracket and Illinois
 regula falsi on max Im(w) of the dense ``eigvals`` of M(gamma).  A chain with
 a ``ChainForm`` is worked on its complex-symmetric T(gamma) = D M(gamma) D^-1:
-Newton's method on T's crossing mode proposes the root, and the modes are
-continued in order from one pump strength to the next in O(n^2) (a first-order
-predictor, a Rayleigh-quotient corrector), with a dense solve of T and an
-overlap match where a step misses its certificate.  Any other input is solved
-densely and matched by overlap at every grid point.  The threshold mode is
-taken at the root itself, by inverse iteration on T for a chain.  Power flows
-at the coupling junctions quantify the exchange that sets the threshold scale.
+Newton's method on T's crossing mode proposes the bracket from kappa0 and the
+root, and the modes are continued in order from one pump strength to the next
+in O(n^2) (a first-order predictor, a Rayleigh-quotient corrector), with a
+dense solve of T and an overlap match where a step misses its certificate.
+Any other input is solved densely and matched by overlap at every grid point.
+The threshold mode is taken at the root itself, by inverse iteration on T for
+a chain.  Power flows at the coupling junctions quantify the exchange that
+sets the threshold scale.
 """
 
 from __future__ import annotations
@@ -119,9 +120,6 @@ class _PumpedChain:
         """The eigenvalue of largest Im w of M(gamma), from a dense ``eigvals``."""
         w = np.linalg.eigvals(pumped_hamiltonian(self.h, self.pump, gamma))
         return complex(w[w.imag.argmax()])
-
-    def max_imag(self, gamma: float) -> float:
-        return self.top(gamma).imag
 
     def solve(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """Exact spectrum and unit vectors: of T(gamma) for a chain, else of M."""
@@ -254,15 +252,20 @@ def _continue(off: np.ndarray, diag: np.ndarray, p: np.ndarray, w: np.ndarray,
         sq = phi * phi
         guess = w + 1j * dgamma * (sq @ p) / sq.sum(axis=1)
         w, x, todo = guess.copy(), phi.copy(), np.arange(len(w))
+        wt, xt = w, x               # todo's rows: w and x themselves until todo shrinks
         for k in range(_CORRECTOR_STEPS + 1):   # the predicted vectors, then corrections
             if k:
-                y = _stacked_solve(_stacked_factors(off, diag, w[todo]), x[todo])
-                x[todo] = y / np.linalg.norm(y, axis=1, keepdims=True)
-            y = x[todo]
-            ty = _tridiagonal_product(off, diag, off, y.T).T
+                y = _stacked_solve(_stacked_factors(off, diag, wt), xt)
+                np.divide(y, np.linalg.norm(y, axis=1, keepdims=True), out=xt)
+            ty = _tridiagonal_product(off, diag, off, xt.T).T
             if k:
-                w[todo] = np.sum(y * ty, axis=1) / np.sum(y * y, axis=1)
-            todo = todo[~(np.linalg.norm(ty - w[todo, None] * y, axis=1) <= bound)]
+                wt[:] = np.sum(xt * ty, axis=1) / np.sum(xt * xt, axis=1)
+            ty -= wt[:, None] * xt
+            miss = ~(np.linalg.norm(ty, axis=1) <= bound)
+            if not miss.all():
+                if xt is not x:
+                    w[todo], x[todo] = wt, xt
+                todo, wt, xt = todo[miss], wt[miss], xt[miss]
             if not todo.size:
                 break
         else:
@@ -318,24 +321,26 @@ def track_mode(h: np.ndarray, pump: PumpSpec, gamma_grid: np.ndarray,
                tol: Tolerances = DEFAULT) -> Trajectory:
     """Follow every eigenvalue of the pumped Hamiltonian along the grid."""
     try:
-        gamma_grid = np.asarray(gamma_grid, dtype=float)
+        grid = np.asarray(gamma_grid, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"gamma_grid {gamma_grid!r} is not an array of real numbers") from None
-    if (gamma_grid.ndim != 1 or len(gamma_grid) < 2 or not np.all(np.isfinite(gamma_grid))
-            or np.any(np.diff(gamma_grid) <= 0) or gamma_grid[0] < 0):
+    if (grid.ndim != 1 or len(grid) < 2 or not np.all(np.isfinite(grid))
+            or np.any(np.diff(grid) <= 0) or grid[0] < 0):
         raise ValueError("gamma_grid must be finite, ascending and start at >= 0")
+    for g in gamma_grid:              # no strings or bools that float() would take
+        _real(g, "gamma_grid entry")
     chain = _PumpedChain(h, pump, tol)
-    traj = np.zeros((len(gamma_grid), chain.n), dtype=complex)
-    w, v = chain.solve(gamma_grid[0])
+    traj = np.zeros((len(grid), chain.n), dtype=complex)
+    w, v = chain.solve(grid[0])
     order = np.lexsort((w.imag, w.real))
     w, v = w[order], v[:, order]
     traj[0] = w
 
-    for k in range(1, len(gamma_grid)):
-        moved = chain.step(w, v, gamma_grid[k - 1], gamma_grid[k])
+    for k in range(1, len(grid)):
+        moved = chain.step(w, v, grid[k - 1], grid[k])
         if moved is None:
-            wn, vn = chain.solve(gamma_grid[k])
-            perm = _match_modes(np.abs(v.conj().T @ vn), tol.track_margin, gamma_grid[k])
+            wn, vn = chain.solve(grid[k])
+            perm = _match_modes(np.abs(v.conj().T @ vn), tol.track_margin, grid[k])
             moved = wn[perm], vn[:, perm]
         w, v = moved
         traj[k] = w
@@ -343,7 +348,7 @@ def track_mode(h: np.ndarray, pump: PumpSpec, gamma_grid: np.ndarray,
     norm = max(spectral_norm(chain.h), 1e-300)
     pinned = np.flatnonzero(np.abs(traj.real).max(axis=0) <= tol.zero_mode_rel * norm)
     zero_idx = int(pinned[0]) if len(pinned) == 1 else None
-    return Trajectory(gammas=gamma_grid, eigenvalues=traj, zero_mode_index=zero_idx)
+    return Trajectory(gammas=grid, eigenvalues=traj, zero_mode_index=zero_idx)
 
 
 @dataclass
@@ -353,7 +358,7 @@ class ThresholdResult:
 
     threshold: float                  # pump strength at the crossing
     threshold_mode: np.ndarray        # eigenvector, normalized to psi_1 = 1
-    bracket: tuple[float, float]
+    bracket: tuple[float, float]      # the last (lo, hi); max Im w < 0 at lo
 
 
 def find_threshold(h: np.ndarray, pump: PumpSpec,
@@ -361,18 +366,21 @@ def find_threshold(h: np.ndarray, pump: PumpSpec,
     """Smallest gamma with max Im(w) = 0: a bracket, then Newton or regula falsi.
 
     With f(gamma) = max Im w (one dense ``eigvals`` of M(gamma), each gamma
-    evaluated once), the bracket starts at [0, kappa0] and doubles its top
-    end until f(lo) < 0 < f(hi); the search keeps that invariant.  A chain's
-    step proposes the root of T's crossing mode (M(hi)'s eigenvalue of
-    largest Im w) by ``_PumpedChain.t_root``.  The regula falsi point, with
-    Illinois halving, is taken instead without a ``ChainForm``, after a
-    Newton point has missed the stop test, or when the proposal is not
-    strictly inside the bracket, and bisection when neither is.  The search
-    stops at |f| <= ``threshold_imag * kappa0``, or raises NoThresholdError
-    (naming a missed Newton point) when the bracket cannot shrink.  The
-    threshold mode is M's right vector (``_PumpedChain.right_vector``) for
-    the eigenvalue of largest Im w at the root, the one the stop test took;
-    nothing is tracked.
+    evaluated once), the bracket starts at [0, kappa0] and moves its top end
+    up until f(lo) < 0 < f(hi); the search keeps that invariant.  A chain's
+    f(0) = -kappa0 takes no solve (M(0) ~ T0 - i*kappa0, T0 real symmetric;
+    Im w = -kappa0 + gamma |P phi|^2 / |phi|^2, so its root is >= kappa0).
+    Its step proposes the root of T's crossing mode (M(hi)'s eigenvalue of
+    largest Im w) by ``_PumpedChain.t_root``: a top end below the root moves
+    there if that lies in (hi, ``gamma_max_factor * kappa0``], else doubles.
+    Inside the bracket the regula falsi point, with Illinois halving, is
+    taken instead without a ``ChainForm``, after a Newton point has missed
+    the stop test, or when the proposal is not strictly inside the bracket,
+    and bisection when neither is.  The search stops at |f| <=
+    ``threshold_imag * kappa0``, or raises NoThresholdError (naming a missed
+    Newton point) when the bracket cannot shrink.  The threshold mode is M's
+    right vector (``_PumpedChain.right_vector``) for the eigenvalue of
+    largest Im w at the root, the one the stop test took; nothing is tracked.
     """
     chain = _PumpedChain(h, pump, tol)
     n = chain.n
@@ -382,23 +390,33 @@ def find_threshold(h: np.ndarray, pump: PumpSpec,
     def floor() -> str:
         return f"eps*||H|| = {np.finfo(float).eps * spectral_norm(chain.h):.3e}"
 
-    lo, f_lo = 0.0, chain.max_imag(0.0)
+    def evaluate(g: float, proposed: bool) -> complex:     # a missed Newton point ends Newton
+        nonlocal newton, missed
+        top = chain.top(g)
+        if proposed and abs(top.imag) > ftol:
+            newton, missed = False, (f"; T's root at {g / k0:.6f} kappa0, where "
+                                     f"M's max Im w = {top.imag:.3e}")
+        return top
+
+    newton, missed = chain.form is not None, ""
+    lo, f_lo = 0.0, -k0 if chain.form is not None else chain.top(0.0).imag
     if f_lo >= -ftol:
         raise NoThresholdError(f"n = {n}: max Im w = {f_lo:.3e} at gamma = 0, so the "
                                f"lossy chain is not below threshold ({floor()})")
     hi, top = k0, chain.top(k0)
     while top.imag < 0 and abs(top.imag) > ftol:
-        lo, f_lo, hi = hi, top.imag, 2 * hi
+        g = chain.t_root(hi, top) if newton else np.nan
+        proposed = hi < g <= tol.gamma_max_factor * k0
+        lo, f_lo, hi = hi, top.imag, g if proposed else 2 * hi
         if hi > tol.gamma_max_factor * k0:
             raise NoThresholdError(
                 f"no real-axis crossing below {tol.gamma_max_factor:g} * kappa0")
-        top = chain.top(hi)
+        top = evaluate(hi, proposed)
 
     f_hi = top.imag
     gstar, w_star, f_star = hi, top, f_hi
     closest = min(-f_lo, abs(f_hi))
     side = 0                          # which end the last step moved
-    newton, missed = chain.form is not None, ""
     while abs(f_star) > ftol:
         g = chain.t_root(hi, top) if newton else np.nan
         proposed = lo < g < hi
@@ -411,11 +429,8 @@ def find_threshold(h: np.ndarray, pump: PumpSpec,
                 f"threshold search stalled at n = {n}: bracket [{lo!r}, {hi!r}] "
                 f"cannot shrink; closest |max Im w| = {closest:.3e}, tolerance "
                 f"{ftol:.3e}, {floor()}{missed}")
-        gstar, w_star = g, chain.top(g)
+        gstar, w_star = g, evaluate(g, proposed)
         f_star = w_star.imag
-        if proposed and abs(f_star) > ftol:
-            newton, missed = False, (f"; T's root at {g / k0:.6f} kappa0, where "
-                                     f"M's max Im w = {f_star:.3e}")
         closest = min(closest, abs(f_star))
         if f_star < 0:
             if side < 0:

@@ -1,22 +1,27 @@
 """The threshold search's Newton proposals on T's crossing mode and the
 continuation that keeps its mode order: the order against a per-point
-overlap tracker, the dense-eigvals budget of a chain search, the secant
-continuation after a Newton point fails M's dense check, the stalled
-search's report of T's root, the swap guard, and dense inputs searched
+overlap tracker, the dense-eigvals budget of a chain search, its bracket
+from kappa0 with no dense solve at gamma = 0 and its doubling fallback,
+the secant continuation after a Newton point fails M's dense check, the
+stalled search's report of T's root, the swap guard, the compacted
+corrector against the gather/scatter one, and dense inputs searched
 exactly as by the plain regula falsi."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhlab.config import DEFAULT
-from nhlab.eig import chain_form
-from nhlab.laser import (NoThresholdError, PumpSpec, _continue, _PumpedChain,
+from nhlab.eig import _tridiagonal_product, chain_form
+from nhlab.laser import (_CORRECTOR_STEPS, NoThresholdError, PumpSpec, _column_norm,
+                         _continue, _PumpedChain, _stacked_factors, _stacked_solve,
                          find_threshold, pumped_hamiltonian, track_mode)
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_product
 
 from conftest import random_hermitian
-from test_laser_structured import Counter, dense_track, symmetric_form
-from test_laser_symmetric import skin_chains
+from test_laser_structured import Counter, dense_track, pumped_chains, symmetric_form
+from test_laser_symmetric import skin_chains, threshold_cases
 
 
 def bench_cases():
@@ -76,7 +81,8 @@ def test_chain_search_takes_one_dense_check_beyond_its_bracket(monkeypatch):
     for m, pump in bench_cases():
         counter = Counter(monkeypatch)
         res = find_threshold(m, pump)
-        # f(0), then kappa0 * 2^j up to the first end at or above the root
+        # at most the doubling bracket's count: f(0), then kappa0 * 2^j up to
+        # the first end at or above the root
         bracket_evals = 2 + max(0, int(np.ceil(np.log2(res.threshold / pump.kappa0))))
         assert counter.calls["eig"] == 0
         assert counter.calls["eigvals"] <= bracket_evals + 2
@@ -94,11 +100,11 @@ def test_newton_point_failing_the_dense_check_falls_back_to_the_secant():
     chain = _PumpedChain(h, pump, DEFAULT)
     t_root = chain.t_root(2 * pump.kappa0, chain.top(2 * pump.kappa0))
     assert t_root / pump.kappa0 == pytest.approx(1.448038, abs=1e-6)
-    assert abs(chain.max_imag(t_root)) > ftol
+    assert abs(chain.top(t_root).imag) > ftol
     res = find_threshold(h, pump)
     assert res.threshold / pump.kappa0 == pytest.approx(1.448038, abs=1e-6)
-    assert abs(chain.max_imag(res.threshold)) <= ftol
-    assert chain.max_imag(res.bracket[0]) < 0
+    assert abs(chain.top(res.threshold).imag) <= ftol
+    assert chain.top(res.bracket[0]).imag < 0
 
 
 def test_stalled_chain_search_names_t_root():
@@ -146,3 +152,128 @@ def test_dense_inputs_keep_the_regula_falsi_bits(chain9):
             assert psi[0] == 1.0
             resid = np.linalg.norm(mt @ psi - w[w.imag.argmax()] * psi)
             assert resid <= DEFAULT.residual_rel * np.linalg.norm(mt, 2) * np.linalg.norm(psi)
+
+
+# ---------------------------------------------------------------------------
+# a chain's bracket: Newton points from kappa0, no dense solve at gamma = 0
+
+def searched_points(monkeypatch):
+    """The pump strengths at which find_threshold takes M's dense eigvals."""
+    points, top = [], _PumpedChain.top
+
+    def recorded(chain, gamma):
+        points.append(gamma)
+        return top(chain, gamma)
+    monkeypatch.setattr(_PumpedChain, "top", recorded)
+    return points
+
+
+def test_chain_search_takes_no_dense_solve_at_zero(monkeypatch, chain9):
+    for m, pump in threshold_cases(chain9):
+        points = searched_points(monkeypatch)
+        counter = Counter(monkeypatch)
+        res = find_threshold(m, pump)
+        assert 0.0 not in points and points[0] == pump.kappa0
+        assert counter.calls["eig"] == 0 and counter.calls["eigvals"] <= 3
+        at = np.linalg.eigvals(pumped_hamiltonian(m, pump, res.threshold)).imag.max()
+        assert abs(at) <= DEFAULT.threshold_imag * pump.kappa0
+
+
+def test_gamma_zero_shortcut_matches_the_dense_spectrum(chain9):
+    # M(0) is similar to T0 - i kappa0 with T0 real symmetric: its dense max
+    # Im w is -kappa0 up to round-off, and the bracket's low end, which the
+    # search may leave at 0 without solving there, is below the axis
+    for m, pump in threshold_cases(chain9):
+        m0 = pumped_hamiltonian(m, pump, 0.0)
+        noise = len(m) * np.finfo(float).eps * np.linalg.norm(m0, 2)
+        assert abs(np.linalg.eigvals(m0).imag.max() + pump.kappa0) <= noise
+        lo = find_threshold(m, pump).bracket[0]
+        assert np.linalg.eigvals(pumped_hamiltonian(m, pump, lo)).imag.max() < 0
+
+
+def test_newton_bracket_past_the_ceiling_falls_back_to_doubling(monkeypatch, chain9):
+    # a Newton point beyond gamma_max_factor * kappa0 is not taken: the bracket
+    # doubles from kappa0, and the search is the plain regula falsi's
+    for m, pump in threshold_cases(chain9):
+        ceiling = DEFAULT.gamma_max_factor * pump.kappa0
+        monkeypatch.setattr(_PumpedChain, "t_root", lambda chain, gamma, w: 2 * ceiling)
+        points = searched_points(monkeypatch)
+        res = find_threshold(m, pump)
+        assert (res.threshold, res.bracket) == regula_falsi(m, pump)
+        doublings = int(np.ceil(np.log2(res.threshold / pump.kappa0)))
+        assert points[:doublings + 1] == [pump.kappa0 * 2.0 ** j for j in range(doublings + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the corrector on its compacted active set against the gather/scatter one
+
+def gathering_continue(off, diag, p, w, phi, dgamma, tol):
+    """``_continue`` with its corrector gathering and scattering the active
+    modes' rows of (w, x) at every step: the reference for its bits."""
+    c = _column_norm(off, diag)
+    bound = tol.residual_rel * c
+    with np.errstate(all="ignore"):
+        sq = phi * phi
+        guess = w + 1j * dgamma * (sq @ p) / sq.sum(axis=1)
+        w, x, todo = guess.copy(), phi.copy(), np.arange(len(w))
+        for k in range(_CORRECTOR_STEPS + 1):
+            if k:
+                y = _stacked_solve(_stacked_factors(off, diag, w[todo]), x[todo])
+                x[todo] = y / np.linalg.norm(y, axis=1, keepdims=True)
+            y = x[todo]
+            ty = _tridiagonal_product(off, diag, off, y.T).T
+            if k:
+                w[todo] = np.sum(y * ty, axis=1) / np.sum(y * y, axis=1)
+            todo = todo[~(np.linalg.norm(ty - w[todo, None] * y, axis=1) <= bound)]
+            if not todo.size:
+                break
+        else:
+            return None
+        gaps = np.abs(w[:, None] - w[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if not (gaps.min() > tol.cluster_rel * c
+                and abs(w.sum() - diag.sum()) <= bound
+                and np.array_equal(np.abs(guess[:, None] - w).argmin(axis=1), np.arange(len(w)))):
+            return None
+    return w, x.T
+
+
+def assert_corrector_bits(m, pump, grid, tol=DEFAULT):
+    """Both correctors along the grid from the same modes at each point;
+    returns the number of steps each certified."""
+    chain = _PumpedChain(m, pump, tol)
+    w, v = chain.solve(grid[0])
+    phi = v.T.copy()
+    certified = 0
+    for g0, g in zip(grid[:-1], grid[1:]):
+        args = chain.form.off, chain.diagonal(g), chain.p, w, v.T, g - g0, tol
+        got, ref = _continue(*args), gathering_continue(*args)
+        assert np.array_equal(v.T, phi)               # the input modes are not written
+        assert (got is None) == (ref is None)
+        if got is None:
+            w, v = chain.solve(g)
+        else:
+            certified += 1
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+            w, v = got
+        phi = v.T.copy()
+    return certified
+
+
+def test_compacted_corrector_keeps_the_bits_on_the_bench_chains(chain9):
+    for m, pump in threshold_cases(chain9):
+        top = find_threshold(m, pump).threshold
+        for points in (9, 41):
+            assert assert_corrector_bits(m, pump, np.linspace(0.0, top, points)) > 0
+    # no step certifies under a zero residual bound
+    m, pump = threshold_cases(chain9)[0]
+    strict = DEFAULT.with_overrides({"residual_rel": 0.0})
+    assert assert_corrector_bits(m, pump, np.linspace(0.0, 0.1, 5), strict) == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=pumped_chains(), points=st.sampled_from([3, 9, 41]),
+       top=st.sampled_from([1.0, 4.0, 20.0]))
+def test_compacted_corrector_keeps_the_bits_on_pumped_chains(case, points, top):
+    m, pump = case
+    assert_corrector_bits(m, pump, np.linspace(0.0, top * pump.kappa0, points))

@@ -102,7 +102,7 @@ def test_pumped_matrix_and_max_imag_match_dense(case, gamma_factor):
     g = gamma_factor * pump.kappa0
     chain = _PumpedChain(m, pump, DEFAULT)
     dense = pumped_hamiltonian(m, pump, g)
-    assert chain.max_imag(g) == np.linalg.eigvals(dense).imag.max()
+    assert chain.top(g).imag == np.linalg.eigvals(dense).imag.max()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -200,18 +200,19 @@ def test_track_mode_makes_no_dense_eig_on_a_chain(monkeypatch, chain9):
 
 
 # (kappa0, input) -> (dense eig, dense eigvals) of find_threshold, as measured:
-# the eigvals of its search, and one eig at the root for a dense input's mode
+# the eigvals of its search (a chain's at kappa0 and at the Newton point from
+# there), and one eig at the root for a dense input's mode
 THRESHOLD_SOLVES = {
-    (0.02, "h"): (0, 4), (0.02, "hpp"): (0, 6), (0.02, "u h u*"): (1, 5),
-    (0.02, "u hpp u*"): (1, 9), (1.0, "h"): (0, 4), (1.0, "hpp"): (0, 4),
+    (0.02, "h"): (0, 2), (0.02, "hpp"): (0, 2), (0.02, "u h u*"): (1, 5),
+    (0.02, "u hpp u*"): (1, 9), (1.0, "h"): (0, 2), (1.0, "hpp"): (0, 2),
     (1.0, "u h u*"): (1, 8), (1.0, "u hpp u*"): (1, 8),
 }
 
 
 @pytest.mark.parametrize("kappa0", [0.02, 1.0])
 def test_find_threshold_solve_budget(monkeypatch, chain9, kappa0):
-    # the bracket and the root search share the solves at 0 and at the root;
-    # the threshold mode takes no dense solve on a chain, one eig otherwise
+    # a dense input's bracket and root search share the solves at 0 and at the
+    # root; the threshold mode takes no dense solve on a chain, one eig otherwise
     _, _, _, h, hpp = chain9
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))

@@ -95,6 +95,10 @@ PROBES = {
                          "dt 'x' is not a real number"),
     "track_mode_str_grid": (lambda: track_mode(H, PUMP, "ab"),
                             "gamma_grid 'ab' is not an array of real numbers"),
+    "track_mode_numeric_string_grid": (lambda: track_mode(H, PUMP, ["0", "0.01"]),
+                                       "gamma_grid entry '0' is not a real number"),
+    "track_mode_bool_grid": (lambda: track_mode(H, PUMP, [False, True]),
+                             "gamma_grid entry False is not a real number"),
 }
 
 
