@@ -166,7 +166,7 @@ class _PumpedChain:
                     gamma, w = gamma + step, w + 1j * step * slope
                     if not abs(step) > 4 * np.finfo(float).eps * abs(gamma):
                         break
-        return float(gamma)
+        return float(gamma) if np.isfinite(gamma) else np.nan   # a zero slope gives +-inf
 
     def right_vector(self, gamma: float, w: complex) -> np.ndarray:
         """M(gamma)'s unit right vector for its eigenvalue w.

@@ -105,7 +105,7 @@ def integrate(chain: OscillatorChain, x0: np.ndarray, v0: np.ndarray,
     dt = _real(dt, "dt")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
+    if _integer(steps, "steps") < 0:
         raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     m = dynamical_matrix(chain)
     omega_max = eigenfrequencies(m, tol).max()
@@ -134,6 +134,9 @@ def spectral_peaks(signal: np.ndarray, dt: float, rel_floor: float = 1e-3) -> np
     Hann-windowed FFT magnitude; local maxima above ``rel_floor`` times the
     global peak are refined by quadratic interpolation of the log magnitude.
     """
+    dt = _real(dt, "dt")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     sig = np.asarray(signal, dtype=float)
     sig = sig - sig.mean()
     window = np.hanning(len(sig))

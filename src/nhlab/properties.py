@@ -18,8 +18,8 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .eig import SELF_ORTHOGONAL, EigenSystem, eig_full
 from .mech import OscillatorChain, dynamical_matrix, eigenfrequencies, stiffness_matrix
-from .model import (LatticeSpec, _adjoint, build_h0, build_scaling, construct_gauge,
-                    construct_product, spectral_norm)
+from .model import (LatticeSpec, _adjoint, _integer, build_h0, build_scaling,
+                    construct_gauge, construct_product, spectral_norm)
 from .spectra import conjugate_pairs
 
 
@@ -254,6 +254,7 @@ def run_trial(suite: str, seed: int, trial: int, tol: Tolerances = DEFAULT) -> s
 
 
 def run_properties(trials: int, seed: int, tol: Tolerances = DEFAULT) -> SuiteReport:
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     report = SuiteReport(seed=seed, trials=trials)

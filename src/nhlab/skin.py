@@ -115,7 +115,7 @@ def find_zero_mode(es: EigenSystem, tol: Tolerances = DEFAULT) -> int:
 def geometric_envelope(reference: np.ndarray, s: float) -> np.ndarray:
     """reference_j * s^-(j-1): the skin-mode image of a reference profile, or
     of each column of a block of them."""
-    scale = s ** (-np.arange(len(reference), dtype=float))
+    scale = _real(s, "skin ratio s =") ** (-np.arange(len(reference), dtype=float))
     return (np.asarray(reference).T * scale).T
 
 

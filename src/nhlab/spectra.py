@@ -3,11 +3,12 @@ positivity, exceptional-point structure, and the B-map correspondence.
 
 A real chain (``eig.chain_form``: real tridiagonal, same-sign coupling
 pairs) goes through its symmetric tridiagonal form T = D M D^-1.  There
-``ep_analyze`` counts the cluster from T's eigenvalues and, for a cluster
-of one eigenvalue, returns the eigenvector D^-1 phi once its residual
-passes: an unreduced tridiagonal matrix is nonderogatory, so no Jordan
-analysis is needed.  ``certify`` takes the singular values of a chain H0
-as |eigenvalues|, and ``bmap_correspondence`` solves a chain H_e with one
+``ep_analyze`` takes T's eigenvalues near the target and their vectors
+from one call and, for a cluster of one eigenvalue, returns the
+eigenvector D^-1 phi once its residual passes: an unreduced tridiagonal
+matrix is nonderogatory, so no Jordan analysis is needed.  ``certify``
+takes the singular values of a chain H0 as |eigenvalues|, and
+``bmap_correspondence`` takes a chain H_e's eigenvalues from one
 ``eigh_tridiagonal`` and applies a diagonal B elementwise.
 
 Every other input, and a chain eigenvector that misses its residual bound,
@@ -26,8 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT, Tolerances, _complex
-from .eig import (ChainForm, EigenSystem, _tridiagonal_product, chain_form,
-                  collinearity_residual, eig_full)
+from .eig import EigenSystem, _tridiagonal_product, chain_form, eig_full
 from .model import (_is_diagonal, _matrix, assert_hermitian, construct_product,
                     hermitian_equivalent, spectral_norm)
 
@@ -206,29 +206,14 @@ def _nullspace(m: np.ndarray, tol_abs: float) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _chain_eigenvector(h: np.ndarray, form: ChainForm, k: int, target: complex,
-                      ntol: float) -> tuple[np.ndarray, float] | None:
-    """Unit eigenvector D^-1 phi_k of a chain and its residual
-    ||(H - target) v||, or None when the residual exceeds ``ntol``."""
-    try:
-        _, phi = scipy.linalg.eigh_tridiagonal(form.diag, form.off, select="i",
-                                               select_range=(k, k), check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-    v = phi[:, 0] / form.d
-    v = (v / np.linalg.norm(v)).astype(complex)
-    hv = _tridiagonal_product(*(np.diagonal(h, k) for k in (-1, 0, 1)), v[:, None])[:, 0]
-    resid = float(np.linalg.norm(hv - target * v))
-    return (v, resid) if resid <= ntol else None
-
-
 def ep_analyze(h: np.ndarray, target: complex = 0.0,
                tol: Tolerances = DEFAULT) -> EPReport:
     """Multiplicities and Jordan chains of the cluster at ``target``.
 
     The cluster is every eigenvalue within ``cluster_rel * ||H||`` of the
-    target (for a real chain, the eigenvalues of its symmetric tridiagonal
-    form).  A chain whose cluster holds one eigenvalue has geometric
+    target; a real chain takes those of its symmetric tridiagonal form within
+    twice that of Re target, with their vectors, from one ``eigh_tridiagonal``
+    call.  A chain whose cluster holds one eigenvalue has geometric
     multiplicity 1 (an unreduced tridiagonal matrix is nonderogatory) and
     Jordan chain D^-1 phi, accepted when ||(H - target) v|| <=
     ``nullity_rel * ||H||``.  Otherwise H is Schur-reduced to the cluster's
@@ -253,11 +238,15 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
     ntol = tol.nullity_rel * norm
 
     form = chain_form(h)
+    if form is not None:
+        try:
+            w, phi = scipy.linalg.eigh_tridiagonal(
+                form.diag, form.off, select="v", check_finite=False,
+                select_range=(target.real - 2 * ctol, target.real + 2 * ctol))
+        except np.linalg.LinAlgError:
+            form = None
     if form is None:
         w = np.linalg.eigvals(h)
-    else:
-        w = scipy.linalg.eigh_tridiagonal(form.diag, form.off, eigvals_only=True,
-                                          check_finite=False)
     dist = np.abs(w - target)
     algebraic = int(np.sum(dist <= ctol))
     boundary = bool(np.any((dist > ctol / 2) & (dist < 2 * ctol)))
@@ -267,10 +256,13 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
                         geometric_multiplicity=geometric, ep_orders=orders, jordan_chains=chains,
                         chain_residuals=resid, boundary_warning=boundary, matrix_norm=norm)
 
-    found = (_chain_eigenvector(h, form, int(np.argmin(dist)), target, ntol)
-             if form is not None and algebraic == 1 else None)
-    if found is not None:
-        return report(1, [1], [[found[0]]], found[1])
+    if form is not None and algebraic == 1:
+        v = phi[:, np.argmin(dist)] / form.d
+        v = (v / np.linalg.norm(v)).astype(complex)
+        hv = _tridiagonal_product(*(np.diagonal(h, k) for k in (-1, 0, 1)), v[:, None])[:, 0]
+        resid = float(np.linalg.norm(hv - target * v))
+        if resid <= ntol:
+            return report(1, [1], [[v]], resid)
     if algebraic == 0:
         return report(0, [], [], 0.0)
 
@@ -342,7 +334,7 @@ class BMapModeEntry:
     mu: int
     eigenvalue: complex
     mapped: bool            # B psi != 0, so the mode maps into H_e's space
-    residual: float         # eigen-residual of the mapped vector (or inverse map)
+    residual: float         # ||H_e u - w u|| / ||H|| of u = B psi / ||B psi|| (0 if unmapped)
 
 
 @dataclass
@@ -362,14 +354,17 @@ def bmap_correspondence(h0: np.ndarray, b: np.ndarray,
                         tol: Tolerances = DEFAULT) -> BMapReport:
     """Compare H = H0 B^dag B with its Hermitian partner H_e = B H0 B^dag.
 
-    Their spectra agree; for invertible B every H_e eigenvector phi maps to
-    an H eigenvector B^-1 phi, while for singular B every H mode with
-    B psi != 0 maps forward to an H_e mode at the same eigenvalue.
+    H_e B = B H: the spectra agree, and each unit mode psi of H maps forward
+    to an H_e mode B psi at the same eigenvalue.  It is mapped when
+    ||B psi|| > ``kernel_rel`` (B psi = 0 forces H psi = 0, so only zero
+    energy escapes), with residual ||H_e u - w u|| / ||H|| for
+    u = B psi / ||B psi||.
 
-    H0 is validated once, with B's shape.  Invertibility is decided from
-    |b_jj| for a diagonal B (which builds H and H_e elementwise), else from an
-    SVD; H_e is solved once, by ``eigh_tridiagonal`` when it is a chain, else
-    by ``eigh`` (invertible B) or ``eigvalsh`` (singular B).
+    H0 is validated once, with B's shape.  A diagonal B builds H and H_e and
+    acts elementwise, and its invertibility is read from |b_jj|, else from
+    an SVD.  H_e is solved for eigenvalues only (the spectral gap), by
+    ``eigh_tridiagonal`` on a chain, whose own bands form H_e u, else by
+    ``eigvalsh``.
     """
     b = _matrix(b, "b")
     h0 = assert_hermitian(h0, tol, "h0", b.shape)
@@ -387,39 +382,20 @@ def bmap_correspondence(h0: np.ndarray, b: np.ndarray,
     es = eig_full(h, tol)
     norm = max(es.matrix_norm, 1e-300)
     w = es.eigenvalues
-    # H_e is exactly Hermitian, so a chain form has D = 1 and T's vectors are H_e's
     form = chain_form(he)
-    if form is not None:
-        solved = scipy.linalg.eigh_tridiagonal(form.diag, form.off, eigvals_only=not invertible,
-                                               check_finite=False)
-    else:
-        solved = np.linalg.eigh(he) if invertible else np.linalg.eigvalsh(he)
-    evals_e, vecs_e = solved if invertible else (solved, None)
+    evals_e = (np.linalg.eigvalsh(he) if form is None else scipy.linalg.eigh_tridiagonal(
+        form.diag, form.off, eigvals_only=True, check_finite=False))
     gap = float(np.abs(w[np.argsort(w.real)] - evals_e).max())     # evals_e ascending
 
-    if invertible:
-        mapped_back = vecs_e / bd[:, None] if diagonal else np.linalg.solve(b, vecs_e)
-        # the nearest of H_e's ascending eigenvalues (the first of a tie), from its neighbours
-        hi = np.minimum(np.searchsorted(evals_e, w.real), es.dim - 1)     # first >= Re w
-        lo = np.searchsorted(evals_e, evals_e[np.maximum(hi - 1, 0)])      # first of the run below
-        nearest = np.where(np.abs(evals_e[lo] - w.real) <= np.abs(evals_e[hi] - w.real), lo, hi)
-        res = collinearity_residual(mapped_back[:, nearest], es.right_vectors)
-        # inside a repeated eigenvalue H_e's basis is arbitrary: measure such a psi
-        # against the span of its whole cluster (within cluster_rel * ||H|| on the axis)
-        first = np.searchsorted(evals_e, w.real - tol.cluster_rel * norm)
-        last = np.searchsorted(evals_e, w.real + tol.cluster_rel * norm, side="right")
-        for mu in np.flatnonzero(last - first > 1):
-            q = np.linalg.qr(mapped_back[:, first[mu]:last[mu]])[0]
-            psi = es.right_vectors[:, mu]
-            res[mu] = np.linalg.norm(psi - q @ (q.conj().T @ psi)) / np.linalg.norm(psi)
-        mapped = np.ones(es.dim, dtype=bool)
-    else:
-        psi = es.right_vectors / np.linalg.norm(es.right_vectors, axis=0)
-        images = bd[:, None] * psi if diagonal else b @ psi
-        image_norms = np.linalg.norm(images, axis=0)
-        mapped = image_norms > tol.kernel_rel
-        images = images / np.where(mapped, image_norms, 1.0)
-        res = np.where(mapped, np.linalg.norm(he @ images - images * w, axis=0) / norm, 0.0)
+    images = es.right_vectors / np.linalg.norm(es.right_vectors, axis=0)   # unit psi, then B psi
+    images = np.multiply(images, bd[:, None], out=images) if diagonal else b @ images
+    image_norms = np.linalg.norm(images, axis=0)
+    mapped = image_norms > tol.kernel_rel
+    images /= np.where(mapped, image_norms, 1.0)
+    he_images = (he @ images if form is None else
+                 _tridiagonal_product(*(np.diagonal(he, k) for k in (-1, 0, 1)), images))
+    he_images -= np.multiply(images, w, out=images)
+    res = np.where(mapped, np.linalg.norm(he_images, axis=0) / norm, 0.0)
     return BMapReport(invertible=invertible, spectral_gap=gap, entries=[
         BMapModeEntry(mu=mu, eigenvalue=x, mapped=m, residual=r)
         for mu, (x, m, r) in enumerate(zip(w.tolist(), mapped.tolist(), res.tolist()))],

@@ -117,6 +117,15 @@ def test_stalled_chain_search_names_t_root():
     assert "np.float64" not in msg
 
 
+def test_t_root_is_nan_when_the_slope_vanishes():
+    # the zero mode (1, 0, -1) of the 3-site unit chain has no weight on its
+    # pumped site 2: the Newton slope is 0 and the step is infinite
+    chain = _PumpedChain(build_h0(LatticeSpec(n=3)), PumpSpec(kappa0=0.1, pumped_sites=(2,)),
+                         DEFAULT)
+    assert chain.form is not None
+    assert np.isnan(chain.t_root(0.3, -0.1j))
+
+
 def test_swap_guard_refuses_a_step_that_reorders_modes(chain9):
     # exact eigenpairs of T with two eigenvalue labels swapped: every residual
     # certifies, but each swapped prediction is nearest the other's mode

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 from nhlab.eig import apply_metric_pairing, eig_full
 from nhlab.laser import (PumpSpec, find_threshold, power_flows, pumped_hamiltonian,
                          track_mode)
-from nhlab.mech import OscillatorChain, eigenfrequencies, integrate
+from nhlab.mech import OscillatorChain, eigenfrequencies, integrate, spectral_peaks
 from nhlab.model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
                          construct_product, factor_psd, hermitian_equivalent, shift_spectrum)
 from nhlab.perturb import first_order
-from nhlab.skin import mode_reports, verify_standard_skin
+from nhlab.properties import run_properties
+from nhlab.skin import geometric_envelope, mode_reports, verify_standard_skin
 from nhlab.spectra import bmap_correspondence, certify, ep_analyze, inner_product_audit
 
 
@@ -43,6 +44,7 @@ ES = eig_full(H)
 ES11 = eig_full(chain(11)[2])
 PUMP = PumpSpec(kappa0=0.02, pumped_sites=(1,))
 MODE = ES.right(0)
+OSC = OscillatorChain(n=3, masses=(1.0, 2.0, 3.0))
 
 # probe: (call, the start of the expected message)
 PROBES = {
@@ -90,8 +92,7 @@ PROBES = {
                            "skin ratio s = 'x' is not a real number"),
     "standard_skin_str_s": (lambda: verify_standard_skin(ES, eig_full(H0), "x"),
                             "skin ratio s = 'x' is not a real number"),
-    "integrate_str_dt": (lambda: integrate(OscillatorChain(n=3, masses=(1.0, 2.0, 3.0)),
-                                           np.zeros(3), np.zeros(3), "x", 10),
+    "integrate_str_dt": (lambda: integrate(OSC, np.zeros(3), np.zeros(3), "x", 10),
                          "dt 'x' is not a real number"),
     "track_mode_str_grid": (lambda: track_mode(H, PUMP, "ab"),
                             "gamma_grid 'ab' is not an array of real numbers"),
@@ -99,6 +100,21 @@ PROBES = {
                                        "gamma_grid entry '0' is not a real number"),
     "track_mode_bool_grid": (lambda: track_mode(H, PUMP, [False, True]),
                              "gamma_grid entry False is not a real number"),
+    "integrate_bool_steps": (lambda: integrate(OSC, np.zeros(3), np.zeros(3), 0.01, True),
+                             "steps True is not an integer"),
+    "integrate_negative_steps": (lambda: integrate(OSC, np.zeros(3), np.zeros(3), 0.01, -1),
+                                 "steps must be a nonnegative integer, got -1"),
+    "spectral_peaks_str_dt": (lambda: spectral_peaks(np.ones(8), "x"),
+                              "dt 'x' is not a real number"),
+    "spectral_peaks_zero_dt": (lambda: spectral_peaks(np.ones(8), 0.0),
+                               "dt must be positive, got 0.0"),
+    "spectral_peaks_negative_dt": (lambda: spectral_peaks(np.ones(8), -1.0),
+                                   "dt must be positive, got -1.0"),
+    "run_properties_bool_trials": (lambda: run_properties(True, 1),
+                                   "trials True is not an integer"),
+    "run_properties_str_seed": (lambda: run_properties(1, "a"), "seed 'a' is not an integer"),
+    "geometric_envelope_str_s": (lambda: geometric_envelope(np.ones(3), "x"),
+                                 "skin ratio s = 'x' is not a real number"),
 }
 
 

@@ -240,9 +240,9 @@ def test_bmap_identity():
     assert rep.spectral_gap <= 1e-12
 
 
-def test_bmap_degenerate_spectrum_measures_the_cluster_span():
-    # inside the repeated w = 1 the eigenbases of H and H_e are arbitrary: each
-    # H mode lies in the span of the cluster's mapped-back vectors, not on one of them
+def test_bmap_degenerate_spectrum_maps_every_mode_forward():
+    # inside the repeated w = 1 the eigenbasis of H is arbitrary, but B psi is an
+    # H_e eigenvector at w whatever basis was chosen, so no cluster handling is needed
     rng = np.random.default_rng(0)
     q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
     h0 = q @ np.diag([1.0, 1.0, 2.0, -1.0]) @ q.conj().T

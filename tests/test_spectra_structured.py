@@ -164,6 +164,46 @@ def test_rejected_chain_vector_falls_back_to_schur():
 
 
 # ---------------------------------------------------------------------------
+# bmap_correspondence: the forward map for every B
+
+@st.composite
+def b_factors(draw):
+    """(H0, B): a dense H0 with the PSD root of a dense A of rank deficiency
+    0..n/3, or a chain with the diagonal root of its scaling and up to two
+    zeroed sites; so B is invertible or singular, diagonal or dense."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 19))
+    if draw(st.booleans()):
+        a = random_psd(rng, n, draw(st.integers(0, n // 3)))
+        return random_hermitian(rng, n), factor_psd(a)
+    zeroed = draw(st.lists(st.integers(1, n), max_size=2, unique=True))
+    if draw(st.booleans()):
+        spec = LatticeSpec(n=n, scaling="random", seed=draw(st.integers(0, 2**32 - 1)),
+                           zeroed_sites=zeroed)
+    else:
+        spec = LatticeSpec(n=n, onsite="harmonic", omega2=draw(st.floats(0.0, 1.0)),
+                           scaling="geometric", s=draw(st.floats(0.5, 2.0)),
+                           zeroed_sites=zeroed)
+    return build_h0(spec), factor_psd(build_scaling(spec))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=b_factors())
+def test_bmap_forward_map_escapes_only_at_zero_energy(case):
+    h0, b = case
+    rep = bmap_correspondence(h0, b)
+    es = eig_full(construct_product(h0, b.conj().T @ b))
+    audit = inner_product_audit(es, b)
+    assert rep.spectra_agree
+    assert [e.mapped for e in rep.entries] == [not x.ep_candidate for x in audit]
+    for e in rep.entries:
+        if not e.mapped:         # B psi = 0 forces H psi = 0: the paper's EP at zero
+            assert abs(e.eigenvalue) <= DEFAULT.zero_mode_rel * es.matrix_norm
+        elif abs(e.eigenvalue) > 1e-7 * es.matrix_norm:
+            assert e.residual <= 1e-8
+
+
+# ---------------------------------------------------------------------------
 # call-count guards
 
 class SvdShapes:
@@ -185,12 +225,20 @@ def test_skin_chain_takes_no_schur_and_no_square_svd():
     es = eig_full(h)
     svd = SvdShapes()
     with mock.patch.object(np.linalg, "svd", svd), spy(scipy.linalg, "schur") as schur, \
-            spy(scipy.linalg, "eigvals_banded") as banded:
+            spy(scipy.linalg, "eigvals_banded") as banded, \
+            spy(scipy.linalg, "eigh_tridiagonal") as tri:
         spectral_norm(h)
         assert banded.call_count == 1
         rep = ep_analyze(h, 0.0)
+        # eigenvalues and vectors near the target from one call
+        assert tri.call_count == 1 and tri.call_args.kwargs["select"] == "v"
         cert = certify(h, h0, es)
-        bmap = bmap_correspondence(h0, b)
+        tri.reset_mock()
+        with spy(np.linalg, "eigh") as eigh, spy(np.linalg, "solve") as solve:
+            bmap = bmap_correspondence(h0, b)
+        # eig_full's solve of H = H0 A, then one eigenvalues-only call for H_e
+        assert [c.kwargs.get("eigvals_only", False) for c in tri.call_args_list] == [False, True]
+        assert eigh.call_count == solve.call_count == 0
     assert schur.call_count == 0
     assert (n, n) not in svd.shapes
     assert (rep.algebraic_multiplicity, rep.geometric_multiplicity, rep.ep_orders) == (1, 1, [1])
@@ -214,15 +262,15 @@ def test_zeroed_site_inputs_take_the_dense_path():
 
 @pytest.mark.parametrize("rank_deficiency", [0, 2])
 def test_dense_bmap_makes_one_hermitian_solve(rank_deficiency):
+    # one eigenvalues-only solve of H_e, whether B is invertible or not
     rng = np.random.default_rng(5)
     n = 12
     h0 = random_hermitian(rng, n)
     b = factor_psd(random_psd(rng, n, rank_deficiency))
     with spy(np.linalg, "eigh") as eigh, spy(np.linalg, "eigvalsh") as eigvalsh:
         rep = bmap_correspondence(h0, b)
-    invertible = rank_deficiency == 0
-    assert rep.invertible == invertible
-    assert (eigh.call_count, eigvalsh.call_count) == ((1, 0) if invertible else (0, 1))
+    assert rep.invertible == (rank_deficiency == 0)
+    assert (eigh.call_count, eigvalsh.call_count) == (0, 1)
     assert rep.spectra_agree
 
 

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 from nhlab.config import DEFAULT
-from nhlab.eig import apply_metric_pairing, chain_form, collinearity_residual, eig_full
+from nhlab.eig import apply_metric_pairing, collinearity_residual, eig_full
 from nhlab.laser import PumpSpec, find_threshold, pump_indicator, power_flows, pumped_hamiltonian
 from nhlab.model import (LatticeSpec, _is_diagonal, build_h0, build_scaling, construct_gauge,
                          construct_product, factor_psd, hermitian_equivalent, spectral_norm)
@@ -164,36 +164,23 @@ def test_metric_pairing_matches_looped_oracle(kind):
 # bmap_correspondence
 
 def looped_bmap(h0, b, tol=DEFAULT):
-    """(invertible, [(mapped, residual)]) of the former B-map check."""
+    """(invertible, [(mapped, residual)]) of the forward B-map check, one mode at a time."""
     b = np.asarray(b, dtype=complex)
-    diagonal = _is_diagonal(b)
-    bd = np.diagonal(b)
-    sv = np.abs(bd) if diagonal else np.linalg.svd(b, compute_uv=False)
+    sv = np.abs(np.diagonal(b)) if _is_diagonal(b) else np.linalg.svd(b, compute_uv=False)
     invertible = bool(sv.min() > tol.invertible_rel * max(sv.max(), 1e-300))
     es = eig_full(construct_product(h0, b.conj().T @ b, tol), tol)
     he = hermitian_equivalent(h0, b, tol)
-    w = es.eigenvalues
     entries = []
-    if invertible:
-        form = chain_form(he)
-        evals_e, vecs_e = (scipy.linalg.eigh_tridiagonal(form.diag, form.off)
-                           if form is not None else np.linalg.eigh(he))
-        mapped_back = vecs_e / bd[:, None] if diagonal else np.linalg.solve(b, vecs_e)
-        nearest = np.argmin(np.abs(evals_e[None, :] - w.real[:, None]), axis=1)
-        for mu, nu in enumerate(nearest):
-            back = mapped_back[:, nu]
-            res = scalar_collinearity(back / np.linalg.norm(back), es.right(mu))
-            entries.append((True, float(res)))
-    else:
-        for mu in range(es.dim):
-            psi = es.right(mu) / np.linalg.norm(es.right(mu))
-            image = b @ psi
-            mapped = np.linalg.norm(image) > tol.kernel_rel
-            res = 0.0
-            if mapped:
-                image = image / np.linalg.norm(image)
-                res = np.linalg.norm(he @ image - w[mu] * image) / max(es.matrix_norm, 1e-300)
-            entries.append((bool(mapped), float(res)))
+    for mu in range(es.dim):
+        psi = es.right(mu) / np.linalg.norm(es.right(mu))
+        image = b @ psi
+        mapped = np.linalg.norm(image) > tol.kernel_rel
+        res = 0.0
+        if mapped:
+            image = image / np.linalg.norm(image)
+            res = (np.linalg.norm(he @ image - es.eigenvalues[mu] * image)
+                   / max(es.matrix_norm, 1e-300))
+        entries.append((bool(mapped), float(res)))
     return invertible, entries
 
 
@@ -216,7 +203,9 @@ def test_bmap_matches_looped_oracle(kind):
     assert rep.invertible == invertible == (kind not in ("zeroed", "dense_singular"))
     assert [e.mu for e in rep.entries] == list(range(N))
     assert [e.mapped for e in rep.entries] == [m for m, _ in oracle]
-    # the singular branch forms its residuals with the same products, one column
+    # only the kernel of a singular B escapes the map
+    assert all(e.mapped for e in rep.entries) == invertible
+    # the batched map forms its residuals with the same products, one column
     # at a time in the oracle, so they agree to round-off of the norm scale
     assert max(abs(e.residual - r) for e, (_, r) in zip(rep.entries, oracle)) <= ROUND_OFF
     assert max(e.residual for e in rep.entries) <= 1e-8
