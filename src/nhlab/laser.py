@@ -5,19 +5,19 @@ pumping adds +i*gamma on the pumped sites.  The threshold is the smallest
 gamma at which some eigenvalue reaches the real axis: a bracket and Illinois
 regula falsi on max Im(w) of the dense ``eigvals`` of M(gamma).  A chain with
 a ``ChainForm`` is worked on its complex-symmetric T(gamma) = D M(gamma) D^-1:
-Newton's method on T's crossing mode proposes the bracket from kappa0 and the
-root, and the modes are continued in order from one pump strength to the next
-in O(n^2) (a first-order predictor, a Rayleigh-quotient corrector), with a
-dense solve of T and an overlap match where a step misses its certificate.
-Any other input is solved densely and matched by overlap at every grid point.
-The threshold mode is taken at the root itself, by inverse iteration on T for
-a chain.  Power flows at the coupling junctions quantify the exchange that
-sets the threshold scale.
+Newton's method on T's crossing mode proposes the bracket and the root, and
+inverse iteration on T gives the threshold mode.  Its modes are continued in
+order by Newton's method on the secular equation of the rank-r pump in T0's
+eigenbasis, O(n^2 r^2) per step, with a dense solve of T and an overlap match
+where a step misses its certificate; any other input is solved densely and
+matched at every point.  Junction power flows quantify the exchange that sets
+the threshold scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -82,26 +82,19 @@ def pumped_hamiltonian(h: np.ndarray, pump: PumpSpec, gamma: float) -> np.ndarra
     return m
 
 
-# Rayleigh-quotient corrector steps per grid point before the exact solve
-_CORRECTOR_STEPS = 3
-
-# inverse-iteration plus Newton steps of _PumpedChain.t_root
-_NEWTON_STEPS = 20
+_SECULAR_STEPS = 4      # Newton steps of a secular step before the dense solve
+_NEWTON_STEPS = 20      # inverse-iteration plus Newton steps of _PumpedChain.t_root
 
 
 class _PumpedChain:
     """The pumped matrices of one (h, pump): only the diagonal moves with gamma.
 
-    ``top`` takes the dense ``eigvals`` of M(gamma) for the threshold
-    search.  When h has a ``ChainForm`` (from ``eig.chain_form``) the rest
-    acts on T(gamma) = D M(gamma) D^-1 = T - i*kappa0 + i*gamma*P, which has
-    M's eigenvalues without its non-normality: ``t_root`` proposes the root,
-    ``solve`` is exact (``eigh_tridiagonal`` at gamma = 0 if its residuals
-    certify, else a dense ``np.linalg.eig`` of T), ``step`` continues the
-    tracked modes in their order (``_continue``) and ``right_vector`` takes
-    one mode by inverse iteration on T and maps it to M's psi = phi / d.  Any
-    other input has no ``step``: ``solve`` takes a dense ``np.linalg.eig``
-    of M at every point.
+    ``top`` takes M(gamma)'s dense ``eigvals``.  With a ``ChainForm`` the rest
+    acts on T(gamma) = D M(gamma) D^-1 = T0 - i*kappa0 + i*gamma*P, with M's
+    eigenvalues but not its non-normality: ``t_root`` proposes the root,
+    ``right_vector`` maps T's mode to M's psi = phi / d, and ``basis``
+    diagonalizes T0 for an exact ``solve(0)`` and the secular ``step``.
+    Every other solve is a dense ``np.linalg.eig`` (of T, or of M).
     """
 
     def __init__(self, h: np.ndarray, pump: PumpSpec, tol: Tolerances):
@@ -121,32 +114,76 @@ class _PumpedChain:
         w = np.linalg.eigvals(pumped_hamiltonian(self.h, self.pump, gamma))
         return complex(w[w.imag.argmax()])
 
+    @cached_property
+    def basis(self) -> tuple | None:
+        """(lam, U, U's pumped rows) with T0 = U diag(lam) U^T from one
+        ``eigh_tridiagonal``; None without a ``ChainForm`` or when a residual
+        exceeds ``residual_rel * c`` (c: T(0)'s largest column norm)."""
+        if self.form is None:
+            return None
+        off, diag = self.form.off, self.form.diag
+        try:
+            lam, u = eigh_tridiagonal(diag, off, check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+        res = np.linalg.norm(_tridiagonal_product(off, diag, off, u) - lam * u, axis=0)
+        ok = np.all(res <= self.tol.residual_rel * _column_norm(off, self.diagonal(0.0)))
+        return (lam, u, u[self.p > 0]) if ok else None
+
     def solve(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """Exact spectrum and unit vectors: of T(gamma) for a chain, else of M."""
         if self.form is None:
             a = pumped_hamiltonian(self.h, self.pump, gamma)
+        elif gamma == 0 and self.basis is not None:
+            return self.basis[0] - 1j * self.pump.kappa0, self.basis[1].astype(complex)
         else:
-            off, diag = self.form.off, self.diagonal(gamma)
-            if gamma == 0:
-                try:
-                    lam, phi = eigh_tridiagonal(self.form.diag, off, check_finite=False)
-                except np.linalg.LinAlgError:
-                    pass    # the dense solve decides
-                else:
-                    w, x = lam - 1j * self.pump.kappa0, phi.T.astype(complex)
-                    tx = _tridiagonal_product(off, diag, off, x.T).T
-                    res = np.linalg.norm(tx - w[:, None] * x, axis=1)
-                    if np.all(res <= self.tol.residual_rel * _column_norm(off, diag)):
-                        return w, x.T
-            a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            off = self.form.off
+            a = np.diag(self.diagonal(gamma)) + np.diag(off, 1) + np.diag(off, -1)
         w, v = np.linalg.eig(a)
         return w, v / np.linalg.norm(v, axis=0)
 
-    def step(self, w: np.ndarray, v: np.ndarray, gamma0: float, gamma: float) -> tuple | None:
-        """The tracked modes (w, v) at gamma0 continued to gamma in their order;
-        None without a ``ChainForm`` or when the step misses its certificate."""
-        return None if self.form is None else _continue(
-            self.form.off, self.diagonal(gamma), self.p, w, v.T, gamma - gamma0, self.tol)
+    def seed(self, w: np.ndarray, v: np.ndarray) -> tuple | None:
+        """The secular state (mu, dw/dgamma) of exact modes (w, v): the pole mu
+        nearest w + i*kappa0, and i (v o v)^T p / v^T v; None without a basis."""
+        if self.basis is None:
+            return None
+        sq = v * v
+        return (np.abs(self.basis[0] - (w + 1j * self.pump.kappa0)[:, None]).argmin(axis=1),
+                1j * (self.p @ sq) / sq.sum(axis=0))
+
+    def step(self, w: np.ndarray, mu: np.ndarray, slope: np.ndarray,
+             gamma0: float, gamma: float) -> tuple | None:
+        """Modes w at gamma0 (poles mu, dw/dgamma ``slope``) continued to gamma
+        in order as (w, (mu, slope)): from the first-order prediction, Newton steps
+        on ``_secular`` (at most ``_SECULAR_STEPS``) until one is within 64 eps
+        * c (c: T(gamma)'s largest column norm), applied after the evaluation
+        it follows.  None unless every residual is within ``residual_rel * c``,
+        the eigenvalues are pairwise more than ``cluster_rel * c`` apart, |sum
+        w - trace T| is within the residual bound, and each prediction is
+        nearest its own root."""
+        lam, _, up = self.basis
+        diag, bound, n = self.diagonal(gamma), self.tol.residual_rel, len(w)
+        c = _column_norm(self.form.off, diag)
+        guess = w + (gamma - gamma0) * slope
+        delta = guess + 1j * self.pump.kappa0 - lam[mu]
+        res, slope, todo = np.empty(n), slope.copy(), np.arange(n)
+        with np.errstate(all="ignore"):          # a non-finite value fails the certificate
+            for k in range(_SECULAR_STEPS + 1):
+                f, df, res[todo], slope[todo], _ = _secular(lam, up, mu[todo], delta[todo], gamma)
+                newton = f / df
+                done = np.abs(newton) <= 64 * np.finfo(float).eps * c
+                newton[~done & (k == _SECULAR_STEPS)] = 0.0   # keep the evaluated point
+                delta[todo] -= newton
+                todo = todo[~done]
+                if not todo.size:
+                    break
+            w = lam[mu] + delta - 1j * self.pump.kappa0
+            gaps = np.abs(w[:, None] - w)[~np.eye(n, dtype=bool)]
+            if (np.all(res <= bound * c) and gaps.min(initial=np.inf) > self.tol.cluster_rel * c
+                    and abs(w.sum() - diag.sum()) <= bound * c
+                    and np.array_equal(np.abs(guess[:, None] - w).argmin(axis=1), np.arange(n))):
+                return w, (mu, slope)
+        return None
 
     def t_root(self, gamma: float, w: complex) -> float:
         """Root of Im w of T's mode w at gamma by Newton's method, NaN on a
@@ -157,7 +194,7 @@ class _PumpedChain:
         with np.errstate(all="ignore"):
             for k in range(_NEWTON_STEPS):
                 diag = self.diagonal(gamma)
-                x = _stacked_solve(_stacked_factors(off, diag, np.array([w])), x)
+                x = _inverse_step(off, diag, w, x)
                 sq = x * x
                 w = (x @ _tridiagonal_product(off, diag, off, x.T)).item() / sq.sum()
                 if k > 1:                 # the first two steps are inverse iteration
@@ -169,49 +206,31 @@ class _PumpedChain:
         return float(gamma) if np.isfinite(gamma) else np.nan   # a zero slope gives +-inf
 
     def right_vector(self, gamma: float, w: complex) -> np.ndarray:
-        """M(gamma)'s unit right vector for its eigenvalue w.
-
-        For a chain, two inverse-iteration steps on T(gamma) shifted by w
-        give phi, and psi = phi / d takes LAPACK's phase; any other input
-        keeps the column of a dense ``solve`` whose eigenvalue is nearest w.
-        """
+        """M(gamma)'s unit right vector for its eigenvalue w: for a chain psi =
+        phi / d in LAPACK's phase, phi from two inverse-iteration steps on
+        T(gamma) - w; else the column of a dense ``solve`` nearest w."""
         if self.form is None:
             lam, v = self.solve(gamma)
             return v[:, np.abs(lam - w).argmin()]
-        lu = _stacked_factors(self.form.off, self.diagonal(gamma), np.array([w]))
         x = np.linspace(1.0, 2.0, self.n)[None].astype(complex)
         with np.errstate(all="ignore"):
             for _ in range(2):
-                x = _stacked_solve(lu, x)
+                x = _inverse_step(self.form.off, self.diagonal(gamma), w, x)
         return _lapack_phase(x / self.form.d)[0]
 
 
-def _stacked_factors(off: np.ndarray, diag: np.ndarray, w: np.ndarray) -> list:
-    """One ``zgttrf`` for all shifted systems ``T - w_k`` of a symmetric
-    tridiagonal T (off-diagonal ``off``, diagonal ``diag``).
-
-    The shifted matrices are the blocks of one tridiagonal system with zero
-    couplings between blocks, closed by a decoupled 1 x 1 block of 1 (the
-    wrapper refuses a system of fewer than 3 rows).  An exactly zero pivot
-    is nudged to eps * c (c the largest column norm of T), as LAPACK's
-    inverse iteration does, so the factors always solve.
-    """
-    k, n = len(w), len(diag)
-    dl, du = np.zeros((2, k, n), dtype=complex)
-    dl[:, :-1], du[:, :-1] = off, off
-    *lu, info = zgttrf(dl.ravel(), np.append(diag[None, :] - w[:, None], 1.0), du.ravel())
+def _inverse_step(off: np.ndarray, diag: np.ndarray, w: complex, x: np.ndarray) -> np.ndarray:
+    """The row x solved against T - w by ``zgttrf``/``zgttrs`` (T symmetric
+    tridiagonal: ``off``, ``diag``; a decoupled 1 x 1 block of 1 closes it, as
+    the wrapper refuses fewer than 3 rows), over its max-abs entry: pivots
+    reach 1e-168, so a 2-norm of the raw iterate overflows.  A zero pivot is
+    nudged to eps * c (c: T's largest column norm), as LAPACK's inverse
+    iteration does."""
+    *lu, info = zgttrf(np.append(off, 0.0), np.append(diag - w, 1.0), np.append(off, 0.0))
     if info > 0:
         lu[1][lu[1] == 0] = np.finfo(float).eps * _column_norm(off, diag)
-    return lu
-
-
-def _stacked_solve(lu: list, x: np.ndarray) -> np.ndarray:
-    """Solve every block of ``_stacked_factors`` for its row of x ([mode, site]),
-    and rescale each solution by its max-abs entry (near-exact shifts give
-    pivots as small as 1e-168, and a 2-norm of the raw iterate overflows)."""
-    y, _ = zgttrs(*lu, np.append(x, 0.0)[:, None])
-    y = y[:-1].reshape(x.shape)
-    return y / np.abs(y).max(axis=1, keepdims=True)
+    y = zgttrs(*lu, np.append(x, 0.0)[:, None])[0][:-1].reshape(x.shape)
+    return y / np.abs(y).max()
 
 
 def _column_norm(off: np.ndarray, diag: np.ndarray) -> float:
@@ -230,64 +249,41 @@ def _lapack_phase(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _continue(off: np.ndarray, diag: np.ndarray, p: np.ndarray, w: np.ndarray,
-              phi: np.ndarray, dgamma: float, tol: Tolerances) -> tuple | None:
-    """Every mode (w_k, phi_k) of a complex-symmetric tridiagonal T, continued
-    over a pump step ``dgamma`` to T's new diagonal ``diag``.
+def _secular(lam: np.ndarray, up: np.ndarray, mu: np.ndarray, delta: np.ndarray,
+             gamma: float) -> tuple:
+    """(F, F', unit residual, dz/dgamma, y) of each mode at z = lam_mu + delta.
 
-    ``phi`` holds the modes as rows.  The predictor is first-order
-    perturbation theory, dw = i dgamma (phi o phi)^T p / phi^T phi (T's left
-    vectors are its right vectors).  The corrector is at most
-    ``_CORRECTOR_STEPS`` steps of complex-symmetric Rayleigh-quotient
-    iteration, one ``_stacked_solve`` and w = x^T T x / x^T x for the modes
-    whose residual still exceeds ``residual_rel * c`` (c the largest column
-    norm of T).  Returns (w, unit vectors as columns) in the input's order, or
-    None unless every residual is within that bound, the eigenvalues are
-    pairwise more than ``cluster_rel * c`` apart, |sum w - trace T| is within
-    the bound, and each prediction is nearest its own corrected eigenvalue.
-    """
-    c = _column_norm(off, diag)
-    bound = tol.residual_rel * c
-    with np.errstate(all="ignore"):          # a non-finite value fails a certificate
-        sq = phi * phi
-        guess = w + 1j * dgamma * (sq @ p) / sq.sum(axis=1)
-        w, x, todo = guess.copy(), phi.copy(), np.arange(len(w))
-        wt, xt = w, x               # todo's rows: w and x themselves until todo shrinks
-        for k in range(_CORRECTOR_STEPS + 1):   # the predicted vectors, then corrections
-            if k:
-                y = _stacked_solve(_stacked_factors(off, diag, wt), xt)
-                np.divide(y, np.linalg.norm(y, axis=1, keepdims=True), out=xt)
-            ty = _tridiagonal_product(off, diag, off, xt.T).T
-            if k:
-                wt[:] = np.sum(xt * ty, axis=1) / np.sum(xt * xt, axis=1)
-            ty -= wt[:, None] * xt
-            miss = ~(np.linalg.norm(ty, axis=1) <= bound)
-            if not miss.all():
-                if xt is not x:
-                    w[todo], x[todo] = wt, xt
-                todo, wt, xt = todo[miss], wt[miss], xt[miss]
-            if not todo.size:
-                break
-        else:
-            return None
-        gaps = np.abs(w[:, None] - w[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if not (gaps.min() > tol.cluster_rel * c
-                and abs(w.sum() - diag.sum()) <= bound
-                and np.array_equal(np.abs(guess[:, None] - w).argmin(axis=1), np.arange(len(w)))):
-            return None
-    return w, x.T
+    With T0 = U diag(lam) U^T and up = U's pumped rows (r x n, orthonormal),
+    w is an eigenvalue of T(gamma) iff z = w + i*kappa0 is a root of det(I +
+    i gamma up (lam - z)^-1 up^T); without the pole mu, F = -delta + i gamma
+    u_mu^T q, q = K^-1 u_mu, K = I + i gamma sum_{nu != mu} u_nu u_nu^T /
+    (lam_nu - z).  The coordinates y_mu = 1, y_nu = -i gamma u_nu^T q /
+    (lam_nu - z) (rows of y) leave T's residual F e_mu, so |F| / |y| is the
+    unit residual exactly; F' = -y^T y and dz/dgamma = i q^T q / y^T y."""
+    rows, r = np.arange(len(mu)), len(up)
+    dist = lam - (lam[mu] + delta)[:, None]
+    dist[rows, mu] = np.inf                       # the pole taken out
+    wgt = 1.0 / dist
+    uu = (up[:, None] * up).reshape(r * r, -1).T  # row nu: u_nu u_nu^T, flattened
+    k = np.eye(r) + 1j * gamma * (wgt @ uu).reshape(-1, r, r)
+    um = up.T[mu]
+    q = um / k[:, :, 0] if r == 1 else np.linalg.solve(k, um[:, :, None])[:, :, 0]
+    a = q @ up                                    # a[i, nu] = u_nu^T q_i
+    f = 1j * gamma * a[rows, mu] - delta
+    y = a * wgt
+    y *= -1j * gamma
+    y[rows, mu] = 1.0
+    yy, yv = np.einsum("ij,ij->i", y, y), y.view(float)
+    res = np.abs(f) / np.sqrt(np.einsum("ij,ij->i", yv, yv))
+    return f, -yy, res, 1j * np.einsum("ij,ij->i", q, q) / yy, y
 
 
 @dataclass
 class Trajectory:
-    """Eigenvalues followed along a pump-strength grid.
-
-    ``eigenvalues[k, mu]`` is mode mu at gammas[k], from the (Re, Im)-sorted
-    order at the first point; a continued step keeps the order, a dense solve
-    is matched by maximal eigenvector overlap.  ``zero_mode_index`` flags the
-    mode whose Re(w) stays pinned at zero, if there is exactly one.
-    """
+    """Eigenvalues followed along a pump-strength grid: ``eigenvalues[k, mu]``
+    is mode mu at gammas[k], in the (Re, Im)-sorted order of the first point,
+    which a secular step keeps and a dense solve matches by eigenvector
+    overlap.  ``zero_mode_index``: the mode whose Re(w) stays at zero, if one."""
 
     gammas: np.ndarray
     eigenvalues: np.ndarray          # shape (len(gammas), n)
@@ -295,12 +291,10 @@ class Trajectory:
 
 
 def _match_modes(overlaps: np.ndarray, margin: float, gamma: float) -> np.ndarray:
-    """Greedy maximal-overlap permutation, ``overlaps[prev, new] >= 0``.
-
-    Rows are served in order, each taking its largest unused column; a row
-    whose best and second-best unused overlaps differ by less than
-    ``margin * best`` raises TrackingAmbiguityError.
-    """
+    """Greedy maximal-overlap permutation, ``overlaps[prev, new] >= 0``: rows
+    in order each take their largest unused column, and a row whose best and
+    second-best unused overlaps differ by less than ``margin * best`` raises
+    TrackingAmbiguityError."""
     n = overlaps.shape[0]
     perm, used = np.full(n, -1), np.zeros(n, dtype=bool)
     for prev in range(n):
@@ -335,14 +329,22 @@ def track_mode(h: np.ndarray, pump: PumpSpec, gamma_grid: np.ndarray,
     order = np.lexsort((w.imag, w.real))
     w, v = w[order], v[:, order]
     traj[0] = w
+    state = chain.seed(w, v)               # None: a dense solve at every point
 
     for k in range(1, len(grid)):
-        moved = chain.step(w, v, grid[k - 1], grid[k])
+        moved = None if state is None else chain.step(w, *state, grid[k - 1], grid[k])
         if moved is None:
+            if v is None:                  # the previous point was a secular step
+                lam, u, up = chain.basis
+                mu = state[0]
+                v = u @ _secular(lam, up, mu, w + 1j * pump.kappa0 - lam[mu], grid[k - 1])[-1].T
+                v /= np.linalg.norm(v, axis=0)
             wn, vn = chain.solve(grid[k])
             perm = _match_modes(np.abs(v.conj().T @ vn), tol.track_margin, grid[k])
-            moved = wn[perm], vn[:, perm]
-        w, v = moved
+            w, v = wn[perm], vn[:, perm]
+            state = chain.seed(w, v)
+        else:
+            (w, state), v = moved, None
         traj[k] = w
 
     norm = max(spectral_norm(chain.h), 1e-300)
@@ -365,27 +367,23 @@ def find_threshold(h: np.ndarray, pump: PumpSpec,
                    tol: Tolerances = DEFAULT) -> ThresholdResult:
     """Smallest gamma with max Im(w) = 0: a bracket, then Newton or regula falsi.
 
-    With f(gamma) = max Im w (one dense ``eigvals`` of M(gamma), each gamma
-    evaluated once), the bracket starts at [0, kappa0] and moves its top end
-    up until f(lo) < 0 < f(hi); the search keeps that invariant.  A chain's
-    f(0) = -kappa0 takes no solve (M(0) ~ T0 - i*kappa0, T0 real symmetric;
-    Im w = -kappa0 + gamma |P phi|^2 / |phi|^2, so its root is >= kappa0).
-    Its step proposes the root of T's crossing mode (M(hi)'s eigenvalue of
-    largest Im w) by ``_PumpedChain.t_root``: a top end below the root moves
-    there if that lies in (hi, ``gamma_max_factor * kappa0``], else doubles.
-    Inside the bracket the regula falsi point, with Illinois halving, is
-    taken instead without a ``ChainForm``, after a Newton point has missed
-    the stop test, or when the proposal is not strictly inside the bracket,
-    and bisection when neither is.  The search stops at |f| <=
-    ``threshold_imag * kappa0``, or raises NoThresholdError (naming a missed
-    Newton point) when the bracket cannot shrink.  The threshold mode is M's
-    right vector (``_PumpedChain.right_vector``) for the eigenvalue of
-    largest Im w at the root, the one the stop test took; nothing is tracked.
+    With f(gamma) = max Im w (one dense ``eigvals`` of M(gamma) per gamma),
+    the bracket [0, kappa0] moves its top end up until f(lo) < 0 < f(hi), an
+    invariant the search keeps.  A chain's f(0) = -kappa0 takes no solve (M(0)
+    ~ T0 - i*kappa0, T0 real symmetric; Im w = -kappa0 + gamma |P phi|^2 /
+    |phi|^2, so the root is >= kappa0), and ``_PumpedChain.t_root`` proposes
+    the root of T's crossing mode (M(hi)'s top eigenvalue): the top end moves
+    there if it lies in (hi, ``gamma_max_factor * kappa0``], else doubles.
+    Inside the bracket the Illinois regula falsi point is taken instead
+    without a ``ChainForm``, after a Newton point missed the stop test, or
+    for a proposal not strictly inside, and bisection when neither is.  The
+    search stops at |f| <= ``threshold_imag * kappa0``, or raises
+    NoThresholdError (naming a missed Newton point) when the bracket cannot
+    shrink.  The threshold mode is M's right vector for the top eigenvalue
+    the stop test took at the root; nothing is tracked.
     """
     chain = _PumpedChain(h, pump, tol)
-    n = chain.n
-    k0 = pump.kappa0
-    ftol = tol.threshold_imag * k0
+    n, k0, ftol = chain.n, pump.kappa0, tol.threshold_imag * pump.kappa0
 
     def floor() -> str:
         return f"eps*||H|| = {np.finfo(float).eps * spectral_norm(chain.h):.3e}"
@@ -471,12 +469,9 @@ class PowerFlowReport:
 
 def power_flows(mode: np.ndarray, h_a: np.ndarray, pump: PumpSpec,
                 gamma: float) -> PowerFlowReport:
-    """Junction gains and site gain/loss terms for a threshold mode.
-
-    Couplings are the off-diagonal entries of the construction matrix (the
-    loss and pump only touch the diagonal of ``h_a``).  The mode is
-    normalized to psi_1 = 1, matching the junction-gain convention.
-    """
+    """Junction gains and site gain/loss terms for a threshold mode, from the
+    off-diagonal couplings of ``h_a`` (loss and pump touch only its diagonal);
+    the mode is normalized to psi_1 = 1, the junction-gain convention."""
     h_a = _matrix(h_a, "h_a")
     v = _matrix(mode, "mode", h_a.shape[:1])
     if abs(v[0]) == 0:

@@ -137,20 +137,17 @@ def spectral_peaks(signal: np.ndarray, dt: float, rel_floor: float = 1e-3) -> np
     dt = _real(dt, "dt")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    sig = np.asarray(signal, dtype=float)
-    sig = sig - sig.mean()
-    window = np.hanning(len(sig))
-    mag = np.abs(np.fft.rfft(sig * window))
+    sig = _matrix(signal, "signal", np.shape(signal))
+    if sig.ndim != 1 or not sig.size or sig.imag.any():
+        raise ValueError(f"signal must be a nonempty real vector, got shape {sig.shape}")
+    mag = np.abs(np.fft.rfft((sig.real - sig.real.mean()) * np.hanning(len(sig))))
     if mag.max() == 0:
         return np.array([])
-    floor = rel_floor * mag.max()
-    freqs = []
-    for i in range(1, len(mag) - 1):
-        if mag[i] >= floor and mag[i] > mag[i - 1] and mag[i] >= mag[i + 1]:
-            delta = 0.0
-            if mag[i - 1] > 0 and mag[i + 1] > 0:
-                la, lb, lc = np.log(mag[i - 1]), np.log(mag[i]), np.log(mag[i + 1])
-                denom = la - 2 * lb + lc
-                delta = 0.5 * (la - lc) / denom if denom != 0 else 0.0
-            freqs.append((i + delta) * 2.0 * np.pi / (len(sig) * dt))
-    return np.array(sorted(freqs))
+    i = 1 + np.flatnonzero((mag[1:-1] >= rel_floor * mag.max()) & (mag[1:-1] > mag[:-2])
+                           & (mag[1:-1] >= mag[2:]))
+    with np.errstate(divide="ignore", invalid="ignore"):   # zero neighbours are not refined
+        la, lb, lc = np.log(mag[i - 1]), np.log(mag[i]), np.log(mag[i + 1])
+        denom = la - 2 * lb + lc
+        delta = np.where((mag[i - 1] > 0) & (mag[i + 1] > 0) & (denom != 0),
+                         0.5 * (la - lc) / denom, 0.0)
+    return (i + delta) * 2.0 * np.pi / (len(sig) * dt)

@@ -257,6 +257,8 @@ def run_properties(trials: int, seed: int, tol: Tolerances = DEFAULT) -> SuiteRe
     trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     report = SuiteReport(seed=seed, trials=trials)
     for suite in SUITE_NAMES:
         details = _details(suite, seed, range(trials), tol)

@@ -80,11 +80,17 @@ def _metrics(mags: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
     return ipr, com, slope, fit_rms, parity
 
 
-def mode_reports(es: EigenSystem, s: float, tol: Tolerances = DEFAULT) -> list[ModeReport]:
-    """Profile and classify every mode of ``es`` for a chain scaled by ratio s."""
+def _ratio(s) -> float:
+    """The one rule for a skin ratio s: a finite real (``config._real``) that is positive."""
     s = _real(s, "skin ratio s =")
     if not s > 0:
         raise ValueError(f"skin ratio s must be positive, got s = {s!r}")
+    return s
+
+
+def mode_reports(es: EigenSystem, s: float, tol: Tolerances = DEFAULT) -> list[ModeReport]:
+    """Profile and classify every mode of ``es`` for a chain scaled by ratio s."""
+    s = _ratio(s)
     ipr, com, decay, rms, parity = _metrics(
         np.ascontiguousarray(np.abs(es.right_vectors).T), tol)
     n, half_rate = es.dim, np.log(s) / 2.0
@@ -115,7 +121,7 @@ def find_zero_mode(es: EigenSystem, tol: Tolerances = DEFAULT) -> int:
 def geometric_envelope(reference: np.ndarray, s: float) -> np.ndarray:
     """reference_j * s^-(j-1): the skin-mode image of a reference profile, or
     of each column of a block of them."""
-    scale = _real(s, "skin ratio s =") ** (-np.arange(len(reference), dtype=float))
+    scale = _ratio(s) ** (-np.arange(len(reference), dtype=float))
     return (np.asarray(reference).T * scale).T
 
 

@@ -3,24 +3,20 @@ continuation that keeps its mode order: the order against a per-point
 overlap tracker, the dense-eigvals budget of a chain search, its bracket
 from kappa0 with no dense solve at gamma = 0 and its doubling fallback,
 the secant continuation after a Newton point fails M's dense check, the
-stalled search's report of T's root, the swap guard, the compacted
-corrector against the gather/scatter one, and dense inputs searched
-exactly as by the plain regula falsi."""
+stalled search's report of T's root, the secular step's swap guard, and
+dense inputs searched exactly as by the plain regula falsi."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nhlab.config import DEFAULT
-from nhlab.eig import _tridiagonal_product, chain_form
-from nhlab.laser import (_CORRECTOR_STEPS, NoThresholdError, PumpSpec, _column_norm,
-                         _continue, _PumpedChain, _stacked_factors, _stacked_solve,
-                         find_threshold, pumped_hamiltonian, track_mode)
+from nhlab.eig import chain_form
+from nhlab.laser import (NoThresholdError, PumpSpec, _PumpedChain, find_threshold,
+                         pumped_hamiltonian, track_mode)
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_product
 
 from conftest import random_hermitian
-from test_laser_structured import Counter, dense_track, pumped_chains, symmetric_form
+from test_laser_structured import Counter, dense_track, symmetric_form
 from test_laser_symmetric import skin_chains, threshold_cases
 
 
@@ -127,16 +123,17 @@ def test_t_root_is_nan_when_the_slope_vanishes():
 
 
 def test_swap_guard_refuses_a_step_that_reorders_modes(chain9):
-    # exact eigenpairs of T with two eigenvalue labels swapped: every residual
-    # certifies, but each swapped prediction is nearest the other's mode
+    # exact modes at gamma = 0 with two eigenvalue labels swapped: Newton takes
+    # each mode back to its own pole's root and every residual certifies,
+    # but each swapped prediction is nearest the other's root
     _, _, _, h, _ = chain9
     pump = PumpSpec(kappa0=0.02, pumped_sites=(1,))
     chain = _PumpedChain(h, pump, DEFAULT)
     w, v = chain.solve(0.0)
-    off, diag = chain.form.off, chain.diagonal(1e-9)
-    assert _continue(off, diag, chain.p, w, v.T, 1e-9, DEFAULT) is not None
+    mu, slope = chain.seed(w, v)
+    assert chain.step(w, mu, slope, 0.0, 1e-9) is not None
     swapped = w[[1, 0] + list(range(2, len(w)))]
-    assert _continue(off, diag, chain.p, swapped, v.T, 1e-9, DEFAULT) is None
+    assert chain.step(swapped, mu, slope, 0.0, 1e-9) is None
 
 
 def test_dense_inputs_keep_the_regula_falsi_bits(chain9):
@@ -211,78 +208,3 @@ def test_newton_bracket_past_the_ceiling_falls_back_to_doubling(monkeypatch, cha
         assert (res.threshold, res.bracket) == regula_falsi(m, pump)
         doublings = int(np.ceil(np.log2(res.threshold / pump.kappa0)))
         assert points[:doublings + 1] == [pump.kappa0 * 2.0 ** j for j in range(doublings + 1)]
-
-
-# ---------------------------------------------------------------------------
-# the corrector on its compacted active set against the gather/scatter one
-
-def gathering_continue(off, diag, p, w, phi, dgamma, tol):
-    """``_continue`` with its corrector gathering and scattering the active
-    modes' rows of (w, x) at every step: the reference for its bits."""
-    c = _column_norm(off, diag)
-    bound = tol.residual_rel * c
-    with np.errstate(all="ignore"):
-        sq = phi * phi
-        guess = w + 1j * dgamma * (sq @ p) / sq.sum(axis=1)
-        w, x, todo = guess.copy(), phi.copy(), np.arange(len(w))
-        for k in range(_CORRECTOR_STEPS + 1):
-            if k:
-                y = _stacked_solve(_stacked_factors(off, diag, w[todo]), x[todo])
-                x[todo] = y / np.linalg.norm(y, axis=1, keepdims=True)
-            y = x[todo]
-            ty = _tridiagonal_product(off, diag, off, y.T).T
-            if k:
-                w[todo] = np.sum(y * ty, axis=1) / np.sum(y * y, axis=1)
-            todo = todo[~(np.linalg.norm(ty - w[todo, None] * y, axis=1) <= bound)]
-            if not todo.size:
-                break
-        else:
-            return None
-        gaps = np.abs(w[:, None] - w[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if not (gaps.min() > tol.cluster_rel * c
-                and abs(w.sum() - diag.sum()) <= bound
-                and np.array_equal(np.abs(guess[:, None] - w).argmin(axis=1), np.arange(len(w)))):
-            return None
-    return w, x.T
-
-
-def assert_corrector_bits(m, pump, grid, tol=DEFAULT):
-    """Both correctors along the grid from the same modes at each point;
-    returns the number of steps each certified."""
-    chain = _PumpedChain(m, pump, tol)
-    w, v = chain.solve(grid[0])
-    phi = v.T.copy()
-    certified = 0
-    for g0, g in zip(grid[:-1], grid[1:]):
-        args = chain.form.off, chain.diagonal(g), chain.p, w, v.T, g - g0, tol
-        got, ref = _continue(*args), gathering_continue(*args)
-        assert np.array_equal(v.T, phi)               # the input modes are not written
-        assert (got is None) == (ref is None)
-        if got is None:
-            w, v = chain.solve(g)
-        else:
-            certified += 1
-            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-            w, v = got
-        phi = v.T.copy()
-    return certified
-
-
-def test_compacted_corrector_keeps_the_bits_on_the_bench_chains(chain9):
-    for m, pump in threshold_cases(chain9):
-        top = find_threshold(m, pump).threshold
-        for points in (9, 41):
-            assert assert_corrector_bits(m, pump, np.linspace(0.0, top, points)) > 0
-    # no step certifies under a zero residual bound
-    m, pump = threshold_cases(chain9)[0]
-    strict = DEFAULT.with_overrides({"residual_rel": 0.0})
-    assert assert_corrector_bits(m, pump, np.linspace(0.0, 0.1, 5), strict) == 0
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(case=pumped_chains(), points=st.sampled_from([3, 9, 41]),
-       top=st.sampled_from([1.0, 4.0, 20.0]))
-def test_compacted_corrector_keeps_the_bits_on_pumped_chains(case, points, top):
-    m, pump = case
-    assert_corrector_bits(m, pump, np.linspace(0.0, top * pump.kappa0, points))

@@ -1,18 +1,19 @@
 """The pumped-chain solve against the dense oracle: the pumped matrices and
-their dense spectra, tracking, the overlap-matching fast path, the regula
-falsi threshold root, and call counts that keep each input kind on its one
-exact solve."""
+their dense spectra, tracking, the secular step's closed-form residual, the
+overlap-matching fast path, the regula falsi threshold root, and call
+counts that keep each input kind on its one exact solve."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import zgttrf
+from scipy.linalg.lapack import zgttrf, zgttrs
 
+from nhlab import laser
 from nhlab.config import DEFAULT
 from nhlab.eig import chain_form
 from nhlab.laser import (NoThresholdError, PumpSpec, TrackingAmbiguityError, _column_norm,
-                         _match_modes, _PumpedChain, _stacked_factors, find_threshold,
+                         _match_modes, _PumpedChain, _secular, find_threshold,
                          pumped_hamiltonian, track_mode)
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_gauge, construct_product
 
@@ -121,6 +122,30 @@ def test_track_mode_matches_dense_tracker(case, points, top):
         return
     got = track_mode(m, pump, grid).eigenvalues
     assert np.abs(got - ref).max() <= DEFAULT.spectra_match_rel * np.linalg.norm(m, 2)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=pumped_chains(), gamma_factor=st.sampled_from([0.5, 2.0, 10.0]),
+       offset=st.sampled_from([0.0, 1e-6, 1e-2]))
+def test_secular_residual_is_the_formed_residual(case, gamma_factor, offset):
+    # |F| / |y| against ||T(gamma) phi - w phi|| / ||phi|| with phi = U y formed,
+    # at the first-order point of each mode, moved off its root by offset * c;
+    # they differ by the eigenbasis' own residual and the round-off of forming phi
+    m, pump = case
+    chain = _PumpedChain(m, pump, DEFAULT)
+    lam, u, up = chain.basis
+    mu, slope = chain.seed(*chain.solve(0.0))
+    g = gamma_factor * pump.kappa0
+    c = _column_norm(chain.form.off, chain.diagonal(g))
+    delta = g * slope + offset * c * np.exp(1j * np.arange(len(mu)))
+    res, y = (_secular(lam, up, mu, delta, g)[i] for i in (2, 4))
+    phi = u @ y.T
+    w = lam[mu] + delta - 1j * pump.kappa0
+    t = pumped_hamiltonian(symmetric_form(m), pump, g)
+    formed = np.linalg.norm(t @ phi - phi * w, axis=0) / np.linalg.norm(phi, axis=0)
+    basis_error = np.linalg.norm(symmetric_form(m).real @ u - u * lam, 2)
+    n = len(m)
+    assert np.abs(res - formed).max() <= basis_error + 4 * n * np.finfo(float).eps * c
 
 
 def test_dense_input_and_failed_certificate_use_np_eig(monkeypatch, chain9):
@@ -249,7 +274,7 @@ def test_two_site_chain_threshold_passes_dense_oracles():
     assert np.linalg.norm(m @ psi - top * psi) <= 1e-15 * np.linalg.norm(m, 2) * np.linalg.norm(psi)
 
 
-def test_exact_zero_pivot_is_nudged_and_gives_the_eigenvector():
+def test_exact_zero_pivot_is_nudged_and_gives_the_eigenvector(monkeypatch):
     # T(gamma) - w of the 3-site chain pumped at site 2, shifted by its exact
     # eigenvalue -i kappa0, is exactly singular: zgttrf meets a zero pivot,
     # which is nudged to eps * c, and inverse iteration returns (1, 0, -1)
@@ -259,8 +284,14 @@ def test_exact_zero_pivot_is_nudged_and_gives_the_eigenvector():
     off, diag, w = chain.form.off, chain.diagonal(0.3), -0.02j
     assert zgttrf(off.astype(complex), diag - w, off.astype(complex))[-1] > 0
     eps_c = np.finfo(float).eps * _column_norm(off, diag)
-    assert np.count_nonzero(_stacked_factors(off, diag, np.array([w]))[1] == eps_c) == 1
+    pivots = []                                   # the factors each solve receives
+
+    def solve(*args):
+        pivots.append(args[1].copy())
+        return zgttrs(*args)
+    monkeypatch.setattr(laser, "zgttrs", solve)
     psi = chain.right_vector(0.3, w)
+    assert [np.count_nonzero(d == eps_c) for d in pivots] == [1, 1]
     assert np.abs(psi - np.array([1.0, 0.0, -1.0]) / np.sqrt(2)).max() <= 1e-15
     m = pumped_hamiltonian(h, pump, 0.3)
     assert np.linalg.norm(m @ psi - w * psi) <= 1e-15 * np.linalg.norm(m, 2)

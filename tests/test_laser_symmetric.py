@@ -3,7 +3,8 @@ against dense solves: the continuation against a per-point greedy tracker on
 T and against M's dense eigvals, the threshold mode against the tracked
 crossing mode and M's dense eig, the benchmark's A^-1 H0 A chains at
 kappa0 = t against M-based oracles, the forced fallback, the dense-solve
-budget, and a threshold found where tracking to it ties."""
+budget, the kernels a chain's track calls, and a threshold found where
+tracking to it ties."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhlab import laser
 from nhlab.config import DEFAULT
 from nhlab.eig import chain_form
 from nhlab.laser import (PumpSpec, TrackingAmbiguityError, find_threshold, power_flows,
@@ -98,6 +100,37 @@ def test_gauge_chain_at_kappa0_t_passes_dense_oracles(monkeypatch, n):
         assert tr.zero_mode_index is not None
     # at most one dense solve per track (a continuation step's fallback)
     assert counter.solves <= 2
+
+
+# (n, input, kappa0) -> dense eig of track_mode on the benchmark's grid, as
+# measured: the chiral zero mode of the plain chain and its neighbours at
+# gamma ~ 1.06 kappa0 need more Newton steps than a step allows
+TRACK_FALLBACKS = {(101, "A^-1 H0 A", 1.0): 1}
+
+
+def test_track_mode_on_a_chain_takes_one_eigh_tridiagonal_and_no_lu(monkeypatch, chain9):
+    # chain9 and the threshold benchmark's chains on its grids: the modes at
+    # gamma = 0 come from one eigh_tridiagonal and every later point from the
+    # secular step, with no shifted tridiagonal factorization
+    _, _, _, h, hpp = chain9
+    calls = dict.fromkeys(("zgttrf", "zgttrs", "eigh_tridiagonal"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(laser, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(laser, name, counted)
+    counter = Counter(monkeypatch)
+    for n, pair in ((9, (h, hpp)), (41, skin_chains(41)), (101, skin_chains(101))):
+        for k0 in (0.02, 1.0):
+            pump = PumpSpec(kappa0=k0, pumped_sites=(1,))
+            top = max(find_threshold(m, pump).threshold for m in pair)
+            for label, m in zip(("H0 A", "A^-1 H0 A"), pair):
+                calls.update(zgttrf=0, zgttrs=0, eigh_tridiagonal=0)
+                counter.calls.update(eig=0, eigvals=0)
+                track_mode(m, pump, np.linspace(0.0, top, 41))
+                assert calls == {"zgttrf": 0, "zgttrs": 0, "eigh_tridiagonal": 1}
+                fallbacks = TRACK_FALLBACKS.get((n, label, k0), 0)
+                assert counter.calls == {"eig": fallbacks, "eigvals": 0}
 
 
 def test_forced_fallback_equals_exact_per_point_solve(chain9):

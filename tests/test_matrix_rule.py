@@ -115,6 +115,20 @@ PROBES = {
     "run_properties_str_seed": (lambda: run_properties(1, "a"), "seed 'a' is not an integer"),
     "geometric_envelope_str_s": (lambda: geometric_envelope(np.ones(3), "x"),
                                  "skin ratio s = 'x' is not a real number"),
+    "geometric_envelope_zero_s": (lambda: geometric_envelope(np.ones(3), 0.0),
+                                  "skin ratio s must be positive, got s = 0.0"),
+    "geometric_envelope_negative_s": (lambda: geometric_envelope(np.ones(3), -2.0),
+                                      "skin ratio s must be positive, got s = -2.0"),
+    "spectral_peaks_nan_signal": (lambda: spectral_peaks([1.0, np.nan, 2.0], 0.1),
+                                  "signal has non-finite entries"),
+    "spectral_peaks_empty_signal": (lambda: spectral_peaks([], 0.1),
+                                    "signal must be a nonempty real vector, got shape (0,)"),
+    "spectral_peaks_complex_signal": (lambda: spectral_peaks([1.0, 1j], 0.1),
+                                      "signal must be a nonempty real vector, got shape (2,)"),
+    "spectral_peaks_str_signal": (lambda: spectral_peaks("ab", 0.1),
+                                  "signal is not a numeric array"),
+    "run_properties_negative_seed": (lambda: run_properties(1, -1),
+                                     "seed must be >= 0, got -1"),
 }
 
 

@@ -212,3 +212,36 @@ def test_integrate_rejects_bad_input_before_eigensolve(random_chain, monkeypatch
     args = {"x0": np.zeros(5), "v0": np.zeros(5), "dt": 1e-3, "steps": 10, **bad}
     with pytest.raises(ValueError, match=match):
         integrate(random_chain, **args)
+
+
+def loop_peaks(signal, dt, rel_floor=1e-3):
+    """Reference: the peak search as a loop over the FFT bins."""
+    sig = np.asarray(signal, dtype=float)
+    sig = sig - sig.mean()
+    mag = np.abs(np.fft.rfft(sig * np.hanning(len(sig))))
+    if mag.max() == 0:
+        return np.array([])
+    freqs = []
+    for i in range(1, len(mag) - 1):
+        if mag[i] >= rel_floor * mag.max() and mag[i] > mag[i - 1] and mag[i] >= mag[i + 1]:
+            delta = 0.0
+            if mag[i - 1] > 0 and mag[i + 1] > 0:
+                la, lb, lc = np.log(mag[i - 1]), np.log(mag[i]), np.log(mag[i + 1])
+                denom = la - 2 * lb + lc
+                delta = 0.5 * (la - lc) / denom if denom != 0 else 0.0
+            freqs.append((i + delta) * 2.0 * np.pi / (len(sig) * dt))
+    return np.array(sorted(freqs))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_spectral_peaks_equal_the_loop_over_bins(seed):
+    # array expressions over the bins, bit for bit: noisy sums of sines, a
+    # three-sample signal, and a pure tone on a bin, whose side bins are round-off
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    t = np.arange(n) * 0.1
+    sig = sum(rng.uniform(0.1, 2) * np.sin(rng.uniform(0.1, 30) * t) for _ in range(4))
+    cases = [sig + 1e-3 * rng.normal(size=n), sig[:3], np.cos(2 * np.pi * 4 * np.arange(64) / 64)]
+    for x in cases:
+        for floor in (1e-3, 0.5):
+            assert np.array_equal(spectral_peaks(x, 0.1, floor), loop_peaks(x, 0.1, floor))
