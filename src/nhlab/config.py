@@ -27,6 +27,27 @@ def _real(value, name: str) -> float:
     return x
 
 
+def _positive(value, name: str) -> float:
+    """The one rule for a user-facing positive real: ``_real``'s rule, then > 0."""
+    x = _real(value, name)
+    if not x > 0:
+        raise ValueError(f"{name} must be positive, got {x}")
+    return x
+
+
+def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """The one rule for a user-facing count, index or seed: an int or numpy
+    integer but not a bool, stored as int; with ``lo`` it must be >= lo, and
+    with ``hi`` too inside the inclusive range lo..hi."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    k = int(value)
+    if lo is not None and (k < lo or hi is not None and k > hi):
+        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be {bound}, got {k}")
+    return k
+
+
 def _complex(value, name: str) -> complex:
     """The one rule for a user-facing complex number: an int, float, complex or
     numpy number but not a bool, each part finite by ``_real``'s rule."""
@@ -40,6 +61,20 @@ def _object(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{name} {value!r} is not a JSON object")
     return value
+
+
+def _record(cls, d, what: str, required: tuple[str, ...]):
+    """The one rule for a config record: a JSON object (``_object``) whose keys
+    are fields of the dataclass ``cls``, every ``required`` one present; it
+    returns ``cls(**d)``, whose own rules then type each field."""
+    d = _object(d, what)
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = set(required) - set(d)
+    if missing:
+        raise ValueError(f"missing {what} fields: {sorted(missing)}")
+    return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -64,7 +99,7 @@ class Tolerances:
     profile_floor: float = 1e-12      # sites below this fraction of max excluded from fits
     com_fraction: float = 0.25        # skin_left needs com < com_fraction * n
     decay_margin: float = 1e-6        # slack on the half-rate decay test
-    envelope_rms: float = 0.8         # max log-profile fit RMS for a skin mode
+    envelope_rms: float = 0.8         # max rise of ln|psi| above its fitted line for a skin mode
     zero_mode_rel: float = 1e-8       # zero-mode identification / profile residuals
     # laser
     threshold_imag: float = 1e-9      # |Im w| at threshold, in units of kappa0

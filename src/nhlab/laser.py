@@ -16,16 +16,16 @@ the threshold scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .config import DEFAULT, Tolerances, _real
+from .config import DEFAULT, Tolerances, _positive, _real, _record
 from .eig import _tridiagonal_product, chain_form
-from .model import _integer, _matrix, _sites, spectral_norm
+from .model import _matrix, _sites, spectral_norm
 
 
 class NoThresholdError(RuntimeError):
@@ -46,31 +46,20 @@ class PumpSpec:
     pumped_sites: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa0", _real(self.kappa0, "kappa0"))
+        object.__setattr__(self, "kappa0", _positive(self.kappa0, "kappa0"))
         object.__setattr__(self, "pumped_sites", _sites(self.pumped_sites, "pumped_sites"))
-        if not self.kappa0 > 0:
-            raise ValueError(f"kappa0 must be positive, got {self.kappa0}")
         if not self.pumped_sites:
             raise ValueError("pumped_sites must be nonempty")
 
     @classmethod
     def from_dict(cls, d: dict) -> "PumpSpec":
-        names = {f.name for f in fields(cls)}
-        if set(d) - names:
-            raise ValueError(f"unknown pump fields: {sorted(set(d) - names)}")
-        if names - set(d):
-            raise ValueError(f"missing pump fields: {sorted(names - set(d))}")
-        return cls(**d)
+        return _record(cls, d, "pump", ("kappa0", "pumped_sites"))
 
 
 def pump_indicator(pumped_sites: tuple[int, ...], n: int) -> np.ndarray:
-    """0/1 site vector of the pumped sites (1-based integers), range-checked."""
+    """0/1 site vector of the pumped sites (``_sites``' rule, in 1..n)."""
     p = np.zeros(n)
-    for site in pumped_sites:
-        j = _integer(site, "pumped site")
-        if not 1 <= j <= n:
-            raise ValueError(f"pumped site {j} outside 1..{n}")
-        p[j - 1] = 1.0
+    p[[j - 1 for j in _sites(pumped_sites, "pumped_sites", n)]] = 1.0
     return p
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances, _real
-from .model import _integer, _is_list, _matrix, spectral_norm
+from .config import DEFAULT, Tolerances, _integer, _positive, _real
+from .model import _is_list, _matrix, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -27,17 +27,11 @@ class OscillatorChain:
     spring_k: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "n"))
-        object.__setattr__(self, "spring_k", _real(self.spring_k, "spring_k"))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
+        object.__setattr__(self, "spring_k", _positive(self.spring_k, "spring_k"))
         if not _is_list(self.masses) or len(self.masses) != self.n:
             raise ValueError(f"masses {self.masses!r} is not a list of {self.n} masses")
-        object.__setattr__(self, "masses", tuple(_real(m, "mass") for m in self.masses))
-        if min(self.masses) <= 0:
-            raise ValueError("all masses must be positive")
-        if not self.spring_k > 0:
-            raise ValueError(f"spring constant must be positive, got {self.spring_k}")
+        object.__setattr__(self, "masses", tuple(_positive(m, "mass") for m in self.masses))
 
 
 def stiffness_matrix(chain: OscillatorChain) -> np.ndarray:
@@ -79,6 +73,18 @@ def total_energy(chain: OscillatorChain, x: np.ndarray, v: np.ndarray) -> float:
     return kinetic + 0.5 * k * stretch
 
 
+def _real_vector(v, name: str, n: int | None = None) -> np.ndarray:
+    """A vector argument: finite by ``_matrix``'s rule, nonempty, of length n
+    when given, and real (a nonzero imaginary part is refused, not dropped)."""
+    v = _matrix(v, name, np.shape(v))
+    if v.ndim != 1 or not v.size or n not in (None, v.size):
+        raise ValueError(f"{name} must be a nonempty vector{f' of length {n}' if n else ''}, "
+                         f"got shape {v.shape}")
+    if v.imag.any():
+        raise ValueError(f"{name} has a nonzero imaginary part")
+    return v.real
+
+
 @dataclass
 class MechTrajectory:
     times: np.ndarray
@@ -99,14 +105,8 @@ def integrate(chain: OscillatorChain, x0: np.ndarray, v0: np.ndarray,
     block doubling, Z[k:2k] = Z[:k] (G^k)^T with G^k squared after each block.
     """
     n = chain.n
-    x, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
-    if x.shape != (n,) or v.shape != (n,) or not np.isfinite([x, v]).all():
-        raise ValueError("x0 and v0 must be finite vectors of length n")
-    dt = _real(dt, "dt")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if _integer(steps, "steps") < 0:
-        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
+    x, v = _real_vector(x0, "x0", n), _real_vector(v0, "v0", n)
+    dt, steps = _positive(dt, "dt"), _integer(steps, "steps", 0)
     m = dynamical_matrix(chain)
     omega_max = eigenfrequencies(m, tol).max()
     if dt * omega_max >= tol.integrator_guard:
@@ -134,13 +134,9 @@ def spectral_peaks(signal: np.ndarray, dt: float, rel_floor: float = 1e-3) -> np
     Hann-windowed FFT magnitude; local maxima above ``rel_floor`` times the
     global peak are refined by quadratic interpolation of the log magnitude.
     """
-    dt = _real(dt, "dt")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    sig = _matrix(signal, "signal", np.shape(signal))
-    if sig.ndim != 1 or not sig.size or sig.imag.any():
-        raise ValueError(f"signal must be a nonempty real vector, got shape {sig.shape}")
-    mag = np.abs(np.fft.rfft((sig.real - sig.real.mean()) * np.hanning(len(sig))))
+    dt, rel_floor = _positive(dt, "dt"), _real(rel_floor, "rel_floor")
+    sig = _real_vector(signal, "signal")
+    mag = np.abs(np.fft.rfft((sig - sig.mean()) * np.hanning(len(sig))))
     if mag.max() == 0:
         return np.array([])
     i = 1 + np.flatnonzero((mag[1:-1] >= rel_floor * mag.max()) & (mag[1:-1] > mag[:-2])

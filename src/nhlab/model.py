@@ -13,13 +13,13 @@ All builders are pure functions and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT, Tolerances, _real
+from .config import DEFAULT, Tolerances, _integer, _positive, _real, _record
 
 _MASK64 = (1 << 64) - 1
 
@@ -46,24 +46,17 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     return out
 
 
-def _integer(value, name: str) -> int:
-    """The one rule for a user-facing count or index: an int or numpy
-    integer but not a bool, stored as int."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} {value!r} is not an integer")
-    return int(value)
-
-
 def _is_list(value) -> bool:
     return isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1
 
 
-def _sites(value, name: str) -> tuple[int, ...]:
+def _sites(value, name: str, n: int | None = None) -> tuple[int, ...]:
     """The one rule for a user-facing list of 1-based sites: a list, tuple or
-    1-D array of integers, stored as a tuple of int."""
+    1-D array of integers >= 1 (in 1..n when n is given), stored as a tuple
+    of int."""
     if not _is_list(value):
         raise ValueError(f"{name} {value!r} is not a list of sites")
-    return tuple(_integer(j, name.replace("_sites", " site")) for j in value)
+    return tuple(_integer(j, name.replace("_sites", " site"), 1, n) for j in value)
 
 
 @dataclass(frozen=True)
@@ -106,30 +99,25 @@ class LatticeSpec:
     zeroed_sites: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "n"))
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        for name in ("t", "omega2", "s"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        object.__setattr__(self, "zeroed_sites", _sites(self.zeroed_sites, "zeroed_sites"))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.t == 0:
-            raise ValueError("coupling t must be nonzero")
         if self.onsite not in ONSITE_KINDS:
             raise ValueError(f"onsite must be one of {ONSITE_KINDS}, got {self.onsite!r}")
         if self.scaling not in SCALING_KINDS:
             raise ValueError(f"scaling must be one of {SCALING_KINDS}, got {self.scaling!r}")
-        if self.scaling == "geometric" and not self.s > 0:
-            raise ValueError(f"geometric scaling needs s > 0, got {self.s}")
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
+        seed_range = (0, _MASK64) if self.scaling == "random" else ()
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", *seed_range))
+        for name in ("t", "omega2", "s"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        object.__setattr__(self, "zeroed_sites",
+                           _sites(self.zeroed_sites, "zeroed_sites", self.n))
+        if self.t == 0:
+            raise ValueError("coupling t must be nonzero")
+        if self.scaling == "geometric":
+            _positive(self.s, "s")
         if self.scaling == "explicit":
             if not _is_list(self.values) or len(self.values) != self.n:
                 raise ValueError("explicit scaling needs a list of n values")
             object.__setattr__(self, "values", tuple(_real(v, "value") for v in self.values))
-        if self.scaling == "random" and not 0 <= self.seed <= _MASK64:
-            raise ValueError("seed must fit in 64 bits")
-        for j in self.zeroed_sites:
-            if not 1 <= j <= self.n:
-                raise ValueError(f"zeroed site {j} outside 1..{self.n}")
 
     def to_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {"n": self.n, "t": self.t, "onsite": self.onsite,
@@ -148,12 +136,7 @@ class LatticeSpec:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "LatticeSpec":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown lattice fields: {sorted(unknown)}")
-        if "n" not in d:
-            raise ValueError("lattice needs the field n")
-        return cls(**d)
+        return _record(cls, d, "lattice", ("n",))
 
 
 # Smallest n at which a tridiagonal norm takes the banded route: below it one

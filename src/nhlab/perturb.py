@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances, _real
+from .config import DEFAULT, Tolerances, _integer, _real
 from .eig import BIORTHONORMAL, EigenSystem
 from .laser import pump_indicator
 
@@ -35,10 +35,7 @@ def matrix_elements(es: EigenSystem, pumped_sites: tuple[int, ...],
     Raises if any pair is not biorthonormal: an incomplete (EP) basis cannot
     support the expansion.
     """
-    if (isinstance(mode, bool) or not isinstance(mode, (int, np.integer))
-            or not 0 <= mode < es.dim):
-        raise ValueError(f"mode must be an integer in [0, n) with n = {es.dim}; "
-                         f"got {mode!r}")
+    mode = _integer(mode, "mode", 0, es.dim - 1)
     bad = [mu for mu, st in enumerate(es.norm_status) if st != BIORTHONORMAL]
     if bad:
         raise SelfOrthogonalModeError(

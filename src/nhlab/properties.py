@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, _integer
 from .eig import SELF_ORTHOGONAL, EigenSystem, eig_full
 from .mech import OscillatorChain, dynamical_matrix, eigenfrequencies, stiffness_matrix
-from .model import (LatticeSpec, _adjoint, _integer, build_h0, build_scaling,
-                    construct_gauge, construct_product, spectral_norm)
+from .model import (LatticeSpec, _adjoint, build_h0, build_scaling, construct_gauge,
+                    construct_product, spectral_norm)
 from .spectra import conjugate_pairs
 
 
@@ -250,15 +250,11 @@ def _details(suite: str, seed: int, trials: Sequence[int], tol: Tolerances) -> l
 
 def run_trial(suite: str, seed: int, trial: int, tol: Tolerances = DEFAULT) -> str | None:
     """Run one instance; return None on pass, a failure detail on violation."""
-    return _details(suite, seed, [trial], tol)[0]
+    return _details(suite, _integer(seed, "seed", 0), [_integer(trial, "trial", 0)], tol)[0]
 
 
 def run_properties(trials: int, seed: int, tol: Tolerances = DEFAULT) -> SuiteReport:
-    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    trials, seed = _integer(trials, "trials", 1), _integer(seed, "seed", 0)
     report = SuiteReport(seed=seed, trials=trials)
     for suite in SUITE_NAMES:
         details = _details(suite, seed, range(trials), tol)
@@ -270,4 +266,4 @@ def run_properties(trials: int, seed: int, tol: Tolerances = DEFAULT) -> SuiteRe
 
 def replay_instance(record: dict, tol: Tolerances = DEFAULT) -> str | None:
     """Re-run one serialized failing instance; returns the same outcome."""
-    return run_trial(record["suite"], int(record["seed"]), int(record["trial"]), tol)
+    return run_trial(record["suite"], record["seed"], record["trial"], tol)

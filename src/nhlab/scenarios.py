@@ -18,12 +18,12 @@ from typing import Any
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances, _object, _real
+from .config import DEFAULT, Tolerances, _integer, _object, _real
 from .eig import collinearity_residual, eig_full
 from .laser import PumpSpec, find_threshold, power_flows, pumped_hamiltonian, track_mode
 from .mech import (OscillatorChain, dynamical_matrix, eigenfrequencies,
                    integrate, spectral_peaks, total_energy)
-from .model import (LatticeSpec, _integer, build_h0, build_scaling, construct_gauge,
+from .model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
                     construct_product, spectral_norm)
 from .perturb import first_order, matrix_elements
 from .properties import SUITE_NAMES, run_properties
@@ -66,8 +66,10 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
-        for name in ("seed", "trials", "n"):
-            setattr(self, name, _integer(getattr(self, name), name))
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"output path {self.out_dir!r} is not a string")
+        for name, lo in (("seed", 0), ("trials", 1), ("n", 1)):
+            setattr(self, name, _integer(getattr(self, name), name, lo))
         self.anchor = _real(self.anchor, "anchor")
 
     @classmethod
@@ -226,6 +228,7 @@ def scenario_fig1(cfg: ScenarioConfig, tol: Tolerances) -> ScenarioResult:
                                       seed=cfg.seed)
     if spec.onsite != "harmonic" or spec.omega2 <= 0:
         raise ValueError("fig1 needs a harmonic lattice with omega2 > 0")
+    _integer(spec.n, "fig1 lattice n", 5)       # five levels are compared
     t = abs(spec.t)
     h0 = build_h0(spec)
     a = build_scaling(spec)

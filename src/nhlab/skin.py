@@ -2,11 +2,13 @@
 
 A mode counts as a left skin mode when its center of mass sits in the left
 quarter of the chain, its log-profile decays at least half as fast as the
-scaling ratio demands, and the log-profile is close to a straight line
-(a uniform exponential envelope).  The last condition is what separates the
-product construction's bulk modes, whose envelopes peak in the interior,
-from genuinely exponentially localized modes; its threshold lives in
-``Tolerances.envelope_rms``.
+scaling ratio demands, and no site of the log-profile rises far above its
+fitted line (a uniform exponential envelope).  The last condition is what
+separates the product construction's bulk modes, whose envelopes peak in the
+interior, from genuinely exponentially localized modes; its threshold lives
+in ``Tolerances.envelope_rms``.  The rise, unlike an RMS, does not grow with
+the nodes of a standing wave: log|sin| <= 0 has mean -ln 2, so an extended
+sine mode times the skin envelope rises by about ln 2 at most, at every n.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances, _real
+from .config import DEFAULT, Tolerances, _positive
 from .eig import EigenSystem, collinearity_residual
 
 ODD_SITES = "odd_sites"
@@ -41,17 +43,20 @@ class ModeReport:
     com: float              # center of mass, 1-based, in [1, n]
     decay_rate: float       # least-squares slope of ln|psi_j| vs j
     fit_rms: float          # RMS deviation of ln|psi_j| from the fitted line
+    envelope_rise: float    # largest rise of ln|psi_j| above the fitted line
     support_parity: str     # odd_sites | even_sites | mixed
     classification: str     # skin_left | skin_right | bulk
 
 
 def _metrics(mags: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
-    """ipr, com, decay_rate, fit_rms and support parity of each row of |psi|.
+    """ipr, com, decay_rate, fit_rms, envelope_rise and support parity of
+    each row of |psi|.
 
     The decay rate is the least-squares slope of ln|psi_j| against the 1-based
     site j, fitted in closed form over the mode's support parity (odd or even
     sublattice when the other one is dark), skipping sites below
-    ``profile_floor`` times the row's max amplitude.
+    ``profile_floor`` times the row's max amplitude.  The RMS and the rise
+    are taken over the same fitted sites.
     """
     amax = mags.max(axis=1)
     if not amax.all():
@@ -76,31 +81,25 @@ def _metrics(mags: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
     yc = np.where(mask, y - (y.sum(axis=1) / k)[:, None], 0.0)
     sxx = (jc * jc).sum(axis=1)
     slope = np.divide((jc * yc).sum(axis=1), sxx, out=np.zeros_like(sxx), where=k >= 2)
-    fit_rms = np.sqrt(((yc - slope[:, None] * jc) ** 2).sum(axis=1) / k)
-    return ipr, com, slope, fit_rms, parity
-
-
-def _ratio(s) -> float:
-    """The one rule for a skin ratio s: a finite real (``config._real``) that is positive."""
-    s = _real(s, "skin ratio s =")
-    if not s > 0:
-        raise ValueError(f"skin ratio s must be positive, got s = {s!r}")
-    return s
+    resid = yc - slope[:, None] * jc
+    fit_rms = np.sqrt((resid ** 2).sum(axis=1) / k)
+    rise = np.where(mask, resid, -np.inf).max(axis=1)
+    return ipr, com, slope, fit_rms, rise, parity
 
 
 def mode_reports(es: EigenSystem, s: float, tol: Tolerances = DEFAULT) -> list[ModeReport]:
     """Profile and classify every mode of ``es`` for a chain scaled by ratio s."""
-    s = _ratio(s)
-    ipr, com, decay, rms, parity = _metrics(
+    s = _positive(s, "skin ratio s")
+    ipr, com, decay, rms, rise, parity = _metrics(
         np.ascontiguousarray(np.abs(es.right_vectors).T), tol)
     n, half_rate = es.dim, np.log(s) / 2.0
-    envelope = rms <= tol.envelope_rms
+    envelope = rise <= tol.envelope_rms
     left = (com < tol.com_fraction * n) & (decay <= -half_rate + tol.decay_margin) & envelope
     right = ((com > (1.0 - tol.com_fraction) * n) & (decay >= half_rate - tol.decay_margin)
              & envelope)
     calls = np.where(left, SKIN_LEFT, np.where(right, SKIN_RIGHT, BULK))
     columns = zip(es.eigenvalues.tolist(), ipr.tolist(), com.tolist(), decay.tolist(),
-                  rms.tolist(), parity.tolist(), calls.tolist())
+                  rms.tolist(), rise.tolist(), parity.tolist(), calls.tolist())
     return [ModeReport(mu, complex(w), *row) for mu, (w, *row) in enumerate(columns)]
 
 
@@ -121,7 +120,7 @@ def find_zero_mode(es: EigenSystem, tol: Tolerances = DEFAULT) -> int:
 def geometric_envelope(reference: np.ndarray, s: float) -> np.ndarray:
     """reference_j * s^-(j-1): the skin-mode image of a reference profile, or
     of each column of a block of them."""
-    scale = _ratio(s) ** (-np.arange(len(reference), dtype=float))
+    scale = _positive(s, "skin ratio s") ** (-np.arange(len(reference), dtype=float))
     return (np.asarray(reference).T * scale).T
 
 

@@ -61,7 +61,7 @@ def test_cli_non_integer_count_or_index_exits_2(tmp_path, capsys, scenario, conf
     ("fig5", {"pump": {"kappa0": 0.02, "pumped_sites": 1}},
      "pumped_sites 1 is not a list of sites"),
     ("fig5", {"pump": {"kappa0": 0.02}}, "missing pump fields: ['pumped_sites']"),
-    ("custom", {"lattice": {"scaling": "identity"}}, "lattice needs the field n"),
+    ("custom", {"lattice": {"scaling": "identity"}}, "missing lattice fields: ['n']"),
     # a string or a bool where a real number belongs
     ("calibrate_s", {"anchor": "2.38"}, "anchor '2.38' is not a real number"),
     ("custom", {"lattice": {"n": 9, "scaling": "geometric", "s": "1.8"}},

@@ -59,7 +59,7 @@ def test_uniform_pump_at_kappa0_restores_h(chain9):
 
 def test_pumped_sites_bounds_checked(chain9):
     _, _, _, h, _ = chain9
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"^pumped site must be in 1\.\.9, got 10$"):
         pumped_hamiltonian(h, PumpSpec(kappa0=1.0, pumped_sites=(10,)), 0.0)
 
 

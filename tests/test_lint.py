@@ -1,7 +1,8 @@
 """A lint gate from the standard library's ``ast``: no module of the package
 imports a name it never uses, and every private module-level name is
 referenced somewhere in the package, so a deletion leaves no dead helper
-or stale import behind."""
+or stale import behind.  The scalar rules live in ``config`` alone, so a
+hand-rolled copy elsewhere fails the gate."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,30 @@ def test_every_private_name_is_referenced():
     dead = [f"{module}.py:{line} {name}" for module, tree in MODULES.items()
             for name, line in private_definitions(tree).items() if name not in referenced]
     assert dead == []
+
+
+SCALAR_RULE_TEXTS = ("must be positive", "is not an integer")
+
+
+def scalar_rule_copies(tree):
+    """Lines that test ``isinstance(..., bool)`` or raise a scalar rule's text."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and any(isinstance(n, ast.Name) and n.id == "bool"
+                        for arg in node.args for n in ast.walk(arg))):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Raise) and any(
+                isinstance(n, ast.Constant) and isinstance(n.value, str)
+                and any(text in n.value for text in SCALAR_RULE_TEXTS)
+                for n in ast.walk(node)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scalar_rules_live_only_in_config():
+    copies = [f"{module}.py:{line}" for module, tree in MODULES.items() if module != "config"
+              for line in scalar_rule_copies(tree)]
+    assert copies == []
+    assert scalar_rule_copies(MODULES["config"])      # the rules themselves are still found

@@ -1,19 +1,21 @@
-"""One rule for every matrix argument (``model._matrix``).
+"""One rule for every matrix argument (``model._matrix``), and one for each
+kind of scalar (``config._real``, ``_positive``, ``_integer``).
 
 Every public entry point that takes a matrix refuses a non-finite, empty,
 non-square or wrongly sized one, and the scalars and vectors next to those
 matrices, with a ``ValueError`` that names the argument: never a returned
 result, a NaN-filled matrix, numpy's ``LinAlgError`` (a ``ValueError``
-subclass) or a ``TypeError``.
+subclass), a ``TypeError`` or a dropped imaginary part.
 """
 
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nhlab.config import DEFAULT
 from nhlab.eig import apply_metric_pairing, eig_full
 from nhlab.laser import (PumpSpec, find_threshold, power_flows, pumped_hamiltonian,
                          track_mode)
@@ -21,7 +23,8 @@ from nhlab.mech import OscillatorChain, eigenfrequencies, integrate, spectral_pe
 from nhlab.model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
                          construct_product, factor_psd, hermitian_equivalent, shift_spectrum)
 from nhlab.perturb import first_order
-from nhlab.properties import run_properties
+from nhlab.properties import replay_instance, run_properties, run_trial
+from nhlab.scenarios import ScenarioConfig, scenario_fig1
 from nhlab.skin import geometric_envelope, mode_reports, verify_standard_skin
 from nhlab.spectra import bmap_correspondence, certify, ep_analyze, inner_product_audit
 
@@ -89,9 +92,9 @@ PROBES = {
     "first_order_tuple_gamma1": (lambda: first_order(ES, (1,), "x", 0),
                                  "gamma1 'x' is not a real number"),
     "mode_reports_str_s": (lambda: mode_reports(ES, "x"),
-                           "skin ratio s = 'x' is not a real number"),
+                           "skin ratio s 'x' is not a real number"),
     "standard_skin_str_s": (lambda: verify_standard_skin(ES, eig_full(H0), "x"),
-                            "skin ratio s = 'x' is not a real number"),
+                            "skin ratio s 'x' is not a real number"),
     "integrate_str_dt": (lambda: integrate(OSC, np.zeros(3), np.zeros(3), "x", 10),
                          "dt 'x' is not a real number"),
     "track_mode_str_grid": (lambda: track_mode(H, PUMP, "ab"),
@@ -103,7 +106,7 @@ PROBES = {
     "integrate_bool_steps": (lambda: integrate(OSC, np.zeros(3), np.zeros(3), 0.01, True),
                              "steps True is not an integer"),
     "integrate_negative_steps": (lambda: integrate(OSC, np.zeros(3), np.zeros(3), 0.01, -1),
-                                 "steps must be a nonnegative integer, got -1"),
+                                 "steps must be >= 0, got -1"),
     "spectral_peaks_str_dt": (lambda: spectral_peaks(np.ones(8), "x"),
                               "dt 'x' is not a real number"),
     "spectral_peaks_zero_dt": (lambda: spectral_peaks(np.ones(8), 0.0),
@@ -114,21 +117,39 @@ PROBES = {
                                    "trials True is not an integer"),
     "run_properties_str_seed": (lambda: run_properties(1, "a"), "seed 'a' is not an integer"),
     "geometric_envelope_str_s": (lambda: geometric_envelope(np.ones(3), "x"),
-                                 "skin ratio s = 'x' is not a real number"),
+                                 "skin ratio s 'x' is not a real number"),
     "geometric_envelope_zero_s": (lambda: geometric_envelope(np.ones(3), 0.0),
-                                  "skin ratio s must be positive, got s = 0.0"),
+                                  "skin ratio s must be positive, got 0.0"),
     "geometric_envelope_negative_s": (lambda: geometric_envelope(np.ones(3), -2.0),
-                                      "skin ratio s must be positive, got s = -2.0"),
+                                      "skin ratio s must be positive, got -2.0"),
     "spectral_peaks_nan_signal": (lambda: spectral_peaks([1.0, np.nan, 2.0], 0.1),
                                   "signal has non-finite entries"),
     "spectral_peaks_empty_signal": (lambda: spectral_peaks([], 0.1),
-                                    "signal must be a nonempty real vector, got shape (0,)"),
+                                    "signal must be a nonempty vector, got shape (0,)"),
     "spectral_peaks_complex_signal": (lambda: spectral_peaks([1.0, 1j], 0.1),
-                                      "signal must be a nonempty real vector, got shape (2,)"),
+                                      "signal has a nonzero imaginary part"),
     "spectral_peaks_str_signal": (lambda: spectral_peaks("ab", 0.1),
                                   "signal is not a numeric array"),
     "run_properties_negative_seed": (lambda: run_properties(1, -1),
                                      "seed must be >= 0, got -1"),
+    "fig1_short_lattice": (lambda: scenario_fig1(ScenarioConfig("fig1", lattice=LatticeSpec(
+        n=3, onsite="harmonic", omega2=1e-3, scaling="random")), DEFAULT),
+                           "fig1 lattice n must be >= 5, got 3"),
+    "config_negative_seed": (lambda: ScenarioConfig("oscillators", seed=-5),
+                             "seed must be >= 0, got -5"),
+    "config_int_output_path": (lambda: ScenarioConfig("oscillators", out_dir=5),
+                               "output path 5 is not a string"),
+    "replay_float_seed": (lambda: replay_instance({"suite": "reality_psd", "seed": 1.7,
+                                                   "trial": 0}),
+                          "seed 1.7 is not an integer"),
+    "run_trial_bool_trial": (lambda: run_trial("reality_psd", 1, True),
+                             "trial True is not an integer"),
+    "integrate_complex_x0": (lambda: integrate(OSC, [1j, 0.0, 0.0], np.zeros(3), 0.01, 10),
+                             "x0 has a nonzero imaginary part"),
+    "spectral_peaks_str_rel_floor": (lambda: spectral_peaks(np.ones(8), 0.1, "a"),
+                                     "rel_floor 'a' is not a real number"),
+    "spectral_peaks_nan_rel_floor": (lambda: spectral_peaks(np.ones(8), 0.1, np.nan),
+                                     "rel_floor nan is not finite"),
 }
 
 
@@ -209,3 +230,44 @@ def test_one_corrupted_matrix_argument_raises_a_named_value_error(n, scaling, s,
         _calls(x)[entry][1]()
     assert excinfo.type is ValueError
     assert re.search(rf"(^|\W){re.escape(names[key])}\W", str(excinfo.value)), str(excinfo.value)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one bad vector or scalar argument of the oscillator chain's time domain
+
+def _bad_values(arg, n):
+    """Values that ``arg`` must refuse, for a chain of n masses."""
+    if arg in ("x0", "v0", "signal"):
+        nan = np.zeros(n)
+        nan[-1] = np.nan
+        values = [np.full(n, 0.5 + 1e-3j), nan, np.zeros((n, 2)), "ab", np.zeros(0)]
+        return values + ([np.zeros(n + 1)] if arg != "signal" else [])
+    if arg == "steps":
+        return [-1, 2.5, "3", True, None]
+    return ["a", True, None, np.nan, np.inf] + ([0.0, -1.0] if arg.endswith("dt") else [])
+
+
+def _oscillator_call(arg, value, n):
+    if arg in ("signal", "peaks_dt", "rel_floor"):
+        args = {"signal": np.sin(np.arange(16.0)), "dt": 0.1, "rel_floor": 1e-3,
+                arg.replace("peaks_", ""): value}
+        return lambda: spectral_peaks(**args)
+    chain = OscillatorChain(n=n, masses=tuple(np.linspace(1.0, 2.0, n)))
+    args = {"x0": np.zeros(n), "v0": np.zeros(n), "dt": 1e-3, "steps": 4, arg: value}
+    return lambda: integrate(chain, **args)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6),
+       arg=st.sampled_from(["x0", "v0", "dt", "steps", "signal", "peaks_dt", "rel_floor"]),
+       pick=st.integers(0, 6))
+@example(n=3, arg="x0", pick=0)            # refused, not cast to real
+@example(n=3, arg="rel_floor", pick=0)     # a ValueError, not a TypeError
+@example(n=3, arg="rel_floor", pick=3)     # refused, not an empty peak list
+def test_one_bad_oscillator_argument_raises_a_named_value_error(n, arg, pick):
+    values = _bad_values(arg, n)
+    with pytest.raises(ValueError) as excinfo:
+        _oscillator_call(arg, values[pick % len(values)], n)()
+    assert excinfo.type is ValueError
+    name = arg.replace("peaks_", "")
+    assert re.search(rf"(^|\W){name}\W", str(excinfo.value)), str(excinfo.value)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -63,22 +65,23 @@ def reference_profile(mode, tol=DEFAULT):
         y = np.log(np.abs(v[sites]))
         slope, icpt = np.polyfit(js, y, 1)
         fit_rms = float(np.sqrt(np.mean((y - slope * js - icpt) ** 2)))
+        rise = float(np.max(y - slope * js - icpt))
         decay = float(slope)
     else:
-        decay, fit_rms = 0.0, 0.0
+        decay, fit_rms, rise = 0.0, 0.0, 0.0
 
     return {"ipr": ipr, "com": com, "decay_rate": decay, "fit_rms": fit_rms,
-            "support_parity": parity}
+            "envelope_rise": rise, "support_parity": parity}
 
 
 def reference_classify(metrics, n, s, tol=DEFAULT):
     half_rate = np.log(s) / 2.0
-    com, decay, rms = metrics["com"], metrics["decay_rate"], metrics["fit_rms"]
+    com, decay, rise = metrics["com"], metrics["decay_rate"], metrics["envelope_rise"]
     if (com < tol.com_fraction * n and decay <= -half_rate + tol.decay_margin
-            and rms <= tol.envelope_rms):
+            and rise <= tol.envelope_rms):
         return SKIN_LEFT
     if (com > (1.0 - tol.com_fraction) * n and decay >= half_rate - tol.decay_margin
-            and rms <= tol.envelope_rms):
+            and rise <= tol.envelope_rms):
         return SKIN_RIGHT
     return BULK
 
@@ -92,7 +95,7 @@ def assert_matches_reference(es, s):
         assert r.eigenvalue == es.eigenvalues[mu]
         assert r.support_parity == ref["support_parity"], mu
         assert r.classification == reference_classify(ref, es.dim, s), mu
-        for key in ("ipr", "com", "decay_rate", "fit_rms"):
+        for key in ("ipr", "com", "decay_rate", "fit_rms", "envelope_rise"):
             assert abs(getattr(r, key) - ref[key]) <= 1e-12, (mu, key)
 
 
@@ -197,9 +200,16 @@ def test_profile_bounds_random_vectors():
 # ---------------------------------------------------------------------------
 # typed input errors
 
+def ratio_message(s):
+    """The exact refusal of a nonpositive or non-finite skin ratio s."""
+    text = (f"skin ratio s must be positive, got {s}" if np.isfinite(s)
+            else f"skin ratio s {s!r} is not finite")
+    return f"^{re.escape(text)}$"
+
+
 @pytest.mark.parametrize("s", [0.0, -1.0, np.nan, np.inf])
 def test_mode_reports_rejects_bad_ratio(chain9_systems, s):
-    with pytest.raises(ValueError, match="s = "):
+    with pytest.raises(ValueError, match=ratio_message(s)):
         mode_reports(chain9_systems[1], s)
 
 
@@ -207,7 +217,7 @@ def test_mode_reports_rejects_bad_ratio(chain9_systems, s):
 @pytest.mark.parametrize("verdict", [verify_selective_skin, verify_standard_skin])
 def test_verdicts_reject_bad_ratio(chain9_systems, verdict, s):
     es_h0, es_h, _ = chain9_systems
-    with pytest.raises(ValueError, match="s = "):
+    with pytest.raises(ValueError, match=ratio_message(s)):
         verdict(es_h, es_h0, s)
 
 
@@ -242,6 +252,22 @@ def test_standard_all_modes_skin(chain9_systems, calibration):
     for r in mode_reports(es_hpp, calibration["s"]):
         assert r.classification == SKIN_LEFT
         assert r.decay_rate == pytest.approx(-np.log(calibration["s"]), rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [101, 201, 401, 801])
+def test_envelope_rise_separates_the_two_constructions_at_every_scale(n):
+    """With s^(n-1) = 1e4, the gauge's modes (a sine times the skin envelope)
+    rise at most ln 2 above their fitted line, while the product's bulk modes
+    rise past envelope_rms: both verdicts pass at every size."""
+    s = 1e4 ** (1.0 / (n - 1))
+    es_h, es_hpp, es_h0 = systems_for(n, s)
+    selective = verify_selective_skin(es_h, es_h0, s)
+    standard = verify_standard_skin(es_hpp, es_h0, s)
+    assert selective.passed and standard.passed
+    bulk = [r for r in selective.classifications if r.mode_index != selective.zero_mode_index]
+    assert all(r.classification == BULK for r in bulk)
+    assert min(r.envelope_rise for r in bulk) > 1.5 > DEFAULT.envelope_rms
+    assert max(r.envelope_rise for r in standard.classifications) < np.log(2)
 
 
 # ---------------------------------------------------------------------------
