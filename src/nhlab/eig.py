@@ -32,6 +32,7 @@ import scipy.linalg
 from .config import DEFAULT, Tolerances
 from .model import _is_diagonal, _is_tridiagonal, _matrix, spectral_norm
 
+_SMLNUM = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps   # zgeev's smlnum, 6.7e-139
 BIORTHONORMAL = "biorthonormal"
 SELF_ORTHOGONAL = "self_orthogonal"
 
@@ -253,13 +254,15 @@ def _dense_systems(stack: np.ndarray, norm: np.ndarray, index: list[int], tol: T
     n = stack.shape[-1]
     solved = []
     for i in index:
+        k = -max(np.frexp(norm[i])[1], -1000) if norm[i] < _SMLNUM else 0  # zgeev fails below
         try:
-            wi, vli, vri = scipy.linalg.eig(stack[i], left=True, right=True, check_finite=False)
+            wi, vli, vri = scipy.linalg.eig(np.ldexp(1.0, k) * stack[i] if k else stack[i],
+                                            left=True, right=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise EigensolveError(prefix.format(i) + f"eigensolve failed for {n}x{n} matrix "
                                   f"(||M||={norm[i]:.3e}, cond={_condition(stack[i]):.3e}): "
                                   f"{exc}") from exc
-        solved.append((wi, np.conjugate(vli, out=vli), vri))    # psi~ = conj(vl), in place
+        solved.append((np.ldexp(1.0, -k) * wi if k else wi, np.conjugate(vli, out=vli), vri))
     w, vl, vr = map(_stacked, zip(*solved))
     order = np.lexsort((w.imag, w.real), axis=-1)
     w = np.take_along_axis(w, order, axis=-1)

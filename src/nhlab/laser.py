@@ -1,17 +1,16 @@
 """Lasing thresholds of lossy coupled-cavity chains under localized pumping.
 
 Each site is a cavity with uniform loss kappa0 (a -i*kappa0 on the diagonal);
-pumping adds +i*gamma on the pumped sites.  The threshold is the smallest
-gamma at which some eigenvalue reaches the real axis: a bracket and Illinois
-regula falsi on max Im(w) of the dense ``eigvals`` of M(gamma).  A chain with
-a ``ChainForm`` is worked on its complex-symmetric T(gamma) = D M(gamma) D^-1:
-Newton's method on T's crossing mode proposes the bracket and the root, and
-inverse iteration on T gives the threshold mode.  Its modes are continued in
-order by Newton's method on the secular equation of the rank-r pump in T0's
-eigenbasis, O(n^2 r^2) per step, with a dense solve of T and an overlap match
-where a step misses its certificate; any other input is solved densely and
-matched at every point.  Junction power flows quantify the exchange that sets
-the threshold scale.
+pumping adds +i*gamma on the pumped sites.  The threshold is the least gamma
+at which an eigenvalue reaches the real axis: for a chain pumped at one site
+p, the least 1/Im G_pp over the real roots w of Re G_pp(w + i*kappa0), G the
+Green's function of its real symmetric T0, from one bordered matrix and O(n)
+continued fractions; otherwise Illinois regula falsi on M's dense ``eigvals``.
+A chain's modes are continued by Newton's method on the secular equation of
+the rank-r pump in T0's eigenbasis, O(n^2 r^2) per step, with a dense solve of
+T and an overlap match where a step misses its certificate; other inputs are
+solved densely and matched at every point.  Junction power flows quantify the
+exchange that sets the threshold scale.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import zgttrf, zgttrs
+import scipy.linalg
 
 from .config import DEFAULT, Tolerances, _positive, _real, _record
-from .eig import _tridiagonal_product, chain_form
+from .eig import ChainForm, _tridiagonal_product, chain_form
 from .model import _matrix, _sites, spectral_norm
 
 
@@ -72,7 +70,7 @@ def pumped_hamiltonian(h: np.ndarray, pump: PumpSpec, gamma: float) -> np.ndarra
 
 
 _SECULAR_STEPS = 4      # Newton steps of a secular step before the dense solve
-_NEWTON_STEPS = 20      # inverse-iteration plus Newton steps of _PumpedChain.t_root
+_POLISH_STEPS = 16      # Newton steps polishing a root of Re G_pp
 
 
 class _PumpedChain:
@@ -80,20 +78,17 @@ class _PumpedChain:
 
     ``top`` takes M(gamma)'s dense ``eigvals``.  With a ``ChainForm`` the rest
     acts on T(gamma) = D M(gamma) D^-1 = T0 - i*kappa0 + i*gamma*P, with M's
-    eigenvalues but not its non-normality: ``t_root`` proposes the root,
-    ``right_vector`` maps T's mode to M's psi = phi / d, and ``basis``
-    diagonalizes T0 for an exact ``solve(0)`` and the secular ``step``.
-    Every other solve is a dense ``np.linalg.eig`` (of T, or of M).
+    eigenvalues but not its non-normality: ``basis`` diagonalizes T0 for an
+    exact ``solve(0)`` and the secular ``step``; other solves are dense.
     """
 
     def __init__(self, h: np.ndarray, pump: PumpSpec, tol: Tolerances):
         self.h = _matrix(h, "h")
         self.n = self.h.shape[0]
         self.form = chain_form(self.h)
-        self.pump = pump
+        self.pump, self.tol = pump, tol
         self.base = self.h.diagonal() - 1j * pump.kappa0
         self.p = pump_indicator(pump.pumped_sites, self.n)
-        self.tol = tol
 
     def diagonal(self, gamma: float) -> np.ndarray:
         return self.base + 1j * gamma * self.p
@@ -112,7 +107,7 @@ class _PumpedChain:
             return None
         off, diag = self.form.off, self.form.diag
         try:
-            lam, u = eigh_tridiagonal(diag, off, check_finite=False)
+            lam, u = scipy.linalg.eigh_tridiagonal(diag, off, check_finite=False)
         except np.linalg.LinAlgError:
             return None
         res = np.linalg.norm(_tridiagonal_product(off, diag, off, u) - lam * u, axis=0)
@@ -174,53 +169,6 @@ class _PumpedChain:
                 return w, (mu, slope)
         return None
 
-    def t_root(self, gamma: float, w: complex) -> float:
-        """Root of Im w of T's mode w at gamma by Newton's method, NaN on a
-        breakdown: two inverse-iteration steps on T(gamma) for its vector, then
-        steps gamma -= Im w / Re(phi^T P phi / phi^T phi) (the Hellmann-Feynman
-        slope), each followed by one O(n) Rayleigh-quotient step on T(gamma)."""
-        off, x = self.form.off, np.linspace(1.0, 2.0, self.n)[None].astype(complex)
-        with np.errstate(all="ignore"):
-            for k in range(_NEWTON_STEPS):
-                diag = self.diagonal(gamma)
-                x = _inverse_step(off, diag, w, x)
-                sq = x * x
-                w = (x @ _tridiagonal_product(off, diag, off, x.T)).item() / sq.sum()
-                if k > 1:                 # the first two steps are inverse iteration
-                    slope = (sq @ self.p).item() / sq.sum()
-                    step = -w.imag / slope.real
-                    gamma, w = gamma + step, w + 1j * step * slope
-                    if not abs(step) > 4 * np.finfo(float).eps * abs(gamma):
-                        break
-        return float(gamma) if np.isfinite(gamma) else np.nan   # a zero slope gives +-inf
-
-    def right_vector(self, gamma: float, w: complex) -> np.ndarray:
-        """M(gamma)'s unit right vector for its eigenvalue w: for a chain psi =
-        phi / d in LAPACK's phase, phi from two inverse-iteration steps on
-        T(gamma) - w; else the column of a dense ``solve`` nearest w."""
-        if self.form is None:
-            lam, v = self.solve(gamma)
-            return v[:, np.abs(lam - w).argmin()]
-        x = np.linspace(1.0, 2.0, self.n)[None].astype(complex)
-        with np.errstate(all="ignore"):
-            for _ in range(2):
-                x = _inverse_step(self.form.off, self.diagonal(gamma), w, x)
-        return _lapack_phase(x / self.form.d)[0]
-
-
-def _inverse_step(off: np.ndarray, diag: np.ndarray, w: complex, x: np.ndarray) -> np.ndarray:
-    """The row x solved against T - w by ``zgttrf``/``zgttrs`` (T symmetric
-    tridiagonal: ``off``, ``diag``; a decoupled 1 x 1 block of 1 closes it, as
-    the wrapper refuses fewer than 3 rows), over its max-abs entry: pivots
-    reach 1e-168, so a 2-norm of the raw iterate overflows.  A zero pivot is
-    nudged to eps * c (c: T's largest column norm), as LAPACK's inverse
-    iteration does."""
-    *lu, info = zgttrf(np.append(off, 0.0), np.append(diag - w, 1.0), np.append(off, 0.0))
-    if info > 0:
-        lu[1][lu[1] == 0] = np.finfo(float).eps * _column_norm(off, diag)
-    y = zgttrs(*lu, np.append(x, 0.0)[:, None])[0][:-1].reshape(x.shape)
-    return y / np.abs(y).max()
-
 
 def _column_norm(off: np.ndarray, diag: np.ndarray) -> float:
     """Largest column 2-norm of a symmetric tridiagonal T, a lower bound on its norm."""
@@ -228,14 +176,6 @@ def _column_norm(off: np.ndarray, diag: np.ndarray) -> float:
     col[:-1] += np.abs(off) ** 2
     col[1:] += np.abs(off) ** 2
     return float(np.sqrt(col.max()))
-
-
-def _lapack_phase(x: np.ndarray) -> np.ndarray:
-    """LAPACK's convention for the rows of x: unit 2-norm, largest entry real positive."""
-    rows, big = np.arange(len(x)), np.abs(x).argmax(axis=1)
-    x = x * (np.abs(x[rows, big]) / x[rows, big])[:, None]
-    x[rows, big] = x[rows, big].real
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def _secular(lam: np.ndarray, up: np.ndarray, mu: np.ndarray, delta: np.ndarray,
@@ -344,79 +284,112 @@ def track_mode(h: np.ndarray, pump: PumpSpec, gamma_grid: np.ndarray,
 
 @dataclass
 class ThresholdResult:
-    """First real-axis crossing of the pumped spectrum.  The crossing mode's
-    path is not kept: ``track_mode`` on a grid ending at ``threshold`` gives it."""
+    """First real-axis crossing of the pumped spectrum (``track_mode`` gives its path)."""
 
     threshold: float                  # pump strength at the crossing
     threshold_mode: np.ndarray        # eigenvector, normalized to psi_1 = 1
-    bracket: tuple[float, float]      # the last (lo, hi); max Im w < 0 at lo
+    bracket: tuple[float, float]      # (lo, hi), hi the threshold's end; see find_threshold
 
 
-def find_threshold(h: np.ndarray, pump: PumpSpec,
-                   tol: Tolerances = DEFAULT) -> ThresholdResult:
-    """Smallest gamma with max Im(w) = 0: a bracket, then Newton or regula falsi.
+def _green(c: np.ndarray, b: np.ndarray, p: int, z: np.ndarray) -> tuple:
+    """(R_p, phi, s) at each z, T0 = tridiag(b, c, b): R_p = 1/G_pp by r_k =
+    c_k - z - b_k (b_k / r_{k+1}) from each end to p (no b_k^2 to overflow),
+    phi = G e_p / G_pp by phi_{k+1} = -(b_k / r_{k+1}) phi_k, s = sum |terms|."""
+    r, s, sides = c[p] - z, np.abs(c[p] - z), []
+    for cs, bs in ((c[p + 1:], b[p:]), (c[:p][::-1], b[:p][::-1])):   # right, then left
+        ratio, tail = np.empty((len(cs),) + z.shape, dtype=complex), 0.0
+        for k in range(len(cs) - 1, -1, -1):
+            ratio[k] = bs[k] / (cs[k] - z - tail)
+            tail = bs[k] * ratio[k]
+        r, s = r - tail, s + np.abs(tail)
+        sides.append(np.cumprod(-ratio, axis=0))
+    return r, np.concatenate((sides[1][::-1], np.ones((1,) + z.shape), sides[0])), s
 
-    With f(gamma) = max Im w (one dense ``eigvals`` of M(gamma) per gamma),
-    the bracket [0, kappa0] moves its top end up until f(lo) < 0 < f(hi), an
-    invariant the search keeps.  A chain's f(0) = -kappa0 takes no solve (M(0)
-    ~ T0 - i*kappa0, T0 real symmetric; Im w = -kappa0 + gamma |P phi|^2 /
-    |phi|^2, so the root is >= kappa0), and ``_PumpedChain.t_root`` proposes
-    the root of T's crossing mode (M(hi)'s top eigenvalue): the top end moves
-    there if it lies in (hi, ``gamma_max_factor * kappa0``], else doubles.
-    Inside the bracket the Illinois regula falsi point is taken instead
-    without a ``ChainForm``, after a Newton point missed the stop test, or
-    for a proposal not strictly inside, and bisection when neither is.  The
-    search stops at |f| <= ``threshold_imag * kappa0``, or raises
-    NoThresholdError (naming a missed Newton point) when the bracket cannot
-    shrink.  The threshold mode is M's right vector for the top eigenvalue
-    the stop test took at the root; nothing is tracked.
+
+def _one_site_threshold(form: ChainForm, p: int, kappa0: float,
+                        tol: Tolerances) -> tuple[float, np.ndarray]:
+    """(gamma*, phi): the least pump at which T(gamma) = T0 - i*kappa0 +
+    i*gamma*e_p e_p^T (p 0-based) has a real eigenvalue w, and its vector
+    (phi_p = 1).  det(T(gamma) - w) = det(T0 - z) (1 + i gamma G_pp(z)), z =
+    w + i*kappa0, so w is one iff Re G_pp = 0, and then gamma = -Im R_p > 0.
+
+    Lemma: for real w, Re G_pp(z) = 0 iff det(Q_p - w) = 0, multiplicities
+    included; Q_p is Q = [[T0, -kappa0], [kappa0, T0]] without row and
+    column p.  Re G_pp = e^T D^-1 e / 2 with D = diag(T0 - z, T0 - conj z),
+    e = (e_p; e_p); J = [[I, I], [I, -I]] / sqrt 2 = J^-1 gives J D J =
+    [[T0 - w, -i kappa0], [-i kappa0, T0 - w]] and J e = sqrt 2 (e_p; 0), and
+    diag(I, i) J D J diag(I, -i) = Q - w keeps the (p, p) entry of the
+    inverse.  By Cramer's rule Re G_pp = det(Q_p - w) / det(Q - w), and
+    det(Q - w) = det D = |det(T0 - z)|^2 > 0.
+
+    The candidates are Q_p's eigenvalues within delta = eps ||Q_p||_1 of the
+    axis (once 6 delta >= kappa0 round-off can put them anywhere: the search
+    raises), and pairs mu, conj mu within sqrt(eps) ||Q_p||_1, which round-off
+    makes of a double root, started from Re mu +- Im mu.  Newton on Re R_p
+    (dR_p/dz = -phi^T phi) polishes each, keeping its iterate of least |Re
+    R_p| / s; it certifies where that is <= residual_rel (Re R_p is row p's
+    residual of (T(gamma) - w) phi = 0).  A real candidate that fails raises;
+    a pair counts only where it certifies.
     """
-    chain = _PumpedChain(h, pump, tol)
-    n, k0, ftol = chain.n, pump.kappa0, tol.threshold_imag * pump.kappa0
+    n, t0 = len(form.diag), np.diag(form.diag) + np.diag(form.off, 1) + np.diag(form.off, -1)
+    q = np.block([[t0, -kappa0 * np.eye(n)], [kappa0 * np.eye(n), t0]])
+    q = np.delete(np.delete(q, p, axis=0), p, axis=1)
+    eps, qn = np.finfo(float).eps, np.linalg.norm(q, 1)
+    if 6 * eps * qn >= kappa0:
+        raise NoThresholdError(f"n = {n}: noise floor eps*||Q_p|| = {eps * qn:.3e} >= kappa0 / 6")
+    mu = np.linalg.eigvals(q)
+    mu = mu[np.abs(mu.imag) <= np.sqrt(eps) * qn]
+    w, real = mu.real + mu.imag, np.abs(mu.imag) <= eps * qn
+    best, least = w, np.inf                    # each candidate's iterate of least |Re R_p| / s
+    with np.errstate(all="ignore"):            # a non-finite root fails the certificate
+        for k in range(_POLISH_STEPS + 1):
+            r, phi, s = _green(form.diag, form.off, p, w + 1j * kappa0)
+            rel = np.abs(r.real) / s
+            best, least = np.where(rel < least, w, best), np.fmin(rel, least)
+            phi2 = np.einsum("ij,ij->j", phi, phi).real       # -d Re R_p / dw
+            if k == _POLISH_STEPS or np.all(np.abs(r.real) <= 4 * eps * (s + np.abs(w * phi2))):
+                break
+            w = w + r.real / phi2
+    if not np.all(least[real] <= tol.residual_rel):
+        raise NoThresholdError(f"n = {n}: a root of Re G_pp misses |Re R_p| <= residual_rel * s")
+    r, phi, _ = _green(form.diag, form.off, p, best[least <= tol.residual_rel] + 1j * kappa0)
+    return float(-r.imag.max()), phi[:, r.imag.argmax()]
+
+
+def _regula_falsi(chain: _PumpedChain) -> tuple[float, np.ndarray | None, float, float]:
+    """(gamma*, its ``solve`` vector, lo, hi) by Illinois regula falsi on f = max
+    Im w of M's dense ``eigvals`` from [0, kappa0], whose top end doubles to f >
+    0 ((inf, None) past the ceiling); a chain's f(0) = -kappa0 takes no solve."""
+    n, tol, k0 = chain.n, chain.tol, chain.pump.kappa0
+    ftol = tol.threshold_imag * k0
 
     def floor() -> str:
         return f"eps*||H|| = {np.finfo(float).eps * spectral_norm(chain.h):.3e}"
 
-    def evaluate(g: float, proposed: bool) -> complex:     # a missed Newton point ends Newton
-        nonlocal newton, missed
-        top = chain.top(g)
-        if proposed and abs(top.imag) > ftol:
-            newton, missed = False, (f"; T's root at {g / k0:.6f} kappa0, where "
-                                     f"M's max Im w = {top.imag:.3e}")
-        return top
-
-    newton, missed = chain.form is not None, ""
     lo, f_lo = 0.0, -k0 if chain.form is not None else chain.top(0.0).imag
     if f_lo >= -ftol:
         raise NoThresholdError(f"n = {n}: max Im w = {f_lo:.3e} at gamma = 0, so the "
                                f"lossy chain is not below threshold ({floor()})")
     hi, top = k0, chain.top(k0)
     while top.imag < 0 and abs(top.imag) > ftol:
-        g = chain.t_root(hi, top) if newton else np.nan
-        proposed = hi < g <= tol.gamma_max_factor * k0
-        lo, f_lo, hi = hi, top.imag, g if proposed else 2 * hi
+        lo, f_lo, hi = hi, top.imag, 2 * hi
         if hi > tol.gamma_max_factor * k0:
-            raise NoThresholdError(
-                f"no real-axis crossing below {tol.gamma_max_factor:g} * kappa0")
-        top = evaluate(hi, proposed)
+            return np.inf, None, lo, hi
+        top = chain.top(hi)
 
     f_hi = top.imag
     gstar, w_star, f_star = hi, top, f_hi
-    closest = min(-f_lo, abs(f_hi))
-    side = 0                          # which end the last step moved
+    closest, side = min(-f_lo, abs(f_hi)), 0      # side: which end the last step moved
     while abs(f_star) > ftol:
-        g = chain.t_root(hi, top) if newton else np.nan
-        proposed = lo < g < hi
-        if not proposed:
-            g = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        g = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         if not lo < g < hi:
             g = 0.5 * (lo + hi)
         if not lo < g < hi:
             raise NoThresholdError(
                 f"threshold search stalled at n = {n}: bracket [{lo!r}, {hi!r}] "
                 f"cannot shrink; closest |max Im w| = {closest:.3e}, tolerance "
-                f"{ftol:.3e}, {floor()}{missed}")
-        gstar, w_star = g, evaluate(g, proposed)
+                f"{ftol:.3e}, {floor()}")
+        gstar, w_star = g, chain.top(g)
         f_star = w_star.imag
         closest = min(closest, abs(f_star))
         if f_star < 0:
@@ -426,16 +399,38 @@ def find_threshold(h: np.ndarray, pump: PumpSpec,
         else:
             if side > 0:
                 f_lo *= 0.5
-            hi, f_hi, top, side = g, f_star, w_star, 1
+            hi, f_hi, side = g, f_star, 1
+    lam, v = chain.solve(gstar)
+    return gstar, v[:, np.abs(lam - w_star).argmin()], lo, hi
 
-    vec = chain.right_vector(gstar, w_star)
+
+def find_threshold(h: np.ndarray, pump: PumpSpec,
+                   tol: Tolerances = DEFAULT) -> ThresholdResult:
+    """Smallest gamma at which an eigenvalue of M(gamma) reaches the real axis.
+
+    A chain pumped at one site takes ``_one_site_threshold`` (no dense solve of
+    M), psi = phi / d and the bracket (max(0, gamma* - threshold_imag * kappa0
+    / slope), gamma*), slope = Re(phi^T P phi / phi^T phi) = d Im w / d gamma
+    (Hellmann-Feynman): max Im w ~ -threshold_imag * kappa0 at lo in exact
+    arithmetic, which M's dense eigvals resolves only above its round-off.  Any
+    other input takes ``_regula_falsi`` and its dense vector (of T for a chain,
+    psi = phi / d).  psi_1 = 1.  Past ``gamma_max_factor * kappa0`` it raises.
+    """
+    chain = _PumpedChain(h, pump, tol)
+    if chain.form is not None and len(pump.pumped_sites) == 1:
+        gstar, vec = _one_site_threshold(chain.form, pump.pumped_sites[0] - 1, pump.kappa0, tol)
+        slope, hi = (1.0 / (vec @ vec)).real, gstar
+        lo = max(0.0, gstar - tol.threshold_imag * pump.kappa0 / slope) if slope > 0 else 0.0
+    else:
+        gstar, vec, lo, hi = _regula_falsi(chain)
+    if gstar > tol.gamma_max_factor * pump.kappa0:
+        raise NoThresholdError(f"no real-axis crossing below {tol.gamma_max_factor:g} * kappa0")
+    vec = vec if chain.form is None else vec / chain.form.d
     if abs(vec[0]) < 1e-12 * np.linalg.norm(vec):
-        raise ValueError("threshold mode vanishes at site 1; "
-                         "the psi_1 = 1 normalization is undefined")
+        raise ValueError("threshold mode vanishes at site 1; cannot normalize psi_1 = 1")
     vec = vec / vec[0]
     vec[0] = 1.0                      # z / z need not round to exactly 1
-    return ThresholdResult(threshold=float(gstar), threshold_mode=vec,
-                           bracket=(float(lo), float(hi)))
+    return ThresholdResult(float(gstar), vec, (float(lo), float(hi)))
 
 
 @dataclass

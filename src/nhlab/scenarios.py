@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances, _integer, _object, _real
+from .config import DEFAULT, Tolerances, _integer, _object, _real, _record
 from .eig import collinearity_residual, eig_full
 from .laser import PumpSpec, find_threshold, power_flows, pumped_hamiltonian, track_mode
 from .mech import (OscillatorChain, dynamical_matrix, eigenfrequencies,
@@ -48,14 +48,20 @@ class CalibrationError(RuntimeError):
     """No scaling ratio in range reproduces the spectral anchor."""
 
 
+@dataclass(frozen=True)
+class _Output:                     # a config's output section: out_dir and format
+    path: str = "out"
+    format: str = "csv"            # csv | json
+
+
 @dataclass
 class ScenarioConfig:
     scenario: str
     lattice: LatticeSpec | None = None
     pump: PumpSpec | None = None
     tolerances: dict[str, float] = field(default_factory=dict)
-    out_dir: str = "out"
-    format: str = "csv"            # csv | json
+    out_dir: str = _Output.path
+    format: str = _Output.format
     seed: int = 1
     trials: int = 200
     anchor: float = ANCHOR_NEXT_TO_ZERO
@@ -78,19 +84,14 @@ class ScenarioConfig:
                             "trials", "anchor", "n"}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        sections = {k: _object(d[k], k) for k in ("lattice", "pump", "tolerances", "output")
-                    if d.get(k) is not None}
+        given = {k: v for k, v in d.items() if v is not None}     # a null section is absent
         kwargs: dict[str, Any] = {k: d[k] for k in
                                   ("scenario", "seed", "trials", "anchor", "n") if k in d}
-        kwargs.update({k: spec.from_dict(sections[k]) for k, spec in
-                       (("lattice", LatticeSpec), ("pump", PumpSpec)) if k in sections})
-        kwargs["tolerances"] = dict(sections.get("tolerances", {}))
-        out = sections.get("output", {})
-        if set(out) - {"path", "format"}:
-            raise ValueError(f"unknown output fields: {sorted(set(out) - {'path', 'format'})}")
-        kwargs.update({k: out[f] for k, f in (("out_dir", "path"), ("format", "format"))
-                       if f in out})
-        return cls(**kwargs)
+        kwargs.update({k: spec.from_dict(given[k]) for k, spec in
+                       (("lattice", LatticeSpec), ("pump", PumpSpec)) if k in given})
+        out = _record(_Output, given.get("output", {}), "output", ())
+        return cls(**kwargs, tolerances=dict(_object(given.get("tolerances", {}), "tolerances")),
+                   out_dir=out.path, format=out.format)
 
     def tol(self) -> Tolerances:
         return DEFAULT.with_overrides(self.tolerances)

@@ -74,6 +74,23 @@ def test_rejects_nonfinite_and_nonsquare():
         eig_full(np.zeros((2, 3), dtype=complex))
 
 
+def test_matrices_below_lapack_smlnum_are_scaled_and_certify():
+    # zgeev returns its smlnum 6.7e-139 as the eigenvalue of [[x]] for any
+    # smaller x; the dense path scales such a matrix by a power of two first
+    for x in (1e-139, 4.1e-140, 1e-200, 1e-320):
+        es = eig_full(np.array([[x]]))
+        assert es.eigenvalues[0] == x and es.residuals.max() == 0.0
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    es = eig_full(2.0 ** -700 * m)            # exact scaling: the same spectrum, scaled
+    assert np.allclose(es.eigenvalues * 2.0 ** 700, eig_full(m).eigenvalues, rtol=1e-13)
+    assert es.residuals.max() <= DEFAULT.residual_rel * es.matrix_norm
+    cfg = ScenarioConfig(scenario="custom", lattice=LatticeSpec.from_dict(
+        {"n": 1, "onsite": "harmonic", "omega2": 0.001, "scaling": "explicit",
+         "values": [4.1e-140]}))
+    assert scenario_custom(cfg, DEFAULT).passed
+
+
 def test_serialization_roundtrip(chain9, chain9_systems):
     _, es, _ = chain9_systems
     cfg = ScenarioConfig(scenario="custom", lattice=chain9[0])

@@ -1,19 +1,23 @@
-"""The threshold search's Newton proposals on T's crossing mode and the
-continuation that keeps its mode order: the order against a per-point
-overlap tracker, the dense-eigvals budget of a chain search, its bracket
-from kappa0 with no dense solve at gamma = 0 and its doubling fallback,
-the secant continuation after a Newton point fails M's dense check, the
-stalled search's report of T's root, the secular step's swap guard, and
-dense inputs searched exactly as by the plain regula falsi."""
+"""The one-site chain threshold from the pumped site's Green's function
+against exact and dense oracles, and the continuation that keeps the mode
+order: the order against a per-point overlap tracker, exact thresholds from
+Fraction continued fractions, the bordered matrix's real spectrum against
+the sign changes of Re G_pp, the chain search's single eigvals and its
+noise-floor refusal, the secular step's swap guard, and dense inputs searched
+exactly as by the plain regula falsi."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhlab.config import DEFAULT
 from nhlab.eig import chain_form
-from nhlab.laser import (NoThresholdError, PumpSpec, _PumpedChain, find_threshold,
-                         pumped_hamiltonian, track_mode)
-from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_product
+from nhlab.laser import (NoThresholdError, PumpSpec, _green, _PumpedChain,
+                         find_threshold, pumped_hamiltonian, track_mode)
+from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_gauge, construct_product
 
 from conftest import random_hermitian
 from test_laser_structured import Counter, dense_track, symmetric_form
@@ -73,53 +77,119 @@ def test_continued_order_matches_a_per_point_overlap_tracker(chain9):
         assert np.abs(got - dense_track(symmetric_form(m), pump, grid)).max() <= 1e-12 * norm
 
 
-def test_chain_search_takes_one_dense_check_beyond_its_bracket(monkeypatch):
-    for m, pump in bench_cases():
-        counter = Counter(monkeypatch)
+def pinned_threshold(m, kappa0):
+    """gamma0 = rho_1 of the chiral pinned mode (zero onsite): rho_n = kappa0,
+    rho_k = kappa0 + b_k^2 / rho_{k+1}, b_k^2 = m[k, k+1] m[k+1, k], in exact
+    rational arithmetic."""
+    k0 = rho = Fraction(kappa0)
+    for k in range(len(m) - 2, -1, -1):
+        rho = k0 + Fraction(m[k, k + 1].real) * Fraction(m[k + 1, k].real) / rho
+    return float(rho)
+
+
+@pytest.mark.parametrize("n", [9, 41])
+def test_pinned_chiral_threshold_matches_the_exact_continued_fraction(calibration, n):
+    # the paper's chains at its s: at n = 41 M's dense max Im w has a noise
+    # floor eps*||H|| ~ 3.6e-6, far above the 2e-11 stop test, so only the
+    # exact recurrence can judge the threshold
+    spec = LatticeSpec(n=n, t=1.0, scaling="geometric", s=calibration["s"])
+    h0, a = build_h0(spec), build_scaling(spec)
+    for m in (construct_product(h0, a), construct_gauge(h0, a)):
+        for k0 in (0.02, 1.0):
+            got = find_threshold(m, PumpSpec(kappa0=k0, pumped_sites=(1,))).threshold
+            assert got == pytest.approx(pinned_threshold(m, k0), rel=n * np.finfo(float).eps)
+    if n == 41:
+        h = construct_product(h0, a)
+        for k0, ratio in ((0.02, 1.4480428701), (1.0, 1.3565483678)):
+            got = find_threshold(h, PumpSpec(kappa0=k0, pumped_sites=(1,))).threshold
+            assert got / k0 == pytest.approx(ratio, abs=1e-10)
+
+
+@pytest.mark.parametrize("n, exact", [(9, Fraction(55, 34)), (10, Fraction(89, 55))])
+def test_uniform_chain_threshold_at_kappa0_t_is_a_fibonacci_ratio(n, exact):
+    got = find_threshold(build_h0(LatticeSpec(n=n)).astype(complex),
+                         PumpSpec(kappa0=1.0, pumped_sites=(1,))).threshold
+    assert abs(got - float(exact)) <= 2 * np.spacing(float(exact))
+
+
+def test_three_site_chain_pumped_in_the_middle_crosses_at_two_kappa0():
+    # G_22(z) = z / (2 - z^2): Re G_22 vanishes at w = 0, where gamma = 2/kappa0
+    # + kappa0 (the zero mode (1, 0, -1) has no pumped weight and never
+    # crosses), and at w = +-sqrt(2 - kappa0^2), where gamma = 2 kappa0
+    h = build_h0(LatticeSpec(n=3)).astype(complex)
+    for k0 in (0.02, 0.1, 1.0):
+        pump = PumpSpec(kappa0=k0, pumped_sites=(2,))
+        res = find_threshold(h, pump)
+        assert res.threshold == pytest.approx(2 * k0, rel=4 * np.finfo(float).eps)
+        w = np.linalg.eigvals(pumped_hamiltonian(h, pump, res.threshold))
+        assert abs(w.imag.max()) <= DEFAULT.threshold_imag * k0
+        assert np.linalg.eigvals(pumped_hamiltonian(h, pump, res.bracket[0])).imag.max() < 0
+
+
+@pytest.mark.parametrize("b, c, top, ulps, ratio", [
+    # the two least crossings merge at w ~ -2.0352, gamma ~ 3.2059893 kappa0,
+    # as kappa0 rises to top; the next root is at ~3.5 kappa0
+    ([1.2, 1.7, 0.85], [-0.9, -0.2, -0.6, -0.8], 0.7625762239408224, 40, 3.2059893),
+    # two crossings above the least one, 2.3306490404 kappa0, merge at top - 100 ulps
+    ([1.6, 1.8], [0.6, -0.1, -0.7], 0.2774624217928009, 200, 2.3306490404)])
+def test_crossings_about_to_merge_are_not_lost(b, c, top, ulps, ratio):
+    # pumped at site 3, kappa0 within ulps below top: round-off makes the
+    # merging pair's double root of Q_p a real or a complex pair, and Newton
+    # from it must neither drop it nor wander off and fail the certificate
+    h = (np.diag(c) + np.diag(b, 1) + np.diag(b, -1)).astype(complex)
+    k0 = top
+    for _ in range(ulps):
+        res = find_threshold(h, PumpSpec(kappa0=k0, pumped_sites=(3,)))
+        assert res.threshold / k0 == pytest.approx(ratio, rel=1e-6)
+        k0 = np.nextafter(k0, 0.0)
+
+
+def test_unresolved_chain_search_names_the_noise_floor(calibration):
+    # at n = 61 on the paper's s, eps*||Q_p|| ~ 0.49 is far above kappa0 / 6:
+    # the real spectrum of Q_p cannot be trusted, so the search refuses
+    h = calibrated_product(61, calibration["s"])
+    for k0 in (0.02, 1.0):
+        with pytest.raises(NoThresholdError) as err:
+            find_threshold(h, PumpSpec(kappa0=k0, pumped_sites=(1,)))
+        assert str(err.value) == "n = 61: noise floor eps*||Q_p|| = 4.944e-01 >= kappa0 / 6"
+
+
+@st.composite
+def random_chains(draw):
+    """(matrix, pump): a real chain with couplings in [0.5, 2], onsite in
+    [-2, 2], kappa0 in [0.05, 2] and one pumped site anywhere in 1..n."""
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    off = rng.uniform(0.5, 2.0, n - 1)
+    m = np.diag(rng.uniform(-2.0, 2.0, n)) + np.diag(off, 1) + np.diag(off, -1)
+    kappa0 = draw(st.floats(0.05, 2.0))
+    return m.astype(complex), PumpSpec(kappa0=kappa0, pumped_sites=(draw(st.integers(1, n)),))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=random_chains())
+def test_chain_threshold_matches_the_green_function_and_the_dense_search(case):
+    m, pump = case
+    p, k0, form = pump.pumped_sites[0] - 1, pump.kappa0, chain_form(m)
+    seen, eigvals = [], np.linalg.eigvals
+    with pytest.MonkeyPatch.context() as patch:   # the search's one eigvals, of Q_p
+        patch.setattr(np.linalg, "eigvals", lambda a: seen.append(a) or eigvals(a))
         res = find_threshold(m, pump)
-        # at most the doubling bracket's count: f(0), then kappa0 * 2^j up to
-        # the first end at or above the root
-        bracket_evals = 2 + max(0, int(np.ceil(np.log2(res.threshold / pump.kappa0))))
-        assert counter.calls["eig"] == 0
-        assert counter.calls["eigvals"] <= bracket_evals + 2
-        at = np.linalg.eigvals(pumped_hamiltonian(m, pump, res.threshold)).imag.max()
-        assert abs(at) <= DEFAULT.threshold_imag * pump.kappa0
-
-
-def test_newton_point_failing_the_dense_check_falls_back_to_the_secant():
-    # on the paper's chain at n = 41 the root of T's crossing mode lies
-    # inside M's noise: M's max Im w there misses the tolerance, and the
-    # regula falsi continuation still finds a root that passes it
-    h = calibrated_product(41, 1.7977)
-    pump = PumpSpec(kappa0=0.02, pumped_sites=(1,))
-    ftol = DEFAULT.threshold_imag * pump.kappa0
-    chain = _PumpedChain(h, pump, DEFAULT)
-    t_root = chain.t_root(2 * pump.kappa0, chain.top(2 * pump.kappa0))
-    assert t_root / pump.kappa0 == pytest.approx(1.448038, abs=1e-6)
-    assert abs(chain.top(t_root).imag) > ftol
-    res = find_threshold(h, pump)
-    assert res.threshold / pump.kappa0 == pytest.approx(1.448038, abs=1e-6)
-    assert abs(chain.top(res.threshold).imag) <= ftol
-    assert chain.top(res.bracket[0]).imag < 0
-
-
-def test_stalled_chain_search_names_t_root():
-    h = calibrated_product(61, 1.7977)
-    with pytest.raises(NoThresholdError) as err:
-        find_threshold(h, PumpSpec(kappa0=0.02, pumped_sites=(1,)))
-    msg = str(err.value)
-    assert "cannot shrink" in msg
-    assert "T's root at 1.448038 kappa0, where M's max Im w = " in msg
-    assert "np.float64" not in msg
-
-
-def test_t_root_is_nan_when_the_slope_vanishes():
-    # the zero mode (1, 0, -1) of the 3-site unit chain has no weight on its
-    # pumped site 2: the Newton slope is 0 and the step is infinite
-    chain = _PumpedChain(build_h0(LatticeSpec(n=3)), PumpSpec(kappa0=0.1, pumped_sites=(2,)),
-                         DEFAULT)
-    assert chain.form is not None
-    assert np.isnan(chain.t_root(0.3, -0.1j))
+    (q,) = seen
+    assert q.shape == (2 * len(m) - 1,) * 2 and q.dtype == float
+    # the real eigenvalues of Q_p are the sign changes of Re G_pp on a grid
+    # of step kappa0 / 400 across Q_p's spectrum
+    mu = eigvals(q)
+    roots = np.sort(mu.real[mu.imag == 0])
+    edge = np.abs(mu).max() + 1.0
+    grid = np.arange(-edge, edge, k0 / 400)
+    re_g = (1.0 / _green(form.diag, form.off, p, grid + 1j * k0)[0]).real
+    cells = np.flatnonzero(np.sign(re_g[:-1]) != np.sign(re_g[1:]))
+    assert len(cells) == len(roots)
+    assert np.all((grid[cells] <= roots) & (roots <= grid[cells + 1]))
+    # the threshold against the dense regula falsi, and below the axis at lo
+    assert res.threshold == pytest.approx(regula_falsi(m, pump)[0], rel=1e-9)
+    assert eigvals(pumped_hamiltonian(m, pump, res.bracket[0])).imag.max() < 0
 
 
 def test_swap_guard_refuses_a_step_that_reorders_modes(chain9):
@@ -161,28 +231,24 @@ def test_dense_inputs_keep_the_regula_falsi_bits(chain9):
 
 
 # ---------------------------------------------------------------------------
-# a chain's bracket: Newton points from kappa0, no dense solve at gamma = 0
-
-def searched_points(monkeypatch):
-    """The pump strengths at which find_threshold takes M's dense eigvals."""
-    points, top = [], _PumpedChain.top
-
-    def recorded(chain, gamma):
-        points.append(gamma)
-        return top(chain, gamma)
-    monkeypatch.setattr(_PumpedChain, "top", recorded)
-    return points
-
+# a one-site chain search: one eigvals of Q_p, no dense solve of M
 
 def test_chain_search_takes_no_dense_solve_at_zero(monkeypatch, chain9):
+    # nor anywhere else: its one dense call is the eigvals of the real
+    # (2n - 1) x (2n - 1) Q_p, and its threshold and bracket pass M's
+    # dense oracles
     for m, pump in threshold_cases(chain9):
-        points = searched_points(monkeypatch)
-        counter = Counter(monkeypatch)
+        counter, shapes = Counter(monkeypatch), []
+        counted = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or counted(a))
         res = find_threshold(m, pump)
-        assert 0.0 not in points and points[0] == pump.kappa0
-        assert counter.calls["eig"] == 0 and counter.calls["eigvals"] <= 3
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        assert counter.calls == {"eig": 0, "eigvals": 1}
+        assert shapes == [(2 * len(m) - 1,) * 2]
         at = np.linalg.eigvals(pumped_hamiltonian(m, pump, res.threshold)).imag.max()
         assert abs(at) <= DEFAULT.threshold_imag * pump.kappa0
+        lo, hi = res.bracket
+        assert 0 <= lo < hi == res.threshold
 
 
 def test_gamma_zero_shortcut_matches_the_dense_spectrum(chain9):
@@ -195,16 +261,3 @@ def test_gamma_zero_shortcut_matches_the_dense_spectrum(chain9):
         assert abs(np.linalg.eigvals(m0).imag.max() + pump.kappa0) <= noise
         lo = find_threshold(m, pump).bracket[0]
         assert np.linalg.eigvals(pumped_hamiltonian(m, pump, lo)).imag.max() < 0
-
-
-def test_newton_bracket_past_the_ceiling_falls_back_to_doubling(monkeypatch, chain9):
-    # a Newton point beyond gamma_max_factor * kappa0 is not taken: the bracket
-    # doubles from kappa0, and the search is the plain regula falsi's
-    for m, pump in threshold_cases(chain9):
-        ceiling = DEFAULT.gamma_max_factor * pump.kappa0
-        monkeypatch.setattr(_PumpedChain, "t_root", lambda chain, gamma, w: 2 * ceiling)
-        points = searched_points(monkeypatch)
-        res = find_threshold(m, pump)
-        assert (res.threshold, res.bracket) == regula_falsi(m, pump)
-        doublings = int(np.ceil(np.log2(res.threshold / pump.kappa0)))
-        assert points[:doublings + 1] == [pump.kappa0 * 2.0 ** j for j in range(doublings + 1)]

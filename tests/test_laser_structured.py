@@ -5,11 +5,10 @@ counts that keep each input kind on its one exact solve."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import zgttrf, zgttrs
 
-from nhlab import laser
 from nhlab.config import DEFAULT
 from nhlab.eig import chain_form
 from nhlab.laser import (NoThresholdError, PumpSpec, TrackingAmbiguityError, _column_norm,
@@ -225,11 +224,11 @@ def test_track_mode_makes_no_dense_eig_on_a_chain(monkeypatch, chain9):
 
 
 # (kappa0, input) -> (dense eig, dense eigvals) of find_threshold, as measured:
-# the eigvals of its search (a chain's at kappa0 and at the Newton point from
-# there), and one eig at the root for a dense input's mode
+# a chain's one eigvals of its bordered matrix Q_p, and a dense input's
+# eigvals of its regula falsi search and one eig at the root for its mode
 THRESHOLD_SOLVES = {
-    (0.02, "h"): (0, 2), (0.02, "hpp"): (0, 2), (0.02, "u h u*"): (1, 5),
-    (0.02, "u hpp u*"): (1, 9), (1.0, "h"): (0, 2), (1.0, "hpp"): (0, 2),
+    (0.02, "h"): (0, 1), (0.02, "hpp"): (0, 1), (0.02, "u h u*"): (1, 5),
+    (0.02, "u hpp u*"): (1, 9), (1.0, "h"): (0, 1), (1.0, "hpp"): (0, 1),
     (1.0, "u h u*"): (1, 8), (1.0, "u hpp u*"): (1, 8),
 }
 
@@ -274,34 +273,15 @@ def test_two_site_chain_threshold_passes_dense_oracles():
     assert np.linalg.norm(m @ psi - top * psi) <= 1e-15 * np.linalg.norm(m, 2) * np.linalg.norm(psi)
 
 
-def test_exact_zero_pivot_is_nudged_and_gives_the_eigenvector(monkeypatch):
-    # T(gamma) - w of the 3-site chain pumped at site 2, shifted by its exact
-    # eigenvalue -i kappa0, is exactly singular: zgttrf meets a zero pivot,
-    # which is nudged to eps * c, and inverse iteration returns (1, 0, -1)
-    h = (np.eye(3, k=1) + np.eye(3, k=-1)).astype(complex)
-    pump = PumpSpec(kappa0=0.02, pumped_sites=(2,))
-    chain = _PumpedChain(h, pump, DEFAULT)
-    off, diag, w = chain.form.off, chain.diagonal(0.3), -0.02j
-    assert zgttrf(off.astype(complex), diag - w, off.astype(complex))[-1] > 0
-    eps_c = np.finfo(float).eps * _column_norm(off, diag)
-    pivots = []                                   # the factors each solve receives
-
-    def solve(*args):
-        pivots.append(args[1].copy())
-        return zgttrs(*args)
-    monkeypatch.setattr(laser, "zgttrs", solve)
-    psi = chain.right_vector(0.3, w)
-    assert [np.count_nonzero(d == eps_c) for d in pivots] == [1, 1]
-    assert np.abs(psi - np.array([1.0, 0.0, -1.0]) / np.sqrt(2)).max() <= 1e-15
-    m = pumped_hamiltonian(h, pump, 0.3)
-    assert np.linalg.norm(m @ psi - w * psi) <= 1e-15 * np.linalg.norm(m, 2)
-
-
 def test_failing_search_stops_when_bracket_cannot_shrink(monkeypatch, calibration):
     # at n = 61 the stop test (2e-11) sits below the noise floor of H0 A: the
-    # search must give up once its bracket stops shrinking
+    # dense search (H0 A under a unitary similarity that fixes the pumped
+    # site 1) must give up once its bracket stops shrinking
     spec = LatticeSpec(n=61, t=1.0, scaling="geometric", s=calibration["s"])
-    h = construct_product(build_h0(spec), build_scaling(spec))
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(60, 60)))
+    u = scipy.linalg.block_diag(1.0, q)
+    h = u @ construct_product(build_h0(spec), build_scaling(spec)) @ u.T
+    assert chain_form(h) is None
     counter = Counter(monkeypatch)
     with pytest.raises(NoThresholdError) as err:
         find_threshold(h, PumpSpec(kappa0=0.02, pumped_sites=(1,)))

@@ -2,7 +2,8 @@
 imports a name it never uses, and every private module-level name is
 referenced somewhere in the package, so a deletion leaves no dead helper
 or stale import behind.  The scalar rules live in ``config`` alone, so a
-hand-rolled copy elsewhere fails the gate."""
+hand-rolled copy elsewhere fails the gate, and numpy and scipy are reached
+as modules, so a wrapper set on a kernel's module attribute sees every call."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,13 @@ def test_scalar_rules_live_only_in_config():
               for line in scalar_rule_copies(tree)]
     assert copies == []
     assert scalar_rule_copies(MODULES["config"])      # the rules themselves are still found
+
+
+def test_numpy_and_scipy_are_imported_as_modules():
+    # `from scipy.linalg import eig` binds the function at import time, out of
+    # reach of a wrapper later set on scipy.linalg.eig
+    names = [f"{module}.py:{node.lineno} from {node.module}"
+             for module, tree in MODULES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 0
+             and node.module.split(".")[0] in ("numpy", "scipy")]
+    assert names == []
