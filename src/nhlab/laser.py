@@ -30,6 +30,10 @@ class NoThresholdError(RuntimeError):
     """No eigenvalue crossed the real axis below gamma_max."""
 
 
+class VanishingModeError(RuntimeError):
+    """A certified threshold whose mode is too small at site 1 for psi_1 = 1."""
+
+
 class TrackingAmbiguityError(RuntimeError):
     """Eigenvector overlaps too close to call in ``track_mode``; a finer gamma
     grid is needed."""
@@ -327,9 +331,11 @@ def _one_site_threshold(form: ChainForm, p: int, kappa0: float,
     raises), and pairs mu, conj mu within sqrt(eps) ||Q_p||_1, which round-off
     makes of a double root, started from Re mu +- Im mu.  Newton on Re R_p
     (dR_p/dz = -phi^T phi) polishes each, keeping its iterate of least |Re
-    R_p| / s; it certifies where that is <= residual_rel (Re R_p is row p's
-    residual of (T(gamma) - w) phi = 0).  A real candidate that fails raises;
-    a pair counts only where it certifies.
+    R_p| / s, until |Re R_p| <= 4 eps (s + |w phi^T phi|) or that least
+    certifies and did not halve over the last two steps (a rounding floor);
+    it certifies where it is <= residual_rel (Re R_p is row p's residual of
+    (T(gamma) - w) phi = 0).  A real candidate that fails raises; a pair
+    counts only where it certifies.
     """
     n, t0 = len(form.diag), np.diag(form.diag) + np.diag(form.off, 1) + np.diag(form.off, -1)
     q = np.block([[t0, -kappa0 * np.eye(n)], [kappa0 * np.eye(n), t0]])
@@ -340,14 +346,17 @@ def _one_site_threshold(form: ChainForm, p: int, kappa0: float,
     mu = np.linalg.eigvals(q)
     mu = mu[np.abs(mu.imag) <= np.sqrt(eps) * qn]
     w, real = mu.real + mu.imag, np.abs(mu.imag) <= eps * qn
-    best, least = w, np.inf                    # each candidate's iterate of least |Re R_p| / s
+    best, least, slow = w, np.inf, 0           # each candidate's iterate of least |Re R_p| / s
     with np.errstate(all="ignore"):            # a non-finite root fails the certificate
         for k in range(_POLISH_STEPS + 1):
             r, phi, s = _green(form.diag, form.off, p, w + 1j * kappa0)
             rel = np.abs(r.real) / s
+            slow = np.where(rel <= least / 2, 0, slow + 1)    # steps since least last halved
             best, least = np.where(rel < least, w, best), np.fmin(rel, least)
+            stalled = (least <= tol.residual_rel) & (slow >= 2)
             phi2 = np.einsum("ij,ij->j", phi, phi).real       # -d Re R_p / dw
-            if k == _POLISH_STEPS or np.all(np.abs(r.real) <= 4 * eps * (s + np.abs(w * phi2))):
+            if k == _POLISH_STEPS or np.all(
+                    stalled | (np.abs(r.real) <= 4 * eps * (s + np.abs(w * phi2)))):
                 break
             w = w + r.real / phi2
     if not np.all(least[real] <= tol.residual_rel):
@@ -414,7 +423,8 @@ def find_threshold(h: np.ndarray, pump: PumpSpec,
     (Hellmann-Feynman): max Im w ~ -threshold_imag * kappa0 at lo in exact
     arithmetic, which M's dense eigvals resolves only above its round-off.  Any
     other input takes ``_regula_falsi`` and its dense vector (of T for a chain,
-    psi = phi / d).  psi_1 = 1.  Past ``gamma_max_factor * kappa0`` it raises.
+    psi = phi / d).  psi_1 = 1: a mode with |psi_1| < 1e-12 ||psi|| raises
+    ``VanishingModeError``.  Past ``gamma_max_factor * kappa0`` it raises.
     """
     chain = _PumpedChain(h, pump, tol)
     if chain.form is not None and len(pump.pumped_sites) == 1:
@@ -427,7 +437,9 @@ def find_threshold(h: np.ndarray, pump: PumpSpec,
         raise NoThresholdError(f"no real-axis crossing below {tol.gamma_max_factor:g} * kappa0")
     vec = vec if chain.form is None else vec / chain.form.d
     if abs(vec[0]) < 1e-12 * np.linalg.norm(vec):
-        raise ValueError("threshold mode vanishes at site 1; cannot normalize psi_1 = 1")
+        raise VanishingModeError(
+            f"threshold mode vanishes at site 1 at gamma* = {gstar:.6g}: |psi_1| / ||psi|| = "
+            f"{abs(vec[0]) / np.linalg.norm(vec):.3e}; cannot normalize psi_1 = 1")
     vec = vec / vec[0]
     vec[0] = 1.0                      # z / z need not round to exactly 1
     return ThresholdResult(float(gstar), vec, (float(lo), float(hi)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Tolerances, _integer, _positive, _real
-from .model import _is_list, _matrix, spectral_norm
+from .model import _is_list, _matrix, norm_scale
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,13 @@ def eigenfrequencies(m: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """sqrt(-lambda) for each eigenvalue, ascending.
 
     The spectrum is certified real and nonpositive first; violations beyond
-    ``mech_spectrum_rel * ||M||`` mean the matrix is not a physical chain.
+    ``mech_spectrum_rel * ||M||`` (``norm_scale``) mean the matrix is not a
+    physical chain.  A real M is solved in real arithmetic (``dgeev``).
     """
     m = _matrix(m, "m")
-    lam = np.linalg.eigvals(m)
-    scale = max(spectral_norm(m), 1e-300)
+    lam = np.linalg.eigvals(m if m.imag.any() else m.real)
+    worst = max(np.abs(lam.imag).max(), lam.real.max())
+    scale = max(norm_scale(m, worst, tol.mech_spectrum_rel), 1e-300)
     if np.abs(lam.imag).max() > tol.mech_spectrum_rel * scale:
         raise ValueError(f"non-real eigenvalue (max |Im| = {np.abs(lam.imag).max():.3e})")
     if lam.real.max() > tol.mech_spectrum_rel * scale:

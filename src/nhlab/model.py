@@ -169,6 +169,28 @@ def spectral_norm(m: np.ndarray) -> float | np.ndarray:
     return float(norm) if m.ndim == 2 else norm
 
 
+FLOOR_SLACK = 1e-8     # round-off of a norm bound: small multiples of n eps (backward stable)
+
+
+def norm_scale(m: np.ndarray, values, rel: float) -> float | np.ndarray:
+    """Scale s of each matrix of m (or a stack) for values <= rel * s: its largest column
+    norm times 1 - FLOOR_SLACK where that decides, else (and if rel < 0) ``spectral_norm``."""
+    scale = np.array(np.linalg.norm(m, axis=-2).max(axis=-1) * (1 - FLOOR_SLACK))
+    if (doubt := ~(values <= rel * scale) | (rel < 0)).any():
+        scale[doubt] = spectral_norm(m[doubt])
+    return float(scale) if m.ndim == 2 else scale
+
+
+def residual_norm(r: np.ndarray, m: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """(value, limit) of ||R||_2 <= rel * ||M||_2 over stacks r and m: value is the ceiling
+    ||R||_F / (1 - FLOOR_SLACK) where it passes limit = rel * ``norm_scale``, else ``spectral_norm``."""
+    value = np.linalg.norm(r, axis=(-2, -1)) / (1 - FLOOR_SLACK)
+    limit = rel * norm_scale(m, value, rel)
+    if (doubt := ~(value <= limit)).any():
+        value[doubt] = spectral_norm(r[doubt])
+    return value, limit
+
+
 def _tridiagonal_norm(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> float:
     """Largest singular value of the tridiagonal matrix with these diagonals.
 

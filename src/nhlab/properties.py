@@ -19,7 +19,7 @@ from .config import DEFAULT, Tolerances, _integer
 from .eig import SELF_ORTHOGONAL, EigenSystem, eig_full
 from .mech import OscillatorChain, dynamical_matrix, eigenfrequencies, stiffness_matrix
 from .model import (LatticeSpec, _adjoint, build_h0, build_scaling, construct_gauge,
-                    construct_product, spectral_norm)
+                    construct_product, norm_scale, residual_norm)
 from .spectra import conjugate_pairs
 
 
@@ -78,8 +78,8 @@ def _exceeding(what: str, values: np.ndarray, limits: np.ndarray,
 def _reality_psd(n, rngs, tol):
     h = construct_product(*_stack([(_random_hermitian(r, n), _random_psd(r, n))
                                    for r in rngs]), tol)
-    return _exceeding("max|Im w| =", np.abs(np.linalg.eigvals(h).imag).max(axis=-1),
-                      tol.reality_rel * spectral_norm(h), n)
+    imag, rel = np.abs(np.linalg.eigvals(h).imag).max(axis=-1), tol.reality_rel
+    return _exceeding("max|Im w| =", imag, rel * norm_scale(h, imag, rel), n)
 
 
 def _pseudo_hermiticity(n, rngs, tol):
@@ -91,9 +91,8 @@ def _pseudo_hermiticity(n, rngs, tol):
         return []
     h0 = h0[keep]
     h = construct_product(h0, np.stack([_random_psd(rngs[k], n) for k in keep]), tol)
-    resid = spectral_norm(np.linalg.solve(h0, h @ h0) - _adjoint(h))
-    return [(keep[k], detail) for k, detail in
-            _exceeding("metric residual", resid, tol.metric_rel * spectral_norm(h), n)]
+    resid, limit = residual_norm(np.linalg.solve(h0, h @ h0) - _adjoint(h), h, tol.metric_rel)
+    return [(keep[k], detail) for k, detail in _exceeding("metric residual", resid, limit, n)]
 
 
 def _conjugate_closure_indefinite(n, rngs, tol):
@@ -101,7 +100,7 @@ def _conjugate_closure_indefinite(n, rngs, tol):
                                    for r in rngs]), tol)
     resid = np.array([max(conjugate_pairs(w)[1]) for w in np.linalg.eigvals(h)])
     return _exceeding("conjugation-closure residual", resid,
-                      tol.reality_rel * spectral_norm(h), n)
+                      tol.reality_rel * norm_scale(h, resid, tol.reality_rel), n)
 
 
 def _no_ep_psd_invertible(n, rngs, tol):
@@ -138,8 +137,9 @@ def _gauge_similarity(n, rngs, tol):
                     for h, r in zip(h0, rngs)])
     w0 = np.sort(np.linalg.eigvalsh(h0), axis=-1)
     w = np.sort(np.linalg.eigvals(hpp).real, axis=-1)
-    return _exceeding("gauge spectrum gap", np.abs(w - w0).max(axis=-1),
-                      tol.spectra_match_rel * np.maximum(spectral_norm(h0), 1e-300), n)
+    gap, rel = np.abs(w - w0).max(axis=-1), tol.spectra_match_rel
+    return _exceeding("gauge spectrum gap", gap,
+                      rel * np.maximum(norm_scale(h0, gap, rel), 1e-300), n)
 
 
 def _geometric_products(ratios: list[float], n: int, tol: Tolerances) -> np.ndarray:
@@ -197,8 +197,9 @@ def _mech_hermitian_equivalent(n, rngs, tol):
                            stiffness_matrix(c)) for c in chains])
     w = np.sort(np.linalg.eigvals(m).real, axis=-1)
     we = np.sort(np.linalg.eigvalsh(root @ k0 @ root), axis=-1)
-    return _exceeding("mass-graded equivalent spectrum gap", np.abs(w - we).max(axis=-1),
-                      tol.spectra_match_rel * np.maximum(spectral_norm(m), 1e-300), n)
+    gap, rel = np.abs(w - we).max(axis=-1), tol.spectra_match_rel
+    return _exceeding("mass-graded equivalent spectrum gap", gap,
+                      rel * np.maximum(norm_scale(m, gap, rel), 1e-300), n)
 
 
 def _between(lo: int, hi: int) -> Callable[[np.random.Generator], int]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nhlab.laser import (NoThresholdError, PumpSpec, TrackingAmbiguityError,
+from nhlab.laser import (NoThresholdError, PumpSpec, TrackingAmbiguityError, VanishingModeError,
                          find_threshold, power_flows, pumped_hamiltonian, track_mode)
 from nhlab.model import LatticeSpec, build_h0
 
@@ -184,7 +184,7 @@ def test_threshold_mode_normalization_and_pinning(chain9):
 def test_threshold_mode_vanishing_at_site_1_is_refused():
     # site 1 decoupled and unpumped: the crossing mode lives on sites 2-3
     h = np.array([[0.5, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
-    with pytest.raises(ValueError, match="vanishes at site 1"):
+    with pytest.raises(VanishingModeError, match="vanishes at site 1"):
         find_threshold(h, PumpSpec(kappa0=0.1, pumped_sites=(3,)))
 
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from nhlab.config import DEFAULT
 from nhlab.eig import chain_form
-from nhlab.laser import (NoThresholdError, PumpSpec, _green, _PumpedChain,
+from nhlab import laser
+from nhlab.laser import (NoThresholdError, PumpSpec, VanishingModeError, _green, _PumpedChain,
                          find_threshold, pumped_hamiltonian, track_mode)
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_gauge, construct_product
 
@@ -152,6 +153,49 @@ def test_unresolved_chain_search_names_the_noise_floor(calibration):
         with pytest.raises(NoThresholdError) as err:
             find_threshold(h, PumpSpec(kappa0=k0, pumped_sites=(1,)))
         assert str(err.value) == "n = 61: noise floor eps*||Q_p|| = 4.944e-01 >= kappa0 / 6"
+
+
+def fuzz_chain(seed):
+    """A chain of the deep-pump family: n = 28-30, couplings in [0.5, 2],
+    onsite in [-2, 2], kappa0 log-uniform in [1e-3, 10^0.5], pumped at one of
+    sites 25-28."""
+    rng = np.random.default_rng([7, seed])
+    n = int(rng.integers(28, 31))
+    b, c = rng.uniform(0.5, 2.0, n - 1), rng.uniform(-2.0, 2.0, n)
+    p, k0 = int(rng.integers(25, 29)), float(10 ** rng.uniform(-3, 0.5))
+    return np.diag(c) + np.diag(b, 1) + np.diag(b, -1), PumpSpec(kappa0=k0, pumped_sites=(p,))
+
+
+def test_threshold_mode_that_vanishes_at_site_1_is_a_typed_error():
+    # seed 68 of the family (n = 29): a certified crossing pumped at site 28
+    # whose mode decays to ~4e-13 of its norm at site 1
+    h, pump = fuzz_chain(68)
+    with pytest.raises(VanishingModeError) as err:
+        find_threshold(h, pump)
+    assert not isinstance(err.value, ValueError)
+    message = str(err.value)
+    assert message.startswith("threshold mode vanishes at site 1 at gamma* = 0.412839: ")
+    gstar = float(message.split("gamma* = ")[1].split(":")[0])
+    assert float(message.split("||psi|| = ")[1].split(";")[0]) < 1e-12
+    top = np.linalg.eigvals(pumped_hamiltonian(h, pump, gstar)).imag.max()
+    assert abs(top) <= 1e-6 * pump.kappa0       # gamma* to its 6 printed digits
+
+
+def test_polish_stops_once_a_certified_residual_stops_halving(monkeypatch):
+    # seed 9: the continued fraction's rounding keeps |Re R_p| above the
+    # 4 eps (s + |w phi^T phi|) stop, so without the stagnation stop the
+    # polish takes all 16 steps (18 _green calls; 4 with it); the bench
+    # chains stop on the 4 eps test after at most 2 evaluations
+    calls = []
+    monkeypatch.setattr(laser, "_green", lambda *a: calls.append(1) or _green(*a))
+    h, pump = fuzz_chain(9)
+    res = find_threshold(h, pump)
+    assert len(calls) <= 5
+    assert res.threshold == pytest.approx(regula_falsi(h, pump)[0], rel=1e-9)
+    for m, bench_pump in bench_cases():
+        calls.clear()
+        find_threshold(m, bench_pump)
+        assert len(calls) <= 3
 
 
 @st.composite

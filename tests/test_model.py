@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from nhlab.model import (LatticeSpec, assert_hermitian, build_h0, build_scaling,
                          construct_gauge, construct_product, factor_psd,
-                         hermitian_defect, hermitian_equivalent,
-                         onsite_values, scaling_values, shift_spectrum,
+                         hermitian_defect, hermitian_equivalent, norm_scale,
+                         onsite_values, residual_norm, scaling_values, shift_spectrum,
                          spectral_norm, splitmix64_stream)
 
 from conftest import random_hermitian, random_psd
@@ -354,3 +354,45 @@ def test_shift_recovers_harmonic_levels():
 
 def test_onsite_values_zero():
     assert np.array_equal(onsite_values(LatticeSpec(n=3)), np.zeros(3))
+
+
+def test_norm_scale_decides_every_test_as_the_svd_norm():
+    # values at rel * ||M||_2 * (1 -+ 1e-9), far inside and of either sign;
+    # wherever the verdict fails the scale is the exact norm.  n = 40 and the
+    # tridiagonal stack take the banded norm route
+    rng = np.random.default_rng(8)
+    for n in (1, 3, 12, 40):
+        m = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+        m[0] = 0.0
+        for stack in (m, m + np.swapaxes(m.conj(), 1, 2),
+                      np.stack([build_h0(LatticeSpec(n=n, t=t)) for t in (0.5, 1, 2, 3, 4, 5)])):
+            norm = spectral_norm(stack)
+            for rel in (1e-8, 0.0, -1.0):
+                factors = rng.choice([1 - 1e-9, 1 + 1e-9, 1e-3, 1e3, -1e-3, -1.0], size=6)
+                values = factors * (rel or 1e-3) * norm
+                scale = norm_scale(stack, values, rel)
+                assert np.array_equal(values <= rel * scale, values <= rel * norm)
+                fails = ~(values <= rel * norm)
+                assert np.array_equal(scale[fails], norm[fails])
+                one = norm_scale(stack[1], values[1], rel)
+                assert type(one) is float
+                assert (values[1] <= rel * one) == (values[1] <= rel * norm[1])
+
+
+def test_residual_norm_decides_every_test_as_the_svd_norms():
+    # ||R||_2 at rel * ||M||_2 * (1 -+ 1e-9), far inside and far out; wherever
+    # the verdict fails, value and limit are both the SVD norms
+    rng = np.random.default_rng(9)
+    for n in (1, 3, 12, 40):
+        m = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+        r = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+        r_norm, m_norm = spectral_norm(r), spectral_norm(m)
+        for rel in (1e-8, 0.0, -1.0):
+            factors = rng.choice([1 - 1e-9, 1 + 1e-9, 1e-3, 1e3], size=6)
+            r_scaled = r * (factors * (rel or 1e-3) * m_norm / r_norm)[:, None, None]
+            exact = spectral_norm(r_scaled)
+            value, limit = residual_norm(r_scaled, m, rel)
+            assert np.array_equal(value <= limit, exact <= rel * m_norm)
+            fails = ~(exact <= rel * m_norm)
+            assert np.array_equal(value[fails], exact[fails])
+            assert np.array_equal(limit[fails], rel * m_norm[fails])

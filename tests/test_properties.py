@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nhlab import properties
+from nhlab import mech, model, properties
 from nhlab.config import DEFAULT, Tolerances
 from nhlab.eig import eig_full
-from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_product
+from nhlab.mech import OscillatorChain, dynamical_matrix, eigenfrequencies
+from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_product, spectral_norm
 from nhlab.properties import SUITE_NAMES, replay_instance, run_properties, run_trial
 from nhlab.spectra import conjugate_pairs
 
@@ -204,3 +205,137 @@ def test_chiral_detail_matches_the_mode_loop():
                         assert detail == loop_chiral_detail(case, n, s, tol)
                         outcomes.add(detail and detail.split(" (")[0].split(" for ")[0])
     assert outcomes == {None, "no chiral partner", "chiral partners differ in |psi|"}
+
+
+# ---------------------------------------------------------------------------
+# the norm floor of ``norm_scale`` against the plain SVD rule
+
+def svd_rule(m, values, rel):
+    """``norm_scale`` as the plain rule: the SVD norm of every matrix."""
+    return spectral_norm(m)
+
+
+def plain_pseudo_hermiticity(n, rngs, tol):
+    """The pseudo-Hermiticity check with both 2-norms from the SVD."""
+    h0 = np.stack([properties._random_hermitian(r, n) for r in rngs])
+    sv = np.linalg.svd(h0, compute_uv=False)
+    keep = np.flatnonzero(sv[:, -1] > tol.invertible_rel * sv[:, 0])
+    if not keep.size:
+        return []
+    h0 = h0[keep]
+    h = construct_product(h0, np.stack([properties._random_psd(rngs[k], n) for k in keep]), tol)
+    resid = spectral_norm(np.linalg.solve(h0, h @ h0) - np.swapaxes(h.conj(), 1, 2))
+    return [(keep[k], detail) for k, detail in properties._exceeding(
+        "metric residual", resid, tol.metric_rel * spectral_norm(h), n)]
+
+
+def plain(mp):
+    """Put every check that goes through ``norm_scale`` on the plain SVD rule."""
+    mp.setattr(properties, "norm_scale", svd_rule)
+    mp.setattr(mech, "norm_scale", svd_rule)
+    size = properties._SUITES["pseudo_hermiticity"][0]
+    mp.setitem(properties._SUITES, "pseudo_hermiticity", (size, plain_pseudo_hermiticity))
+
+
+def plain_details(suite, seed, trials, tol):
+    with pytest.MonkeyPatch.context() as mp:
+        plain(mp)
+        return properties._details(suite, seed, trials, tol)
+
+
+def value_and_norm(suite, seed, trial):
+    """(value, ||M||_2) of one trial by the plain rule, read off its limit at
+    rel = -1; None for a trial without one (a vacuous pseudo-Hermiticity trial)."""
+    seen, exceeding = [], properties._exceeding
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(properties, "_exceeding", lambda what, values, limits, n: seen.append(
+            (values[0], -limits[0])) or exceeding(what, values, limits, n))
+        plain_details(suite, seed, [trial], Tolerances().with_overrides(
+            dict.fromkeys(("reality_rel", "metric_rel", "spectra_match_rel"), -1.0)))
+    return seen[0] if seen else None
+
+
+ROUTED = {"reality_psd": "reality_rel", "pseudo_hermiticity": "metric_rel",
+          "conjugate_closure_indefinite": "reality_rel", "gauge_similarity": "spectra_match_rel",
+          "mech_reality": "mech_spectrum_rel", "mech_hermitian_equivalent": "spectra_match_rel"}
+
+
+@pytest.mark.parametrize("suite", ROUTED)
+def test_norm_floor_keeps_the_svd_rule_verdicts_and_details(suite):
+    # the tolerance puts one trial's value at rel * ||M||_2 * (1 -+ 1e-9);
+    # rel = 0 and rel < 0 (TIGHT's values) run every trial of a seed
+    field, boundary = ROUTED[suite], 0
+    for trial in range(8):
+        got = value_and_norm(suite, 5, trial)
+        if got is None or not got[0]:
+            continue
+        value, norm = got
+        details = []
+        for factor in (1 - 1e-9, 1 + 1e-9):
+            tol = Tolerances(**{field: value / norm * factor})
+            details += properties._details(suite, 5, [trial], tol)
+            assert details[-1:] == plain_details(suite, 5, [trial], tol)
+        assert details[0] is not None and details[1] is None
+        boundary += 1
+    assert boundary >= 4 or suite == "mech_reality"     # its value is not an _exceeding's
+    for rel in (0.0, -1.0, getattr(DEFAULT, field)):
+        tol = Tolerances(**{field: rel})
+        assert properties._details(suite, 5, range(30), tol) == \
+            plain_details(suite, 5, range(30), tol)
+
+
+def outcome(m, tol):
+    try:
+        return eigenfrequencies(m, tol).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_eigenfrequencies_norm_floor_keeps_the_svd_rule_outcome():
+    # physical chains, chains shifted to a positive eigenvalue, real matrices
+    # with conjugate pairs (real arithmetic) and complex ones (complex
+    # arithmetic); n = 33 takes the banded norm route
+    rng = np.random.default_rng(3)
+    cases = 0
+    for n in (1, 2, 5, 12, 33):
+        chain = dynamical_matrix(properties._random_chain(rng, n))
+        top = np.linalg.eigvals(chain.real).real.max()
+        for m in (chain, chain - 1.5 * top * np.eye(n), rng.normal(size=(n, n)),
+                  rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))):
+            lam = np.linalg.eigvals(m if np.iscomplexobj(m) and m.imag.any() else m.real)
+            worst, norm = max(np.abs(lam.imag).max(), lam.real.max()), spectral_norm(m)
+            rels = [0.0, -1.0, DEFAULT.mech_spectrum_rel]
+            if worst > 0:
+                rels += [worst / norm * (1 - 1e-9), worst / norm * (1 + 1e-9)]
+            got = []
+            for rel in rels:
+                tol = Tolerances(mech_spectrum_rel=rel)
+                got.append(outcome(m, tol))
+                with pytest.MonkeyPatch.context() as mp:
+                    plain(mp)
+                    assert got[-1] == outcome(m, tol)
+            if worst > 0:
+                assert isinstance(got[-2], str) and isinstance(got[-1], list)
+                cases += 1
+    assert cases >= 10
+
+
+def refuse_svd(*args):
+    raise AssertionError("an SVD norm was taken")
+
+
+def test_passing_checks_take_no_svd_for_a_norm(monkeypatch):
+    # ``norm_scale`` and ``residual_norm`` call model.spectral_norm, the only
+    # SVD norm properties and mech reach, where their bounds cannot decide
+    monkeypatch.setattr(model, "spectral_norm", refuse_svd)
+    chain = OscillatorChain(n=6, masses=(1.0, 2.5, 0.4, 3.0, 1.7, 0.9), spring_k=1.3)
+    assert eigenfrequencies(dynamical_matrix(chain)).min() > 0
+    assert run_properties(trials=20, seed=11).all_passed
+
+
+def test_failing_checks_reach_the_svd(monkeypatch, perturbed_scaling):
+    # the same checks under TIGHT (rel = 0 and < 0) need the exact norm;
+    # test_stacked_failure_details_match_recorded_trials pins their details
+    monkeypatch.setattr(model, "spectral_norm", refuse_svd)
+    with pytest.raises(AssertionError, match="an SVD norm"):
+        run_properties(trials=10, seed=1, tol=TIGHT)
