@@ -263,26 +263,14 @@ def assert_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT, name: str = "matr
     """Validate a matrix argument (``_matrix``'s rule, stacks allowed) with
     the Hermitian tag and return an exactly-Hermitian copy.
 
-    The returned storage satisfies ``out[i, j] == conj(out[j, i])`` bitwise,
-    which makes the adjoint identity (H0 A)^dag == A H0 hold entrywise.  A
-    (k, n, n) stack is validated and symmetrized matrix by matrix.
+    The returned storage satisfies ``out[i, j] == conj(out[j, i])`` bitwise.
+    A (k, n, n) stack is validated and symmetrized matrix by matrix.
     """
     m = _matrix(m, name, shape, stack=True)
     adjoint = _adjoint(m)                    # moduli only for an inexact input:
     if (m != adjoint).any() and np.any((defect := hermitian_defect(m)) > tol.hermitian_rel):
         raise ValueError(f"{name} is not Hermitian (defect {np.nanmax(defect):.3e})")
     return (m + adjoint) / 2
-
-
-def assert_psd(m: np.ndarray, tol: Tolerances = DEFAULT, name: str = "matrix") -> np.ndarray:
-    """Validate the PSD tag (Hermitian + eigenvalues >= -psd_rel * ||m||)."""
-    m = assert_hermitian(m, tol, name)
-    evals = np.linalg.eigvalsh(m)
-    scale = max(spectral_norm(m), 1e-300)
-    if evals.min() < -tol.psd_rel * scale:
-        raise ValueError(f"{name} is not positive semi-definite "
-                         f"(lowest eigenvalue {evals.min():.3e})")
-    return m
 
 
 def onsite_values(spec: LatticeSpec) -> np.ndarray:
@@ -347,16 +335,17 @@ def _is_tridiagonal(m: np.ndarray) -> bool:
 def construct_product(h0: np.ndarray, a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """H = H0 A (this exact order; the reversed order A H0 equals H^dag).
 
-    Both inputs must carry the Hermitian tag, A with H0's shape.  The
-    contraction uses a fixed accumulation order so that (H0 A)^dag == A H0
-    holds exactly entrywise.  (k, n, n) stacks give the stack of products,
-    each equal to its 2-D call when every A of the stack is diagonal or none is.
+    Both inputs must carry the Hermitian tag, A with H0's shape.  A diagonal A
+    scales H0's columns; any other gives (H0 A + (A H0)^dag) / 2 from two BLAS
+    products, halved before the sum (which then cannot overflow), so that
+    (H0 A)^dag == A H0 holds exactly entrywise.  (k, n, n) stacks give the stack
+    of products, each equal to its 2-D call when every A is diagonal or none is.
     """
     h0 = assert_hermitian(h0, tol, "h0")
     a = assert_hermitian(a, tol, "a", h0.shape)
     if _is_diagonal(a):
         return h0 * np.diagonal(a, axis1=-2, axis2=-1)[..., None, :]
-    return np.einsum("...ik,...kj->...ij", h0, a)
+    return h0 @ a * 0.5 + _adjoint(a @ h0 * 0.5)
 
 
 def construct_gauge(h0: np.ndarray, a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -380,11 +369,11 @@ def construct_gauge(h0: np.ndarray, a: np.ndarray, tol: Tolerances = DEFAULT) ->
 def factor_psd(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Factor a PSD matrix as A = B^dag B and return B.
 
-    For diagonal A the factor is diag(sqrt(a_j)) exactly; otherwise B is
-    built from the Hermitian eigendecomposition, with the eigenvalues below
-    ``psd_rel * max|lambda|`` (the round-off of a singular A, and the tiny
-    negatives the PSD check admits) set to zero, so that B is singular
-    exactly where A is.
+    For diagonal A the factor is diag(sqrt(a_j)) exactly.  Otherwise one
+    ``eigh`` of the Hermitian-tagged A gives the PSD test (eigenvalues >=
+    -psd_rel * max|lambda|, which is ||A||_2) and B, with the eigenvalues below
+    ``psd_rel * max|lambda|`` (round-off of a singular A, and the tiny negatives
+    the test admits) set to zero, so that B is singular exactly where A is.
     """
     a = _matrix(a, "a")
     if _is_diagonal(a):
@@ -392,9 +381,10 @@ def factor_psd(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
         if d.min() < -tol.psd_rel * max(np.abs(d).max(), 1e-300):
             raise ValueError(f"diagonal entries below PSD tolerance: min {d.min():.3e}")
         return np.diag(np.sqrt(np.clip(d, 0.0, None))).astype(complex)
-    a = assert_psd(a, tol, "a")
-    evals, vecs = np.linalg.eigh(a)
-    evals[evals <= tol.psd_rel * np.abs(evals).max(initial=0.0)] = 0.0
+    evals, vecs = np.linalg.eigh(assert_hermitian(a, tol, "a"))
+    if evals[0] < -tol.psd_rel * max(scale := np.abs(evals).max(), 1e-300):
+        raise ValueError(f"a is not positive semi-definite (lowest eigenvalue {evals[0]:.3e})")
+    evals[evals <= tol.psd_rel * scale] = 0.0
     return (np.sqrt(evals)[:, None] * vecs.conj().T)
 
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,12 +143,48 @@ def test_product_requires_hermitian_inputs():
 
 def test_product_adjoint_identity_exact_dense():
     rng = np.random.default_rng(5)
-    for n in (2, 7, 23):
+    for n in (2, 7, 23, 64, 200):
         h0 = random_hermitian(rng, n)
         a = random_psd(rng, n)
         h = construct_product(h0, a)
         rev = construct_product(a, h0)
         assert np.array_equal(h.conj().T, rev)
+    h0 = np.stack([random_hermitian(rng, 40) for _ in range(3)])
+    a = np.stack([random_psd(rng, 40, 2 * k) for k in range(3)])
+    assert np.array_equal(np.swapaxes(construct_product(h0, a).conj(), -1, -2),
+                          construct_product(a, h0))
+
+
+def _gamma(k: int, u):
+    return k * u / (1 - k * u)
+
+
+def test_dense_product_meets_the_matrix_multiplication_bound():
+    # Each entry of H0 A is a complex inner product of length n: its real and
+    # imaginary parts are real inner products of length 2n, so in any summation
+    # order |fl(H0 A) - H0 A| <= sqrt(2) gamma_2n |H0||A| entrywise (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.5-3.6).
+    # Halving is exact and the sum of the halves adds one rounding, so the
+    # constant is c = sqrt(2) gamma_(2n+1), u = 2^-53.  The np.clongdouble
+    # reference adds its own sqrt(2) gamma_2n at the extended unit roundoff.
+    rng = np.random.default_rng(21)
+    u, u_ref = np.finfo(float).eps / 2, np.finfo(np.longdouble).eps / 2
+    cases = [(random_hermitian(rng, n), random_psd(rng, n, n // 8)) for n in (2, 7, 64, 200)]
+    cases.append((np.stack([random_hermitian(rng, 30) for _ in range(4)]),
+                  np.stack([random_psd(rng, 30) for _ in range(4)])))
+    for h0, a in cases:
+        n = h0.shape[-1]
+        h = construct_product(h0, a).astype(np.clongdouble)
+        h0, a = h0.astype(np.clongdouble), a.astype(np.clongdouble)
+        c = np.sqrt(np.longdouble(2)) * (_gamma(2 * n + 1, u) + _gamma(2 * n, u_ref))
+        assert (np.abs(h - h0 @ a) <= c * (np.abs(h0) @ np.abs(a))).all(), n
+
+
+def test_dense_product_halves_before_the_sum():
+    # each product is finite; their sum before halving would overflow
+    h0 = 8e307 * np.eye(2, dtype=complex)
+    a = np.array([[2.0, 0.5], [0.5, 2.0]], dtype=complex)
+    assert np.array_equal(construct_product(h0, a), h0 @ a)
 
 
 def test_stacked_inputs_give_each_matrix_its_2d_result():
@@ -300,6 +338,30 @@ def test_factor_rank_deficient_is_singular_on_the_kernel(seed, n, deficiency):
 def test_factor_rejects_indefinite():
     with pytest.raises(ValueError):
         factor_psd(np.diag([1.0, -1.0]).astype(complex))
+
+
+def _decomposition_calls(fn, *args):
+    """The (eigh, eigvalsh, svd) call counts of fn(*args), and its result or ValueError."""
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+            mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh, \
+            mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        try:
+            out = fn(*args)
+        except ValueError as exc:
+            out = exc
+    return (eigh.call_count, eigvalsh.call_count, svd.call_count), out
+
+
+def test_dense_factor_takes_one_eigh_and_no_other_decomposition():
+    rng = np.random.default_rng(13)
+    a = random_psd(rng, 30, 3)
+    calls, b = _decomposition_calls(factor_psd, a)
+    assert calls == (1, 0, 0)
+    assert spectral_norm(b.conj().T @ b - a) <= 1e-10 * spectral_norm(a)
+    q = np.linalg.qr(rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)))[0]
+    calls, err = _decomposition_calls(factor_psd, (q * np.linspace(-1.0, 2.0, 30)) @ q.conj().T)
+    assert calls == (1, 0, 0)
+    assert str(err) == "a is not positive semi-definite (lowest eigenvalue -1.000e+00)"
 
 
 def test_hermitian_equivalent_graded_couplings():

@@ -72,19 +72,19 @@ def _statuses(code: str, n: int) -> str:
 # recorded from the trial-by-trial implementation the stacked suites replaced.
 GOLDEN_FAILURES = {
     "reality_psd": [
-        (0, "max|Im w| = 4.339e-14 > 0.000e+00 (n=15)"),
-        (1, "max|Im w| = 2.512e-13 > 0.000e+00 (n=30)"),
-        (2, "max|Im w| = 6.069e-14 > 0.000e+00 (n=17)"),
+        (0, "max|Im w| = 4.130e-14 > 0.000e+00 (n=15)"),
+        (1, "max|Im w| = 1.917e-13 > 0.000e+00 (n=30)"),
+        (2, "max|Im w| = 9.919e-14 > 0.000e+00 (n=17)"),
     ],
     "pseudo_hermiticity": [
-        (0, "metric residual 9.909e-13 > 0.000e+00 (n=17)"),
-        (1, "metric residual 3.197e-13 > 0.000e+00 (n=12)"),
-        (2, "metric residual 3.912e-11 > 0.000e+00 (n=30)"),
+        (0, "metric residual 5.886e-13 > 0.000e+00 (n=17)"),
+        (1, "metric residual 3.129e-13 > 0.000e+00 (n=12)"),
+        (2, "metric residual 2.951e-11 > 0.000e+00 (n=30)"),
     ],
     "conjugate_closure_indefinite": [
-        (0, "conjugation-closure residual 3.843e-14 > 0.000e+00 (n=20)"),
-        (1, "conjugation-closure residual 4.632e-14 > 0.000e+00 (n=20)"),
-        (2, "conjugation-closure residual 7.816e-14 > 0.000e+00 (n=23)"),
+        (0, "conjugation-closure residual 4.321e-14 > 0.000e+00 (n=20)"),
+        (1, "conjugation-closure residual 8.241e-14 > 0.000e+00 (n=20)"),
+        (2, "conjugation-closure residual 1.213e-13 > 0.000e+00 (n=23)"),
     ],
     "no_ep_psd_invertible": [
         (3, _statuses("bbbsssbbbb", 10)),
@@ -92,9 +92,9 @@ GOLDEN_FAILURES = {
         (7, _statuses("bbbbssbbb", 9)),
     ],
     "ep_location_psd_singular": [
-        (0, "self-orthogonal mode at w = -8.212e+00+2.430e-14j, away from zero (n=13)"),
-        (1, "self-orthogonal mode at w = -2.166e+01+6.468e-14j, away from zero (n=13)"),
-        (2, "self-orthogonal mode at w = -2.135e-01-3.193e-13j, away from zero (n=17)"),
+        (0, "self-orthogonal mode at w = -8.212e+00+6.259e-16j, away from zero (n=13)"),
+        (1, "self-orthogonal mode at w = -2.166e+01+8.773e-14j, away from zero (n=13)"),
+        (2, "self-orthogonal mode at w = -2.135e-01-5.023e-13j, away from zero (n=17)"),
     ],
     "gauge_similarity": [
         (0, "gauge spectrum gap 2.931e-14 > 0.000e+00 (n=25)"),
