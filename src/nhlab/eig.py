@@ -6,7 +6,8 @@ arithmetic through its symmetric form T = D M D^-1 = U w U^T: psi = U / d
 and psi~ = U * d take closed-form scales from their column norms, so
 psi~^T psi = u^T u; each pair is signed so its largest |psi| entry is
 positive and certified by one real tridiagonal product per side, and the
-complex arrays are formed once, at the end.  Every other matrix, and a chain
+complex arrays are formed once, at the end.  A chain plus a uniform loss i c I
+takes the same path with eigenvalues w + i c.  Every other matrix, and a chain
 that misses its certificate, takes one dense ``zgeev`` solve with both
 vector sets: psi and psi~ = conj(vl) pair by index (one Schur form).  Only a
 semisimple multiplet (an invertible, non-biorthogonal overlap block) has its
@@ -212,14 +213,18 @@ def _stacked(arrays: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
 
 def _chain_systems(stack: np.ndarray, norm: np.ndarray,
                    tol: Tolerances) -> dict[int, EigenSystem]:
-    """Certified systems of the stack's real chains by stack index, in real arithmetic; a
-    chain whose ``eigh_tridiagonal`` fails or that misses its certificate is left out."""
+    """Certified systems by stack index of each M = R + i c I, R a real chain and c = 0 or a
+    uniform loss: R's, in real arithmetic, with eigenvalues w + i c and certified on M's own
+    bands.  A chain whose ``eigh_tridiagonal`` fails or misses its certificate is left out."""
     solved = {}
-    for i, form in enumerate(map(chain_form, stack)):
+    for i, m in enumerate(stack):
+        c = m.imag[0, 0]               # a uniform loss: Im M == c I, its n nonzeros all c
+        lossy = c and (m.imag.diagonal() == c).all() and np.count_nonzero(m.imag) == len(m)
+        form = chain_form(m.real if lossy else m)
         try:
             if form is not None:
                 w, u = scipy.linalg.eigh_tridiagonal(form.diag, form.off, check_finite=False)
-                solved[i] = (form.d, w, u)
+                solved[i] = (form.d, w + 1j * c, u)
         except np.linalg.LinAlgError:
             pass    # the dense path decides
     if not solved:
@@ -234,7 +239,9 @@ def _chain_systems(stack: np.ndarray, norm: np.ndarray,
     sign = np.sign(np.take_along_axis(right, np.argmax(np.abs(right), -2)[..., None, :], -2))
     right *= sign * np.where(self_orth, 1.0 / nr, np.sqrt(nl / nr))[..., None, :]
     left *= sign * np.where(self_orth, 1.0 / nl, np.sqrt(nr / nl))[..., None, :]
-    bands = [np.diagonal(stack, k, -2, -1)[index].real for k in (-1, 0, 1)]
+    bands = [np.diagonal(stack, k, -2, -1)[index] for k in (-1, 0, 1)]
+    if not w.imag.any():                      # real chains: real arithmetic
+        w, bands = w.real, [b.real for b in bands]
     residuals = np.maximum(_residuals(_tridiagonal_product(*bands, right), right, w),
                            _residuals(_tridiagonal_product(*bands[::-1], left), left, w))
     # both complex vector sets in one allocation, each slice in LAPACK's column order

@@ -7,10 +7,10 @@ p, the least 1/Im G_pp over the real roots w of Re G_pp(w + i*kappa0), G the
 Green's function of its real symmetric T0, from one bordered matrix and O(n)
 continued fractions; otherwise Illinois regula falsi on M's dense ``eigvals``.
 A chain's modes are continued by Newton's method on the secular equation of
-the rank-r pump in T0's eigenbasis, O(n^2 r^2) per step, with a dense solve of
-T and an overlap match where a step misses its certificate; other inputs are
-solved densely and matched at every point.  Junction power flows quantify the
-exchange that sets the threshold scale.
+the rank-r pump in T0's eigenbasis, from r x r moments (O(n^2 r^2), no vector
+formed), with a dense solve of T and an overlap match where a step misses its
+certificate; other inputs are solved densely and matched at every point.
+Junction power flows quantify the exchange that sets the threshold scale.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ class _PumpedChain:
 
     @cached_property
     def basis(self) -> tuple | None:
-        """(lam, U, U's pumped rows) with T0 = U diag(lam) U^T from one
-        ``eigh_tridiagonal``; None without a ``ChainForm`` or when a residual
-        exceeds ``residual_rel * c`` (c: T(0)'s largest column norm)."""
+        """(lam, U, up, uu, I_r): T0 = U diag(lam) U^T from one ``eigh_tridiagonal``, up its r
+        pumped rows, rows 2 nu and 2 nu + 1 of uu both u_nu u_nu^T, flattened; None without a
+        ``ChainForm`` or when a residual exceeds ``residual_rel`` * T(0)'s largest column norm."""
         if self.form is None:
             return None
         off, diag = self.form.off, self.form.diag
@@ -116,7 +116,9 @@ class _PumpedChain:
             return None
         res = np.linalg.norm(_tridiagonal_product(off, diag, off, u) - lam * u, axis=0)
         ok = np.all(res <= self.tol.residual_rel * _column_norm(off, self.diagonal(0.0)))
-        return (lam, u, u[self.p > 0]) if ok else None
+        up = u[self.p > 0]
+        uu = np.repeat((up[:, None] * up).reshape(-1, self.n).T, 2, axis=0)
+        return (lam, u, up, uu, np.eye(len(up))) if ok else None
 
     def solve(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """Exact spectrum and unit vectors: of T(gamma) for a chain, else of M."""
@@ -146,10 +148,10 @@ class _PumpedChain:
         on ``_secular`` (at most ``_SECULAR_STEPS``) until one is within 64 eps
         * c (c: T(gamma)'s largest column norm), applied after the evaluation
         it follows.  None unless every residual is within ``residual_rel * c``,
-        the eigenvalues are pairwise more than ``cluster_rel * c`` apart, |sum
-        w - trace T| is within the residual bound, and each prediction is
-        nearest its own root."""
-        lam, _, up = self.basis
+        |sum w - trace T| is within that bound, the eigenvalues are pairwise
+        more than ``cluster_rel * c`` apart and each prediction is nearest its
+        own root (``_separated``)."""
+        lam, basis = self.basis[0], self.basis
         diag, bound, n = self.diagonal(gamma), self.tol.residual_rel, len(w)
         c = _column_norm(self.form.off, diag)
         guess = w + (gamma - gamma0) * slope
@@ -157,7 +159,7 @@ class _PumpedChain:
         res, slope, todo = np.empty(n), slope.copy(), np.arange(n)
         with np.errstate(all="ignore"):          # a non-finite value fails the certificate
             for k in range(_SECULAR_STEPS + 1):
-                f, df, res[todo], slope[todo], _ = _secular(lam, up, mu[todo], delta[todo], gamma)
+                f, df, res[todo], slope[todo], *_ = _secular(basis, mu[todo], delta[todo], gamma)
                 newton = f / df
                 done = np.abs(newton) <= 64 * np.finfo(float).eps * c
                 newton[~done & (k == _SECULAR_STEPS)] = 0.0   # keep the evaluated point
@@ -166,49 +168,62 @@ class _PumpedChain:
                 if not todo.size:
                     break
             w = lam[mu] + delta - 1j * self.pump.kappa0
-            gaps = np.abs(w[:, None] - w)[~np.eye(n, dtype=bool)]
-            if (np.all(res <= bound * c) and gaps.min(initial=np.inf) > self.tol.cluster_rel * c
-                    and abs(w.sum() - diag.sum()) <= bound * c
-                    and np.array_equal(np.abs(guess[:, None] - w).argmin(axis=1), np.arange(n))):
+            if (np.all(res <= bound * c) and abs(w.sum() - diag.sum()) <= bound * c
+                    and _separated(w, guess, self.tol.cluster_rel * c)):
                 return w, (mu, slope)
         return None
+
+    def vectors(self, w: np.ndarray, mu: np.ndarray, gamma: float) -> np.ndarray:
+        """U y^T for modes w (poles mu) at gamma, ``_secular``'s y (rows, y_mu = 1) formed; not
+        normalized, as the overlap match compares each previous mode's overlaps among themselves."""
+        lam, u, up = self.basis[:3]
+        *_, q, wgt = _secular(self.basis, mu, w + 1j * self.pump.kappa0 - lam[mu], gamma)
+        return u @ np.where(np.arange(self.n) == mu[:, None], 1.0, -(q @ up) * wgt).T
+
+
+def _separated(w: np.ndarray, guess: np.ndarray, limit: float) -> bool:
+    """Every |w_i - w_j| > limit and each guess_i nearest w_i.  The least gap g of the sorted
+    Re w is at most every |w_i - w_j|, so g > limit and each |guess_i - w_i| < g / 2 (less 4
+    eps relative, for round-off) decide it; only where they do not, the n x n distances do."""
+    re, n = np.sort(w.real), len(w)
+    g = np.minimum.reduce(re[1:] - re[:-1], initial=np.inf)
+    return bool(g > limit and np.abs(guess - w).max() < (0.5 - 2 * np.finfo(float).eps) * g or (
+        np.abs(w[:, None] - w)[~np.eye(n, dtype=bool)].min(initial=np.inf) > limit
+        and np.array_equal(np.abs(guess[:, None] - w).argmin(axis=1), np.arange(n))))
 
 
 def _column_norm(off: np.ndarray, diag: np.ndarray) -> float:
     """Largest column 2-norm of a symmetric tridiagonal T, a lower bound on its norm."""
-    col = np.abs(diag) ** 2
-    col[:-1] += np.abs(off) ** 2
-    col[1:] += np.abs(off) ** 2
+    col, sq = np.abs(diag) ** 2, np.abs(off) ** 2
+    col[:-1] += sq
+    col[1:] += sq
     return float(np.sqrt(col.max()))
 
 
-def _secular(lam: np.ndarray, up: np.ndarray, mu: np.ndarray, delta: np.ndarray,
-             gamma: float) -> tuple:
-    """(F, F', unit residual, dz/dgamma, y) of each mode at z = lam_mu + delta.
+def _secular(basis: tuple, mu: np.ndarray, delta: np.ndarray, gamma: float) -> tuple:
+    """(F, F', unit residual, dz/dgamma, q, i gamma wgt) of each mode at z = lam_mu + delta.
 
-    With T0 = U diag(lam) U^T and up = U's pumped rows (r x n, orthonormal),
-    w is an eigenvalue of T(gamma) iff z = w + i*kappa0 is a root of det(I +
-    i gamma up (lam - z)^-1 up^T); without the pole mu, F = -delta + i gamma
-    u_mu^T q, q = K^-1 u_mu, K = I + i gamma sum_{nu != mu} u_nu u_nu^T /
-    (lam_nu - z).  The coordinates y_mu = 1, y_nu = -i gamma u_nu^T q /
-    (lam_nu - z) (rows of y) leave T's residual F e_mu, so |F| / |y| is the
-    unit residual exactly; F' = -y^T y and dz/dgamma = i q^T q / y^T y."""
-    rows, r = np.arange(len(mu)), len(up)
-    dist = lam - (lam[mu] + delta)[:, None]
-    dist[rows, mu] = np.inf                       # the pole taken out
-    wgt = 1.0 / dist
-    uu = (up[:, None] * up).reshape(r * r, -1).T  # row nu: u_nu u_nu^T, flattened
-    k = np.eye(r) + 1j * gamma * (wgt @ uu).reshape(-1, r, r)
+    w is an eigenvalue of T(gamma) iff z = w + i*kappa0 is a root of det(I + i gamma up (lam -
+    z)^-1 up^T); without the pole mu, F = -delta + i gamma u_mu^T q, q = K^-1 u_mu, K = I + i
+    gamma S_1.  The coordinates y_mu = 1, y_nu = -i gamma wgt_nu u_nu^T q leave T's residual F
+    e_mu, so |F| / |y| is the unit residual, F' = -y^T y = -1 + gamma^2 q^T S_2 q, |y|^2 = 1 +
+    gamma^2 q^H S_a q and dz/dgamma = i q^T q / y^T y.  S_1, S_2, S_a are the r x r moments sum_nu
+    c_nu u_nu u_nu^T for c = wgt = 1 / (lam - z) (0 at mu), wgt^2, |wgt|^2: y is never formed."""
+    lam, _, up, uu, eye = basis
+    m, r = len(mu), len(eye)
+    wgt = lam - (lam[mu] + delta)[:, None]
+    wgt[np.arange(m), mu] = np.inf                   # the pole taken out
+    np.divide(1j * gamma, wgt, out=wgt)
+    s1, s2 = wgt @ uu[::2], (wgt * wgt) @ uu[::2]     # i gamma S_1, -gamma^2 S_2
+    sa = np.square(wgt.view(float)) @ uu             # gamma^2 S_a, from Re^2 + Im^2
     um = up.T[mu]
+    k = eye + s1.reshape(m, r, r)
     q = um / k[:, :, 0] if r == 1 else np.linalg.solve(k, um[:, :, None])[:, :, 0]
-    a = q @ up                                    # a[i, nu] = u_nu^T q_i
-    f = 1j * gamma * a[rows, mu] - delta
-    y = a * wgt
-    y *= -1j * gamma
-    y[rows, mu] = 1.0
-    yy, yv = np.einsum("ij,ij->i", y, y), y.view(float)
-    res = np.abs(f) / np.sqrt(np.einsum("ij,ij->i", yv, yv))
-    return f, -yy, res, 1j * np.einsum("ij,ij->i", q, q) / yy, y
+    f = 1j * gamma * np.add.reduce(um * q, 1) - delta
+    yy = np.add.reduce(s2 * (q[:, :, None] * q[:, None]).reshape(m, -1), 1, initial=1)
+    qh = (q.conj()[:, :, None] * q[:, None]).reshape(m, -1).real
+    norm2 = np.add.reduce(sa * qh, 1, initial=1)
+    return f, -yy, np.abs(f) / np.sqrt(norm2), 1j * np.add.reduce(q * q, 1) / yy, q, wgt
 
 
 @dataclass
@@ -268,10 +283,7 @@ def track_mode(h: np.ndarray, pump: PumpSpec, gamma_grid: np.ndarray,
         moved = None if state is None else chain.step(w, *state, grid[k - 1], grid[k])
         if moved is None:
             if v is None:                  # the previous point was a secular step
-                lam, u, up = chain.basis
-                mu = state[0]
-                v = u @ _secular(lam, up, mu, w + 1j * pump.kappa0 - lam[mu], grid[k - 1])[-1].T
-                v /= np.linalg.norm(v, axis=0)
+                v = chain.vectors(w, state[0], grid[k - 1])
             wn, vn = chain.solve(grid[k])
             perm = _match_modes(np.abs(v.conj().T @ vn), tol.track_margin, grid[k])
             w, v = wn[perm], vn[:, perm]

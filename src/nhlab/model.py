@@ -270,7 +270,8 @@ def assert_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT, name: str = "matr
     adjoint = _adjoint(m)                    # moduli only for an inexact input:
     if (m != adjoint).any() and np.any((defect := hermitian_defect(m)) > tol.hermitian_rel):
         raise ValueError(f"{name} is not Hermitian (defect {np.nanmax(defect):.3e})")
-    return (m + adjoint) / 2
+    adjoint *= 0.5                           # in place on _adjoint's fresh copy: each term
+    return m * 0.5 + adjoint                 # halved first, so entries above 8.99e307 stay finite
 
 
 def onsite_values(spec: LatticeSpec) -> np.ndarray:

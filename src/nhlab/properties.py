@@ -195,7 +195,7 @@ def _mech_hermitian_equivalent(n, rngs, tol):
     chains = [_random_chain(r, n) for r in rngs]
     m, root, k0 = _stack([(dynamical_matrix(c), np.diag(1.0 / np.sqrt(np.array(c.masses))),
                            stiffness_matrix(c)) for c in chains])
-    w = np.sort(np.linalg.eigvals(m).real, axis=-1)
+    w = np.sort(np.linalg.eigvals(m.real).real, axis=-1)
     we = np.sort(np.linalg.eigvalsh(root @ k0 @ root), axis=-1)
     gap, rel = np.abs(w - we).max(axis=-1), tol.spectra_match_rel
     return _exceeding("mass-graded equivalent spectrum gap", gap,

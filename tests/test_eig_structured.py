@@ -18,8 +18,10 @@ import nhlab.eig
 from nhlab.config import DEFAULT
 from nhlab.eig import (BIORTHONORMAL, SELF_ORTHOGONAL, EigensolveError, _tridiagonal_product,
                        apply_metric_pairing, chain_form, collinearity_residual, eig_full)
+from nhlab.laser import PumpSpec, pumped_hamiltonian
 from nhlab.model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
                          construct_product, factor_psd)
+from nhlab.perturb import first_order
 from nhlab.properties import _geometric_products
 from nhlab.spectra import ep_analyze, inner_product_audit
 
@@ -73,8 +75,11 @@ def test_structured_chain_matches_dense_solve(h):
 
 
 def lossy_chain():
+    # a pumped site makes the loss non-uniform; uniform loss takes the chain path
     spec = LatticeSpec(n=9, scaling="geometric", s=1.5)
-    return construct_product(build_h0(spec), build_scaling(spec)) - 0.02j * np.eye(9)
+    m = construct_product(build_h0(spec), build_scaling(spec)) - 0.02j * np.eye(9)
+    m[0, 0] += 0.05j
+    return m
 
 
 def indefinite_chain():
@@ -101,6 +106,41 @@ def test_other_inputs_take_one_dense_solve(make):
         es = eig_full(h)
     assert dense.call_count == 1 and tri.call_count == 0
     assert es.residuals.max() <= DEFAULT.residual_rel * es.matrix_norm
+
+
+def bench_chains():
+    """The threshold benchmark's chains: H0 A and A^-1 H0 A, s^(n-1) = 1e4, n = 41, 101."""
+    for n in (41, 101):
+        spec = LatticeSpec(n=n, scaling="geometric", s=1e4 ** (1 / (n - 1)))
+        h0, a = build_h0(spec), build_scaling(spec)
+        yield f"H0 A n={n}", construct_product(h0, a)
+        yield f"A^-1 H0 A n={n}", construct_gauge(h0, a)
+
+
+def test_uniform_loss_takes_the_chain_path(chain9):
+    # H - i kappa0 I of a real chain: one eigh_tridiagonal, no dense solve, the
+    # dense spectrum, and a first-order pump shift that matches its finite difference
+    _, _, _, h, hpp = chain9
+    for label, m in [("H0 A n=9", h), ("A^-1 H0 A n=9", hpp), *bench_chains()]:
+        pump = PumpSpec(kappa0=0.02, pumped_sites=(1,))
+        lossy = pumped_hamiltonian(m, pump, 0.0)
+        with spy(scipy.linalg, "eig") as dense, spy(scipy.linalg, "eigh_tridiagonal") as tri:
+            es = eig_full(lossy)
+        assert dense.call_count == 0 and tri.call_count == 1, label
+        assert np.all(es.eigenvalues.imag == -pump.kappa0)
+        reference, norm = np.sort_complex(np.linalg.eigvals(lossy)), es.matrix_norm
+        assert np.abs(es.eigenvalues - reference).max() <= DEFAULT.spectra_match_rel * norm
+        assert es.residuals.max() <= DEFAULT.residual_rel * norm
+        zi = int(np.argmin(np.abs(es.eigenvalues.real)))
+        pred = first_order(es, pump.pumped_sites, pump.kappa0, zi)
+        step = 1e-3 * pump.kappa0
+
+        def zero_mode(gamma):
+            w = np.linalg.eigvals(pumped_hamiltonian(m, pump, gamma))
+            return w[np.argmin(np.abs(w - es.eigenvalues[zi]))]
+
+        slope = (zero_mode(step) - zero_mode(-step)) / (2 * step)
+        assert abs(pred.energy_correction / pump.kappa0 - slope) <= 1e-6, label
 
 
 def test_failed_chain_certificate_returns_dense_result(monkeypatch):

@@ -3,10 +3,12 @@ against exact and dense oracles, and the continuation that keeps the mode
 order: the order against a per-point overlap tracker, exact thresholds from
 Fraction continued fractions, the bordered matrix's real spectrum against
 the sign changes of Re G_pp, the chain search's single eigvals and its
-noise-floor refusal, the secular step's swap guard, and dense inputs searched
-exactly as by the plain regula falsi."""
+noise-floor refusal, the secular step's swap guard and its bounded
+separation test against the pairwise one, and dense inputs searched exactly
+as by the plain regula falsi."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -248,6 +250,58 @@ def test_swap_guard_refuses_a_step_that_reorders_modes(chain9):
     assert chain.step(w, mu, slope, 0.0, 1e-9) is not None
     swapped = w[[1, 0] + list(range(2, len(w)))]
     assert chain.step(swapped, mu, slope, 0.0, 1e-9) is None
+
+
+@st.composite
+def separation_cases(draw):
+    """(w, guess, limit): points with repeated real parts, conjugate pairs,
+    near-ties and NaN, each prediction moved a fraction t of the way to
+    another point, t up to and around one half."""
+    n = draw(st.integers(1, 10))
+    parts = st.sampled_from([-1.0, 0.0, 0.3, 1.0, 1e-300]) | st.floats(-3.0, 3.0)
+    w = (np.array(draw(st.lists(parts, min_size=n, max_size=n)))
+         + 1j * np.array(draw(st.lists(parts, min_size=n, max_size=n))))
+    if n >= 2 and draw(st.booleans()):
+        w[1] = w[0].conjugate()
+    if n >= 2 and draw(st.booleans()):
+        w[-1] = np.nextafter(w[-2].real, np.inf) + 1j * w[-2].imag
+    if draw(st.integers(0, 9)) == 0:
+        w[draw(st.integers(0, n - 1))] = np.nan
+    toward = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    near_half = st.sampled_from([0.0, 0.25, 0.5 - 1e-15, 0.5 - 2e-16, 0.5, 0.7])
+    t = np.array(draw(st.lists(near_half | st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    return w, w + t * (w[toward] - w), draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.1]))
+
+
+def pairwise(w, guess, limit):
+    """The n x n test: every |w_i - w_j| > limit, each guess_i nearest w_i."""
+    n = len(w)
+    return bool(np.abs(w[:, None] - w)[~np.eye(n, dtype=bool)].min(initial=np.inf) > limit
+                and np.array_equal(np.abs(guess[:, None] - w).argmin(axis=1), np.arange(n)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=separation_cases())
+def test_gap_bound_never_passes_where_the_pairwise_test_fails(case):
+    # the bound on the sorted real parts decides first and the n x n test only
+    # where it does not, so a bound that passed where the n x n test fails
+    # would make the verdict differ from the n x n test alone
+    w, guess, limit = case
+    assert laser._separated(w, guess, limit) == pairwise(w, guess, limit)
+
+
+def test_gap_bound_decides_clear_cases_without_the_pairwise_test():
+    # (w, guess, limit, verdict, decided by the bound): half the least gap, a
+    # gap at the limit, a conjugate pair (equal real parts) and a NaN are not
+    pts = np.array([0.0, 1.0, 3.0]) - 0.02j
+    pair = np.array([1 + 1j, 1 - 1j])
+    for w, guess, limit, verdict, bound in [
+            (pts, pts + 0.4, 0.5, True, True), (pts, pts + 0.5, 0.5, True, False),
+            (pts, pts + 0.4, 1.0, False, False), (pair, pair, 0.0, True, False),
+            (np.array([0.0, np.nan]), np.array([0.0, 1.0]), 0.0, False, False)]:
+        with mock.patch.object(np, "eye", wraps=np.eye) as eye:
+            assert laser._separated(w, guess, limit) == verdict
+        assert eye.call_count == (0 if bound else 1)
 
 
 def test_dense_inputs_keep_the_regula_falsi_bits(chain9):

@@ -132,14 +132,14 @@ def test_secular_residual_is_the_formed_residual(case, gamma_factor, offset):
     # they differ by the eigenbasis' own residual and the round-off of forming phi
     m, pump = case
     chain = _PumpedChain(m, pump, DEFAULT)
-    lam, u, up = chain.basis
+    lam, u = chain.basis[:2]
     mu, slope = chain.seed(*chain.solve(0.0))
     g = gamma_factor * pump.kappa0
     c = _column_norm(chain.form.off, chain.diagonal(g))
     delta = g * slope + offset * c * np.exp(1j * np.arange(len(mu)))
-    res, y = (_secular(lam, up, mu, delta, g)[i] for i in (2, 4))
-    phi = u @ y.T
     w = lam[mu] + delta - 1j * pump.kappa0
+    res = _secular(chain.basis, mu, w + 1j * pump.kappa0 - lam[mu], g)[2]   # phi's delta
+    phi = chain.vectors(w, mu, g)
     t = pumped_hamiltonian(symmetric_form(m), pump, g)
     formed = np.linalg.norm(t @ phi - phi * w, axis=0) / np.linalg.norm(phi, axis=0)
     basis_error = np.linalg.norm(symmetric_form(m).real @ u - u * lam, 2)

@@ -232,6 +232,13 @@ def test_assert_hermitian_returns_the_symmetrized_bits():
         assert_hermitian(exact + 1e-6 * rng.normal(size=exact.shape))
 
 
+def test_assert_hermitian_keeps_entries_near_the_largest_float():
+    # each term is halved before the sum, so a finite entry above 8.99e307 stays finite
+    m = np.array([[1e308, 1.5e308 - 1e308j], [1.5e308 + 1e308j, -1.7e308]])
+    assert np.array_equal(assert_hermitian(m), m)
+    assert np.array_equal(assert_hermitian(np.array([[1e308]])), [[1e308]])
+
+
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(2, 16), s=st.floats(1.05, 3.0), seed=st.integers(0, 2**32 - 1))
 def test_geometric_coupling_ratio(n, s, seed):

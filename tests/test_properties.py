@@ -117,9 +117,9 @@ GOLDEN_FAILURES = {
         (2, "non-real eigenvalue (max |Im| = 0.000e+00) (n=38)"),
     ],
     "mech_hermitian_equivalent": [
-        (0, "mass-graded equivalent spectrum gap 2.487e-14 > 0.000e+00 (n=12)"),
-        (1, "mass-graded equivalent spectrum gap 2.665e-15 > 0.000e+00 (n=25)"),
-        (2, "mass-graded equivalent spectrum gap 1.599e-14 > 0.000e+00 (n=25)"),
+        (0, "mass-graded equivalent spectrum gap 1.776e-14 > 0.000e+00 (n=12)"),
+        (1, "mass-graded equivalent spectrum gap 1.776e-15 > 0.000e+00 (n=25)"),
+        (2, "mass-graded equivalent spectrum gap 1.243e-14 > 0.000e+00 (n=25)"),
     ],
 }
 
