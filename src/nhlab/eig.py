@@ -255,28 +255,31 @@ def _chain_systems(stack: np.ndarray, norm: np.ndarray,
 def _dense_systems(stack: np.ndarray, norm: np.ndarray, index: list[int], tol: Tolerances,
                    prefix: str) -> dict[int, EigenSystem]:
     """Certified systems of the matrices ``index`` of the stack, by stack
-    index, from one ``scipy.linalg.eig`` each.  Only a matrix with two
-    eigenvalues within ``cluster_rel * ||M||`` has its clusters treated.  An
-    ``EigensolveError`` message starts with ``prefix.format(i)``."""
+    index, from one ``scipy.linalg.eig`` each; one with ||M|| outside [smlnum,
+    1 / smlnum] (zgeev fails, residuals over- or underflow) is solved and
+    certified as 2^k M, ||2^k M|| near 1, and scaled back.  Only a matrix
+    with two eigenvalues within ``cluster_rel * ||M||`` has its clusters
+    treated.  An ``EigensolveError`` message starts with ``prefix.format(i)``."""
     n = stack.shape[-1]
+    k = np.where((norm[index] < _SMLNUM) | (norm[index] > 1 / _SMLNUM),
+                 -np.maximum(np.frexp(norm[index])[1], -1000), 0)
+    m = _stacked([stack[i] * np.ldexp(1.0, j) if j else stack[i] for i, j in zip(index, k)])
     solved = []
-    for i in index:
-        k = -max(np.frexp(norm[i])[1], -1000) if norm[i] < _SMLNUM else 0  # zgeev fails below
+    for i, a in zip(index, m):
         try:
-            wi, vli, vri = scipy.linalg.eig(np.ldexp(1.0, k) * stack[i] if k else stack[i],
-                                            left=True, right=True, check_finite=False)
+            wi, vli, vri = scipy.linalg.eig(a, left=True, right=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise EigensolveError(prefix.format(i) + f"eigensolve failed for {n}x{n} matrix "
-                                  f"(||M||={norm[i]:.3e}, cond={_condition(stack[i]):.3e}): "
+                                  f"(||M||={norm[i]:.3e}, cond={_condition(a):.3e}): "
                                   f"{exc}") from exc
-        solved.append((np.ldexp(1.0, -k) * wi if k else wi, np.conjugate(vli, out=vli), vri))
+        solved.append((wi, np.conjugate(vli, out=vli), vri))
     w, vl, vr = map(_stacked, zip(*solved))
     order = np.lexsort((w.imag, w.real), axis=-1)
     w = np.take_along_axis(w, order, axis=-1)
     # gather on the transposed vectors, so every slice stays in LAPACK's Fortran order
     rhat, lhat = (_unit_columns(np.take_along_axis(v.swapaxes(-1, -2), order[..., None], -2)
                                 .swapaxes(-1, -2)) for v in (vr, vl))
-    lim = tol.cluster_rel * norm[index]
+    lim = tol.cluster_rel * np.ldexp(norm[index], k)
     close = np.abs(w[:, :, None] - w[:, None, :]) <= lim[:, None, None]
     for j in np.flatnonzero((close & ~np.eye(n, dtype=bool)).any(axis=(-2, -1))):
         for comp in _clusters(w[j], lim[j]):
@@ -290,16 +293,16 @@ def _dense_systems(stack: np.ndarray, norm: np.ndarray, index: list[int], tol: T
     top = np.take_along_axis(right, np.argmax(np.abs(right), axis=-2)[..., None, :], axis=-2)
     phase = top / np.abs(top)
     right, left = right / phase, left * phase
-    m = _stacked([stack[i] for i in index])
     residuals = np.maximum(_residuals(m @ right, right, w),
                            _residuals(m.swapaxes(-1, -2) @ left, left, w))
-    systems = _systems(norm[index], w, right, left, self_orth, overlaps, residuals)
-    for i, es in zip(index, systems):
+    back = np.ldexp(1.0, -k)[:, None]
+    systems = _systems(norm[index], w * back, right, left, self_orth, overlaps, residuals * back)
+    for i, a, es in zip(index, m, systems):
         if not _certified(es, tol):
             raise EigensolveError(prefix.format(i) + f"eigenpair residual "
                                   f"{es.residuals.max():.3e} exceeds {tol.residual_rel:.1e} * "
                                   f"||M|| = {tol.residual_rel * norm[i]:.3e} "
-                                  f"(cond={_condition(stack[i]):.3e})")
+                                  f"(cond={_condition(a):.3e})")
     return dict(zip(index, systems))
 
 

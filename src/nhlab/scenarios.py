@@ -27,8 +27,8 @@ from .model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
                     construct_product, spectral_norm)
 from .perturb import first_order, matrix_elements
 from .properties import SUITE_NAMES, run_properties
-from .skin import (ModeReport, find_zero_mode, mode_reports, verify_selective_skin,
-                   verify_standard_skin, zero_mode_equality)
+from .skin import (ModeReport, NoZeroModeError, find_zero_mode, mode_reports,
+                   verify_selective_skin, verify_standard_skin, zero_mode_equality)
 from .spectra import certify, ep_analyze
 
 SCENARIOS = ("fig1", "fig2", "fig3", "fig4", "fig5", "oscillators",
@@ -381,13 +381,13 @@ def scenario_fig3(cfg: ScenarioConfig, tol: Tolerances,
                                  pumped_hamiltonian(mat, pump, results[lbl].threshold),
                                  pump, gamma=results[lbl].threshold)
                 for lbl, mat in (("selective", h), ("standard", hpp))}
-            # the two searches used different grids; retrack on a shared one
+            # one gamma axis for both zero-mode trajectories, up to the larger threshold
             shared = np.linspace(0.0, max(results["selective"].threshold,
                                           results["standard"].threshold), 41)
             tr_sel = track_mode(h, pump, shared, tol)
             tr_std = track_mode(hpp, pump, shared, tol)
             if tr_sel.zero_mode_index is None or tr_std.zero_mode_index is None:
-                raise RuntimeError("no frequency-pinned mode along the pump sweep")
+                raise NoZeroModeError("no frequency-pinned mode along the pump sweep")
             tables["fig3_trajectories"] = _table({
                 "gamma": shared,
                 "selective": tr_sel.eigenvalues[:, tr_sel.zero_mode_index],
@@ -508,7 +508,7 @@ def scenario_fig5(cfg: ScenarioConfig, tol: Tolerances,
         tr = track_mode(matrix, pump, np.array([0.0, h_fd, 2 * h_fd]), tol)
         zmode = tr.zero_mode_index
         if zmode is None:
-            raise RuntimeError("no frequency-pinned mode along the pump sweep")
+            raise NoZeroModeError("no frequency-pinned mode along the pump sweep")
         dwdg = (tr.eigenvalues[2, zmode] - tr.eigenvalues[0, zmode]) / (2 * h_fd)
         fd_gap = abs(dwdg - 1j * h_zz)
         assertions.append(_assert_le(f"fig5.{label}.dw_dgamma_match",

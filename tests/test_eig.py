@@ -91,6 +91,21 @@ def test_matrices_below_lapack_smlnum_are_scaled_and_certify():
     assert scenario_custom(cfg, DEFAULT).passed
 
 
+@pytest.mark.filterwarnings("error")
+def test_every_representable_scale_is_solved_and_certified_as_a_scaled_matrix():
+    # outside [smlnum, 1 / smlnum] zgeev fails or the residuals over- or
+    # underflow (to exactly 0, which certifies nothing): 2^k M is solved and
+    # certified instead, and its eigenvalues and residuals scaled back
+    rng = np.random.default_rng(1)
+    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    ref = np.sort_complex(np.linalg.eigvals(m))
+    for e in range(-300, 301, 20):
+        es = eig_full(10.0 ** e * m)
+        assert 0 < es.residuals.max() / es.matrix_norm <= DEFAULT.residual_rel
+        w = np.sort_complex(es.eigenvalues / 10.0 ** e)
+        assert np.abs(w - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_serialization_roundtrip(chain9, chain9_systems):
     _, es, _ = chain9_systems
     cfg = ScenarioConfig(scenario="custom", lattice=chain9[0])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import nhlab.eig
 from nhlab.config import DEFAULT
-from nhlab.eig import (BIORTHONORMAL, SELF_ORTHOGONAL, EigensolveError, _tridiagonal_product,
+from nhlab.eig import (BIORTHONORMAL, SELF_ORTHOGONAL, _tridiagonal_product,
                        apply_metric_pairing, chain_form, collinearity_residual, eig_full)
 from nhlab.laser import PumpSpec, pumped_hamiltonian
 from nhlab.model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
@@ -165,16 +165,18 @@ def test_failed_chain_certificate_returns_dense_result(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_overflowing_couplings_raise_eigensolve_error():
-    # entries reach ~1e204: a product m[i, i+1] * m[i+1, i] would overflow
+def test_overflowing_couplings_certify_on_the_dense_path():
+    # entries reach ~1e204: a product m[i, i+1] * m[i+1, i] would overflow, so
+    # the chain path's residuals do; the dense path solves and certifies 2^k M
     spec = LatticeSpec(n=801, scaling="geometric", s=1.7977)
     h = construct_product(build_h0(spec), build_scaling(spec))
     form = nhlab.eig.chain_form(h)
     assert np.all(np.isfinite(form.off)) and np.all(np.isfinite(form.d))
     with spy(scipy.linalg, "eig") as dense:
-        with pytest.raises(EigensolveError, match="eigenpair residual inf exceeds"):
-            eig_full(h)
+        es = eig_full(h)
     assert dense.call_count == 1
+    assert es.matrix_norm > 1e203
+    assert 0 < es.residuals.max() <= DEFAULT.residual_rel * es.matrix_norm
 
 
 @pytest.mark.parametrize("n", [101, 201, 401])

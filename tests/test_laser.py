@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nhlab.laser import (NoThresholdError, PumpSpec, TrackingAmbiguityError, VanishingModeError,
-                         find_threshold, power_flows, pumped_hamiltonian, track_mode)
+from nhlab.laser import (NoThresholdError, PumpSpec, TrackingAmbiguityError, find_threshold,
+                         power_flows, pumped_hamiltonian, track_mode)
 from nhlab.model import LatticeSpec, build_h0
 
 
@@ -181,11 +181,17 @@ def test_threshold_mode_normalization_and_pinning(chain9):
     assert abs(wa.imag.max()) <= 1e-9 * pump.kappa0
 
 
-def test_threshold_mode_vanishing_at_site_1_is_refused():
-    # site 1 decoupled and unpumped: the crossing mode lives on sites 2-3
+def test_threshold_mode_vanishing_at_site_1_is_one_at_its_pumped_site():
+    # site 1 decoupled and unpumped: the crossing mode lives on sites 2-3, whose
+    # eigenvalues i gamma / 2 +- sqrt(1 - gamma^2 / 4) - i kappa0 cross at 2 kappa0
     h = np.array([[0.5, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
-    with pytest.raises(VanishingModeError, match="vanishes at site 1"):
-        find_threshold(h, PumpSpec(kappa0=0.1, pumped_sites=(3,)))
+    pump = PumpSpec(kappa0=0.1, pumped_sites=(3,))
+    res = find_threshold(h, pump)
+    assert res.threshold == pytest.approx(0.2, rel=1e-9)
+    assert res.threshold_mode[2] == 1.0 and res.threshold_mode[0] == 0
+    assert abs(res.threshold_mode[1]) == pytest.approx(1.0, rel=1e-9)
+    wa = np.linalg.eigvals(pumped_hamiltonian(h, pump, res.threshold))
+    assert abs(wa.imag.max()) <= 1e-9 * pump.kappa0
 
 
 def test_threshold_monotone_in_added_pump_site(chain9):

@@ -3,7 +3,9 @@ imports a name it never uses, and every private module-level name is
 referenced somewhere in the package, so a deletion leaves no dead helper
 or stale import behind.  The scalar rules live in ``config`` alone, so a
 hand-rolled copy elsewhere fails the gate, and numpy and scipy are reached
-as modules, so a wrapper set on a kernel's module attribute sees every call."""
+as modules, so a wrapper set on a kernel's module attribute sees every call.
+No module raises a bare ``RuntimeError``, ``AssertionError``, ``IndexError``
+or ``Exception``: a failure is a typed error a caller can catch."""
 
 import ast
 from pathlib import Path
@@ -106,3 +108,16 @@ def test_numpy_and_scipy_are_imported_as_modules():
              if isinstance(node, ast.ImportFrom) and node.level == 0
              and node.module.split(".")[0] in ("numpy", "scipy")]
     assert names == []
+
+
+BARE_ERRORS = {"RuntimeError", "AssertionError", "IndexError", "Exception"}
+
+
+def test_no_module_raises_a_bare_builtin_error():
+    # a failure is a typed nhlab error (or a ValueError/TypeError on the input)
+    bare = [f"{module}.py:{node.lineno} {name.id}"
+            for module, tree in MODULES.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            for name in [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+            if isinstance(name, ast.Name) and name.id in BARE_ERRORS]
+    assert bare == []
