@@ -123,7 +123,7 @@ def _condition(m: np.ndarray) -> float:
     return sv[0] / max(sv[-1], 1e-300)
 
 
-def _biorthogonalize_cluster(comp: list[int], lhat: np.ndarray, rhat: np.ndarray,
+def _biorthogonalize_cluster(comp: np.ndarray, lhat: np.ndarray, rhat: np.ndarray,
                              tol: Tolerances) -> None:
     """Biorthogonalize the left vectors of one eigenvalue cluster, in place.
 
@@ -154,28 +154,30 @@ class ChainForm:
 
 
 def chain_form(m: np.ndarray) -> ChainForm | None:
-    """The ``ChainForm`` of a real chain, or None.
+    """The ``ChainForm`` of a real chain, or of a (k, n, n) stack of them with one
+    row per chain, or None.
 
     The off-diagonal of T is sign * sqrt|m[i, i+1]| * sqrt|m[i+1, i]| (square
     roots taken apart, so no product of couplings can overflow), and D comes
-    from a log-space cumulative sum with its mean removed.  None when M is
-    not real tridiagonal with n >= 2, a coupling pair has a zero or a sign
-    flip, or D is not finite and positive.
+    from a log-space cumulative sum with its mean removed.  None when M (any
+    matrix of a stack) is not real tridiagonal with n >= 2, a coupling pair has
+    a zero or a sign flip, or D is not finite and positive.
     """
-    n = m.shape[0]
-    if n < 2 or m.imag.any():
+    n = m.shape[-1]
+    if n < 2 or np.iscomplexobj(m) and m.imag.any():
         return None
     m = m.real
-    sup, sub = np.diagonal(m, 1), np.diagonal(m, -1)
+    sup, sub = np.diagonal(m, 1, -2, -1), np.diagonal(m, -1, -2, -1)
     if not np.all(np.sign(sup) * np.sign(sub) > 0) or not _is_tridiagonal(m):
         return None
     log_sup, log_sub = np.log(np.abs(sup)), np.log(np.abs(sub))
-    log_d = np.concatenate(([0.0], np.cumsum((log_sup - log_sub) / 2)))
-    d = np.exp(log_d - log_d.mean())
+    log_d = np.zeros(m.shape[:-1])
+    np.cumsum((log_sup - log_sub) / 2, axis=-1, out=log_d[..., 1:])
+    d = np.exp(log_d - log_d.mean(axis=-1, keepdims=True))
     if not np.all(np.isfinite(d) & (d > 0)):
         return None
     off = np.sign(sup) * np.sqrt(np.abs(sup)) * np.sqrt(np.abs(sub))
-    return ChainForm(diag=np.diagonal(m).copy(), off=off, d=d)
+    return ChainForm(diag=np.diagonal(m, 0, -2, -1).copy(), off=off, d=d)
 
 
 def _tridiagonal_product(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
@@ -192,9 +194,9 @@ def _systems(norm: np.ndarray, w: np.ndarray, right: np.ndarray, left: np.ndarra
              self_orth: np.ndarray, overlaps: np.ndarray,
              residuals: np.ndarray) -> list[EigenSystem]:
     """One ``EigenSystem`` per matrix of the stacked arrays."""
+    status = np.array([BIORTHONORMAL, SELF_ORTHOGONAL], dtype=object)[self_orth.astype(int)]
     return [EigenSystem(dim=right.shape[-1], eigenvalues=w[i], right_vectors=right[i],
-                        left_vectors=left[i], norm_status=tuple(
-                            SELF_ORTHOGONAL if so else BIORTHONORMAL for so in self_orth[i]),
+                        left_vectors=left[i], norm_status=tuple(status[i]),
                         overlaps=overlaps[i], residuals=residuals[i], matrix_norm=float(norm[i]))
             for i in range(len(right))]
 
@@ -211,26 +213,45 @@ def _stacked(arrays: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
+def _exponents(norm: np.ndarray) -> np.ndarray:
+    """k with ||2^k M|| near 1 for each norm outside [smlnum, 1 / smlnum], else 0."""
+    return np.where((norm < _SMLNUM) | (norm > 1 / _SMLNUM),
+                    -np.maximum(np.frexp(norm)[1], -1000), 0)
+
+
 def _chain_systems(stack: np.ndarray, norm: np.ndarray,
                    tol: Tolerances) -> dict[int, EigenSystem]:
     """Certified systems by stack index of each M = R + i c I, R a real chain and c = 0 or a
     uniform loss: R's, in real arithmetic, with eigenvalues w + i c and certified on M's own
-    bands.  A chain whose ``eigh_tridiagonal`` fails or misses its certificate is left out."""
-    solved = {}
-    for i, m in enumerate(stack):
-        c = m.imag[0, 0]               # a uniform loss: Im M == c I, its n nonzeros all c
-        lossy = c and (m.imag.diagonal() == c).all() and np.count_nonzero(m.imag) == len(m)
-        form = chain_form(m.real if lossy else m)
+    bands.  Array tests over the stack pick the candidates and one ``chain_form`` takes them
+    all; a chain with ||M|| outside [smlnum, 1 / smlnum] is solved and certified as
+    2^k M and scaled back.  A chain whose ``eigh_tridiagonal`` fails or misses its
+    certificate is left out."""
+    n, re, imag = stack.shape[-1], stack.real, stack.imag
+    loss = imag[:, 0, 0]               # a uniform loss: Im M == c I, its n nonzeros all c
+    index = np.flatnonzero((np.diagonal(imag, 0, -2, -1) == loss[:, None]).all(axis=-1) & (
+        np.sign(np.diagonal(re, 1, -2, -1)) * np.sign(np.diagonal(re, -1, -2, -1)) > 0).all(-1))
+    index = index[np.count_nonzero(imag[index], axis=(-2, -1)) == np.where(loss[index], n, 0)]
+    form = chain_form(re if len(index) == len(re) else re[index]) if index.size else None
+    if form is None and index.size > 1:     # not tridiagonal, or D over- or underflows
+        index = index[[chain_form(m) is not None for m in re[index]]]
+        form = chain_form(re[index]) if index.size else None
+    if form is None:
+        return {}
+    k = _exponents(norm[index])
+    scale = np.ldexp(1.0, k)[:, None]
+    solved, vectors = [], []
+    for j, (a, b) in enumerate(zip(form.diag * scale, form.off * scale)):
         try:
-            if form is not None:
-                w, u = scipy.linalg.eigh_tridiagonal(form.diag, form.off, check_finite=False)
-                solved[i] = (form.d, w + 1j * c, u)
+            vectors.append(scipy.linalg.eigh_tridiagonal(a, b, check_finite=False))
+            solved.append(j)
         except np.linalg.LinAlgError:
             pass    # the dense path decides
     if not solved:
         return {}
-    index = list(solved)
-    d, w, right = map(_stacked, zip(*solved.values()))
+    index, k, scale, d = index[solved], k[solved], scale[solved], form.d[solved]
+    w, right = map(_stacked, zip(*vectors))
+    w = w + 1j * (loss[index, None] * scale)
     left, right = right * d[..., None], right / d[..., None]
     # unit overlap 1 / (||u/d|| ||u*d||); scales sqrt(||u*d|| / ||u/d||)^(+-1) give u^T u
     nr, nl = np.linalg.norm(right, axis=-2), np.linalg.norm(left, axis=-2)
@@ -239,17 +260,21 @@ def _chain_systems(stack: np.ndarray, norm: np.ndarray,
     sign = np.sign(np.take_along_axis(right, np.argmax(np.abs(right), -2)[..., None, :], -2))
     right *= sign * np.where(self_orth, 1.0 / nr, np.sqrt(nl / nr))[..., None, :]
     left *= sign * np.where(self_orth, 1.0 / nl, np.sqrt(nr / nl))[..., None, :]
-    bands = [np.diagonal(stack, k, -2, -1)[index] for k in (-1, 0, 1)]
+    bands = [np.diagonal(stack, j, -2, -1)[index] for j in (-1, 0, 1)]
+    if k.any():
+        bands = [b * scale for b in bands]
     if not w.imag.any():                      # real chains: real arithmetic
         w, bands = w.real, [b.real for b in bands]
     residuals = np.maximum(_residuals(_tridiagonal_product(*bands, right), right, w),
                            _residuals(_tridiagonal_product(*bands[::-1], left), left, w))
+    if k.any():
+        w, residuals = w / scale, residuals / scale
     # both complex vector sets in one allocation, each slice in LAPACK's column order
     vectors = np.empty((2,) + right.shape, dtype=complex).swapaxes(-1, -2)
     vectors[0], vectors[1] = right, left
     systems = _systems(norm[index], w.astype(complex), *vectors, self_orth,
                        overlaps.astype(complex), residuals)
-    return {i: es for i, es in zip(index, systems) if _certified(es, tol)}
+    return {i: es for i, es in zip(index.tolist(), systems) if _certified(es, tol)}
 
 
 def _dense_systems(stack: np.ndarray, norm: np.ndarray, index: list[int], tol: Tolerances,
@@ -261,8 +286,7 @@ def _dense_systems(stack: np.ndarray, norm: np.ndarray, index: list[int], tol: T
     with two eigenvalues within ``cluster_rel * ||M||`` has its clusters
     treated.  An ``EigensolveError`` message starts with ``prefix.format(i)``."""
     n = stack.shape[-1]
-    k = np.where((norm[index] < _SMLNUM) | (norm[index] > 1 / _SMLNUM),
-                 -np.maximum(np.frexp(norm[index])[1], -1000), 0)
+    k = _exponents(norm[index])
     m = _stacked([stack[i] * np.ldexp(1.0, j) if j else stack[i] for i, j in zip(index, k)])
     solved = []
     for i, a in zip(index, m):
@@ -281,10 +305,12 @@ def _dense_systems(stack: np.ndarray, norm: np.ndarray, index: list[int], tol: T
                                 .swapaxes(-1, -2)) for v in (vr, vl))
     lim = tol.cluster_rel * np.ldexp(norm[index], k)
     close = np.abs(w[:, :, None] - w[:, None, :]) <= lim[:, None, None]
-    for j in np.flatnonzero((close & ~np.eye(n, dtype=bool)).any(axis=(-2, -1))):
-        for comp in _clusters(w[j], lim[j]):
-            if len(comp) > 1:
-                _biorthogonalize_cluster(comp, lhat[j], rhat[j], tol)
+    close[:, range(n), range(n)] = False
+    paired = close.any(axis=-1)               # the eigenvalues with a close partner
+    for j in np.flatnonzero(paired.any(axis=-1)):
+        members = np.flatnonzero(paired[j])
+        for comp in _clusters(w[j, members], lim[j]):
+            _biorthogonalize_cluster(members[comp], lhat[j], rhat[j], tol)
     # biorthonormal pairs rescaled symmetrically (principal branch), each phased and certified
     overlaps = np.sum(lhat * rhat, axis=-2)
     self_orth = np.abs(overlaps) < tol.self_orth

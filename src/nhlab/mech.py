@@ -29,9 +29,13 @@ class OscillatorChain:
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "n", 1))
         object.__setattr__(self, "spring_k", _positive(self.spring_k, "spring_k"))
-        if not _is_list(self.masses) or len(self.masses) != self.n:
-            raise ValueError(f"masses {self.masses!r} is not a list of {self.n} masses")
-        object.__setattr__(self, "masses", tuple(_positive(m, "mass") for m in self.masses))
+        masses = self.masses
+        if not (isinstance(masses, np.ndarray) and masses.dtype == float   # else mass by mass
+                and masses.shape == (self.n,) and np.all((masses > 0) & (masses < np.inf))):
+            if not _is_list(masses) or len(masses) != self.n:
+                raise ValueError(f"masses {masses!r} is not a list of {self.n} masses")
+            masses = np.array([_positive(m, "mass") for m in masses])
+        object.__setattr__(self, "masses", tuple(masses.tolist()))
 
 
 def stiffness_matrix(chain: OscillatorChain) -> np.ndarray:
@@ -47,22 +51,32 @@ def dynamical_matrix(chain: OscillatorChain) -> np.ndarray:
 
 
 def eigenfrequencies(m: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """sqrt(-lambda) for each eigenvalue, ascending.
+    """sqrt(-lambda) for each eigenvalue, ascending; for a (k, n, n) stack one row per
+    matrix, each equal to its 2-D call.
 
     The spectrum is certified real and nonpositive first; violations beyond
     ``mech_spectrum_rel * ||M||`` (``norm_scale``) mean the matrix is not a
-    physical chain.  A real M is solved in real arithmetic (``dgeev``).
+    physical chain, and for a stack the message starts with the stack index of
+    the first such matrix.  A real M is solved in real arithmetic (``dgeev``).
     """
-    m = _matrix(m, "m")
-    lam = np.linalg.eigvals(m if m.imag.any() else m.real)
-    worst = max(np.abs(lam.imag).max(), lam.real.max())
-    scale = max(norm_scale(m, worst, tol.mech_spectrum_rel), 1e-300)
-    if np.abs(lam.imag).max() > tol.mech_spectrum_rel * scale:
-        raise ValueError(f"non-real eigenvalue (max |Im| = {np.abs(lam.imag).max():.3e})")
-    if lam.real.max() > tol.mech_spectrum_rel * scale:
-        raise ValueError(f"positive eigenvalue {lam.real.max():.3e}: not a stable chain")
-    vals = np.clip(lam.real, None, 0.0)
-    return np.sort(np.sqrt(-vals))
+    m = _matrix(m, "m", stack=True)
+    stack = m if m.ndim == 3 else m[None]
+    lam = np.empty(stack.shape[:-1], dtype=complex)
+    real = ~stack.imag.any(axis=(-2, -1))
+    for rows, part in ((real, stack.real), (~real, stack)):
+        if rows.any():
+            lam[rows] = np.linalg.eigvals(part[rows])
+    imag, top = np.abs(lam.imag).max(axis=-1), lam.real.max(axis=-1)
+    limit = tol.mech_spectrum_rel * np.maximum(
+        norm_scale(stack, np.maximum(imag, top), tol.mech_spectrum_rel), 1e-300)
+    if (bad := (imag > limit) | (top > limit)).any():
+        i = int(np.argmax(bad))
+        where = f"stack index {i}: " if m.ndim == 3 else ""
+        if imag[i] > limit[i]:
+            raise ValueError(where + f"non-real eigenvalue (max |Im| = {imag[i]:.3e})")
+        raise ValueError(where + f"positive eigenvalue {top[i]:.3e}: not a stable chain")
+    freqs = np.sort(np.sqrt(-np.clip(lam.real, None, 0.0)), axis=-1)
+    return freqs if m.ndim == 3 else freqs[0]
 
 
 def total_energy(chain: OscillatorChain, x: np.ndarray, v: np.ndarray) -> float:

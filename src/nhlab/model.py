@@ -328,9 +328,9 @@ def _is_diagonal(m: np.ndarray) -> bool:
 
 
 def _is_tridiagonal(m: np.ndarray) -> bool:
-    """Square, with every nonzero on the diagonal or next to it."""
-    return bool(m.shape[0] == m.shape[1] and np.count_nonzero(m) == sum(
-        np.count_nonzero(np.diagonal(m, k)) for k in (-1, 0, 1)))
+    """Square, with every nonzero on the diagonal or next to it, in every matrix of a stack."""
+    return bool(m.shape[-1] == m.shape[-2] and np.count_nonzero(m) == sum(
+        np.count_nonzero(np.diagonal(m, k, -2, -1)) for k in (-1, 0, 1)))
 
 
 def construct_product(h0: np.ndarray, a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -350,21 +350,31 @@ def construct_product(h0: np.ndarray, a: np.ndarray, tol: Tolerances = DEFAULT) 
 
 
 def construct_gauge(h0: np.ndarray, a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Similarity transform H'' = A^-1 H0 A (spectrum equals H0's) of two
-    square matrices; a stack is refused."""
-    h0 = _matrix(h0, "h0")
+    """Similarity transform H'' = A^-1 H0 A (spectrum equals H0's) of two square
+    matrices, or of each pair of two (k, n, n) stacks, each equal to its 2-D call:
+    a diagonal A scales rows and columns, any other takes one ``solve``.  A
+    singular A is refused; for a stack the message starts with its stack index."""
+    h0 = _matrix(h0, "h0", stack=True)
     a = _matrix(a, "a", h0.shape)
-    if _is_diagonal(a):
-        d = np.diagonal(a)
-        zero = np.flatnonzero(d == 0)
-        if zero.size:
-            raise ValueError("scaling is singular at sites "
-                             f"{[int(j + 1) for j in zero]}; cannot gauge-transform")
-        return (h0 * d[None, :]) / d[:, None]
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= tol.invertible_rel * sv[0]:
-        raise ValueError("scaling is numerically singular; cannot gauge-transform")
-    return np.linalg.solve(a, h0 @ a)
+    hk, ak = (h0, a) if h0.ndim == 3 else (h0[None], a[None])
+    d = np.diagonal(ak, axis1=-2, axis2=-1)
+    dense = np.count_nonzero(ak, axis=(-2, -1)) > np.count_nonzero(d, axis=-1)
+    singular = ~dense & (d == 0).any(axis=-1)
+    if dense.any():
+        sv = np.linalg.svd(ak[dense], compute_uv=False)
+        singular[dense] = sv[:, -1] <= tol.invertible_rel * sv[:, 0]
+    if singular.any():
+        i = int(np.argmax(singular))
+        where = f"stack index {i}: " if h0.ndim == 3 else ""
+        if dense[i]:
+            raise ValueError(where + "scaling is numerically singular; cannot gauge-transform")
+        raise ValueError(where + "scaling is singular at sites "
+                         f"{(np.flatnonzero(d[i] == 0) + 1).tolist()}; cannot gauge-transform")
+    e = np.where(dense[:, None], 1.0, d)       # A's diagonal, or 1 where A is not diagonal
+    out = hk * e[:, None, :] / e[:, :, None]
+    if dense.any():
+        out[dense] = np.linalg.solve(ak[dense], hk[dense] @ ak[dense])
+    return out if h0.ndim == 3 else out[0]
 
 
 def factor_psd(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:

@@ -10,6 +10,7 @@ small record that replays the identical instance.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -17,25 +18,30 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances, _integer
 from .eig import SELF_ORTHOGONAL, EigenSystem, eig_full
-from .mech import OscillatorChain, dynamical_matrix, eigenfrequencies, stiffness_matrix
+from .mech import OscillatorChain, eigenfrequencies, stiffness_matrix
 from .model import (LatticeSpec, _adjoint, build_h0, build_scaling, construct_gauge,
                     construct_product, norm_scale, residual_norm)
-from .spectra import conjugate_pairs
+from .spectra import _conjugate_matching
 
 
-def _random_hermitian(rng, n: int) -> np.ndarray:
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (g + g.conj().T) / 2
+def _gaussians(rngs: Sequence[np.random.Generator], n: int, count: int = 1) -> np.ndarray:
+    """Each RNG's next ``count`` complex Gaussian n x n matrices, stacked (k, count, n, n):
+    one draw per RNG, each matrix's real part before its imaginary part."""
+    x = np.stack([r.normal(size=(count, 2, n, n)) for r in rngs])
+    return x[:, :, 0] + 1j * x[:, :, 1]
 
 
-def _random_psd(rng, n: int, rank_deficiency: int = 0) -> np.ndarray:
-    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    if rank_deficiency:
+def _hermitian(g: np.ndarray) -> np.ndarray:
+    return (g + _adjoint(g)) / 2
+
+
+def _psd(b: np.ndarray, rank_deficiency: np.ndarray | None = None) -> np.ndarray:
+    """B^dag B of each B, after zeroing its ``rank_deficiency`` smallest singular values."""
+    if rank_deficiency is not None:
         u, sv, vh = np.linalg.svd(b)
-        sv[n - rank_deficiency:] = 0.0
-        b = (u * sv) @ vh
-    a = b.conj().T @ b
-    return (a + a.conj().T) / 2
+        sv[np.arange(b.shape[-1]) >= b.shape[-1] - rank_deficiency[..., None]] = 0.0
+        b = (u * sv[..., None, :]) @ vh
+    return _hermitian(_adjoint(b) @ b)
 
 
 @dataclass
@@ -58,14 +64,21 @@ class SuiteReport:
         return not self.failures
 
 
-def _stack(draws: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    """Per-instance tuples of arrays as one stacked array per field."""
-    return tuple(np.stack(column) for column in zip(*draws))
-
-
 def _random_chain(rng, n: int) -> OscillatorChain:
-    return OscillatorChain(n=n, masses=tuple(rng.uniform(0.2, 5.0, n)),
+    return OscillatorChain(n=n, masses=rng.uniform(0.2, 5.0, n),
                            spring_k=float(rng.uniform(0.5, 2.0)))
+
+
+def _chain_matrices(n: int, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, ...]:
+    """Each RNG's random chain as stacked (M, M0, diag(1 / sqrt m)), with M and M0 those
+    of ``dynamical_matrix`` and ``stiffness_matrix``."""
+    chains = [_random_chain(r, n) for r in rngs]
+    masses = np.array([c.masses for c in chains])
+    k0 = np.array([c.spring_k for c in chains])[:, None, None] * stiffness_matrix(
+        OscillatorChain(n=n, masses=np.ones(n)))
+    root = np.zeros_like(k0)
+    root[:, range(n), range(n)] = 1.0 / np.sqrt(masses)
+    return ((1.0 / masses)[:, :, None] * k0).astype(complex), k0, root
 
 
 def _exceeding(what: str, values: np.ndarray, limits: np.ndarray,
@@ -76,36 +89,37 @@ def _exceeding(what: str, values: np.ndarray, limits: np.ndarray,
 
 
 def _reality_psd(n, rngs, tol):
-    h = construct_product(*_stack([(_random_hermitian(r, n), _random_psd(r, n))
-                                   for r in rngs]), tol)
+    g = _gaussians(rngs, n, 2)
+    h = construct_product(_hermitian(g[:, 0]), _psd(g[:, 1]), tol)
     imag, rel = np.abs(np.linalg.eigvals(h).imag).max(axis=-1), tol.reality_rel
     return _exceeding("max|Im w| =", imag, rel * norm_scale(h, imag, rel), n)
 
 
 def _pseudo_hermiticity(n, rngs, tol):
-    h0 = np.stack([_random_hermitian(r, n) for r in rngs])
+    g = _gaussians(rngs, n, 2)
+    h0 = _hermitian(g[:, 0])
     sv = np.linalg.svd(h0, compute_uv=False)
-    # a singular metric is vacuously skipped, before its A is drawn
+    # a singular metric is vacuously skipped
     keep = np.flatnonzero(sv[:, -1] > tol.invertible_rel * sv[:, 0])
     if not keep.size:
         return []
     h0 = h0[keep]
-    h = construct_product(h0, np.stack([_random_psd(rngs[k], n) for k in keep]), tol)
+    h = construct_product(h0, _psd(g[keep, 1]), tol)
     resid, limit = residual_norm(np.linalg.solve(h0, h @ h0) - _adjoint(h), h, tol.metric_rel)
     return [(keep[k], detail) for k, detail in _exceeding("metric residual", resid, limit, n)]
 
 
 def _conjugate_closure_indefinite(n, rngs, tol):
-    h = construct_product(*_stack([(_random_hermitian(r, n), _random_hermitian(r, n))
-                                   for r in rngs]), tol)
-    resid = np.array([max(conjugate_pairs(w)[1]) for w in np.linalg.eigvals(h)])
+    g = _gaussians(rngs, n, 2)
+    h = construct_product(_hermitian(g[:, 0]), _hermitian(g[:, 1]), tol)
+    resid = _conjugate_matching(np.linalg.eigvals(h))[1].max(axis=-1)
     return _exceeding("conjugation-closure residual", resid,
                       tol.reality_rel * norm_scale(h, resid, tol.reality_rel), n)
 
 
 def _no_ep_psd_invertible(n, rngs, tol):
-    h = construct_product(*_stack([(_random_hermitian(r, n), _random_psd(r, n))
-                                   for r in rngs]), tol)
+    g = _gaussians(rngs, n, 2)
+    h = construct_product(_hermitian(g[:, 0]), _psd(g[:, 1]), tol)
     return [(k, f"statuses {es.norm_status} for invertible PSD scaling (n={n})")
             for k, es in enumerate(eig_full(h, tol)) if not es.all_biorthonormal]
 
@@ -123,18 +137,20 @@ def _ep_location_detail(es: EigenSystem, a: np.ndarray, n: int, tol: Tolerances)
 
 
 def _ep_location_psd_singular(n, rngs, tol):
-    # each instance draws A before H0
-    a = np.stack([_random_psd(r, n, rank_deficiency=int(r.integers(1, max(2, n // 2))))
-                  for r in rngs])
-    h = construct_product(np.stack([_random_hermitian(r, n) for r in rngs]), a, tol)
+    # each instance draws its rank deficiency, then A, then H0
+    deficiency = np.array([r.integers(1, max(2, n // 2)) for r in rngs])
+    g = _gaussians(rngs, n, 2)
+    a = _psd(g[:, 0], deficiency)
+    h = construct_product(_hermitian(g[:, 1]), a, tol)
     return [(k, _ep_location_detail(es, ak, n, tol))
             for k, (es, ak) in enumerate(zip(eig_full(h, tol), a))]
 
 
 def _gauge_similarity(n, rngs, tol):
-    h0 = np.stack([_random_hermitian(r, n) for r in rngs])
-    hpp = np.stack([construct_gauge(h, np.diag(r.uniform(0.2, 3.0, n)).astype(complex), tol)
-                    for h, r in zip(h0, rngs)])
+    h0 = _hermitian(_gaussians(rngs, n)[:, 0])
+    a = np.zeros_like(h0)
+    a[:, range(n), range(n)] = [r.uniform(0.2, 3.0, n) for r in rngs]
+    hpp = construct_gauge(h0, a, tol)
     w0 = np.sort(np.linalg.eigvalsh(h0), axis=-1)
     w = np.sort(np.linalg.eigvals(hpp).real, axis=-1)
     gap, rel = np.abs(w - w0).max(axis=-1), tol.spectra_match_rel
@@ -145,7 +161,8 @@ def _gauge_similarity(n, rngs, tol):
 def _geometric_products(ratios: list[float], n: int, tol: Tolerances) -> np.ndarray:
     """The stack of products H0 A of unit-coupling geometric chains, one per ratio."""
     specs = [LatticeSpec(n=n, t=1.0, scaling="geometric", s=s) for s in ratios]
-    return construct_product(np.stack([build_h0(spec) for spec in specs]),
+    h0 = build_h0(specs[0])             # H0 does not depend on the ratio
+    return construct_product(np.broadcast_to(h0, (len(specs), n, n)),
                              np.stack([build_scaling(spec) for spec in specs]), tol)
 
 
@@ -163,10 +180,11 @@ def _coupling_ratio_geometric(n, rngs, tol):
 def _chiral_detail(es: EigenSystem, n: int, s: float, tol: Tolerances) -> str | None:
     """The first mode without a partner at -w of the same |psi| profile."""
     w = es.eigenvalues
-    pairs, resid = conjugate_pairs(1j * w)
-    mu, nu = np.array(pairs).T
+    partner, resid = _conjugate_matching(1j * w)
+    mu = np.flatnonzero(partner >= np.arange(len(w)))    # each pair once, by its first mode
+    nu = partner[mu]
     checked = (mu != nu) | (np.abs(w[mu]) > tol.zero_mode_rel * es.matrix_norm)
-    unpaired = checked & (np.array(resid) > tol.reality_rel * es.matrix_norm)
+    unpaired = checked & (resid[mu] > tol.reality_rel * es.matrix_norm)
     profile = np.abs(es.right_vectors) / np.linalg.norm(es.right_vectors, axis=0)
     differ = checked & (np.abs(profile[:, mu] - profile[:, nu]).max(axis=0) > 1e-8)
     bad = np.flatnonzero(unpaired | differ)
@@ -184,22 +202,60 @@ def _chiral_pairing(n, rngs, tol):
 
 
 def _mech_reality(n, rngs, tol):
-    for k, r in enumerate(rngs):
-        try:
-            eigenfrequencies(dynamical_matrix(_random_chain(r, n)), tol)
-        except ValueError as exc:
-            yield k, f"{exc} (n={n})"
+    m = _chain_matrices(n, rngs)[0]
+    try:
+        eigenfrequencies(m, tol)
+    except ValueError:
+        for k, mk in enumerate(m):      # each failure detail is its lone trial's
+            try:
+                eigenfrequencies(mk, tol)
+            except ValueError as exc:
+                yield k, f"{exc} (n={n})"
 
 
 def _mech_hermitian_equivalent(n, rngs, tol):
-    chains = [_random_chain(r, n) for r in rngs]
-    m, root, k0 = _stack([(dynamical_matrix(c), np.diag(1.0 / np.sqrt(np.array(c.masses))),
-                           stiffness_matrix(c)) for c in chains])
+    m, k0, root = _chain_matrices(n, rngs)
     w = np.sort(np.linalg.eigvals(m.real).real, axis=-1)
     we = np.sort(np.linalg.eigvalsh(root @ k0 @ root), axis=-1)
     gap, rel = np.abs(w - we).max(axis=-1), tol.spectra_match_rel
     return _exceeding("mass-graded equivalent spectrum gap", gap,
                       rel * np.maximum(norm_scale(m, gap, rel), 1e-300), n)
+
+
+class _Seeded(np.random.bit_generator.ISeedSequence):
+    """Known PCG64 seed words, as ``SeedSequence.generate_state(4, np.uint64)`` gives them."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _hash(v: np.ndarray, init: int, mult: int, j: int) -> np.ndarray:
+    """numpy ``SeedSequence``'s j-th hashmix of uint32 words v (constants init * mult^j)."""
+    v = (v ^ np.uint32(init * pow(mult, j, 1 << 32) & 0xFFFFFFFF)) * np.uint32(
+        init * pow(mult, j + 1, 1 << 32) & 0xFFFFFFFF)
+    return v ^ v >> 16
+
+
+def _trial_rngs(seed: int, suite: int, trials: Sequence[int]) -> list[np.random.Generator]:
+    """``np.random.default_rng([seed, suite, trial])`` of each trial, bit for bit: numpy's
+    ``SeedSequence`` hash (its constants, a pool of four 32-bit words) of every key of at
+    most four words at once, in uint32 array arithmetic; a longer key takes numpy's own."""
+    words = [x >> s & 0xFFFFFFFF for x in (seed, suite) for s in range(0, x.bit_length() or 1, 32)]
+    if len(words) > 3 or any(t >> 32 for t in trials):
+        return [np.random.default_rng([seed, suite, t]) for t in trials]
+    key = np.zeros((4, len(trials)), dtype=np.uint32)
+    key[:len(words)], key[len(words)] = np.array(words, dtype=np.uint32)[:, None], trials
+    pool = [_hash(v, 0x43b0d7e5, 0x931e8875, j) for j, v in enumerate(key)]
+    for j, (src, dst) in enumerate(itertools.permutations(range(4), 2), 4):
+        v = np.uint32(0xca01f9dd) * pool[dst] - np.uint32(0x4973f715) * _hash(
+            pool[src], 0x43b0d7e5, 0x931e8875, j)
+        pool[dst] = v ^ v >> 16
+    state = np.stack([_hash(v, 0x8b51f9dd, 0x58f38ded, j) for j, v in enumerate(pool * 2)], -1)
+    return [np.random.Generator(np.random.PCG64(_Seeded(s)))
+            for s in state.astype("<u4").view("<u8").astype(np.uint64)]
 
 
 def _between(lo: int, hi: int) -> Callable[[np.random.Generator], int]:
@@ -238,8 +294,7 @@ def _details(suite: str, seed: int, trials: Sequence[int], tol: Tolerances) -> l
         raise ValueError(f"unknown suite {suite!r}; known: {SUITE_NAMES}")
     size, check = _SUITES[suite]
     groups: dict[int, list[tuple[int, np.random.Generator]]] = {}
-    for pos, trial in enumerate(trials):
-        rng = np.random.default_rng([seed, SUITE_NAMES.index(suite), trial])
+    for pos, rng in enumerate(_trial_rngs(seed, SUITE_NAMES.index(suite), trials)):
         groups.setdefault(size(rng), []).append((pos, rng))
     details: list[str | None] = [None] * len(trials)
     for n, members in groups.items():

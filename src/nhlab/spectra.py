@@ -60,12 +60,36 @@ class SpectralCertificate:
     matrix_norm: float
 
 
+def _conjugate_matching(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(partner, residual) of every index of a spectrum or a stack of them (last axis),
+    in the greedy matching of ``conjugate_pairs``: partner[mu] = nu and residual[mu] =
+    |w_mu - w_nu*| for each pair, both ways.
+
+    The greedy takes candidates in (cost, i, j) order, so a candidate that is the least
+    of every candidate at both its ends is taken: each index's least, ties to the
+    smaller index, is an argmin of its cost row, and the mutual ones are matched.  The
+    indices left over repeat this among themselves (rarely more than once).
+    """
+    d = w[..., :, None] - np.conj(w)[..., None, :]
+    cost = np.hypot(d.real, d.imag)      # symmetric, and scalar abs() bit for bit
+    partner = np.argmin(cost, axis=-1)
+    flat, costs = partner.reshape(-1, w.shape[-1]), cost.reshape(-1, *cost.shape[-2:])
+    for i in np.flatnonzero((np.take_along_axis(flat, flat, -1) != np.arange(flat.shape[-1]))
+                            .any(axis=-1)):
+        p, c = flat[i], costs[i]
+        free = np.flatnonzero(p[p] != np.arange(len(p)))
+        while free.size:
+            p[free] = free[np.argmin(c[np.ix_(free, free)], axis=1)]
+            free = free[p[p[free]] != free]
+    return partner, np.take_along_axis(cost, partner[..., None], -1)[..., 0]
+
+
 def conjugate_pairs(eigenvalues: np.ndarray) -> tuple[list[tuple[int, int]], list[float]]:
     """Greedy matching of the spectrum against its complex conjugate.
 
     Every index ends up in exactly one pair; a real eigenvalue self-pairs
     (mu, mu).  The per-pair residual |w_mu - w_nu*| quantifies closure under
-    conjugation.
+    conjugation.  Pairs come in the order of their first index.
 
     The particle-hole pairing w_nu = -w_mu* of a bipartite chain is the
     conjugate pairing of i*w: multiplying by 1j is exact in float64, so
@@ -76,25 +100,9 @@ def conjugate_pairs(eigenvalues: np.ndarray) -> tuple[list[tuple[int, int]], lis
     if not w.imag.any():
         # every self-pair costs 0 and wins its (cost, i, j) tie, repeats included
         return [(i, i) for i in range(n)], [0.0] * n
-    # candidates (i <= j) in (cost, i, j) order; hypot matches scalar abs() bit for bit
-    iu, ju = np.triu_indices(n)
-    d = w[iu] - np.conj(w[ju])
-    cost = np.hypot(d.real, d.imag)
-    order = np.lexsort((ju, iu, cost))
-    used = [False] * n
-    free = n
-    pairs, resid = [], []
-    for i, j, c in zip(iu[order].tolist(), ju[order].tolist(), cost[order].tolist()):
-        if used[i] or used[j]:
-            continue
-        used[i] = used[j] = True
-        free -= 1 if i == j else 2
-        pairs.append((i, j))
-        resid.append(c)
-        if not free:
-            break
-    pairs_sorted = sorted(zip(pairs, resid))
-    return [p for p, _ in pairs_sorted], [r for _, r in pairs_sorted]
+    partner, resid = _conjugate_matching(w)
+    first = np.flatnonzero(partner >= np.arange(n))
+    return list(zip(first.tolist(), partner[first].tolist())), resid[first].tolist()
 
 
 def certify(h: np.ndarray, h0: np.ndarray, es: EigenSystem | None = None,

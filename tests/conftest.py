@@ -1,10 +1,21 @@
+import numpy as np
 import pytest
 
 from nhlab.eig import eig_full
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_gauge, construct_product
-from nhlab.properties import _random_hermitian as random_hermitian
-from nhlab.properties import _random_psd as random_psd
+from nhlab.properties import _gaussians, _hermitian, _psd
 from nhlab.scenarios import calibrate_s
+
+
+def random_hermitian(rng, n):
+    """The Hermitian matrix a property trial draws from ``rng``."""
+    return _hermitian(_gaussians([rng], n)[0, 0])
+
+
+def random_psd(rng, n, rank_deficiency=0):
+    """The PSD matrix a property trial draws from ``rng``, of rank n - rank_deficiency."""
+    return _psd(_gaussians([rng], n)[0],
+                np.array([rank_deficiency]) if rank_deficiency else None)[0]
 
 
 @pytest.fixture(scope="session")

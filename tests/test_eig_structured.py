@@ -164,19 +164,25 @@ def test_failed_chain_certificate_returns_dense_result(monkeypatch):
     assert es.norm_status == expected.norm_status
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_overflowing_couplings_certify_on_the_dense_path():
-    # entries reach ~1e204: a product m[i, i+1] * m[i+1, i] would overflow, so
-    # the chain path's residuals do; the dense path solves and certifies 2^k M
+@pytest.mark.filterwarnings("error")
+def test_overflowing_couplings_certify_on_the_chain_path():
+    # entries reach ~1e204: a product m[i, i+1] * m[i+1, i] would overflow, and so
+    # would the residuals of M itself; the chain path solves and certifies 2^k M
     spec = LatticeSpec(n=801, scaling="geometric", s=1.7977)
     h = construct_product(build_h0(spec), build_scaling(spec))
     form = nhlab.eig.chain_form(h)
     assert np.all(np.isfinite(form.off)) and np.all(np.isfinite(form.d))
     with spy(scipy.linalg, "eig") as dense:
         es = eig_full(h)
-    assert dense.call_count == 1
-    assert es.matrix_norm > 1e203
+    assert dense.call_count == 0
+    assert es.matrix_norm > 1e203 and es.all_biorthonormal
     assert 0 < es.residuals.max() <= DEFAULT.residual_rel * es.matrix_norm
+    assert np.isfinite(es.eigenvalues).all() and not es.eigenvalues.imag.any()
+    # an independent check on M / ||M||, each mode scaled to unit largest entry
+    r = es.right_vectors / np.abs(es.right_vectors).max(axis=0)
+    m, w = h / es.matrix_norm, es.eigenvalues / es.matrix_norm
+    resid = np.linalg.norm(m @ r - r * w, axis=0) / np.linalg.norm(r, axis=0)
+    assert resid.max() <= DEFAULT.residual_rel
 
 
 @pytest.mark.parametrize("n", [101, 201, 401])

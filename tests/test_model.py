@@ -298,9 +298,10 @@ def test_gauge_names_singular_sites():
     spec = LatticeSpec(n=3, scaling="geometric", s=2.0, zeroed_sites=(2,))
     with pytest.raises(ValueError, match=r"\[2\]"):
         construct_gauge(build_h0(spec), build_scaling(spec))
-    # a stack of invertible scalings is refused as a stack, not as singular
-    with pytest.raises(ValueError, match=r"^h0 must be square, got \(2, 3, 3\)$"):
-        construct_gauge(np.stack([build_h0(spec)] * 2), np.stack([np.eye(3)] * 2))
+    # in a stack the refusal names the stack index of the singular scaling
+    with pytest.raises(ValueError, match=r"^stack index 1: scaling is singular at sites \[2\]"):
+        construct_gauge(np.stack([build_h0(spec)] * 2),
+                        np.stack([np.eye(3), build_scaling(spec)]))
 
 
 # ---------------------------------------------------------------------------

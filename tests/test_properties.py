@@ -1,4 +1,6 @@
+import hashlib
 import inspect
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,8 @@ from nhlab.mech import OscillatorChain, dynamical_matrix, eigenfrequencies
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_product, spectral_norm
 from nhlab.properties import SUITE_NAMES, replay_instance, run_properties, run_trial
 from nhlab.spectra import conjugate_pairs
+
+from conftest import random_hermitian, random_psd
 
 
 def test_all_suites_pass_small():
@@ -155,6 +159,23 @@ def test_trial_subsets_give_the_same_details(perturbed_scaling, suite):
     assert any(details), suite              # the failure details are compared too
 
 
+# sha256 of the TIGHT outcome of every suite over trials 0..199 at seeds 1 and
+# 1000001: each failing trial's detail (with its oracle value to 4 digits) and
+# each suite's pass count; recorded with the trial-by-trial draws of each instance.
+TIGHT_OUTCOME_SHA256 = "937e4875c4efb921a6de739bc6f0cb15111be6cd75b4952e11739328a01fe134"
+
+
+def test_tight_outcome_of_every_instance_is_pinned(perturbed_scaling):
+    records = []
+    for seed in (1, 1000001):
+        report = run_properties(trials=200, seed=seed, tol=TIGHT)
+        records.append([seed, report.passes,
+                        [[f.suite, f.trial, f.detail] for f in report.failures]])
+        assert {f.suite for f in report.failures} == set(SUITE_NAMES)
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == TIGHT_OUTCOME_SHA256
+
+
 def test_stacked_suites_call_eig_full_once_per_size_group(monkeypatch):
     calls = {}
     eig_full = properties.eig_full
@@ -217,13 +238,13 @@ def svd_rule(m, values, rel):
 
 def plain_pseudo_hermiticity(n, rngs, tol):
     """The pseudo-Hermiticity check with both 2-norms from the SVD."""
-    h0 = np.stack([properties._random_hermitian(r, n) for r in rngs])
+    h0 = np.stack([random_hermitian(r, n) for r in rngs])
     sv = np.linalg.svd(h0, compute_uv=False)
     keep = np.flatnonzero(sv[:, -1] > tol.invertible_rel * sv[:, 0])
     if not keep.size:
         return []
     h0 = h0[keep]
-    h = construct_product(h0, np.stack([properties._random_psd(rngs[k], n) for k in keep]), tol)
+    h = construct_product(h0, np.stack([random_psd(rngs[k], n) for k in keep]), tol)
     resid = spectral_norm(np.linalg.solve(h0, h @ h0) - np.swapaxes(h.conj(), 1, 2))
     return [(keep[k], detail) for k, detail in properties._exceeding(
         "metric residual", resid, tol.metric_rel * spectral_norm(h), n)]
