@@ -8,8 +8,9 @@ Green's function of its real symmetric T0, from one bordered matrix and O(n)
 continued fractions; otherwise Illinois regula falsi on M's dense ``eigvals``.
 A chain's modes are continued by Newton's method on the secular equation of
 the rank-r pump in T0's eigenbasis, from r x r moments (O(n^2 r^2), no vector
-formed), with a dense solve of T and an overlap match where a step misses its
-certificate; other inputs are solved densely and matched at every point.
+formed); a step whose order is not certified is matched by the overlap of its
+secular vectors, and only a step that misses its certificate takes a dense
+solve of T; other inputs are solved densely and matched at every point.
 Junction power flows quantify the exchange that sets the threshold scale.
 """
 
@@ -69,8 +70,8 @@ def pumped_hamiltonian(h: np.ndarray, pump: PumpSpec, gamma: float) -> np.ndarra
     return m
 
 
-_SECULAR_STEPS = 4      # Newton steps of a secular step before the dense solve
-_POLISH_STEPS = 16      # Newton steps polishing a root of Re G_pp
+_SECULAR_STEPS = 4      # Newton steps of a secular step that keeps its modes' order
+_POLISH_STEPS = 16      # Newton steps polishing a root of Re G_pp or of an unordered step
 
 
 class _PumpedChain:
@@ -139,14 +140,14 @@ class _PumpedChain:
 
     def step(self, w: np.ndarray, mu: np.ndarray, slope: np.ndarray,
              gamma0: float, gamma: float) -> tuple | None:
-        """Modes w at gamma0 (poles mu, dw/dgamma ``slope``) continued to gamma
-        in order as (w, (mu, slope)): from the first-order prediction, Newton steps
-        on ``_secular`` (at most ``_SECULAR_STEPS``) until one is within 64 eps
-        * c (c: T(gamma)'s largest column norm), applied after the evaluation
-        it follows.  None unless every residual is within ``residual_rel * c``,
-        |sum w - trace T| is within that bound, the eigenvalues are pairwise
-        more than ``cluster_rel * c`` apart and each prediction is nearest its
-        own root (``_separated``)."""
+        """Modes w at gamma0 (poles mu, dw/dgamma ``slope``) continued to gamma as (w, (mu,
+        slope), ordered): Newton steps on ``_secular`` from the first-order prediction, at most
+        ``_SECULAR_STEPS``, until one is within 64 eps * c (c: T(gamma)'s largest column norm),
+        applied after the evaluation it follows.  None unless every residual is within
+        ``residual_rel * c``, |sum w - trace T| within that bound and the eigenvalues pairwise
+        more than ``cluster_rel * c`` apart.  ``ordered``: each prediction is nearest its own
+        root (``_separated``); a point that fails a test is taken on to ``_POLISH_STEPS`` steps
+        in all and certified without it, its order left to an overlap match."""
         lam, basis = self.basis[0], self.basis
         diag, bound, n = self.diagonal(gamma), self.tol.residual_rel, len(w)
         c = _column_norm(self.form.off, diag)
@@ -154,34 +155,35 @@ class _PumpedChain:
         delta = guess + 1j * self.pump.kappa0 - lam[mu]
         res, slope, todo = np.empty(n), slope.copy(), np.arange(n)
         with np.errstate(all="ignore"):          # a non-finite value fails the certificate
-            for k in range(_SECULAR_STEPS + 1):
-                f, df, res[todo], slope[todo], *_ = _secular(basis, mu[todo], delta[todo], gamma)
-                newton = f / df
-                done = np.abs(newton) <= 64 * np.finfo(float).eps * c
-                newton[~done & (k == _SECULAR_STEPS)] = 0.0   # keep the evaluated point
-                delta[todo] -= newton
-                todo = todo[~done]
-                if not todo.size:
-                    break
-            w = lam[mu] + delta - 1j * self.pump.kappa0
-            if (np.all(res <= bound * c) and abs(w.sum() - diag.sum()) <= bound * c
-                    and _separated(w, guess, self.tol.cluster_rel * c)):
-                return w, (mu, slope)
+            for steps, prior in ((_SECULAR_STEPS, guess), (_POLISH_STEPS - _SECULAR_STEPS, None)):
+                for k in range(steps + 1):
+                    if not todo.size:
+                        break
+                    f, df, res[todo], slope[todo], *_ = _secular(basis, mu[todo], delta[todo], gamma)
+                    newton = f / df
+                    done = np.abs(newton) <= 64 * np.finfo(float).eps * c
+                    newton[~done & (k == steps)] = 0.0   # keep the evaluated point
+                    delta[todo] -= newton
+                    todo = todo[~done]
+                w = lam[mu] + delta - 1j * self.pump.kappa0
+                if (np.all(res <= bound * c) and abs(w.sum() - diag.sum()) <= bound * c
+                        and _separated(w, prior, self.tol.cluster_rel * c)):
+                    return w, (mu, slope), prior is not None
         return None
 
     def vectors(self, w: np.ndarray, mu: np.ndarray, gamma: float) -> np.ndarray:
-        """U y^T for modes w (poles mu) at gamma, ``_secular``'s y (rows, y_mu = 1) formed; not
-        normalized, as the overlap match compares each previous mode's overlaps among themselves."""
+        """Unit vectors U y^T of modes w (poles mu) at gamma, ``_secular``'s y (rows, y_mu = 1)."""
         lam, u, up = self.basis[:3]
         *_, q, wgt = _secular(self.basis, mu, w + 1j * self.pump.kappa0 - lam[mu], gamma)
-        return u @ np.where(np.arange(self.n) == mu[:, None], 1.0, -(q @ up) * wgt).T
+        v = u @ np.where(np.arange(self.n) == mu[:, None], 1.0, -(q @ up) * wgt).T
+        return v / np.linalg.norm(v, axis=0)
 
 
-def _separated(w: np.ndarray, guess: np.ndarray, limit: float) -> bool:
-    """Every |w_i - w_j| > limit and each guess_i nearest w_i.  The least gap g of the sorted
-    Re w is at most every |w_i - w_j|, so g > limit and each |guess_i - w_i| < g / 2 (less 4
-    eps relative, for round-off) decide it; only where they do not, the n x n distances do."""
-    re, n = np.sort(w.real), len(w)
+def _separated(w: np.ndarray, guess: np.ndarray | None, limit: float) -> bool:
+    """Every |w_i - w_j| > limit and each guess_i (None: w_i) nearest w_i.  The least gap g of
+    the sorted Re w is at most every |w_i - w_j|, so g > limit and each |guess_i - w_i| < g / 2
+    (less 4 eps relative, for round-off) decide it; only where they do not, n x n distances do."""
+    re, n, guess = np.sort(w.real), len(w), w if guess is None else guess
     g = np.minimum.reduce(re[1:] - re[:-1], initial=np.inf)
     return bool(g > limit and np.abs(guess - w).max() < (0.5 - 2 * np.finfo(float).eps) * g or (
         np.abs(w[:, None] - w)[~np.eye(n, dtype=bool)].min(initial=np.inf) > limit
@@ -257,14 +259,19 @@ def _match_modes(overlaps: np.ndarray, margin: float, gamma: float) -> np.ndarra
 
 def track_mode(h: np.ndarray, pump: PumpSpec, gamma_grid: np.ndarray,
                tol: Tolerances = DEFAULT) -> Trajectory:
-    """Follow every eigenvalue of the pumped Hamiltonian along the grid."""
+    """Follow every eigenvalue of the pumped Hamiltonian along the grid: a chain by secular
+    steps, in order where certified, else matched by overlap (``_PumpedChain.step``)."""
     try:
         grid = np.asarray(gamma_grid, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"gamma_grid {gamma_grid!r} is not an array of real numbers") from None
-    if (grid.ndim != 1 or len(grid) < 2 or not np.all(np.isfinite(grid))
-            or np.any(np.diff(grid) <= 0) or grid[0] < 0):
-        raise ValueError("gamma_grid must be finite, ascending and start at >= 0")
+    failed = (f"must be 1-D, got shape {grid.shape}" if grid.ndim != 1
+              else f"must have at least 2 points, got {len(grid)}" if len(grid) < 2
+              else "must be finite" if not np.all(np.isfinite(grid))
+              else "must be strictly ascending" if np.any(np.diff(grid) <= 0)
+              else f"must start at >= 0, got {float(grid[0])!r}" if grid[0] < 0 else None)
+    if failed:
+        raise ValueError(f"gamma_grid {failed}")
     for g in gamma_grid:              # no strings or bools that float() would take
         _real(g, "gamma_grid entry")
     chain = _PumpedChain(h, pump, tol)
@@ -277,15 +284,16 @@ def track_mode(h: np.ndarray, pump: PumpSpec, gamma_grid: np.ndarray,
 
     for k in range(1, len(grid)):
         moved = None if state is None else chain.step(w, *state, grid[k - 1], grid[k])
-        if moved is None:
+        if moved is None or not moved[2]:        # no certified order: match by overlap
             if v is None:                  # the previous point was a secular step
                 v = chain.vectors(w, state[0], grid[k - 1])
-            wn, vn = chain.solve(grid[k])
+            wn, vn = (chain.solve(grid[k]) if moved is None
+                      else (moved[0], chain.vectors(moved[0], moved[1][0], grid[k])))
             perm = _match_modes(np.abs(v.conj().T @ vn), tol.track_margin, grid[k])
             w, v = wn[perm], vn[:, perm]
             state = chain.seed(w, v)
         else:
-            (w, state), v = moved, None
+            (w, state, _), v = moved, None
         traj[k] = w
 
     norm = max(spectral_norm(chain.h), 1e-300)

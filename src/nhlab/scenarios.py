@@ -134,13 +134,25 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 # calibration
 
-def smallest_nonzero_abs(h: np.ndarray, tol: Tolerances = DEFAULT) -> float:
-    """Smallest |w| over eigenvalues that are not numerically zero."""
+def smallest_nonzero_abs(h: np.ndarray, tol: Tolerances = DEFAULT) -> float | np.ndarray:
+    """Smallest |w| over eigenvalues that are not numerically zero; of each matrix of a (k, n, n)
+    stack, equal to its 2-D call as the stacked ``eigvals`` and ``spectral_norm`` are."""
     w = np.abs(np.linalg.eigvals(h))
-    nonzero = w[w > tol.zero_mode_rel * max(spectral_norm(h), 1e-300)]
-    if not len(nonzero):
+    floor = tol.zero_mode_rel * np.maximum(spectral_norm(h), 1e-300)
+    least = np.where(w > np.expand_dims(floor, -1), w, np.inf).min(axis=-1)
+    if np.isinf(least).any():
         raise ValueError("spectrum is entirely zero")
-    return float(nonzero.min())
+    return float(least) if np.ndim(least) == 0 else least
+
+
+def _calibration_gap(s, anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9, t: float = 1.0,
+                    tol: Tolerances = DEFAULT) -> float | np.ndarray:
+    """smallest_nonzero_abs(H0 A) / t - anchor for the geometric ratio s, or for each ratio
+    of an array s from one stacked ``construct_product``, each equal to its scalar call."""
+    a = np.asarray(s, dtype=float)[..., None] ** np.arange(n, dtype=float)
+    h0 = np.broadcast_to(build_h0(LatticeSpec(n=n, t=t)), a.shape[:-1] + (n, n))
+    h = construct_product(h0, (a[..., None, :] * np.eye(n)).astype(complex), tol)
+    return smallest_nonzero_abs(h, tol) / t - anchor
 
 
 def _product_pair(n: int, s: float, t: float = 1.0,
@@ -159,14 +171,9 @@ def calibrate_s(anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9, t: float = 1.0,
     cross-checks the calibrated ratio against the threshold table.  Returns
     the calibration record (also consumed by the fig2/3/5 scenarios).
     """
-    def gap(s: float) -> float:
-        spec = LatticeSpec(n=n, t=t, scaling="geometric", s=s)
-        h = construct_product(build_h0(spec), build_scaling(spec), tol)
-        return smallest_nonzero_abs(h, tol) / t - anchor
-
     s_lo, s_hi = CALIBRATION_S_RANGE
     grid = np.geomspace(s_lo, s_hi, 121)
-    values = [gap(s) for s in grid]
+    values = _calibration_gap(grid, anchor, n, t, tol)
     i = next((i for i in range(len(grid) - 1)
               if values[i] == 0 or values[i] * values[i + 1] < 0), None)
     if i is None:
@@ -180,13 +187,13 @@ def calibrate_s(anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9, t: float = 1.0,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:       # float64 convergence: the bracket is fixed
             break
-        gm = gap(mid)
+        gm = _calibration_gap(mid, anchor, n, t, tol)
         if glo * gm <= 0:
             hi = mid
         else:
             lo, glo = mid, gm
     s_cal = 0.5 * (lo + hi)
-    achieved = gap(s_cal) + anchor
+    achieved = _calibration_gap(s_cal, anchor, n, t, tol) + anchor
 
     h, hpp = _product_pair(n, s_cal, t, tol)
     checks = {}

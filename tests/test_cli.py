@@ -119,8 +119,9 @@ def test_calibrate_s_stops_at_float64_convergence(monkeypatch):
 
     monkeypatch.setattr(scenarios, "smallest_nonzero_abs", counted)
     record = scenarios.calibrate_s()
-    # 121 grid points, 46 bisection steps until the midpoint stops moving, 1 check
-    assert len(calls) == 168
+    # the 121 grid points as one stack, 46 bisection steps until the midpoint
+    # stops moving, 1 check
+    assert len(calls) == 48
 
     # the fixed 60-step bisection it replaced reaches the same ratio
     def gap(s):
@@ -141,6 +142,16 @@ def test_calibrate_s_stops_at_float64_convergence(monkeypatch):
         else:
             lo, glo = mid, gm
     assert record["s"] == 0.5 * (lo + hi)
+
+
+def test_stacked_calibration_grid_equals_per_point_gaps():
+    # the grid's gaps from one stack, bit for bit those of one chain at a time
+    grid = np.geomspace(*scenarios.CALIBRATION_S_RANGE, 121)
+    per_point = [smallest_nonzero_abs(construct_product(build_h0(spec), build_scaling(spec)))
+                 - scenarios.ANCHOR_NEXT_TO_ZERO
+                 for spec in (LatticeSpec(n=9, scaling="geometric", s=s) for s in grid)]
+    assert np.array_equal(scenarios._calibration_gap(grid), per_point)
+    assert [scenarios._calibration_gap(s) for s in grid] == per_point
 
 
 def test_custom_requires_lattice(tmp_path):

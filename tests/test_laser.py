@@ -108,8 +108,21 @@ def test_tracking_refuses_ambiguous_step():
 def test_track_grid_validation(chain9):
     _, _, _, h, _ = chain9
     pump = PumpSpec(kappa0=0.02, pumped_sites=(1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gamma_grid must be strictly ascending"):
         track_mode(h, pump, np.array([0.5, 0.2]))
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([0.0], "must have at least 2 points, got 1"),
+    ([0.0, np.inf], "must be finite"),
+    ([0.0, 0.1, 0.1], "must be strictly ascending"),
+    ([-0.1, 0.1], "must start at >= 0, got -0.1"),
+    ([[0.0, 0.1]], r"must be 1-D, got shape \(1, 2\)")],
+    ids=["one_point", "non_finite", "not_ascending", "negative_start", "not_1d"])
+def test_track_grid_error_names_the_failed_condition(chain9, grid, message):
+    _, _, _, h, _ = chain9
+    with pytest.raises(ValueError, match=f"^gamma_grid {message}$"):
+        track_mode(h, PumpSpec(kappa0=0.02, pumped_sites=(1,)), np.array(grid))
 
 
 def _bad_input(kind):

@@ -273,15 +273,19 @@ def test_chain_threshold_matches_the_green_function_and_the_dense_search(case):
 def test_swap_guard_refuses_a_step_that_reorders_modes(chain9):
     # exact modes at gamma = 0 with two eigenvalue labels swapped: Newton takes
     # each mode back to its own pole's root and every residual certifies,
-    # but each swapped prediction is nearest the other's root
+    # but each swapped prediction is nearest the other's root, so the step
+    # returns the roots without their order (left to the overlap match)
     _, _, _, h, _ = chain9
     pump = PumpSpec(kappa0=0.02, pumped_sites=(1,))
     chain = _PumpedChain(h, pump, DEFAULT)
     w, v = chain.solve(0.0)
     mu, slope = chain.seed(w, v)
-    assert chain.step(w, mu, slope, 0.0, 1e-9) is not None
+    moved = chain.step(w, mu, slope, 0.0, 1e-9)
+    assert moved[2]
     swapped = w[[1, 0] + list(range(2, len(w)))]
-    assert chain.step(swapped, mu, slope, 0.0, 1e-9) is None
+    unordered = chain.step(swapped, mu, slope, 0.0, 1e-9)
+    assert not unordered[2]
+    assert np.array_equal(np.sort_complex(unordered[0]), np.sort_complex(moved[0]))
 
 
 @st.composite
@@ -320,6 +324,7 @@ def test_gap_bound_never_passes_where_the_pairwise_test_fails(case):
     # would make the verdict differ from the n x n test alone
     w, guess, limit = case
     assert laser._separated(w, guess, limit) == pairwise(w, guess, limit)
+    assert laser._separated(w, None, limit) == pairwise(w, w, limit)   # the gaps alone
 
 
 def test_gap_bound_decides_clear_cases_without_the_pairwise_test():

@@ -3,8 +3,11 @@ against dense solves: the continuation against a per-point greedy tracker on
 T and against M's dense eigvals, the threshold mode against the tracked
 crossing mode and M's dense eig, the benchmark's A^-1 H0 A chains at
 kappa0 = t against M-based oracles, the forced fallback, the dense-solve
-budget, the kernels a chain's track calls, and a threshold found where
-tracking to it ties."""
+budget, the kernels a chain's track calls, the overlap match of secular
+vectors against the greedy tracker, and a threshold found where tracking to
+it ties."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhlab import laser
 from nhlab.config import DEFAULT
 from nhlab.eig import chain_form
 from nhlab.laser import (PumpSpec, TrackingAmbiguityError, find_threshold, power_flows,
@@ -117,14 +121,14 @@ def test_gauge_chain_at_kappa0_t_passes_dense_oracles(monkeypatch, n):
     for m in (h, hg):
         tr = track_mode(m, pump, grid)
         assert tr.zero_mode_index is not None
-    # at most one dense solve per track (a continuation step's fallback)
-    assert counter.solves <= 2
+    # no dense solve: every step is certified on the secular equation
+    assert counter.solves == 0
 
 
 # (n, input, kappa0) -> dense eig of track_mode on the benchmark's grid, as
-# measured: the chiral zero mode of the plain chain and its neighbours at
-# gamma ~ 1.06 kappa0 need more Newton steps than a step allows
-TRACK_FALLBACKS = {(101, "A^-1 H0 A", 1.0): 1}
+# measured: none, as a step past its Newton budget is finished on the secular
+# equation and matched by eigenvector overlap
+TRACK_FALLBACKS = {}
 
 
 def test_track_mode_on_a_chain_takes_one_eigh_tridiagonal_and_no_lu(monkeypatch, chain9):
@@ -152,6 +156,70 @@ def test_track_mode_on_a_chain_takes_one_eigh_tridiagonal_and_no_lu(monkeypatch,
                 assert calls == {"zgttrf": 0, "zgttrs": 0, "eigh_tridiagonal": 1}
                 fallbacks = TRACK_FALLBACKS.get((n, label, k0), 0)
                 assert counter.calls == {"eig": fallbacks, "eigvals": 0}
+
+
+def bench_tracks(chain9):
+    """(m, pump, grid): chain9 and the threshold benchmark's chains on its grids."""
+    _, _, _, h, hpp = chain9
+    for pair in ((h, hpp), skin_chains(41), skin_chains(101)):
+        for k0 in (0.02, 1.0):
+            pump = PumpSpec(kappa0=k0, pumped_sites=(1,))
+            grid = np.linspace(0.0, max(find_threshold(m, pump).threshold for m in pair), 41)
+            for m in pair:
+                yield m, pump, grid
+
+
+def greedy_prefix(h, pump, grid):
+    """(tie, trajectory): the first grid index where ``dense_track`` ties (None if it
+    does not) and its trajectory on the grid up to there (None below two points)."""
+    try:
+        return None, dense_track(h, pump, grid)
+    except TrackingAmbiguityError:
+        lo, hi = 1, len(grid) - 1              # grid[:hi + 1] ties, grid[:lo] does not
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                dense_track(h, pump, grid[:mid + 1])
+                lo = mid + 1
+            except TrackingAmbiguityError:
+                hi = mid
+        return lo, dense_track(h, pump, grid[:lo]) if lo > 1 else None
+
+
+def overlap_path_eigs(m, pump, grid):
+    """The ``np.linalg.eig`` calls of ``track_mode`` with the prediction-identity
+    test refusing every step, so that each point is finished on the secular
+    equation and matched by the overlap of its secular vectors, after checking
+    it gives the dense tracker's trajectory and first tie."""
+    separated = laser._separated
+    tie, ref = greedy_prefix(symmetric_form(m), pump, grid)
+    with (mock.patch.object(laser, "_separated", lambda w, guess, limit:
+                            guess is None and separated(w, guess, limit)),
+          mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig):
+        if tie is not None:
+            with pytest.raises(TrackingAmbiguityError, match=f"gamma={grid[tie]:.6g}"):
+                track_mode(m, pump, grid)
+            grid = grid[:tie]
+        if ref is not None:
+            bound = DEFAULT.spectra_match_rel * np.linalg.norm(m, 2)
+            assert np.abs(track_mode(m, pump, grid).eigenvalues - ref).max() <= bound
+    return eig.call_count
+
+
+def test_overlap_path_matches_greedy_tracker_on_benchmark_chains(chain9):
+    # every point certifies on the secular equation: no dense solve
+    for m, pump, grid in bench_tracks(chain9):
+        assert overlap_path_eigs(m, pump, grid) == 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=pumped_chains(), points=st.sampled_from([9, 33, 41]),
+       top=st.sampled_from([1.0, 4.0, 20.0]))
+def test_overlap_path_matches_greedy_tracker_on_drawn_chains(case, points, top):
+    # a point whose continued Newton misses its certificate (near an EP) takes
+    # the dense solve; the trajectory and the ties are the dense tracker's
+    m, pump = case
+    overlap_path_eigs(m, pump, np.linspace(0.0, top * pump.kappa0, points))
 
 
 def test_forced_fallback_equals_exact_per_point_solve(chain9):
