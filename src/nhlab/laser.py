@@ -4,8 +4,9 @@ Each site is a cavity with uniform loss kappa0 (a -i*kappa0 on the diagonal);
 pumping adds +i*gamma on the pumped sites.  The threshold is the least gamma
 at which an eigenvalue reaches the real axis: for a chain pumped at one site
 p, the least 1/Im G_pp over the real roots w of Re G_pp(w + i*kappa0), G the
-Green's function of its real symmetric T0, from one bordered matrix and O(n)
-continued fractions; otherwise Illinois regula falsi on M's dense ``eigvals``.
+Green's function of its real symmetric T0, from an interval search in T0's
+eigenbasis and O(n) continued fractions; otherwise Illinois regula falsi on M's
+dense ``eigvals``.
 A chain's modes are continued by Newton's method on the secular equation of
 the rank-r pump in T0's eigenbasis, from r x r moments (O(n^2 r^2), no vector
 formed); a step whose order is not certified is matched by the overlap of its
@@ -326,6 +327,89 @@ def _green(c: np.ndarray, b: np.ndarray, p: int, z: np.ndarray) -> tuple:
     return r, np.concatenate((sides[1][::-1], np.ones((1,) + z.shape), sides[0])), s
 
 
+_BLOCK = 2 ** 14        # elements of the largest (cells x n) array of the crossing search
+
+
+def _terms(lam: np.ndarray, c: np.ndarray, k0: float, w: np.ndarray) -> tuple:
+    """(F, F', G), a row of per-pole terms at each point w: for G_pp(z) = sum c / (lam - z),
+    Re G_pp(w + i*k0) = sum F, its w-derivative sum F' and Im G_pp = k0 sum G."""
+    x = lam - w[:, None]
+    q = 1.0 / (x * x + k0 * k0)
+    g = c * q
+    return x * g, g - 2 * k0 * k0 * g * q, g
+
+
+def _enclose(lam: np.ndarray, c: np.ndarray, k0: float, tn: float, a: np.ndarray,
+             b: np.ndarray) -> tuple:
+    """(f(a), f(b), (lo, hi) of f, f' and g / k0) on cells [a, b] in [-tn, tn], tn >= |lam|,
+    on which every term is monotone: sums of the terms' lesser and greater end values (Moore,
+    *Interval Analysis*), widened with e = (n + 24) eps and h = hi of g / k0 by 4 e tn h for
+    f = Re G_pp and by e (1 + 4 tn / k0) h for f', which bound rounding and a shift of each
+    pole by e tn, and for g = Im G_pp by a factor 1 -+ rho, rho = sqrt(eps) + e (1 + tn / k0)."""
+    eps = np.finfo(float).eps
+    e, ta, tb = (len(lam) + 24) * eps, _terms(lam, c, k0, a), _terms(lam, c, k0, b)
+    lo, hi = ([op(u, v).sum(axis=1) for u, v in zip(ta, tb)] for op in (np.minimum, np.maximum))
+    sf, sd, rho = 4 * e * tn * hi[2], e * (1 + 4 * tn / k0) * hi[2], eps**0.5 + e * (1 + tn / k0)
+    return (ta[0].sum(axis=1), tb[0].sum(axis=1), (lo[0] - sf, hi[0] + sf),
+            (lo[1] - sd, hi[1] + sd), ((1 - rho) * lo[2], (1 + rho) * hi[2]))
+
+
+def _crossings(lam: np.ndarray, c: np.ndarray, k0: float,
+               tn: float) -> tuple[np.ndarray, np.ndarray]:
+    """(w, isolated): candidate real roots of f = Re G_pp(w + i*k0), G_pp(z) = sum c / (lam -
+    z), lam ascending, c >= 0, |lam| <= tn, and which hold one root for sure.
+
+    Left of every pole f > 0, right of every pole f < 0.  Cells of [lam_1, lam_n], cut at the
+    poles, their midpoints and lam +- k0, lam +- sqrt(3) k0, where a term of f or f' turns, are
+    taken ``_BLOCK`` / n at a time and bounded by ``_enclose``.  A cell whose f-bounds exclude
+    0 holds no root; one whose f'-bounds do holds one iff f(a), f(b) differ in sign (a shared
+    end decides two cells alike), found by Newton's method from the secant point, bisecting
+    where a step leaves the bracket.  The greatest lower g-bound of such cells drops every cell
+    whose upper g-bound is below it: none holds the least gamma = 1 / g, or one within 4 eps.
+    Other cells are bisected down to a width of 4 eps (tn + k0) + cbrt(eps) k0, about where a
+    triple root is resolved (k0 is the width of each term), as finer cells around a multiple
+    root multiply like one over the root of their width; each run of touching undecided cells
+    may hold a multiple root or a close pair, and its ends and midpoint are candidates."""
+    eps, step = np.finfo(float).eps, max(1, _BLOCK // len(lam))
+    floor = 4 * eps * (tn + k0)
+    coarse = floor + np.cbrt(eps) * k0
+    cuts = np.concatenate([lam, (lam[1:] + lam[:-1]) / 2]
+                          + [lam + s * k0 for s in (-3 ** 0.5, -1.0, 1.0, 3 ** 0.5)])
+    cuts = np.unique(cuts[(lam[0] <= cuts) & (cuts <= lam[-1])])
+    cells, top, roots, loose = np.array([cuts[:-1], cuts[1:]]), 0.0, [], []
+    while cells.shape[1]:
+        (a, b), cells = cells[:, :step], cells[:, step:]
+        fa, fb, (flo, fhi), (dlo, dhi), (glo, ghi) = _enclose(lam, c, k0, tn, a, b)
+        live, mono = (flo <= 0) & (fhi >= 0), (dlo > 0) | (dhi < 0)
+        one = live & mono & ((fa > 0) != (fb > 0))
+        top = max(top, glo[one].max(initial=0.0))
+        roots.append(np.array([a, b, fa, fb, ghi])[:, one])
+        live &= ~mono & (ghi >= top)
+        loose.append(np.array([a, b])[:, live & (b - a <= coarse)])
+        live &= b - a > coarse
+        mid = (a[live] + b[live]) / 2
+        cells = np.hstack((cells, [a[live], mid], [mid, b[live]]))     # the halves
+    roots = np.hstack(roots)
+    roots, w = roots[:4, roots[4] >= top], []
+    for i in range(0, roots.shape[1], step):
+        a, b, fa, fb = roots[:, i:i + step]
+        x = np.clip(a - fa * (b - a) / (fb - fa), a, b)   # the secant point
+        for _ in range(64):                     # bisection alone reaches floor in 52
+            f, df, _ = (t.sum(axis=1) for t in _terms(lam, c, k0, x))
+            right = (f > 0) == (fa > 0)                      # the root lies right of x
+            a, b = np.where(right, x, a), np.where(right, b, x)
+            x0, x = x, x - f / df
+            x = np.where((a <= x) & (x <= b), x, (a + b) / 2)
+            if np.all((np.abs(x - x0) <= floor) | (b - a <= floor)):
+                break
+        w.append(x)
+    loose = np.hstack(loose)
+    a, b = loose[:, loose[0].argsort()]
+    a, b = a[a > np.r_[-np.inf, b[:-1]]], b[b < np.r_[a[1:], np.inf]]   # runs of touching cells
+    w = np.concatenate(w + [a, (a + b) / 2, b])
+    return w, np.arange(len(w)) < roots.shape[1]
+
+
 def _one_site_threshold(form: ChainForm, p: int, kappa0: float,
                         tol: Tolerances) -> tuple[float, np.ndarray]:
     """(gamma*, phi): the least pump at which T(gamma) = T0 - i*kappa0 +
@@ -333,34 +417,25 @@ def _one_site_threshold(form: ChainForm, p: int, kappa0: float,
     (phi_p = 1).  det(T(gamma) - w) = det(T0 - z) (1 + i gamma G_pp(z)), z =
     w + i*kappa0, so w is one iff Re G_pp = 0, and then gamma = -Im R_p > 0.
 
-    Lemma: for real w, Re G_pp(z) = 0 iff det(Q_p - w) = 0, multiplicities
-    included; Q_p is Q = [[T0, -kappa0], [kappa0, T0]] without row and
-    column p.  Re G_pp = e^T D^-1 e / 2 with D = diag(T0 - z, T0 - conj z),
-    e = (e_p; e_p); J = [[I, I], [I, -I]] / sqrt 2 = J^-1 gives J D J =
-    [[T0 - w, -i kappa0], [-i kappa0, T0 - w]] and J e = sqrt 2 (e_p; 0), and
-    diag(I, i) J D J diag(I, -i) = Q - w keeps the (p, p) entry of the
-    inverse.  By Cramer's rule Re G_pp = det(Q_p - w) / det(Q - w), and
-    det(Q - w) = det D = |det(T0 - z)|^2 > 0.
-
-    The candidates are Q_p's eigenvalues within delta = eps ||Q_p||_1 of the
-    axis (once 6 delta >= kappa0 round-off can put them anywhere: the search
-    raises), and pairs mu, conj mu within sqrt(eps) ||Q_p||_1, which round-off
-    makes of a double root, started from Re mu +- Im mu.  Newton on Re R_p
-    (dR_p/dz = -phi^T phi) polishes each, keeping its iterate of least |Re
-    R_p| / s, until every |Re R_p| <= 4 eps (s + |w phi^T phi|) or for
-    ``_POLISH_STEPS`` steps; it certifies where that least is <= residual_rel
-    (Re R_p is row p's residual of (T(gamma) - w) phi = 0).  A real candidate
-    that fails raises; a pair counts only where it certifies.
+    One ``eigh_tridiagonal`` gives G_pp = sum_k U[p, k]^2 / (lam_k - z), and
+    ``_crossings`` the candidate w.  Newton on Re R_p (dR_p/dz = -phi^T phi)
+    polishes each on O(n) continued fractions (``_green``), keeping its iterate
+    of least |Re R_p| / s, until every |Re R_p| <= 4 eps (s + |w phi^T phi|) or
+    for ``_POLISH_STEPS`` steps; it certifies where that least is <=
+    residual_rel (Re R_p is row p's residual of (T(gamma) - w) phi = 0).  An
+    isolated root that fails raises; an undecided one counts only where it
+    certifies.  Of the w whose gamma is within 4 eps gamma of the least, the
+    least w is taken, not the one round-off picks among a chiral chain's +-w.
+    Once 6 eps ||Q_p||_1 >= kappa0 the search raises (Q_p: [[T0, -kappa0],
+    [kappa0, T0]] without row and column p, whose real spectrum is the roots).
     """
-    n, t0 = len(form.diag), np.diag(form.diag) + np.diag(form.off, 1) + np.diag(form.off, -1)
-    q = np.block([[t0, -kappa0 * np.eye(n)], [kappa0 * np.eye(n), t0]])
-    q = np.delete(np.delete(q, p, axis=0), p, axis=1)
-    eps, qn = np.finfo(float).eps, np.linalg.norm(q, 1)
+    n, eps = len(form.diag), np.finfo(float).eps
+    col = np.abs(form.diag) + np.convolve(np.abs(form.off), [1.0, 1.0])   # T0's column sums
+    qn = (col + kappa0 * (np.arange(n) != p)).max()
     if 6 * eps * qn >= kappa0:
         raise NoThresholdError(f"n = {n}: noise floor eps*||Q_p|| = {eps * qn:.3e} >= kappa0 / 6")
-    mu = np.linalg.eigvals(q)
-    mu = mu[np.abs(mu.imag) <= np.sqrt(eps) * qn]
-    w, real = mu.real + mu.imag, np.abs(mu.imag) <= eps * qn
+    lam, u = scipy.linalg.eigh_tridiagonal(form.diag, form.off, check_finite=False)
+    w, real = _crossings(lam, u[p] ** 2, kappa0, col.max())
     best, least = w, np.inf                    # each candidate's iterate of least |Re R_p| / s
     with np.errstate(all="ignore"):            # a non-finite root fails the certificate
         for k in range(_POLISH_STEPS + 1):
@@ -371,10 +446,13 @@ def _one_site_threshold(form: ChainForm, p: int, kappa0: float,
             if k == _POLISH_STEPS or np.all(np.abs(r.real) <= 4 * eps * (s + np.abs(w * phi2))):
                 break
             w = w + r.real / phi2
-    if not np.all(least[real] <= tol.residual_rel):
+    ok = least <= tol.residual_rel
+    if not (np.all(ok[real]) and ok.any()):
         raise NoThresholdError(f"n = {n}: a root of Re G_pp misses |Re R_p| <= residual_rel * s")
-    r, phi, _ = _green(form.diag, form.off, p, best[least <= tol.residual_rel] + 1j * kappa0)
-    return float(-r.imag.max()), phi[:, r.imag.argmax()]
+    r, phi, _ = _green(form.diag, form.off, p, best[ok] + 1j * kappa0)
+    tie = np.flatnonzero(r.imag >= (1 + 4 * eps) * r.imag.max())   # gamma = -Im R_p
+    k = tie[best[ok][tie].argmin()]
+    return float(-r.imag[k]), phi[:, k]
 
 
 def _regula_falsi(chain: _PumpedChain) -> tuple[float, np.ndarray | None, float, float]:
@@ -429,8 +507,8 @@ def find_threshold(h: np.ndarray, pump: PumpSpec,
                    tol: Tolerances = DEFAULT) -> ThresholdResult:
     """Smallest gamma at which an eigenvalue of M(gamma) reaches the real axis.
 
-    A chain pumped at one site takes ``_one_site_threshold`` (no dense solve of
-    M), psi = phi / d and the bracket (max(0, gamma* - threshold_imag * kappa0
+    A chain pumped at one site takes ``_one_site_threshold`` (no dense solve),
+    psi = phi / d and the bracket (max(0, gamma* - threshold_imag * kappa0
     / slope), gamma*), slope = Re(phi^T P phi / phi^T phi) = d Im w / d gamma
     (Hellmann-Feynman): max Im w ~ -threshold_imag * kappa0 at lo in exact
     arithmetic, which M's dense eigvals resolves only above its round-off.  Any

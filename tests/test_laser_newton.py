@@ -1,9 +1,10 @@
 """The one-site chain threshold from the pumped site's Green's function
 against exact and dense oracles, and the continuation that keeps the mode
 order: the order against a per-point overlap tracker, exact thresholds from
-Fraction continued fractions, the bordered matrix's real spectrum against
-the sign changes of Re G_pp, the chain search's single eigvals and its
-noise-floor refusal, the secular step's swap guard and its bounded
+Fraction continued fractions, the roots against the bordered matrix's real
+spectrum and the sign changes of Re G_pp, the enclosures of the crossing
+search against sampled values, the search's zero dense solves, its tie rule
+and its noise-floor refusal, the secular step's swap guard and its bounded
 separation test against the pairwise one, and dense inputs searched exactly
 as by the plain regula falsi."""
 
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 from nhlab.config import DEFAULT
 from nhlab.eig import chain_form
 from nhlab import laser
-from nhlab.laser import (NoThresholdError, PumpSpec, _green, _PumpedChain, find_threshold,
-                         pumped_hamiltonian, track_mode)
+from nhlab.laser import (NoThresholdError, PumpSpec, _enclose, _green, _PumpedChain,
+                         find_threshold, pumped_hamiltonian, track_mode)
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_gauge, construct_product
 
 from conftest import random_hermitian
@@ -184,14 +185,18 @@ VANISHING_SEEDS = (
 
 
 def assert_dense_oracle(h, pump, res, tol=DEFAULT):
-    """M's dense oracle at gamma*: its top eigenvalue w within threshold_imag *
-    kappa0 of the axis, the mode 1 at its pumped site and ||M psi - w psi|| within
-    residual_rel * ||M||_2 ||psi||."""
+    """M's dense oracle at gamma*: its top eigenvalue within threshold_imag *
+    kappa0 of the axis, the mode 1 at its pumped site p, and ||M psi - w psi||
+    within residual_rel * ||M||_2 ||psi|| for the eigenvalue w nearest (M psi)_p,
+    which must be within threshold_imag * kappa0 of the axis too: either of a
+    chiral chain's tied pair +-w, whose order by Im w round-off decides."""
     m, psi = pumped_hamiltonian(h, pump, res.threshold), res.threshold_mode
+    p = pump.pumped_sites[0] - 1
     w = np.linalg.eigvals(m)
-    w = w[w.imag.argmax()]
+    assert abs(w.imag.max()) <= tol.threshold_imag * pump.kappa0
+    assert psi[p] == 1.0
+    w = w[np.abs(w - (m @ psi)[p]).argmin()]
     assert abs(w.imag) <= tol.threshold_imag * pump.kappa0
-    assert psi[pump.pumped_sites[0] - 1] == 1.0
     assert (np.linalg.norm(m @ psi - w * psi)
             <= tol.residual_rel * np.linalg.norm(m, 2) * np.linalg.norm(psi))
 
@@ -213,6 +218,73 @@ def test_every_chain_whose_mode_vanishes_at_site_1_returns_its_threshold():
         res = find_threshold(h, pump)
         assert abs(res.threshold_mode[0]) < 1e-11 * np.linalg.norm(res.threshold_mode), seed
         assert_dense_oracle(h, pump, res)
+
+
+def test_chain_search_takes_no_dense_solve_and_passes_the_dense_oracle(monkeypatch):
+    # every tenth chain of the deep-pump family, and the threshold benchmark's
+    # n = 101 chains pumped at site n
+    cases = [fuzz_chain(seed) for seed in range(0, 3000, 10)] + [
+        (m, PumpSpec(kappa0=k0, pumped_sites=(101,))) for m in skin_chains(101)
+        for k0 in (0.02, 1.0)]
+    counter = Counter(monkeypatch)
+    for h, pump in cases:
+        solves = counter.solves
+        res = find_threshold(h, pump)
+        assert counter.solves == solves
+        assert_dense_oracle(h, pump, res)
+
+
+def test_tied_crossings_of_a_chiral_chain_return_the_least_w():
+    # the uniform n = 10 chain pumped at site 1 is chiral, so its crossings
+    # come in pairs +-w of one gamma: at kappa0 = 0.02 the least gamma is
+    # such a pair, and the search returns its w < 0 whichever of the pair
+    # round-off favours; at kappa0 = 1 it is the single crossing at w = 0
+    h = build_h0(LatticeSpec(n=10)).astype(complex)
+    for k0, expect in ((0.02, -0.28435284944751), (1.0, 0.0)):
+        pump = PumpSpec(kappa0=k0, pumped_sites=(1,))
+        res = find_threshold(h, pump)
+        m = pumped_hamiltonian(h, pump, res.threshold)
+        w = (m @ res.threshold_mode)[0]                 # psi_1 = 1
+        assert w == pytest.approx(expect, abs=1e-12)
+        assert np.abs(np.linalg.eigvals(m) + w.conjugate()).min() <= 1e-12   # its partner
+
+
+@st.composite
+def enclosure_cases(draw):
+    """(lam, c, k0, tn, a, b): poles, weights >= 0 (some 0 or tiny), a loss, a
+    bound tn >= |lam| and a cell [a, b] inside one cell of the search's cuts
+    of [lam_1, lam_n] (the poles, their midpoints, lam +- k0 and lam +-
+    sqrt(3) k0), on which every term of f, f' and g is monotone."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = np.sort(rng.uniform(-1.0, 1.0, n)) * 10 ** draw(st.floats(-2.0, 3.0))
+    c = rng.uniform(0.0, 1.0, n) ** draw(st.sampled_from([1, 8]))
+    c[rng.integers(n)] *= draw(st.sampled_from([0.0, 1e-12, 1.0]))
+    k0 = 10 ** draw(st.floats(-3.0, 1.0))
+    tn = np.abs(lam).max() * draw(st.sampled_from([1.0, 3.0]))
+    cuts = np.concatenate([lam, (lam[1:] + lam[:-1]) / 2]
+                          + [lam + s * k0 for s in (-3 ** 0.5, -1.0, 1.0, 3 ** 0.5)])
+    cuts = np.unique(cuts[(lam[0] <= cuts) & (cuts <= lam[-1])])
+    i = draw(st.integers(0, len(cuts) - 2))
+    t = np.sort([draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) for _ in range(2)])
+    a, b = np.clip(cuts[i] + t * (cuts[i + 1] - cuts[i]), cuts[i], cuts[i + 1])
+    return lam, c, k0, tn, a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=enclosure_cases())
+def test_cell_enclosures_hold_every_sampled_value(case):
+    # the completeness of the crossing search rests on this: at 64 points of
+    # the cell, f = Re G_pp, f' and g / kappa0 in extended precision lie
+    # within the enclosures, slacks included
+    lam, c, k0, tn, a, b = case
+    fa, fb, *bounds = _enclose(lam, c, k0, tn, np.array([a]), np.array([b]))
+    x = lam.astype(np.longdouble) - np.linspace(a, b, 64).astype(np.longdouble)[:, None]
+    q = 1 / (x * x + np.longdouble(k0) ** 2)
+    for (lo, hi), value in zip(bounds, (c * x * q, c * (x * x - np.longdouble(k0) ** 2) * q * q,
+                                        c * q)):
+        value = value.sum(axis=1)
+        assert np.all((lo <= value) & (value <= hi)), (lo, hi, value.min(), value.max())
 
 
 def test_polish_stops_on_the_rounding_bound_or_its_step_budget(monkeypatch):
@@ -244,20 +316,35 @@ def random_chains(draw):
     return m.astype(complex), PumpSpec(kappa0=kappa0, pumped_sites=(draw(st.integers(1, n)),))
 
 
+def bordered_matrix(form, p, kappa0):
+    """Q_p = [[T0, -kappa0], [kappa0, T0]] without row and column p.
+
+    Lemma: for real w, Re G_pp(w + i kappa0) = 0 iff det(Q_p - w) = 0,
+    multiplicities included.  Re G_pp = e^T D^-1 e / 2 with D = diag(T0 - z,
+    T0 - conj z), e = (e_p; e_p); J = [[I, I], [I, -I]] / sqrt 2 = J^-1 gives
+    J D J = [[T0 - w, -i kappa0], [-i kappa0, T0 - w]] and J e = sqrt 2 (e_p;
+    0), and diag(I, i) J D J diag(I, -i) = Q - w keeps the (p, p) entry of the
+    inverse.  By Cramer's rule Re G_pp = det(Q_p - w) / det(Q - w), and
+    det(Q - w) = det D = |det(T0 - z)|^2 > 0."""
+    n = len(form.diag)
+    t0 = np.diag(form.diag) + np.diag(form.off, 1) + np.diag(form.off, -1)
+    q = np.block([[t0, -kappa0 * np.eye(n)], [kappa0 * np.eye(n), t0]])
+    return np.delete(np.delete(q, p, axis=0), p, axis=1)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=random_chains())
 def test_chain_threshold_matches_the_green_function_and_the_dense_search(case):
     m, pump = case
     p, k0, form = pump.pumped_sites[0] - 1, pump.kappa0, chain_form(m)
     seen, eigvals = [], np.linalg.eigvals
-    with pytest.MonkeyPatch.context() as patch:   # the search's one eigvals, of Q_p
+    with pytest.MonkeyPatch.context() as patch:   # the search takes no eigvals
         patch.setattr(np.linalg, "eigvals", lambda a: seen.append(a) or eigvals(a))
         res = find_threshold(m, pump)
-    (q,) = seen
-    assert q.shape == (2 * len(m) - 1,) * 2 and q.dtype == float
-    # the real eigenvalues of Q_p are the sign changes of Re G_pp on a grid
-    # of step kappa0 / 400 across Q_p's spectrum
-    mu = eigvals(q)
+    assert seen == []
+    # the real eigenvalues of Q_p (the Lemma's roots) are the sign changes of
+    # Re G_pp on a grid of step kappa0 / 400 across Q_p's spectrum
+    mu = eigvals(bordered_matrix(form, p, k0))
     roots = np.sort(mu.real[mu.imag == 0])
     edge = np.abs(mu).max() + 1.0
     grid = np.arange(-edge, edge, k0 / 400)
@@ -265,7 +352,10 @@ def test_chain_threshold_matches_the_green_function_and_the_dense_search(case):
     cells = np.flatnonzero(np.sign(re_g[:-1]) != np.sign(re_g[1:]))
     assert len(cells) == len(roots)
     assert np.all((grid[cells] <= roots) & (roots <= grid[cells + 1]))
-    # the threshold against the dense regula falsi, and below the axis at lo
+    # the threshold is the least gamma = -Im R_p over those roots, and it
+    # matches the dense regula falsi and is below the axis at lo
+    gammas = -_green(form.diag, form.off, p, roots + 1j * k0)[0].imag
+    assert res.threshold == pytest.approx(gammas.min(), rel=1e-9)
     assert res.threshold == pytest.approx(regula_falsi(m, pump)[0], rel=1e-9)
     assert eigvals(pumped_hamiltonian(m, pump, res.bracket[0])).imag.max() < 0
 
@@ -366,20 +456,15 @@ def test_dense_inputs_keep_the_regula_falsi_bits(chain9):
 
 
 # ---------------------------------------------------------------------------
-# a one-site chain search: one eigvals of Q_p, no dense solve of M
+# a one-site chain search: no dense solve
 
 def test_chain_search_takes_no_dense_solve_at_zero(monkeypatch, chain9):
-    # nor anywhere else: its one dense call is the eigvals of the real
-    # (2n - 1) x (2n - 1) Q_p, and its threshold and bracket pass M's
-    # dense oracles
+    # nor anywhere else: no eig and no eigvals, and its threshold and bracket
+    # pass M's dense oracles
     for m, pump in threshold_cases(chain9):
-        counter, shapes = Counter(monkeypatch), []
-        counted = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or counted(a))
+        counter = Counter(monkeypatch)
         res = find_threshold(m, pump)
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
-        assert counter.calls == {"eig": 0, "eigvals": 1}
-        assert shapes == [(2 * len(m) - 1,) * 2]
+        assert counter.calls == {"eig": 0, "eigvals": 0}
         at = np.linalg.eigvals(pumped_hamiltonian(m, pump, res.threshold)).imag.max()
         assert abs(at) <= DEFAULT.threshold_imag * pump.kappa0
         lo, hi = res.bracket

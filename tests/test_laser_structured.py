@@ -224,11 +224,11 @@ def test_track_mode_makes_no_dense_eig_on_a_chain(monkeypatch, chain9):
 
 
 # (kappa0, input) -> (dense eig, dense eigvals) of find_threshold, as measured:
-# a chain's one eigvals of its bordered matrix Q_p, and a dense input's
-# eigvals of its regula falsi search and one eig at the root for its mode
+# none for a chain, and a dense input's eigvals of its regula falsi search
+# and one eig at the root for its mode
 THRESHOLD_SOLVES = {
-    (0.02, "h"): (0, 1), (0.02, "hpp"): (0, 1), (0.02, "u h u*"): (1, 5),
-    (0.02, "u hpp u*"): (1, 9), (1.0, "h"): (0, 1), (1.0, "hpp"): (0, 1),
+    (0.02, "h"): (0, 0), (0.02, "hpp"): (0, 0), (0.02, "u h u*"): (1, 5),
+    (0.02, "u hpp u*"): (1, 9), (1.0, "h"): (0, 0), (1.0, "hpp"): (0, 0),
     (1.0, "u h u*"): (1, 8), (1.0, "u hpp u*"): (1, 8),
 }
 
