@@ -370,6 +370,8 @@ def _crossings(lam: np.ndarray, c: np.ndarray, k0: float,
     triple root is resolved (k0 is the width of each term), as finer cells around a multiple
     root multiply like one over the root of their width; each run of touching undecided cells
     may hold a multiple root or a close pair, and its ends and midpoint are candidates."""
+    if lam[0] == lam[-1]:            # the poles, and so the roots, coincide in floating point
+        return lam[:1], np.array([True])
     eps, step = np.finfo(float).eps, max(1, _BLOCK // len(lam))
     floor = 4 * eps * (tn + k0)
     coarse = floor + np.cbrt(eps) * k0

@@ -130,6 +130,18 @@ def test_three_site_chain_pumped_in_the_middle_crosses_at_two_kappa0():
         assert np.linalg.eigvals(pumped_hamiltonian(h, pump, res.bracket[0])).imag.max() < 0
 
 
+def test_chain_whose_poles_coincide_in_floating_point_crosses_at_kappa0():
+    # couplings of 1e-20 on a uniform onsite 1 leave eigh_tridiagonal's
+    # eigenvalues all equal to 1.0, so the crossing search has no interval to
+    # cut; the mode is all but confined to the pumped site, so gamma* = kappa0
+    for n in (2, 3):
+        h = (np.eye(n) + 1e-20 * (np.eye(n, k=1) + np.eye(n, k=-1))).astype(complex)
+        pump = PumpSpec(kappa0=0.02, pumped_sites=(1,))
+        res = find_threshold(h, pump)
+        assert res.threshold == pytest.approx(0.02, rel=4 * np.finfo(float).eps)
+        assert_dense_oracle(h, pump, res)
+
+
 @pytest.mark.parametrize("b, c, top, ulps, ratio", [
     # the two least crossings merge at w ~ -2.0352, gamma ~ 3.2059893 kappa0,
     # as kappa0 rises to top; the next root is at ~3.5 kappa0
