@@ -11,12 +11,12 @@ takes the singular values of a chain H0 as |eigenvalues|, and
 ``bmap_correspondence`` takes a chain H_e's eigenvalues from one
 ``eigh_tridiagonal`` and applies a diagonal B elementwise.
 
-Every other input, and a chain eigenvector that misses its residual bound,
-takes the dense path.  The Jordan analysis never attempts a full-matrix
-Jordan form: the target eigenvalue cluster is isolated into its invariant
-subspace with a sorted Schur decomposition and the block structure is read
-off rank tests of the restricted (nearly nilpotent) operator, which is
-stable at desk scale.
+Other input first tries to certify an empty cluster from one LU inverse X of
+M = H - target*I: sigma_min(M) >= (1 - ||I - X M||_F - e) / ||X||_F, e a rounding
+slack (``ep_analyze``).  Where that fails, and for a chain eigenvector that
+misses its residual bound, a sorted Schur decomposition isolates the cluster
+into its invariant subspace, and the Jordan structure is read off rank tests of
+that (nearly nilpotent) block alone, which is stable at desk scale.
 """
 
 from __future__ import annotations
@@ -202,41 +202,60 @@ class EPReport:
 
 def _orthobasis(columns: np.ndarray, tol_abs: float) -> np.ndarray:
     """Orthonormal basis of the column span (SVD, absolute threshold)."""
-    if columns.size == 0:
-        return np.zeros((columns.shape[0], 0), dtype=complex)
     u, sv, _ = np.linalg.svd(columns, full_matrices=False)
     return u[:, sv > tol_abs]
 
 
 def _nullspace(m: np.ndarray, tol_abs: float) -> np.ndarray:
-    u, sv, vh = np.linalg.svd(m)
-    rank = int(np.sum(sv > tol_abs))
-    return vh[rank:].conj().T
+    _, sv, vh = np.linalg.svd(m)
+    return vh[int(np.sum(sv > tol_abs)):].conj().T
+
+
+def _cluster_is_empty(hm: np.ndarray, radius: float) -> bool:
+    """``ep_analyze``'s certificate that no eigenvalue of hm = H - target*I is within radius of 0."""
+    try:
+        x = np.linalg.inv(hm)
+    except np.linalg.LinAlgError:
+        return False
+    with np.errstate(all="ignore"):      # a non-finite or zero norm fails the test
+        xn, n = np.linalg.norm(x), hm.shape[0]
+        if not 1.0 / xn > radius:      # the test below cannot pass: skip the product
+            return False
+        rn = np.linalg.norm(np.eye(n) - x @ hm)
+        slack = (4 * (n + 2) * xn * np.linalg.norm(hm) + n * n) * np.finfo(float).eps
+        return bool(rn + slack <= 0.5 and (1.0 - rn - slack) / xn > radius)
 
 
 def ep_analyze(h: np.ndarray, target: complex = 0.0,
                tol: Tolerances = DEFAULT) -> EPReport:
     """Multiplicities and Jordan chains of the cluster at ``target``.
 
-    The cluster is every eigenvalue within ``cluster_rel * ||H||`` of the
-    target; a real chain takes those of its symmetric tridiagonal form within
+    The cluster is every eigenvalue within ctol = ``cluster_rel * ||H||`` of
+    the target; a real chain takes those of its symmetric tridiagonal form within
     twice that of Re target, with their vectors, from one ``eigh_tridiagonal``
     call.  A chain whose cluster holds one eigenvalue has geometric
     multiplicity 1 (an unreduced tridiagonal matrix is nonderogatory) and
     Jordan chain D^-1 phi, accepted when ||(H - target) v|| <=
-    ``nullity_rel * ||H||``.  Otherwise H is Schur-reduced to the cluster's
-    invariant subspace, where N = T_cluster - target*I: the geometric
-    multiplicity is the nullity of N, block sizes come from the ranks of its
-    powers, and chains are built inside that subspace then lifted back.  No
-    n x n decomposition of H - target*I is taken; an empty cluster reports
-    geometric multiplicity 0.
+    ``nullity_rel * ||H||``.  Other input is certified empty where it can be,
+    from one LU inverse X of M = H - target*I and no SVD: with R = I - X M,
+    every eigenvalue has |lambda - target| >= sigma_min(M) >= (1 - ||R||_F - e)
+    / ||X||_F if ||R||_F + e <= 1/2, and the empty report returns when that
+    exceeds 2 ctol.  The slack e = (4 (n + 2) ||X||_F ||M||_F + n^2) eps is eight
+    times the gamma_(n+2) bound on the rounding of X M (as ||X||_F ||M||_F >= 1/2,
+    it also covers forming M and I - X M) plus that of the two norms.  Otherwise
+    one sorted complex Schur decomposition counts the cluster and its diagonal
+    sets the boundary warning; in the cluster's invariant subspace, with
+    N = T_cluster - target*I, the geometric multiplicity is the nullity of N,
+    block sizes come from the ranks of its powers, and chains are built inside
+    that subspace then lifted back.
 
     Raises
     ------
     ValueError
         If H is not a finite, nonempty square matrix or target not finite.
     IllConditionedError
-        If the rank tests ask for more chain tops than the kernel holds.
+        If the sorted Schur decomposition fails, or the rank tests ask for
+        more chain tops than the kernel holds.
     """
     h = _matrix(h)
     target = _complex(target, "target")
@@ -244,6 +263,11 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
     norm = max(spectral_norm(h), 1e-300)
     ctol = tol.cluster_rel * norm
     ntol = tol.nullity_rel * norm
+
+    def report(algebraic, w, geometric=0, orders=(), chains=(), resid=0.0) -> EPReport:
+        dist = np.abs(w - target)       # w: the eigenvalues that decide the boundary warning
+        return EPReport(complex(target), algebraic, geometric, list(orders), list(chains), resid,
+                        bool(np.any((dist > ctol / 2) & (dist < 2 * ctol))), norm)
 
     form = chain_form(h)
     if form is not None:
@@ -253,32 +277,29 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
                 select_range=(target.real - 2 * ctol, target.real + 2 * ctol))
         except np.linalg.LinAlgError:
             form = None
-    if form is None:
-        w = np.linalg.eigvals(h)
-    dist = np.abs(w - target)
-    algebraic = int(np.sum(dist <= ctol))
-    boundary = bool(np.any((dist > ctol / 2) & (dist < 2 * ctol)))
+    if form is None and _cluster_is_empty(h - target * np.eye(n), 2 * ctol):
+        return report(0, np.empty(0))   # nothing within 2 ctol
+    if form is not None:
+        dist = np.abs(w - target)
+        algebraic = int(np.sum(dist <= ctol))
+        if algebraic == 1:
+            v = phi[:, np.argmin(dist)] / form.d
+            v = (v / np.linalg.norm(v)).astype(complex)
+            hv = _tridiagonal_product(*(np.diagonal(h, k) for k in (-1, 0, 1)), v[:, None])[:, 0]
+            resid = float(np.linalg.norm(hv - target * v))
+            if resid <= ntol:
+                return report(1, w, 1, [1], [[v]], resid)
+        if algebraic == 0:
+            return report(0, w)
 
-    def report(geometric, orders, chains, resid) -> EPReport:
-        return EPReport(target_energy=complex(target), algebraic_multiplicity=algebraic,
-                        geometric_multiplicity=geometric, ep_orders=orders, jordan_chains=chains,
-                        chain_residuals=resid, boundary_warning=boundary, matrix_norm=norm)
-
-    if form is not None and algebraic == 1:
-        v = phi[:, np.argmin(dist)] / form.d
-        v = (v / np.linalg.norm(v)).astype(complex)
-        hv = _tridiagonal_product(*(np.diagonal(h, k) for k in (-1, 0, 1)), v[:, None])[:, 0]
-        resid = float(np.linalg.norm(hv - target * v))
-        if resid <= ntol:
-            return report(1, [1], [[v]], resid)
-    if algebraic == 0:
-        return report(0, [], [], 0.0)
-
-    t, z, k = scipy.linalg.schur(h, output="complex",
-                                 sort=lambda x: abs(x - target) <= ctol)
-    if k != algebraic:
-        # Schur sort and eigvals disagree right at the band edge
-        boundary = True
+    try:
+        t, z, k = scipy.linalg.schur(h, output="complex",
+                                     sort=lambda x: abs(x - target) <= ctol)
+    except np.linalg.LinAlgError as err:
+        raise IllConditionedError(f"sorted Schur at target {complex(target)} with ctol "
+                                  f"{ctol:.3e}: {err}", n, norm, ntol) from err
+    if k == 0:
+        return report(0, np.diagonal(t))
     q = z[:, :k]
     nk = t[:k, :k] - target * np.eye(k)
 
@@ -291,17 +312,13 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
         kernels.append(_nullspace(power, ntol))
     ranks = [k - kernel.shape[1] for kernel in kernels]
     geometric = kernels[1].shape[1]
-    geq = [ranks[p - 1] - ranks[p] for p in range(1, k + 1)]  # blocks of size >= p
-    orders: list[int] = []
-    for p in range(k, 0, -1):
-        exact = geq[p - 1] - (geq[p] if p < k else 0)
-        orders.extend([p] * exact)
+    geq = [ranks[p - 1] - ranks[p] for p in range(1, k + 1)] + [0]  # blocks of size >= p
+    orders = [p for p in range(k, 0, -1) for _ in range(geq[p - 1] - geq[p])]
 
     # chain tops, tallest first; carried images N^(q-p) w_q block lower levels
     chains: list[list[np.ndarray]] = []
     carried: list[np.ndarray] = []
-    pmax = orders[0] if orders else 0
-    for p in range(pmax, 0, -1):
+    for p in range(max(orders, default=0), 0, -1):
         need = orders.count(p)
         picked = []
         if need:
@@ -326,15 +343,12 @@ def ep_analyze(h: np.ndarray, target: complex = 0.0,
         carried = [nk @ c for c in carried] + [nk @ wtop for wtop in picked]
 
     # residual certificates on the lifted chains
-    worst = 0.0
     hm = h - target * np.eye(n)
-    for chain in chains:
-        worst = max(worst, np.linalg.norm(hm @ chain[0]) / np.linalg.norm(chain[0]))
-        for i in range(1, len(chain)):
-            err = np.linalg.norm(hm @ chain[i] - chain[i - 1])
-            worst = max(worst, err / np.linalg.norm(chain[i - 1]))
+    worst = max((np.linalg.norm(hm @ chain[i] - (chain[i - 1] if i else 0.0))
+                 / np.linalg.norm(chain[max(i - 1, 0)])
+                 for chain in chains for i in range(len(chain))), default=0.0)
 
-    return report(geometric, orders, chains, float(worst))
+    return report(k, np.diagonal(t), geometric, orders, chains, float(worst))
 
 
 @dataclass

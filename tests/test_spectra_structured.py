@@ -254,7 +254,7 @@ def test_zeroed_site_inputs_take_the_dense_path():
             spy(np.linalg, "eigvalsh") as eigvalsh:
         rep = ep_analyze(h, 0.0)
         bmap = bmap_correspondence(h0, factor_psd(a))
-    assert schur.call_count == 1 and eigvals.call_count == 1
+    assert schur.call_count == 1 and eigvals.call_count == 0
     assert (rep.algebraic_multiplicity, rep.geometric_multiplicity, rep.ep_orders) == (3, 2, [2, 1])
     assert tri.call_count == 0 and eigvalsh.call_count == 1
     assert not bmap.invertible and bmap.spectra_agree
