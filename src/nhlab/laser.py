@@ -7,11 +7,11 @@ p, the least 1/Im G_pp over the real roots w of Re G_pp(w + i*kappa0), G the
 Green's function of its real symmetric T0, from an interval search in T0's
 eigenbasis and O(n) continued fractions; otherwise Illinois regula falsi on M's
 dense ``eigvals``.
-A chain's modes are continued by Newton's method on the secular equation of
-the rank-r pump in T0's eigenbasis, from r x r moments (O(n^2 r^2), no vector
-formed); a step whose order is not certified is matched by the overlap of its
-secular vectors, and only a step that misses its certificate takes a dense
-solve of T; other inputs are solved densely and matched at every point.
+A chain's modes are continued by Newton's method on the secular equation of the rank-r pump in
+T0's eigenbasis (r x r moments, no vector formed) from a cubic Hermite prediction, each done once
+a Newton-Kantorovich bound proves it within the stop; a step whose order is not certified is
+matched by the overlap of its secular vectors, and only a step that misses its certificate takes a
+dense solve of T; other inputs are solved densely and matched at every point.
 Junction power flows quantify the exchange that sets the threshold scale.
 """
 
@@ -71,6 +71,7 @@ def pumped_hamiltonian(h: np.ndarray, pump: PumpSpec, gamma: float) -> np.ndarra
     return m
 
 
+_EPS = np.finfo(float).eps
 _SECULAR_STEPS = 4      # Newton steps of a secular step that keeps its modes' order
 _POLISH_STEPS = 16      # Newton steps polishing a root of Re G_pp or of an unordered step
 
@@ -102,7 +103,7 @@ class _PumpedChain:
 
     @cached_property
     def basis(self) -> tuple | None:
-        """(lam, U, up, uu, I_r): T0 = U diag(lam) U^T from one ``eigh_tridiagonal``, up its r
+        """(lam, U, up, uu, I_r, gap): T0 = U diag(lam) U^T from one ``eigh_tridiagonal``, up its r
         pumped rows, rows 2 nu and 2 nu + 1 of uu both u_nu u_nu^T, flattened; None without a
         ``ChainForm`` or when a residual exceeds ``residual_rel`` * T(0)'s largest column norm."""
         if self.form is None:
@@ -114,9 +115,9 @@ class _PumpedChain:
             return None
         res = np.linalg.norm(_tridiagonal_product(off, diag, off, u) - lam * u, axis=0)
         ok = np.all(res <= self.tol.residual_rel * _column_norm(off, self.diagonal(0.0)))
-        up = u[self.p > 0]
+        up, gap = u[self.p > 0], np.diff(lam, prepend=-np.inf, append=np.inf)
         uu = np.repeat((up[:, None] * up).reshape(-1, self.n).T, 2, axis=0)
-        return (lam, u, up, uu, np.eye(len(up))) if ok else None
+        return (lam, u, up, uu, np.eye(len(up)), np.fmin(gap[:-1], gap[1:])) if ok else None
 
     def solve(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """Exact spectrum and unit vectors: of T(gamma) for a chain, else of M."""
@@ -139,30 +140,35 @@ class _PumpedChain:
         return (np.abs(self.basis[0] - (w + 1j * self.pump.kappa0)[:, None]).argmin(axis=1),
                 1j * (self.p @ sq) / sq.sum(axis=0))
 
-    def step(self, w: np.ndarray, mu: np.ndarray, slope: np.ndarray,
-             gamma0: float, gamma: float) -> tuple | None:
-        """Modes w at gamma0 (poles mu, dw/dgamma ``slope``) continued to gamma as (w, (mu,
-        slope), ordered): Newton steps on ``_secular`` from the first-order prediction, at most
-        ``_SECULAR_STEPS``, until one is within 64 eps * c (c: T(gamma)'s largest column norm),
-        applied after the evaluation it follows.  None unless every residual is within
-        ``residual_rel * c``, |sum w - trace T| within that bound and the eigenvalues pairwise
-        more than ``cluster_rel * c`` apart.  ``ordered``: each prediction is nearest its own
-        root (``_separated``); a point that fails a test is taken on to ``_POLISH_STEPS`` steps
-        in all and certified without it, its order left to an overlap match."""
-        lam, basis = self.basis[0], self.basis
-        diag, bound, n = self.diagonal(gamma), self.tol.residual_rel, len(w)
-        c = _column_norm(self.form.off, diag)
-        guess = w + (gamma - gamma0) * slope
+    def step(self, w: np.ndarray, mu: np.ndarray, slope: np.ndarray, gamma0: float,
+             gamma: float, prev: tuple | None = None) -> tuple | None:
+        """Modes w at gamma0 (poles mu, dw/dgamma ``slope``) continued to gamma as (w, (mu, slope),
+        ordered) by at most ``_SECULAR_STEPS`` Newton steps on ``_secular`` from the cubic Hermite
+        prediction through (w, slope) and ``prev`` = (w, slope, gamma) of the point before (else
+        the first-order one).  A mode's step is applied and it is done once the step is within stop
+        = 64 eps c (c: T(gamma)'s largest column norm) or ``_kantorovich`` proves h eta + e / |F'|
+        <= stop, h = B eta / |F'| <= 0.4, slack e = 4 eps (|F| + 2 |delta|), its residual then B
+        eta^2 / 2 + 2 e.  None unless all residuals are within ``residual_rel * c``, |sum w - trace
+        T| too and the eigenvalues pairwise more than ``cluster_rel * c`` apart.  ``ordered``: each
+        prediction is nearest its own root (``_separated``); else the point is taken on to
+        ``_POLISH_STEPS`` steps in all and certified without that test, its order left to an
+        overlap match."""
+        diag, bound, n, dg = self.diagonal(gamma), self.tol.residual_rel, len(w), gamma - gamma0
+        (lam, *_, gap), basis, c = self.basis, self.basis, _column_norm(self.form.off, diag)
+        t, m, sp = (0.0, slope, slope) if prev is None else (   # m: the secant slope
+            dg / (gamma0 - prev[2]), (w - prev[0]) / (gamma0 - prev[2]), prev[1])
+        guess = w + dg * (slope + t * (2 * slope + sp - 3 * m + t * (slope + sp - 2 * m)))
         delta = guess + 1j * self.pump.kappa0 - lam[mu]
-        res, slope, todo = np.empty(n), slope.copy(), np.arange(n)
+        res, slope, todo, stop = np.empty(n), slope.copy(), np.arange(n), 64 * _EPS * c
         with np.errstate(all="ignore"):          # a non-finite value fails the certificate
             for steps, prior in ((_SECULAR_STEPS, guess), (_POLISH_STEPS - _SECULAR_STEPS, None)):
                 for k in range(steps + 1):
                     if not todo.size:
                         break
-                    f, df, res[todo], slope[todo], *_ = _secular(basis, mu[todo], delta[todo], gamma)
-                    newton = f / df
-                    done = np.abs(newton) <= 64 * np.finfo(float).eps * c
+                    f, df, r, slope[todo], *_, mom = _secular(basis, mu[todo], delta[todo], gamma)
+                    err, proven = _kantorovich(gap[mu[todo]], delta[todo], gamma, f, df, *mom)[:2]
+                    newton, sure = f / df, err <= stop
+                    done, res[todo] = sure | (np.abs(newton) <= stop), np.where(sure, proven, r)
                     newton[~done & (k == steps)] = 0.0   # keep the evaluated point
                     delta[todo] -= newton
                     todo = todo[~done]
@@ -175,7 +181,7 @@ class _PumpedChain:
     def vectors(self, w: np.ndarray, mu: np.ndarray, gamma: float) -> np.ndarray:
         """Unit vectors U y^T of modes w (poles mu) at gamma, ``_secular``'s y (rows, y_mu = 1)."""
         lam, u, up = self.basis[:3]
-        *_, q, wgt = _secular(self.basis, mu, w + 1j * self.pump.kappa0 - lam[mu], gamma)
+        q, wgt = _secular(self.basis, mu, w + 1j * self.pump.kappa0 - lam[mu], gamma)[4:6]
         v = u @ np.where(np.arange(self.n) == mu[:, None], 1.0, -(q @ up) * wgt).T
         return v / np.linalg.norm(v, axis=0)
 
@@ -186,7 +192,7 @@ def _separated(w: np.ndarray, guess: np.ndarray | None, limit: float) -> bool:
     (less 4 eps relative, for round-off) decide it; only where they do not, n x n distances do."""
     re, n, guess = np.sort(w.real), len(w), w if guess is None else guess
     g = np.minimum.reduce(re[1:] - re[:-1], initial=np.inf)
-    return bool(g > limit and np.abs(guess - w).max() < (0.5 - 2 * np.finfo(float).eps) * g or (
+    return bool(g > limit and np.abs(guess - w).max() < (0.5 - 2 * _EPS) * g or (
         np.abs(w[:, None] - w)[~np.eye(n, dtype=bool)].min(initial=np.inf) > limit
         and np.array_equal(np.abs(guess[:, None] - w).argmin(axis=1), np.arange(n))))
 
@@ -200,7 +206,8 @@ def _column_norm(off: np.ndarray, diag: np.ndarray) -> float:
 
 
 def _secular(basis: tuple, mu: np.ndarray, delta: np.ndarray, gamma: float) -> tuple:
-    """(F, F', unit residual, dz/dgamma, q, i gamma wgt) of each mode at z = lam_mu + delta.
+    """(F, F', unit residual, dz/dgamma, q, i gamma wgt, (N, ||K^-1||, ||gamma^2 S_a||)) of each
+    mode at z = lam_mu + delta: N >= |y|^2 - 1 sums its terms' moduli, the norms are Frobenius.
 
     w is an eigenvalue of T(gamma) iff z = w + i*kappa0 is a root of det(I + i gamma up (lam -
     z)^-1 up^T); without the pole mu, F = -delta + i gamma u_mu^T q, q = K^-1 u_mu, K = I + i
@@ -208,7 +215,7 @@ def _secular(basis: tuple, mu: np.ndarray, delta: np.ndarray, gamma: float) -> t
     e_mu, so |F| / |y| is the unit residual, F' = -y^T y = -1 + gamma^2 q^T S_2 q, |y|^2 = 1 +
     gamma^2 q^H S_a q and dz/dgamma = i q^T q / y^T y.  S_1, S_2, S_a are the r x r moments sum_nu
     c_nu u_nu u_nu^T for c = wgt = 1 / (lam - z) (0 at mu), wgt^2, |wgt|^2: y is never formed."""
-    lam, _, up, uu, eye = basis
+    lam, _, up, uu, eye, _ = basis
     m, r = len(mu), len(eye)
     wgt = lam - (lam[mu] + delta)[:, None]
     wgt[np.arange(m), mu] = np.inf                   # the pole taken out
@@ -218,11 +225,29 @@ def _secular(basis: tuple, mu: np.ndarray, delta: np.ndarray, gamma: float) -> t
     um = up.T[mu]
     k = eye + s1.reshape(m, r, r)
     q = um / k[:, :, 0] if r == 1 else np.linalg.solve(k, um[:, :, None])[:, :, 0]
+    kn = 1 / np.abs(k[:, 0, 0]) if r == 1 else np.linalg.norm(np.linalg.inv(k), axis=(1, 2))
     f = 1j * gamma * np.add.reduce(um * q, 1) - delta
     yy = np.add.reduce(s2 * (q[:, :, None] * q[:, None]).reshape(m, -1), 1, initial=1)
-    qh = (q.conj()[:, :, None] * q[:, None]).reshape(m, -1).real
-    norm2 = np.add.reduce(sa * qh, 1, initial=1)
-    return f, -yy, np.abs(f) / np.sqrt(norm2), 1j * np.add.reduce(q * q, 1) / yy, q, wgt
+    sq = sa * (q.conj()[:, :, None] * q[:, None]).reshape(m, -1).real     # |y|^2 - 1 terms
+    return (f, -yy, np.abs(f) / np.sqrt(np.add.reduce(sq, 1, initial=1)), 1j * np.add.reduce(
+        q * q, 1) / yy, q, wgt, (np.add.reduce(abs(sq), 1), kn, np.sqrt(np.add.reduce(sa * sa, 1))))
+
+
+def _kantorovich(gap: np.ndarray, delta: np.ndarray, gamma: float, f: np.ndarray,
+                 df: np.ndarray, n0: np.ndarray, kn: np.ndarray, san: np.ndarray) -> tuple:
+    """(err, res, B, rho) of Newton steps from delta (F, F', moments of ``_secular``; gap to the
+    next pole; err inf if undecided): eta = (|F| + e) / |F'|, e = 4 eps (|F| + 2 |delta|) for F's
+    rounding; the other poles are d0 = |(gap - |Re delta|)+ + i Im delta| or more away.  On |delta'
+    - delta| <= rho = 2 eta, if 64 rho <= d0 and 64 gamma ||K0^-1|| rho <= d0^2, K^-1 grows at most
+    63/62-, |y|^2 - 1 <= N (64/63 + 1/62)^2- and S_a (64/63)^2-fold, so F'' = 2 gamma^2 q^T S_3 q -
+    2 i gamma^3 (S_2 q)^T K^-1 S_2 q is at most B = 2.25 N (1 / d0 + gamma ||K0^-1|| ||S_a||).
+    If h = B eta / |F'| <= 0.4, Newton-Kantorovich puts one root in the disk, within err = h eta +
+    e / |F'| of the stepped point, whose residual is at most res = B eta^2 / 2 + 2 e."""
+    a, e = np.abs(df), 4 * _EPS * ((af := np.abs(f)) + 2 * np.abs(delta))
+    eta, d0 = (af + e) / a, np.hypot(np.fmax(gap - np.abs(delta.real), 0.0), delta.imag)
+    b = n0 * (2.25 / d0 + kn * san * (2.25 / gamma))
+    ok = (b * eta <= 0.4 * a) & (128 * eta * np.fmax(d0, gamma * kn) <= d0 * d0)
+    return np.where(ok, (he := b * eta * eta / a) + e / a, np.inf), he * a / 2 + 2 * e, b, 2 * eta
 
 
 @dataclass
@@ -281,10 +306,10 @@ def track_mode(h: np.ndarray, pump: PumpSpec, gamma_grid: np.ndarray,
     order = np.lexsort((w.imag, w.real))
     w, v = w[order], v[:, order]
     traj[0] = w
-    state = chain.seed(w, v)               # None: a dense solve at every point
+    state, prev = chain.seed(w, v), None   # state None: a dense solve at every point
 
     for k in range(1, len(grid)):
-        moved = None if state is None else chain.step(w, *state, grid[k - 1], grid[k])
+        moved = None if state is None else chain.step(w, *state, grid[k - 1], grid[k], prev)
         if moved is None or not moved[2]:        # no certified order: match by overlap
             if v is None:                  # the previous point was a secular step
                 v = chain.vectors(w, state[0], grid[k - 1])
@@ -292,9 +317,9 @@ def track_mode(h: np.ndarray, pump: PumpSpec, gamma_grid: np.ndarray,
                       else (moved[0], chain.vectors(moved[0], moved[1][0], grid[k])))
             perm = _match_modes(np.abs(v.conj().T @ vn), tol.track_margin, grid[k])
             w, v = wn[perm], vn[:, perm]
-            state = chain.seed(w, v)
-        else:
-            (w, state, _), v = moved, None
+            state, prev = chain.seed(w, v), None
+        else:                              # prev: the point the Hermite prediction extends
+            (w, state, _), v, prev = moved, None, (w, state[1], grid[k - 1])
         traj[k] = w
 
     norm = max(spectral_norm(chain.h), 1e-300)
@@ -340,16 +365,20 @@ def _terms(lam: np.ndarray, c: np.ndarray, k0: float, w: np.ndarray) -> tuple:
 
 
 def _enclose(lam: np.ndarray, c: np.ndarray, k0: float, tn: float, a: np.ndarray,
-             b: np.ndarray) -> tuple:
+             b: np.ndarray, shared: int = 0) -> tuple:
     """(f(a), f(b), (lo, hi) of f, f' and g / k0) on cells [a, b] in [-tn, tn], tn >= |lam|,
     on which every term is monotone: sums of the terms' lesser and greater end values (Moore,
     *Interval Analysis*), widened with e = (n + 24) eps and h = hi of g / k0 by 4 e tn h for
     f = Re G_pp and by e (1 + 4 tn / k0) h for f', which bound rounding and a shift of each
-    pole by e tn, and for g = Im G_pp by a factor 1 -+ rho, rho = sqrt(eps) + e (1 + tn / k0)."""
-    eps = np.finfo(float).eps
-    e, ta, tb = (len(lam) + 24) * eps, _terms(lam, c, k0, a), _terms(lam, c, k0, b)
+    pole by e tn, and for g = Im G_pp by a factor 1 -+ rho, rho = sqrt(eps) + e (1 + tn / k0).
+    The first ``shared`` cells are consecutive, b_i = a_i+1: each of their ends is taken once."""
+    e, j, m = (len(lam) + 24) * _EPS, shared + (shared > 0), len(a) - shared
+    t = _terms(lam, c, k0, np.r_[a[:shared], b[shared - 1:shared], a[shared:], b[shared:]])
+    rows = ((np.r_[:shared, j:j + m], np.r_[1:j, j + m:j + 2 * m]) if shared and m else
+            (slice(None, -1), slice(1, None)) if shared else (slice(m), slice(m, None)))
+    ta, tb = ([x[i] for x in t] for i in rows)
     lo, hi = ([op(u, v).sum(axis=1) for u, v in zip(ta, tb)] for op in (np.minimum, np.maximum))
-    sf, sd, rho = 4 * e * tn * hi[2], e * (1 + 4 * tn / k0) * hi[2], eps**0.5 + e * (1 + tn / k0)
+    sf, sd, rho = 4 * e * tn * hi[2], e * (1 + 4 * tn / k0) * hi[2], _EPS**0.5 + e * (1 + tn / k0)
     return (ta[0].sum(axis=1), tb[0].sum(axis=1), (lo[0] - sf, hi[0] + sf),
             (lo[1] - sd, hi[1] + sd), ((1 - rho) * lo[2], (1 + rho) * hi[2]))
 
@@ -372,16 +401,17 @@ def _crossings(lam: np.ndarray, c: np.ndarray, k0: float,
     may hold a multiple root or a close pair, and its ends and midpoint are candidates."""
     if lam[0] == lam[-1]:            # the poles, and so the roots, coincide in floating point
         return lam[:1], np.array([True])
-    eps, step = np.finfo(float).eps, max(1, _BLOCK // len(lam))
+    eps, step = _EPS, max(1, _BLOCK // len(lam))
     floor = 4 * eps * (tn + k0)
     coarse = floor + np.cbrt(eps) * k0
     cuts = np.concatenate([lam, (lam[1:] + lam[:-1]) / 2]
                           + [lam + s * k0 for s in (-3 ** 0.5, -1.0, 1.0, 3 ** 0.5)])
     cuts = np.unique(cuts[(lam[0] <= cuts) & (cuts <= lam[-1])])
-    cells, top, roots, loose = np.array([cuts[:-1], cuts[1:]]), 0.0, [], []
+    cells, top, roots, loose, first = np.array([cuts[:-1], cuts[1:]]), 0.0, [], [], len(cuts) - 1
     while cells.shape[1]:
         (a, b), cells = cells[:, :step], cells[:, step:]
-        fa, fb, (flo, fhi), (dlo, dhi), (glo, ghi) = _enclose(lam, c, k0, tn, a, b)
+        shared, first = min(first, a.size), max(first - a.size, 0)    # first-level cells
+        fa, fb, (flo, fhi), (dlo, dhi), (glo, ghi) = _enclose(lam, c, k0, tn, a, b, shared)
         live, mono = (flo <= 0) & (fhi >= 0), (dlo > 0) | (dhi < 0)
         one = live & mono & ((fa > 0) != (fb > 0))
         top = max(top, glo[one].max(initial=0.0))
@@ -431,7 +461,7 @@ def _one_site_threshold(form: ChainForm, p: int, kappa0: float,
     Once 6 eps ||Q_p||_1 >= kappa0 the search raises (Q_p: [[T0, -kappa0],
     [kappa0, T0]] without row and column p, whose real spectrum is the roots).
     """
-    n, eps = len(form.diag), np.finfo(float).eps
+    n, eps = len(form.diag), _EPS
     col = np.abs(form.diag) + np.convolve(np.abs(form.off), [1.0, 1.0])   # T0's column sums
     qn = (col + kappa0 * (np.arange(n) != p)).max()
     if 6 * eps * qn >= kappa0:
@@ -465,7 +495,7 @@ def _regula_falsi(chain: _PumpedChain) -> tuple[float, np.ndarray | None, float,
     ftol = tol.threshold_imag * k0
 
     def floor() -> str:
-        return f"eps*||H|| = {np.finfo(float).eps * spectral_norm(chain.h):.3e}"
+        return f"eps*||H|| = {_EPS * spectral_norm(chain.h):.3e}"
 
     lo, f_lo = 0.0, -k0 if chain.form is not None else chain.top(0.0).imag
     if f_lo >= -ftol:

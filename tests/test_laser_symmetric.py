@@ -3,9 +3,9 @@ against dense solves: the continuation against a per-point greedy tracker on
 T and against M's dense eigvals, the threshold mode against the tracked
 crossing mode and M's dense eig, the benchmark's A^-1 H0 A chains at
 kappa0 = t against M-based oracles, the forced fallback, the dense-solve
-budget, the kernels a chain's track calls, the overlap match of secular
-vectors against the greedy tracker, and a threshold found where tracking to
-it ties."""
+budget, the kernels a chain's track calls and its pinned secular
+evaluations, the overlap match of secular vectors against the greedy
+tracker, and a threshold found where tracking to it ties."""
 
 from unittest import mock
 
@@ -156,6 +156,25 @@ def test_track_mode_on_a_chain_takes_one_eigh_tridiagonal_and_no_lu(monkeypatch,
                 assert calls == {"zgttrf": 0, "zgttrs": 0, "eigh_tridiagonal": 1}
                 fallbacks = TRACK_FALLBACKS.get((n, label, k0), 0)
                 assert counter.calls == {"eig": fallbacks, "eigvals": 0}
+
+
+# (n, input, kappa0) -> _secular evaluations of track_mode on the benchmark's grid, as
+# measured with the cubic Hermite prediction and the Newton-Kantorovich stop (the
+# first-order prediction and the step-size stop alone took 1299, 889 of them on
+# the n = 41 and 101 tracks, where these take 441); more evaluations fail here
+SECULAR_CALLS = {
+    (9, "H0 A", 0.02): 40, (9, "A^-1 H0 A", 0.02): 40, (9, "H0 A", 1.0): 40,
+    (9, "A^-1 H0 A", 1.0): 73, (41, "H0 A", 0.02): 40, (41, "A^-1 H0 A", 0.02): 40,
+    (41, "H0 A", 1.0): 40, (41, "A^-1 H0 A", 1.0): 84, (101, "H0 A", 0.02): 40,
+    (101, "A^-1 H0 A", 0.02): 50, (101, "H0 A", 1.0): 60, (101, "A^-1 H0 A", 1.0): 87}
+
+
+def test_track_mode_secular_evaluations_stay_within_their_pins(chain9):
+    for i, (m, pump, grid) in enumerate(bench_tracks(chain9)):
+        key = (len(m), ("H0 A", "A^-1 H0 A")[i % 2], pump.kappa0)
+        with mock.patch.object(laser, "_secular", wraps=laser._secular) as secular:
+            track_mode(m, pump, grid)
+        assert secular.call_count <= SECULAR_CALLS[key], key
 
 
 def bench_tracks(chain9):
