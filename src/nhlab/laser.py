@@ -148,11 +148,11 @@ class _PumpedChain:
         the first-order one).  A mode's step is applied and it is done once the step is within stop
         = 64 eps c (c: T(gamma)'s largest column norm) or ``_kantorovich`` proves h eta + e / |F'|
         <= stop, h = B eta / |F'| <= 0.4, slack e = 4 eps (|F| + 2 |delta|), its residual then B
-        eta^2 / 2 + 2 e.  None unless all residuals are within ``residual_rel * c``, |sum w - trace
-        T| too and the eigenvalues pairwise more than ``cluster_rel * c`` apart.  ``ordered``: each
-        prediction is nearest its own root (``_separated``); else the point is taken on to
-        ``_POLISH_STEPS`` steps in all and certified without that test, its order left to an
-        overlap match."""
+        eta^2 / 2 + 2 e; its slope is dw/dgamma at the last evaluated point, not the stepped one.
+        None unless all residuals are within ``residual_rel * c``, |sum w - trace T| too and the
+        eigenvalues pairwise more than ``cluster_rel * c`` apart.  ``ordered``: each prediction is
+        nearest its own root (``_separated``); else the point is taken on to ``_POLISH_STEPS``
+        steps in all and certified without that test, its order left to an overlap match."""
         diag, bound, n, dg = self.diagonal(gamma), self.tol.residual_rel, len(w), gamma - gamma0
         (lam, *_, gap), basis, c = self.basis, self.basis, _column_norm(self.form.off, diag)
         t, m, sp = (0.0, slope, slope) if prev is None else (   # m: the secant slope
@@ -224,6 +224,7 @@ def _secular(basis: tuple, mu: np.ndarray, delta: np.ndarray, gamma: float) -> t
     sa = np.square(wgt.view(float)) @ uu             # gamma^2 S_a, from Re^2 + Im^2
     um = up.T[mu]
     k = eye + s1.reshape(m, r, r)
+    # solve, not inv(k) @ u_mu: that loses the accuracy of F which _kantorovich's slack assumes
     q = um / k[:, :, 0] if r == 1 else np.linalg.solve(k, um[:, :, None])[:, :, 0]
     kn = 1 / np.abs(k[:, 0, 0]) if r == 1 else np.linalg.norm(np.linalg.inv(k), axis=(1, 2))
     f = 1j * gamma * np.add.reduce(um * q, 1) - delta
@@ -365,18 +366,16 @@ def _terms(lam: np.ndarray, c: np.ndarray, k0: float, w: np.ndarray) -> tuple:
 
 
 def _enclose(lam: np.ndarray, c: np.ndarray, k0: float, tn: float, a: np.ndarray,
-             b: np.ndarray, shared: int = 0) -> tuple:
+             b: np.ndarray) -> tuple:
     """(f(a), f(b), (lo, hi) of f, f' and g / k0) on cells [a, b] in [-tn, tn], tn >= |lam|,
     on which every term is monotone: sums of the terms' lesser and greater end values (Moore,
     *Interval Analysis*), widened with e = (n + 24) eps and h = hi of g / k0 by 4 e tn h for
     f = Re G_pp and by e (1 + 4 tn / k0) h for f', which bound rounding and a shift of each
     pole by e tn, and for g = Im G_pp by a factor 1 -+ rho, rho = sqrt(eps) + e (1 + tn / k0).
-    The first ``shared`` cells are consecutive, b_i = a_i+1: each of their ends is taken once."""
-    e, j, m = (len(lam) + 24) * _EPS, shared + (shared > 0), len(a) - shared
-    t = _terms(lam, c, k0, np.r_[a[:shared], b[shared - 1:shared], a[shared:], b[shared:]])
-    rows = ((np.r_[:shared, j:j + m], np.r_[1:j, j + m:j + 2 * m]) if shared and m else
-            (slice(None, -1), slice(1, None)) if shared else (slice(m), slice(m, None)))
-    ta, tb = ([x[i] for x in t] for i in rows)
+    Touching cells, b_i = a_i+1 (a first-level block), share the terms of their common ends."""
+    e, touch = (len(lam) + 24) * _EPS, np.array_equal(a[1:], b[:-1])
+    t = _terms(lam, c, k0, np.r_[a, b[-1:] if touch else b])
+    ta, tb = [x[:len(a)] for x in t], [x[-len(b):] for x in t]
     lo, hi = ([op(u, v).sum(axis=1) for u, v in zip(ta, tb)] for op in (np.minimum, np.maximum))
     sf, sd, rho = 4 * e * tn * hi[2], e * (1 + 4 * tn / k0) * hi[2], _EPS**0.5 + e * (1 + tn / k0)
     return (ta[0].sum(axis=1), tb[0].sum(axis=1), (lo[0] - sf, hi[0] + sf),
@@ -407,11 +406,10 @@ def _crossings(lam: np.ndarray, c: np.ndarray, k0: float,
     cuts = np.concatenate([lam, (lam[1:] + lam[:-1]) / 2]
                           + [lam + s * k0 for s in (-3 ** 0.5, -1.0, 1.0, 3 ** 0.5)])
     cuts = np.unique(cuts[(lam[0] <= cuts) & (cuts <= lam[-1])])
-    cells, top, roots, loose, first = np.array([cuts[:-1], cuts[1:]]), 0.0, [], [], len(cuts) - 1
+    cells, top, roots, loose = np.array([cuts[:-1], cuts[1:]]), 0.0, [], []
     while cells.shape[1]:
         (a, b), cells = cells[:, :step], cells[:, step:]
-        shared, first = min(first, a.size), max(first - a.size, 0)    # first-level cells
-        fa, fb, (flo, fhi), (dlo, dhi), (glo, ghi) = _enclose(lam, c, k0, tn, a, b, shared)
+        fa, fb, (flo, fhi), (dlo, dhi), (glo, ghi) = _enclose(lam, c, k0, tn, a, b)
         live, mono = (flo <= 0) & (fhi >= 0), (dlo > 0) | (dhi < 0)
         one = live & mono & ((fa > 0) != (fb > 0))
         top = max(top, glo[one].max(initial=0.0))
