@@ -23,6 +23,7 @@ Unknown keys anywhere in the config are rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -41,6 +42,7 @@ def _parse_tol(pairs: list[str]) -> dict[str, float]:
     return out
 
 
+@functools.cache          # one parser per process; each call of main parses with it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nhlab",
@@ -54,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
+        p.add_argument("--tol", action="append", metavar="KEY=VALUE",
                        help="tolerance override (repeatable)")
         if name == "properties":
             p.add_argument("--trials", type=int, default=None)

@@ -103,9 +103,10 @@ class _PumpedChain:
 
     @cached_property
     def basis(self) -> tuple | None:
-        """(lam, U, up, uu, I_r, gap): T0 = U diag(lam) U^T from one ``eigh_tridiagonal``, up its r
-        pumped rows, rows 2 nu and 2 nu + 1 of uu both u_nu u_nu^T, flattened; None without a
-        ``ChainForm`` or when a residual exceeds ``residual_rel`` * T(0)'s largest column norm."""
+        """(lam, U, up, uu, ends, gap, scale): T0 = U diag(lam) U^T by ``eigh_tridiagonal``, up its
+        pumped rows, uu their r^2 products, ends rows 1 and lam, gap to each pole's nearest; scale,
+        T(gamma)'s largest squared column norms (unpumped; pumped, less (gamma - kappa0)^2) and
+        trace T0.  None without a ``ChainForm`` or if a residual exceeds ``residual_rel`` * c."""
         if self.form is None:
             return None
         off, diag = self.form.off, self.form.diag
@@ -116,8 +117,10 @@ class _PumpedChain:
         res = np.linalg.norm(_tridiagonal_product(off, diag, off, u) - lam * u, axis=0)
         ok = np.all(res <= self.tol.residual_rel * _column_norm(off, self.diagonal(0.0)))
         up, gap = u[self.p > 0], np.diff(lam, prepend=-np.inf, append=np.inf)
-        uu = np.repeat((up[:, None] * up).reshape(-1, self.n).T, 2, axis=0)
-        return (lam, u, up, uu, np.eye(len(up)), np.fmin(gap[:-1], gap[1:])) if ok else None
+        uu, ends = (up[:, None] * up).reshape(-1, self.n), np.array([np.ones(self.n), lam])
+        col, k0 = np.square(diag) + np.r_[0.0, off * off] + np.r_[off * off, 0.0], self.pump.kappa0
+        scale = col[self.p == 0].max(initial=-np.inf) + k0 * k0, col[self.p > 0].max(), diag.sum()
+        return (lam, u, up, uu, ends, np.fmin(gap[:-1], gap[1:]), scale) if ok else None
 
     def solve(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """Exact spectrum and unit vectors: of T(gamma) for a chain, else of M."""
@@ -145,35 +148,31 @@ class _PumpedChain:
         """Modes w at gamma0 (poles mu, dw/dgamma ``slope``) continued to gamma as (w, (mu, slope),
         ordered) by at most ``_SECULAR_STEPS`` Newton steps on ``_secular`` from the cubic Hermite
         prediction through (w, slope) and ``prev`` = (w, slope, gamma) of the point before (else
-        the first-order one).  A mode's step is applied and it is done once the step is within stop
-        = 64 eps c (c: T(gamma)'s largest column norm) or ``_kantorovich`` proves h eta + e / |F'|
-        <= stop, h = B eta / |F'| <= 0.4, slack e = 4 eps (|F| + 2 |delta|), its residual then B
-        eta^2 / 2 + 2 e; its slope is dw/dgamma at the last evaluated point, not the stepped one.
-        None unless all residuals are within ``residual_rel * c``, |sum w - trace T| too and the
-        eigenvalues pairwise more than ``cluster_rel * c`` apart.  ``ordered``: each prediction is
-        nearest its own root (``_separated``); else the point is taken on to ``_POLISH_STEPS``
-        steps in all and certified without that test, its order left to an overlap match."""
-        diag, bound, n, dg = self.diagonal(gamma), self.tol.residual_rel, len(w), gamma - gamma0
-        (lam, *_, gap), basis, c = self.basis, self.basis, _column_norm(self.form.off, diag)
-        t, m, sp = (0.0, slope, slope) if prev is None else (   # m: the secant slope
-            dg / (gamma0 - prev[2]), (w - prev[0]) / (gamma0 - prev[2]), prev[1])
-        guess = w + dg * (slope + t * (2 * slope + sp - 3 * m + t * (slope + sp - 2 * m)))
-        delta = guess + 1j * self.pump.kappa0 - lam[mu]
-        res, slope, todo, stop = np.empty(n), slope.copy(), np.arange(n), 64 * _EPS * c
+        the first-order one).  A mode is stepped and done once the step or its err is within stop =
+        64 eps c (c: T(gamma)'s largest column norm), its residual then res; one not done by the
+        last step stays at its last evaluation, where its slope is dw/dgamma.  None unless all
+        residuals and |sum w - trace T| are within ``residual_rel * c`` and the eigenvalues pairwise
+        more than ``cluster_rel * c`` apart.  ``ordered``: each prediction is nearest its own root
+        (``_separated``); else it is taken on to ``_POLISH_STEPS`` steps without that test."""
+        bound, n, dg, k0 = self.tol.residual_rel, len(w), gamma - gamma0, self.pump.kappa0
+        (lam, _, up, *_, (cu, cp, tr)), basis = self.basis, self.basis
+        c, trace = np.sqrt(max(cu, cp + (gamma - k0) ** 2)), complex(tr, gamma * len(up) - k0 * n)
+        t, (pw, sp, _) = (0.0, (w, slope, 0)) if prev is None else (dg / (gamma0 - prev[2]), prev)
+        guess = w + dg * (1 + t) * ((1 + t) * slope + t * sp) - t * t * (3 + 2 * t) * (w - pw)
+        res, slope, stop, pole = np.empty(n), np.empty(n, complex), 64 * _EPS * c, lam[mu] - 1j * k0
+        delta, todo, at = guess - pole, np.arange(n), slice(None)
         with np.errstate(all="ignore"):          # a non-finite value fails the certificate
             for steps, prior in ((_SECULAR_STEPS, guess), (_POLISH_STEPS - _SECULAR_STEPS, None)):
                 for k in range(steps + 1):
                     if not todo.size:
                         break
-                    f, df, r, slope[todo], *_, mom = _secular(basis, mu[todo], delta[todo], gamma)
-                    err, proven = _kantorovich(gap[mu[todo]], delta[todo], gamma, f, df, *mom)[:2]
+                    f, df, r, slope[at], err, cert, *_ = _secular(basis, mu[at], delta[at], gamma)
                     newton, sure = f / df, err <= stop
-                    done, res[todo] = sure | (np.abs(newton) <= stop), np.where(sure, proven, r)
-                    newton[~done & (k == steps)] = 0.0   # keep the evaluated point
-                    delta[todo] -= newton
-                    todo = todo[~done]
-                w = lam[mu] + delta - 1j * self.pump.kappa0
-                if (np.all(res <= bound * c) and abs(w.sum() - diag.sum()) <= bound * c
+                    done, res[at] = sure | (np.abs(newton) <= stop), np.where(sure, cert, r)
+                    delta[at] -= newton if k < steps else np.where(done, newton, 0.0)
+                    todo = at = todo[~done]         # at: a slice at the first evaluation
+                w = pole + delta
+                if (res.max() <= bound * c and abs(w.sum() - trace) <= bound * c
                         and _separated(w, prior, self.tol.cluster_rel * c)):
                     return w, (mu, slope), prior is not None
         return None
@@ -181,8 +180,10 @@ class _PumpedChain:
     def vectors(self, w: np.ndarray, mu: np.ndarray, gamma: float) -> np.ndarray:
         """Unit vectors U y^T of modes w (poles mu) at gamma, ``_secular``'s y (rows, y_mu = 1)."""
         lam, u, up = self.basis[:3]
-        q, wgt = _secular(self.basis, mu, w + 1j * self.pump.kappa0 - lam[mu], gamma)[4:6]
-        v = u @ np.where(np.arange(self.n) == mu[:, None], 1.0, -(q @ up) * wgt).T
+        x = lam - (z := w + 1j * self.pump.kappa0)[:, None]
+        x[np.arange(len(mu)), mu] = np.inf                        # y_mu = 1
+        q = _secular(self.basis, mu, z - lam[mu], gamma)[-1].reshape(len(mu), -1)
+        v = u @ np.where(np.isinf(x), 1.0, -(q @ up) * (1j * gamma / x)).T
         return v / np.linalg.norm(v, axis=0)
 
 
@@ -206,49 +207,56 @@ def _column_norm(off: np.ndarray, diag: np.ndarray) -> float:
 
 
 def _secular(basis: tuple, mu: np.ndarray, delta: np.ndarray, gamma: float) -> tuple:
-    """(F, F', unit residual, dz/dgamma, q, i gamma wgt, (N, ||K^-1||, ||gamma^2 S_a||)) of each
-    mode at z = lam_mu + delta: N >= |y|^2 - 1 sums its terms' moduli, the norms are Frobenius.
+    """(F, F', unit residual, dz/dgamma, err, res, B, rho, q) of each mode at z = lam_mu + delta.
 
     w is an eigenvalue of T(gamma) iff z = w + i*kappa0 is a root of det(I + i gamma up (lam -
     z)^-1 up^T); without the pole mu, F = -delta + i gamma u_mu^T q, q = K^-1 u_mu, K = I + i
-    gamma S_1.  The coordinates y_mu = 1, y_nu = -i gamma wgt_nu u_nu^T q leave T's residual F
-    e_mu, so |F| / |y| is the unit residual, F' = -y^T y = -1 + gamma^2 q^T S_2 q, |y|^2 = 1 +
-    gamma^2 q^H S_a q and dz/dgamma = i q^T q / y^T y.  S_1, S_2, S_a are the r x r moments sum_nu
-    c_nu u_nu u_nu^T for c = wgt = 1 / (lam - z) (0 at mu), wgt^2, |wgt|^2: y is never formed."""
-    lam, _, up, uu, eye, _ = basis
-    m, r = len(mu), len(eye)
-    wgt = lam - (lam[mu] + delta)[:, None]
-    wgt[np.arange(m), mu] = np.inf                   # the pole taken out
-    np.divide(1j * gamma, wgt, out=wgt)
-    s1, s2 = wgt @ uu[::2], (wgt * wgt) @ uu[::2]     # i gamma S_1, -gamma^2 S_2
-    sa = np.square(wgt.view(float)) @ uu             # gamma^2 S_a, from Re^2 + Im^2
-    um = up.T[mu]
-    k = eye + s1.reshape(m, r, r)
-    # solve, not inv(k) @ u_mu: that loses the accuracy of F which _kantorovich's slack assumes
-    q = um / k[:, :, 0] if r == 1 else np.linalg.solve(k, um[:, :, None])[:, :, 0]
-    kn = 1 / np.abs(k[:, 0, 0]) if r == 1 else np.linalg.norm(np.linalg.inv(k), axis=(1, 2))
-    f = 1j * gamma * np.add.reduce(um * q, 1) - delta
-    yy = np.add.reduce(s2 * (q[:, :, None] * q[:, None]).reshape(m, -1), 1, initial=1)
-    sq = sa * (q.conj()[:, :, None] * q[:, None]).reshape(m, -1).real     # |y|^2 - 1 terms
-    return (f, -yy, np.abs(f) / np.sqrt(np.add.reduce(sq, 1, initial=1)), 1j * np.add.reduce(
-        q * q, 1) / yy, q, wgt, (np.add.reduce(abs(sq), 1), kn, np.sqrt(np.add.reduce(sa * sa, 1))))
-
-
-def _kantorovich(gap: np.ndarray, delta: np.ndarray, gamma: float, f: np.ndarray,
-                 df: np.ndarray, n0: np.ndarray, kn: np.ndarray, san: np.ndarray) -> tuple:
-    """(err, res, B, rho) of Newton steps from delta (F, F', moments of ``_secular``; gap to the
-    next pole; err inf if undecided): eta = (|F| + e) / |F'|, e = 4 eps (|F| + 2 |delta|) for F's
-    rounding; the other poles are d0 = |(gap - |Re delta|)+ + i Im delta| or more away.  On |delta'
-    - delta| <= rho = 2 eta, if 64 rho <= d0 and 64 gamma ||K0^-1|| rho <= d0^2, K^-1 grows at most
-    63/62-, |y|^2 - 1 <= N (64/63 + 1/62)^2- and S_a (64/63)^2-fold, so F'' = 2 gamma^2 q^T S_3 q -
-    2 i gamma^3 (S_2 q)^T K^-1 S_2 q is at most B = 2.25 N (1 / d0 + gamma ||K0^-1|| ||S_a||).
-    If h = B eta / |F'| <= 0.4, Newton-Kantorovich puts one root in the disk, within err = h eta +
-    e / |F'| of the stepped point, whose residual is at most res = B eta^2 / 2 + 2 e."""
-    a, e = np.abs(df), 4 * _EPS * ((af := np.abs(f)) + 2 * np.abs(delta))
-    eta, d0 = (af + e) / a, np.hypot(np.fmax(gap - np.abs(delta.real), 0.0), delta.imag)
+    gamma S_1.  y_mu = 1, y_nu = -i gamma wgt_nu u_nu^T q leave T's residual F e_mu: |F| / |y| is
+    the unit residual, F' = -y^T y = -1 + gamma^2 q^T S_2 q, |y|^2 = 1 + gamma^2 q^H S_a q and
+    dz/dgamma = i q^T q / y^T y, for S_1, S_2, S_a the r x r moments sum_nu c_nu u_nu u_nu^T of c =
+    wgt = 1 / (lam - z) (0 at mu), wgt^2, |wgt|^2 = g: sums of g, h = Re wgt, h^2 and g h over
+    blocks of at most ``_BLOCK`` (modes x poles), scalars for r = 1.  Newton's step is eta = (|F| +
+    e) / |F'|, e = 4 eps (|F| + 2 |delta| + r gamma ||K^-1|| ||K|| ||q|| for r > 1, the r x r
+    solve's backward error).  Other poles are d0 = |(gap - |Re delta|)+ + i Im delta| or more away.
+    On |delta' - delta| <= rho = 2 eta, if 64 rho <= d0 and 64 gamma ||K0^-1|| rho <= d0^2, K^-1,
+    |y|^2 - 1 <= N (its terms' moduli) and S_a grow at most 63/62-, (64/63 + 1/62)^2- and
+    (64/63)^2-fold, so F'' = 2 gamma^2 q^T S_3 q - 2 i gamma^3 (S_2 q)^T K^-1 S_2 q is at most
+    B = 2.25 N (1 / d0 + gamma ||K0^-1|| ||S_a||) (Frobenius).  If h = B eta / |F'| <= 0.4, a root
+    is within err = h eta + e / |F'| (else inf) of the step, its residual res = B eta^2 / 2 + 2e."""
+    lam, _, up, uu, ends, gap, _ = basis
+    (m, n), r, z = (len(mu), len(lam)), len(up), lam[mu] + delta
+    size, sums, x = max(1, _BLOCK // n), np.empty((4, m, len(uu))), np.ones((m, 2))
+    x[:, 0] = -z.real                # x @ ends = lam - Re z, each rounded once, as subtracted
+    for j in range(0, m, size):
+        p, t = mu[j:j + size], np.empty((4, min(size, m - j), n))     # g, h, h^2, g h
+        g, h = t[0], np.matmul(x[j:j + size], ends, out=t[1])     # no broadcast: a faster loop
+        np.add(np.square(h, out=g), z.imag[j:j + size, None] ** 2, out=g)
+        g[np.arange(len(p)), p] = np.inf                               # the pole taken out
+        h *= np.reciprocal(g, out=g)
+        np.multiply(t[1::-1], h, out=t[2:])
+        for i, c in enumerate(uu):       # matrix-vector products: no sum depends on the blocks
+            sums[:, j:j + size, i] = (t.reshape(-1, n) @ c).reshape(4, -1)
+    zi, (g, h, hh, gh) = (z.imag, sums[..., 0]) if r == 1 else (z.imag[:, None], sums)
+    k, sa = 1j * gamma * h - gamma * zi * g, gamma * gamma * g           # K - I, gamma^2 S_a
+    s2 = gamma * gamma * (g - 2 * hh) - 2j * gamma * gamma * (zi * gh)   # -gamma^2 S_2
+    if r == 1:
+        um, kn, san, slack = up[0, mu], 1 / np.abs(k := k + 1), sa, 2 * np.abs(delta)
+        q, n0 = um / k, sa * np.square(um * kn)
+        f, yy, sq = 1j * gamma * (um * q) - delta, 1 + s2 * (qq := q * q), n0
+    else:           # solve, not inv(k) @ u_mu, whose error the slack's last term does not bound
+        k, um, norm = k.reshape(m, r, r) + np.eye(r), up.T[mu], np.linalg.norm
+        q, kn = np.linalg.solve(k, um[..., None])[..., 0], norm(np.linalg.inv(k), axis=(1, 2))
+        f, qq = 1j * gamma * np.add.reduce(um * q, 1) - delta, np.add.reduce(q * q, 1)
+        yy = np.add.reduce(s2 * (q[:, :, None] * q[:, None]).reshape(m, -1), 1, initial=1)
+        terms = sa * (q.conj()[:, :, None] * q[:, None]).reshape(m, -1).real     # |y|^2 - 1
+        sq, n0, san = np.add.reduce(terms, 1), np.add.reduce(abs(terms), 1), norm(sa, axis=1)
+        slack = 2 * np.abs(delta) + r * gamma * kn * norm(k, axis=(1, 2)) * norm(q, axis=1)
+    a, e = np.abs(yy), 4 * _EPS * ((af := np.abs(f)) + slack)
+    eta, d0 = (af + e) / a, np.hypot(np.fmax(gap[mu] - np.abs(delta.real), 0.0), delta.imag)
     b = n0 * (2.25 / d0 + kn * san * (2.25 / gamma))
-    ok = (b * eta <= 0.4 * a) & (128 * eta * np.fmax(d0, gamma * kn) <= d0 * d0)
-    return np.where(ok, (he := b * eta * eta / a) + e / a, np.inf), he * a / 2 + 2 * e, b, 2 * eta
+    ok = ((bh := b * eta) <= 0.4 * a) & (128 * eta * np.fmax(d0, gamma * kn) <= d0 * d0)
+    return (f, -yy, af / np.sqrt(1 + sq), 1j * qq / yy, np.where(ok, ((be := bh * eta) + e) / a,
+            np.inf), be / 2 + 2 * e, b, 2 * eta, q)
 
 
 @dataclass

@@ -1,10 +1,12 @@
+import argparse
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nhlab import scenarios
+from nhlab import cli, scenarios
 from nhlab.cli import build_parser, config_from_args, main
 from nhlab.config import DEFAULT, Tolerances
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_product
@@ -311,3 +313,27 @@ def test_idempotent_outputs(tmp_path, scenario):
     first = outputs()
     assert f"{scenario}_report.json" in first
     assert outputs() == first
+
+
+def test_main_parses_with_one_parser_and_shares_no_parsed_state(tmp_path, monkeypatch):
+    # every call of main parses with the one parser a process builds, and each call's options,
+    # repeated --tol overrides included, give the configuration a parser built afresh gives
+    parser, parsed, configs = build_parser(), [], []
+    assert build_parser() is parser
+    monkeypatch.setattr(parser, "parse_args", lambda argv: parsed.append(argv) or (
+        argparse.ArgumentParser.parse_args(parser, argv)))
+    monkeypatch.setattr(cli, "run", lambda cfg: configs.append(cfg) or SimpleNamespace(
+        assertions=[], passed=True, scenario=cfg.scenario))
+    out = ["--out", str(tmp_path)]
+    argvs = [["properties", "--tol", "residual_rel=1e-9", "--tol", "cluster_rel=2",
+              "--trials", "5", "--seed", "3", *out],
+             ["fig1", *out], ["properties", *out], ["fig1", "--tol", "reality_rel=1e-7", *out],
+             ["calibrate_s", "--anchor", "2.0", *out], ["fig5", *out]]
+    for argv in argvs:
+        assert main(argv) == 0
+    assert parsed == argvs
+    assert configs == [config_from_args(build_parser.__wrapped__().parse_args(argv))
+                       for argv in argvs]
+    assert [c.tolerances for c in configs] == [
+        {"residual_rel": 1e-9, "cluster_rel": 2.0}, {}, {}, {"reality_rel": 1e-7}, {}, {}]
+    assert [c.trials for c in configs[:3]] == [5, 200, 200]

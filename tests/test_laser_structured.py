@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhlab import laser
 from nhlab.config import DEFAULT
 from nhlab.eig import chain_form
 from nhlab.laser import (NoThresholdError, PumpSpec, TrackingAmbiguityError, _column_norm,
@@ -145,6 +146,28 @@ def test_secular_residual_is_the_formed_residual(case, gamma_factor, offset):
     basis_error = np.linalg.norm(symmetric_form(m).real @ u - u * lam, 2)
     n = len(m)
     assert np.abs(res - formed).max() <= basis_error + 4 * n * np.finfo(float).eps * c
+
+
+@pytest.mark.parametrize("sites", [(1,), (3, 77), (1, 50, 130)])
+def test_blocked_secular_equals_one_unblocked_evaluation(monkeypatch, sites):
+    # at n = 200, all modes (and every second one) make more than _BLOCK modes x poles, so
+    # _secular sums over blocks of _BLOCK // n modes; one matrix-vector product per moment entry
+    # sums each row in the same order in any block, so every output is bit for bit that of a
+    # single block
+    rng, n = np.random.default_rng(len(sites)), 200
+    b, c = rng.uniform(0.5, 2.0, n - 1), rng.uniform(-1.0, 1.0, n)
+    chain = _PumpedChain(np.diag(c) + np.diag(b, 1) + np.diag(b, -1), PumpSpec(0.3, sites),
+                         DEFAULT)
+    mu, slope = chain.seed(*chain.solve(0.0))
+    for g, every in ((0.1, 1), (0.7, 1), (0.7, 2)):
+        m, delta = mu[::every], (g * slope + 1e-3 * np.exp(1j * np.arange(n)))[::every]
+        assert len(m) * n > laser._BLOCK
+        blocked = _secular(chain.basis, m, delta, g)
+        with monkeypatch.context() as patch:
+            patch.setattr(laser, "_BLOCK", len(m) * n)
+            whole = _secular(chain.basis, m, delta, g)
+        for x, y in zip(blocked, whole, strict=True):
+            np.testing.assert_array_equal(x, y)
 
 
 def test_dense_input_and_failed_certificate_use_np_eig(monkeypatch, chain9):
