@@ -9,9 +9,8 @@ eigenbasis and O(n) continued fractions; otherwise Illinois regula falsi on M's
 dense ``eigvals``.
 A chain's modes are continued by Newton's method on the secular equation of the rank-r pump in
 T0's eigenbasis (r x r moments, no vector formed) from a cubic Hermite prediction, each done once
-a Newton-Kantorovich bound proves it within the stop; a step whose order is not certified is
-matched by the overlap of its secular vectors, and only a step that misses its certificate takes a
-dense solve of T; other inputs are solved densely and matched at every point.
+a Newton-Kantorovich bound proves it within the stop; a step that misses its certificate or its
+order takes a dense solve of T, matched by eigenvector overlap as other inputs are at every point.
 Junction power flows quantify the exchange that sets the threshold scale.
 """
 
@@ -72,8 +71,8 @@ def pumped_hamiltonian(h: np.ndarray, pump: PumpSpec, gamma: float) -> np.ndarra
 
 
 _EPS = np.finfo(float).eps
-_SECULAR_STEPS = 4      # Newton steps of a secular step that keeps its modes' order
-_POLISH_STEPS = 16      # Newton steps polishing a root of Re G_pp or of an unordered step
+_SECULAR_STEPS = 4      # Newton steps of a secular step, which evaluates once more
+_POLISH_STEPS = 16      # Newton steps polishing a root of Re G_pp
 
 
 class _PumpedChain:
@@ -145,15 +144,14 @@ class _PumpedChain:
 
     def step(self, w: np.ndarray, mu: np.ndarray, slope: np.ndarray, gamma0: float,
              gamma: float, prev: tuple | None = None) -> tuple | None:
-        """Modes w at gamma0 (poles mu, dw/dgamma ``slope``) continued to gamma as (w, (mu, slope),
-        ordered) by at most ``_SECULAR_STEPS`` Newton steps on ``_secular`` from the cubic Hermite
-        prediction through (w, slope) and ``prev`` = (w, slope, gamma) of the point before (else
-        the first-order one).  A mode is stepped and done once the step or its err is within stop =
-        64 eps c (c: T(gamma)'s largest column norm), its residual then res; one not done by the
-        last step stays at its last evaluation, where its slope is dw/dgamma.  None unless all
-        residuals and |sum w - trace T| are within ``residual_rel * c`` and the eigenvalues pairwise
-        more than ``cluster_rel * c`` apart.  ``ordered``: each prediction is nearest its own root
-        (``_separated``); else it is taken on to ``_POLISH_STEPS`` steps without that test."""
+        """Modes w at gamma0 (poles mu, dw/dgamma ``slope``) continued to gamma as (w, (mu, slope))
+        by Newton's method on ``_secular`` from the cubic Hermite prediction through (w, slope)
+        and ``prev`` = (w, slope, gamma) of the point before (else the first-order one).  A mode
+        is stepped and done once its Newton-Kantorovich err is within stop = 64 eps c (c:
+        T(gamma)'s largest column norm), its residual then res, in at most ``_SECULAR_STEPS`` + 1
+        evaluations.  None unless every mode is done, all residuals and |sum w - trace T| are
+        within ``residual_rel * c``, the eigenvalues are pairwise more than ``cluster_rel * c``
+        apart and each prediction is nearest its own root (``_separated``)."""
         bound, n, dg, k0 = self.tol.residual_rel, len(w), gamma - gamma0, self.pump.kappa0
         (lam, _, up, *_, (cu, cp, tr)), basis = self.basis, self.basis
         c, trace = np.sqrt(max(cu, cp + (gamma - k0) ** 2)), complex(tr, gamma * len(up) - k0 * n)
@@ -162,19 +160,16 @@ class _PumpedChain:
         res, slope, stop, pole = np.empty(n), np.empty(n, complex), 64 * _EPS * c, lam[mu] - 1j * k0
         delta, todo, at = guess - pole, np.arange(n), slice(None)
         with np.errstate(all="ignore"):          # a non-finite value fails the certificate
-            for steps, prior in ((_SECULAR_STEPS, guess), (_POLISH_STEPS - _SECULAR_STEPS, None)):
-                for k in range(steps + 1):
-                    if not todo.size:
-                        break
-                    f, df, r, slope[at], err, cert, *_ = _secular(basis, mu[at], delta[at], gamma)
-                    newton, sure = f / df, err <= stop
-                    done, res[at] = sure | (np.abs(newton) <= stop), np.where(sure, cert, r)
-                    delta[at] -= newton if k < steps else np.where(done, newton, 0.0)
-                    todo = at = todo[~done]         # at: a slice at the first evaluation
-                w = pole + delta
-                if (res.max() <= bound * c and abs(w.sum() - trace) <= bound * c
-                        and _separated(w, prior, self.tol.cluster_rel * c)):
-                    return w, (mu, slope), prior is not None
+            for _ in range(_SECULAR_STEPS + 1):
+                f, df, _, slope[at], err, res[at], *_ = _secular(basis, mu[at], delta[at], gamma)
+                delta[at] -= f / df
+                todo = at = todo[~(err <= stop)]    # at: a slice at the first evaluation
+                if not todo.size:
+                    break
+            w = pole + delta
+            if (not todo.size and res.max() <= bound * c and abs(w.sum() - trace) <= bound * c
+                    and _separated(w, guess, self.tol.cluster_rel * c)):
+                return w, (mu, slope)
         return None
 
     def vectors(self, w: np.ndarray, mu: np.ndarray, gamma: float) -> np.ndarray:
@@ -187,11 +182,11 @@ class _PumpedChain:
         return v / np.linalg.norm(v, axis=0)
 
 
-def _separated(w: np.ndarray, guess: np.ndarray | None, limit: float) -> bool:
-    """Every |w_i - w_j| > limit and each guess_i (None: w_i) nearest w_i.  The least gap g of
-    the sorted Re w is at most every |w_i - w_j|, so g > limit and each |guess_i - w_i| < g / 2
-    (less 4 eps relative, for round-off) decide it; only where they do not, n x n distances do."""
-    re, n, guess = np.sort(w.real), len(w), w if guess is None else guess
+def _separated(w: np.ndarray, guess: np.ndarray, limit: float) -> bool:
+    """Every |w_i - w_j| > limit and each guess_i nearest w_i.  The least gap g of the sorted
+    Re w is at most every |w_i - w_j|, so g > limit and each |guess_i - w_i| < g / 2 (less
+    4 eps relative, for round-off) decide it; only where they do not, n x n distances do."""
+    re, n = np.sort(w.real), len(w)
     g = np.minimum.reduce(re[1:] - re[:-1], initial=np.inf)
     return bool(g > limit and np.abs(guess - w).max() < (0.5 - 2 * _EPS) * g or (
         np.abs(w[:, None] - w)[~np.eye(n, dtype=bool)].min(initial=np.inf) > limit
@@ -294,8 +289,8 @@ def _match_modes(overlaps: np.ndarray, margin: float, gamma: float) -> np.ndarra
 
 def track_mode(h: np.ndarray, pump: PumpSpec, gamma_grid: np.ndarray,
                tol: Tolerances = DEFAULT) -> Trajectory:
-    """Follow every eigenvalue of the pumped Hamiltonian along the grid: a chain by secular
-    steps, in order where certified, else matched by overlap (``_PumpedChain.step``)."""
+    """Follow every eigenvalue of the pumped Hamiltonian along the grid: a chain by certified
+    secular steps (``_PumpedChain.step``), any other point by a dense solve matched by overlap."""
     try:
         grid = np.asarray(gamma_grid, dtype=float)
     except (TypeError, ValueError):
@@ -319,16 +314,15 @@ def track_mode(h: np.ndarray, pump: PumpSpec, gamma_grid: np.ndarray,
 
     for k in range(1, len(grid)):
         moved = None if state is None else chain.step(w, *state, grid[k - 1], grid[k], prev)
-        if moved is None or not moved[2]:        # no certified order: match by overlap
+        if moved is None:                  # a dense solve, matched by overlap
             if v is None:                  # the previous point was a secular step
                 v = chain.vectors(w, state[0], grid[k - 1])
-            wn, vn = (chain.solve(grid[k]) if moved is None
-                      else (moved[0], chain.vectors(moved[0], moved[1][0], grid[k])))
+            wn, vn = chain.solve(grid[k])
             perm = _match_modes(np.abs(v.conj().T @ vn), tol.track_margin, grid[k])
             w, v = wn[perm], vn[:, perm]
             state, prev = chain.seed(w, v), None
         else:                              # prev: the point the Hermite prediction extends
-            (w, state, _), v, prev = moved, None, (w, state[1], grid[k - 1])
+            (w, state), v, prev = moved, None, (w, state[1], grid[k - 1])
         traj[k] = w
 
     norm = max(spectral_norm(chain.h), 1e-300)

@@ -105,19 +105,17 @@ def conjugate_pairs(eigenvalues: np.ndarray) -> tuple[list[tuple[int, int]], lis
     return list(zip(first.tolist(), partner[first].tolist())), resid[first].tolist()
 
 
-def certify(h: np.ndarray, h0: np.ndarray, es: EigenSystem | None = None,
+def certify(h: np.ndarray, h0: np.ndarray, es: EigenSystem,
             tol: Tolerances = DEFAULT) -> SpectralCertificate:
     """Certificate for H against the Hermitian factor H0 (metric H0^-1).
 
     The pseudo-Hermiticity residual ||H0^-1 H H0 - H^dag|| / ||H|| is
     reported as None when H0 is numerically singular (for a chain H0, the
     singular values are the moduli of its ``eigh_tridiagonal`` eigenvalues).
-    H must have the shape of ``es``'s matrix when it is given, H0 that of H.
+    H must have the shape of ``es``'s matrix, H0 that of H.
     """
-    h = _matrix(h, "h", None if es is None else (es.dim, es.dim))
+    h = _matrix(h, "h", (es.dim, es.dim))
     h0 = assert_hermitian(h0, tol, "h0", h.shape)
-    if es is None:
-        es = eig_full(h, tol)
     norm = es.matrix_norm
     max_imag = float(np.abs(es.eigenvalues.imag).max())
     pairs, resid = conjugate_pairs(es.eigenvalues)

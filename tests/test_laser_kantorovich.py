@@ -209,3 +209,24 @@ def test_slack_covers_the_solve_when_q_comes_from_an_explicit_inverse():
                 assert np.all(np.abs(w - dense[near]) <= err + floor)
                 fired += len(mu)
     assert fired                # the stop still fires here, so the checks above ran
+
+
+def test_a_mode_its_bound_never_proves_takes_the_dense_solve(chain9):
+    # pole 4's mode reports err = inf at every evaluation, F and F' unchanged: Newton still
+    # converges it, but no step-size test may finish it, so each point after the first is
+    # refused, solved densely on T(gamma) and matched by overlap, on the same trajectory
+    _, _, _, h, _ = chain9
+    pump, grid = PumpSpec(kappa0=0.02, pumped_sites=(1,)), np.linspace(0.0, 0.03, 9)
+    secular = laser._secular
+
+    def unproven(basis, mu, delta, gamma):
+        out = list(secular(basis, mu, delta, gamma))
+        out[4] = np.where(mu == 4, np.inf, out[4])
+        return tuple(out)
+
+    ref = laser.track_mode(h, pump, grid).eigenvalues
+    with (mock.patch.object(laser, "_secular", unproven),
+          mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig):
+        got = laser.track_mode(h, pump, grid).eigenvalues
+    assert eig.call_count == len(grid) - 1
+    assert np.abs(got - ref).max() <= 1e-12

@@ -23,7 +23,7 @@ def test_certify_psd_real_and_pseudo_hermitian():
     rng = np.random.default_rng(2)
     h0 = random_hermitian(rng, 8)
     h = construct_product(h0, random_psd(rng, 8))
-    cert = certify(h, h0)
+    cert = certify(h, h0, eig_full(h))
     assert cert.is_real
     assert cert.pseudo_hermitian_residual is not None
     assert cert.pseudo_hermitian_residual <= 1e-8
@@ -32,7 +32,8 @@ def test_certify_psd_real_and_pseudo_hermitian():
 
 def test_certify_indefinite_conjugate_pair():
     h0 = np.array([[0, 1], [1, 0]], dtype=complex)
-    cert = certify(construct_product(h0, np.diag([1.0, -1.0]).astype(complex)), h0)
+    h = construct_product(h0, np.diag([1.0, -1.0]).astype(complex))
+    cert = certify(h, h0, eig_full(h))
     assert not cert.is_real
     assert cert.conjugate_pairs == [(0, 1)]
     assert max(cert.pair_residuals) < 1e-10
@@ -41,7 +42,7 @@ def test_certify_indefinite_conjugate_pair():
 def test_certify_hermitian_identity_metric():
     rng = np.random.default_rng(4)
     h = random_hermitian(rng, 5)
-    cert = certify(h, np.eye(5, dtype=complex))
+    cert = certify(h, np.eye(5, dtype=complex), eig_full(h))
     assert cert.is_real
     assert cert.pseudo_hermitian_residual <= 1e-12
     assert all(mu == nu for mu, nu in cert.conjugate_pairs)
