@@ -6,8 +6,9 @@
     nhlab custom --config my_lattice.json --out results/
 
 Exit status is 0 exactly when every assertion of the scenario passed at the
-configured tolerances.  ``--tol key=value`` (repeatable) overrides any named
-tolerance; ``--config`` points at a JSON ScenarioConfig document:
+configured tolerances, 1 when one failed, and 2 for bad input or a typed
+refusal.  ``--tol key=value`` (repeatable) overrides any named tolerance;
+``--config`` points at a JSON ScenarioConfig document:
 
     {
       "scenario": "custom",
@@ -36,7 +37,7 @@ def _parse_tol(pairs: list[str]) -> dict[str, float]:
     out = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"--tol expects key=value, got {pair!r}")
+            raise ValueError(f"--tol expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         out[key.strip()] = float(value)
     return out
@@ -71,7 +72,7 @@ def config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         doc = _object(json.loads(Path(args.config).read_text()), "config")
         doc.setdefault("scenario", args.scenario)
         if doc["scenario"] != args.scenario:
-            raise SystemExit(f"config names scenario {doc['scenario']!r} but the "
+            raise ValueError(f"config names scenario {doc['scenario']!r} but the "
                              f"command line asked for {args.scenario!r}")
         cfg = ScenarioConfig.from_dict(doc)
     else:
@@ -103,7 +104,3 @@ def main(argv: list[str] | None = None) -> int:
           f"{sum(a.passed for a in result.assertions)}/{len(result.assertions)} "
           f"assertions passed; outputs in {cfg.out_dir}")
     return 0 if result.passed else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -29,13 +29,9 @@ class OscillatorChain:
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "n", 1))
         object.__setattr__(self, "spring_k", _positive(self.spring_k, "spring_k"))
-        masses = self.masses
-        if not (isinstance(masses, np.ndarray) and masses.dtype == float   # else mass by mass
-                and masses.shape == (self.n,) and np.all((masses > 0) & (masses < np.inf))):
-            if not _is_list(masses) or len(masses) != self.n:
-                raise ValueError(f"masses {masses!r} is not a list of {self.n} masses")
-            masses = np.array([_positive(m, "mass") for m in masses])
-        object.__setattr__(self, "masses", tuple(masses.tolist()))
+        if not _is_list(self.masses) or len(self.masses) != self.n:
+            raise ValueError(f"masses {self.masses!r} is not a list of {self.n} masses")
+        object.__setattr__(self, "masses", tuple(_positive(m, "mass") for m in self.masses))
 
 
 def stiffness_matrix(chain: OscillatorChain) -> np.ndarray:
@@ -84,8 +80,7 @@ def total_energy(chain: OscillatorChain, x: np.ndarray, v: np.ndarray) -> float:
     k = chain.spring_k
     masses = np.array(chain.masses)
     kinetic = 0.5 * float((masses * v * v).sum())
-    stretch = float(x[0] ** 2 + x[-1] ** 2 + ((x[1:] - x[:-1]) ** 2).sum()) if chain.n > 1 \
-        else float(2.0 * x[0] ** 2)
+    stretch = float(x[0] ** 2 + x[-1] ** 2 + ((x[1:] - x[:-1]) ** 2).sum())
     return kinetic + 0.5 * k * stretch
 
 

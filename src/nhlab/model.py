@@ -349,6 +349,15 @@ def construct_product(h0: np.ndarray, a: np.ndarray, tol: Tolerances = DEFAULT) 
     return h0 @ a * 0.5 + _adjoint(a @ h0 * 0.5)
 
 
+def _geometric_products(s, n: int, tol: Tolerances) -> np.ndarray:
+    """H0 A of the n-site unit-coupling chain with a_j = s^(j-1), or the stack of them for
+    an array of ratios s, from one ``construct_product``.  The ratios are the package's own,
+    so no ``LatticeSpec`` is validated per ratio."""
+    a = np.asarray(s, dtype=float)[..., None] ** np.arange(n, dtype=float)
+    h0 = np.broadcast_to(build_h0(LatticeSpec(n=n)), a.shape[:-1] + (n, n))
+    return construct_product(h0, (a[..., None, :] * np.eye(n)).astype(complex), tol)
+
+
 def construct_gauge(h0: np.ndarray, a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Similarity transform H'' = A^-1 H0 A (spectrum equals H0's) of two square
     matrices, or of each pair of two (k, n, n) stacks, each equal to its 2-D call:

@@ -5,7 +5,9 @@ list of trial indices: every instance is drawn from its own deterministic RNG
 keyed by (seed, suite, trial), the instances are grouped by size, and each
 group is checked with one stacked call per kernel (``eig_full`` included).
 One trial is the same code on a list of one, so any failure serializes to a
-small record that replays the identical instance.
+small record that replays the identical instance.  Instances are drawn and
+built as arrays: the validated records (``LatticeSpec``, ``OscillatorChain``)
+are for user and file input, not for the package's own draws.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from .config import DEFAULT, Tolerances, _integer
 from .eig import SELF_ORTHOGONAL, EigenSystem, eig_full
 from .mech import OscillatorChain, eigenfrequencies, stiffness_matrix
-from .model import (LatticeSpec, _adjoint, build_h0, build_scaling, construct_gauge,
-                    construct_product, norm_scale, residual_norm)
+from .model import (_adjoint, _geometric_products, construct_gauge, construct_product,
+                    norm_scale, residual_norm)
 from .spectra import _conjugate_matching
 
 
@@ -64,17 +66,13 @@ class SuiteReport:
         return not self.failures
 
 
-def _random_chain(rng, n: int) -> OscillatorChain:
-    return OscillatorChain(n=n, masses=rng.uniform(0.2, 5.0, n),
-                           spring_k=float(rng.uniform(0.5, 2.0)))
-
-
 def _chain_matrices(n: int, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, ...]:
-    """Each RNG's random chain as stacked (M, M0, diag(1 / sqrt m)), with M and M0 those
+    """Each RNG's random chain, its n masses drawn uniform in [0.2, 5) and then its spring
+    constant uniform in [0.5, 2), as stacked (M, M0, diag(1 / sqrt m)), with M and M0 those
     of ``dynamical_matrix`` and ``stiffness_matrix``."""
-    chains = [_random_chain(r, n) for r in rngs]
-    masses = np.array([c.masses for c in chains])
-    k0 = np.array([c.spring_k for c in chains])[:, None, None] * stiffness_matrix(
+    draws = [(r.uniform(0.2, 5.0, n), r.uniform(0.5, 2.0)) for r in rngs]
+    masses = np.array([m for m, _ in draws])
+    k0 = np.array([k for _, k in draws])[:, None, None] * stiffness_matrix(
         OscillatorChain(n=n, masses=np.ones(n)))
     root = np.zeros_like(k0)
     root[:, range(n), range(n)] = 1.0 / np.sqrt(masses)
@@ -156,14 +154,6 @@ def _gauge_similarity(n, rngs, tol):
     gap, rel = np.abs(w - w0).max(axis=-1), tol.spectra_match_rel
     return _exceeding("gauge spectrum gap", gap,
                       rel * np.maximum(norm_scale(h0, gap, rel), 1e-300), n)
-
-
-def _geometric_products(ratios: list[float], n: int, tol: Tolerances) -> np.ndarray:
-    """The stack of products H0 A of unit-coupling geometric chains, one per ratio."""
-    specs = [LatticeSpec(n=n, t=1.0, scaling="geometric", s=s) for s in ratios]
-    h0 = build_h0(specs[0])             # H0 does not depend on the ratio
-    return construct_product(np.broadcast_to(h0, (len(specs), n, n)),
-                             np.stack([build_scaling(spec) for spec in specs]), tol)
 
 
 def _coupling_ratio_geometric(n, rngs, tol):

@@ -23,8 +23,8 @@ from .eig import collinearity_residual, eig_full
 from .laser import PumpSpec, find_threshold, power_flows, pumped_hamiltonian, track_mode
 from .mech import (OscillatorChain, dynamical_matrix, eigenfrequencies,
                    integrate, spectral_peaks, total_energy)
-from .model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
-                    construct_product, spectral_norm)
+from .model import (LatticeSpec, _geometric_products, build_h0, build_scaling,
+                    construct_gauge, construct_product, spectral_norm)
 from .perturb import first_order, matrix_elements
 from .properties import SUITE_NAMES, run_properties
 from .skin import (ModeReport, NoZeroModeError, find_zero_mode, mode_reports,
@@ -145,27 +145,26 @@ def smallest_nonzero_abs(h: np.ndarray, tol: Tolerances = DEFAULT) -> float | np
     return float(least) if np.ndim(least) == 0 else least
 
 
-def _calibration_gap(s, anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9, t: float = 1.0,
+def _calibration_gap(s, anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9,
                     tol: Tolerances = DEFAULT) -> float | np.ndarray:
-    """smallest_nonzero_abs(H0 A) / t - anchor for the geometric ratio s, or for each ratio
-    of an array s from one stacked ``construct_product``, each equal to its scalar call."""
-    a = np.asarray(s, dtype=float)[..., None] ** np.arange(n, dtype=float)
-    h0 = np.broadcast_to(build_h0(LatticeSpec(n=n, t=t)), a.shape[:-1] + (n, n))
-    h = construct_product(h0, (a[..., None, :] * np.eye(n)).astype(complex), tol)
-    return smallest_nonzero_abs(h, tol) / t - anchor
+    """smallest_nonzero_abs(H0 A) - anchor for the geometric ratio s, or for each ratio of
+    an array s from one stacked ``_geometric_products``, each equal to its scalar call."""
+    return smallest_nonzero_abs(_geometric_products(s, n, tol), tol) - anchor
 
 
-def _product_pair(n: int, s: float, t: float = 1.0,
-                  tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
-    spec = LatticeSpec(n=n, t=t, scaling="geometric", s=s)
+def _product_pair(n: int, s: float,
+                  tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H0, H0 A, A^-1 H0 A) of the geometric chain; s comes from a calibration record,
+    so its ``LatticeSpec`` refuses a nonpositive ratio."""
+    spec = LatticeSpec(n=n, scaling="geometric", s=s)
     h0 = build_h0(spec)
     a = build_scaling(spec)
-    return construct_product(h0, a, tol), construct_gauge(h0, a, tol)
+    return h0, construct_product(h0, a, tol), construct_gauge(h0, a, tol)
 
 
-def calibrate_s(anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9, t: float = 1.0,
+def calibrate_s(anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9,
                 tol: Tolerances = DEFAULT) -> dict:
-    """Find the geometric ratio that puts the first nonzero |w| at anchor*t.
+    """Find the geometric ratio that puts the first nonzero |w| at anchor, in units of t.
 
     Scans a logarithmic grid for a sign change of the gap, bisects it, then
     cross-checks the calibrated ratio against the threshold table.  Returns
@@ -173,7 +172,7 @@ def calibrate_s(anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9, t: float = 1.0,
     """
     s_lo, s_hi = CALIBRATION_S_RANGE
     grid = np.geomspace(s_lo, s_hi, 121)
-    values = _calibration_gap(grid, anchor, n, t, tol)
+    values = _calibration_gap(grid, anchor, n, tol)
     i = next((i for i in range(len(grid) - 1)
               if values[i] == 0 or values[i] * values[i + 1] < 0), None)
     if i is None:
@@ -187,19 +186,19 @@ def calibrate_s(anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9, t: float = 1.0,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:       # float64 convergence: the bracket is fixed
             break
-        gm = _calibration_gap(mid, anchor, n, t, tol)
+        gm = _calibration_gap(mid, anchor, n, tol)
         if glo * gm <= 0:
             hi = mid
         else:
             lo, glo = mid, gm
     s_cal = 0.5 * (lo + hi)
-    achieved = _calibration_gap(s_cal, anchor, n, t, tol) + anchor
+    achieved = _calibration_gap(s_cal, anchor, n, tol) + anchor
 
-    h, hpp = _product_pair(n, s_cal, t, tol)
+    _, h, hpp = _product_pair(n, s_cal, tol)
     checks = {}
     all_ok = abs(achieved - anchor) <= 1e-3
     for kappa_over_t, (d_sel, d_std) in THRESHOLD_TABLE.items():
-        pump = PumpSpec(kappa0=kappa_over_t * t, pumped_sites=(1,))
+        pump = PumpSpec(kappa0=kappa_over_t, pumped_sites=(1,))
         got_sel = find_threshold(h, pump, tol).threshold / pump.kappa0
         got_std = find_threshold(hpp, pump, tol).threshold / pump.kappa0
         ok = (abs(got_sel - d_sel) <= 0.01 * d_sel
@@ -209,7 +208,7 @@ def calibrate_s(anchor: float = ANCHOR_NEXT_TO_ZERO, n: int = 9, t: float = 1.0,
                                      "expected": [d_sel, d_std], "within_1pct": ok}
 
     return {"s": float(s_cal), "anchor": anchor, "achieved": float(achieved),
-            "n": n, "t": t, "threshold_checks": checks, "all_ok": bool(all_ok)}
+            "n": n, "t": 1.0, "threshold_checks": checks, "all_ok": bool(all_ok)}
 
 
 def load_or_calibrate(out_dir: Path, tol: Tolerances) -> dict:
@@ -290,17 +289,14 @@ def scenario_fig1(cfg: ScenarioConfig, tol: Tolerances) -> ScenarioResult:
 def scenario_fig2(cfg: ScenarioConfig, tol: Tolerances,
                   calibration: dict) -> ScenarioResult:
     """Selective vs standard skin effect at the calibrated ratio."""
-    s = calibration["s"]
-    n, t = cfg.n, 1.0
-    spec = LatticeSpec(n=n, t=t, scaling="geometric", s=s)
-    h0 = build_h0(spec)
-    h, hpp = _product_pair(n, s, t, tol)
+    s, n = calibration["s"], cfg.n
+    h0, h, hpp = _product_pair(n, s, tol)
     es_h = eig_full(h, tol)
     es_hpp = eig_full(hpp, tol)
     es_h0 = eig_full(h0, tol)
 
-    anchor_h = smallest_nonzero_abs(h, tol) / t
-    anchor_hpp = smallest_nonzero_abs(hpp, tol) / t
+    anchor_h = smallest_nonzero_abs(h, tol)
+    anchor_hpp = smallest_nonzero_abs(hpp, tol)
     selective = verify_selective_skin(es_h, es_h0, s, tol)
     standard = verify_standard_skin(es_hpp, es_h0, s, tol)
     eq_resid = zero_mode_equality(es_h, es_hpp, tol)
@@ -354,17 +350,16 @@ def scenario_fig2(cfg: ScenarioConfig, tol: Tolerances,
 def scenario_fig3(cfg: ScenarioConfig, tol: Tolerances,
                   calibration: dict) -> ScenarioResult:
     """Lasing thresholds under a single-site pump, and junction power flows."""
-    s = calibration["s"]
-    n, t = cfg.n, 1.0
-    h, hpp = _product_pair(n, s, t, tol)
+    s, n = calibration["s"], cfg.n
+    _, h, hpp = _product_pair(n, s, tol)
     assertions = []
     report: dict[str, Any] = {"s": s, "thresholds": {}}
     tables: dict[str, tuple[list[str], list[list]]] = {}
 
     flow_reports = {}
     for kappa_over_t, (d_sel, d_std) in THRESHOLD_TABLE.items():
-        pump = cfg.pump or PumpSpec(kappa0=kappa_over_t * t, pumped_sites=(1,))
-        pump = replace(pump, kappa0=kappa_over_t * t)
+        pump = cfg.pump or PumpSpec(kappa0=kappa_over_t, pumped_sites=(1,))
+        pump = replace(pump, kappa0=kappa_over_t)
         results = {}
         reported = report["thresholds"][str(kappa_over_t)] = {}
         for label, matrix, expect in (("selective", h, d_sel), ("standard", hpp, d_std)):
@@ -431,12 +426,11 @@ def scenario_fig4(cfg: ScenarioConfig, tol: Tolerances,
                   calibration: dict) -> ScenarioResult:
     """Zero-energy degeneracy structure for zeroed scaling entries."""
     s = calibration["s"]
-    t = 1.0
     assertions = []
     report: dict[str, Any] = {"s": s, "cases": {}}
 
     def product_with_zeros(n, zeroed):
-        spec = LatticeSpec(n=n, t=t, scaling="geometric", s=s,
+        spec = LatticeSpec(n=n, scaling="geometric", s=s,
                            zeroed_sites=tuple(zeroed))
         return construct_product(build_h0(spec), build_scaling(spec), tol)
 
@@ -492,11 +486,10 @@ def scenario_fig4(cfg: ScenarioConfig, tol: Tolerances,
 def scenario_fig5(cfg: ScenarioConfig, tol: Tolerances,
                   calibration: dict) -> ScenarioResult:
     """First-order pump response of the zero mode vs exact threshold modes."""
-    s = calibration["s"]
-    n, t = cfg.n, 1.0
-    pump = cfg.pump or PumpSpec(kappa0=0.02 * t, pumped_sites=(1,))
+    s, n = calibration["s"], cfg.n
+    pump = cfg.pump or PumpSpec(kappa0=0.02, pumped_sites=(1,))
     kappa0 = pump.kappa0
-    h, hpp = _product_pair(n, s, t, tol)
+    _, h, hpp = _product_pair(n, s, tol)
 
     assertions = []
     report: dict[str, Any] = {"s": s, "kappa0": kappa0, "systems": {}}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nhlab.eig import eig_full
+from nhlab.mech import OscillatorChain
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_gauge, construct_product
 from nhlab.properties import _gaussians, _hermitian, _psd
 from nhlab.scenarios import calibrate_s
@@ -16,6 +17,13 @@ def random_psd(rng, n, rank_deficiency=0):
     """The PSD matrix a property trial draws from ``rng``, of rank n - rank_deficiency."""
     return _psd(_gaussians([rng], n)[0],
                 np.array([rank_deficiency]) if rank_deficiency else None)[0]
+
+
+def random_chain(rng, n):
+    """A chain with a mechanics trial's draws from ``rng``: n masses uniform in [0.2, 5),
+    then a spring constant uniform in [0.5, 2)."""
+    return OscillatorChain(n=n, masses=rng.uniform(0.2, 5.0, n),
+                           spring_k=float(rng.uniform(0.5, 2.0)))
 
 
 @pytest.fixture(scope="session")

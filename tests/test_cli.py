@@ -1,16 +1,23 @@
 import argparse
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import nhlab
 from nhlab import cli, scenarios
 from nhlab.cli import build_parser, config_from_args, main
 from nhlab.config import DEFAULT, Tolerances
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_product
-from nhlab.scenarios import ScenarioConfig, run, smallest_nonzero_abs
+from nhlab.scenarios import (CalibrationError, ScenarioConfig, load_or_calibrate, run,
+                             smallest_nonzero_abs)
 
 
 def test_scenario_config_rejects_unknown_keys():
@@ -279,10 +286,41 @@ def test_cli_unknown_tolerance_key(tmp_path, capsys):
         assert "unknown tolerance keys" in capsys.readouterr().err
 
 
-def test_cli_bad_config_scenario_mismatch(tmp_path):
+def test_cli_bad_config_scenario_mismatch(tmp_path, capsys):
     (tmp_path / "cfg.json").write_text(json.dumps({"scenario": "fig2"}))
-    with pytest.raises(SystemExit):
-        main(["fig1", "--config", str(tmp_path / "cfg.json")])
+    assert main(["fig1", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: config names scenario 'fig2' but the command line asked for 'fig1'\n")
+
+
+def test_cli_tolerance_without_value_exits_2(tmp_path, capsys):
+    assert main(["fig4", "--out", str(tmp_path), "--tol", "foo"]) == 2
+    assert capsys.readouterr().err == "error: --tol expects key=value, got 'foo'\n"
+    assert not (tmp_path / "fig4_report.json").exists()
+
+
+def test_python_m_nhlab_runs_a_scenario(tmp_path):
+    src = str(Path(nhlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "nhlab", "fig4", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].startswith("OK  fig4: ")
+    assert (tmp_path / "fig4_report.json").exists()
+
+
+def test_load_or_calibrate_refuses_a_record_without_s(tmp_path):
+    path = tmp_path / "calibration.json"
+    path.write_text(json.dumps({"anchor": 2.38}))
+    with pytest.raises(CalibrationError, match=re.escape(f"{path} is not a calibration record")):
+        load_or_calibrate(tmp_path, DEFAULT)
+
+
+def test_calibrate_s_names_the_best_ratio_when_no_ratio_reaches_the_anchor():
+    with pytest.raises(CalibrationError, match=re.escape(
+            "no s in [1.01, 4.0] reaches anchor 100.0; best s = 4.000000 with gap")):
+        scenarios.calibrate_s(anchor=100.0)
 
 
 def test_cli_seed_changes_fig1_output(tmp_path):

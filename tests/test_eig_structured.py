@@ -19,10 +19,9 @@ from nhlab.config import DEFAULT
 from nhlab.eig import (BIORTHONORMAL, SELF_ORTHOGONAL, _tridiagonal_product,
                        apply_metric_pairing, chain_form, collinearity_residual, eig_full)
 from nhlab.laser import PumpSpec, pumped_hamiltonian
-from nhlab.model import (LatticeSpec, build_h0, build_scaling, construct_gauge,
-                         construct_product, factor_psd)
+from nhlab.model import (LatticeSpec, _geometric_products, build_h0, build_scaling,
+                         construct_gauge, construct_product, factor_psd)
 from nhlab.perturb import first_order
-from nhlab.properties import _geometric_products
 from nhlab.spectra import ep_analyze, inner_product_audit
 
 from conftest import random_hermitian, random_psd

@@ -56,6 +56,15 @@ def test_single_mass_frequency():
     assert freqs[0] == pytest.approx(np.sqrt(2 * 3.0 / 2.5), rel=1e-12)
 
 
+def test_single_mass_energy():
+    # one mass between two walls: both springs stretch by x0
+    rng = np.random.default_rng(8)
+    for m, k, x0, v0 in rng.uniform(0.1, 10.0, (50, 4)) * [1, 1, -1, 1]:
+        chain = OscillatorChain(n=1, masses=(m,), spring_k=k)
+        assert total_energy(chain, np.array([x0]), np.array([v0])) == \
+            0.5 * m * v0 * v0 + k * (x0 * x0)
+
+
 def test_equal_masses_closed_form():
     n, mass, k = 7, 1.7, 2.0
     chain = OscillatorChain(n=n, masses=(mass,) * n, spring_k=k)

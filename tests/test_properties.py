@@ -14,7 +14,7 @@ from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_product,
 from nhlab.properties import SUITE_NAMES, replay_instance, run_properties, run_trial
 from nhlab.spectra import conjugate_pairs
 
-from conftest import random_hermitian, random_psd
+from conftest import random_chain, random_hermitian, random_psd
 
 
 def test_all_suites_pass_small():
@@ -50,8 +50,8 @@ def test_unknown_suite_rejected():
 
 def test_chiral_pairing_fails_under_onsite_ramp(monkeypatch):
     # an onsite ramp breaks the chiral symmetry: no mode keeps a -w partner
-    build_h0 = properties.build_h0
-    monkeypatch.setattr(properties, "build_h0",
+    build_h0 = model.build_h0
+    monkeypatch.setattr(model, "build_h0",
                         lambda spec: build_h0(spec) + np.diag(np.linspace(0, 0.3, spec.n)))
     assert [run_trial("chiral_pairing", 1, k) for k in range(3)] == [
         "no chiral partner for w = -680.378 (n=13, s=1.778)",
@@ -130,9 +130,10 @@ GOLDEN_FAILURES = {
 
 @pytest.fixture
 def perturbed_scaling(monkeypatch):
-    build_scaling = properties.build_scaling
-    monkeypatch.setattr(properties, "build_scaling", lambda spec: build_scaling(spec) * (
-        1 + 1e-12 * (np.arange(spec.n) >= spec.n // 2)))
+    # the geometric builder's diagonal stack, its upper half raised by a relative 1e-12
+    construct_product = model.construct_product
+    monkeypatch.setattr(model, "construct_product", lambda h0, a, tol: construct_product(
+        h0, a * (1 + 1e-12 * (np.arange(a.shape[-1]) >= a.shape[-1] // 2)), tol))
 
 
 def test_stacked_failure_details_match_recorded_trials(perturbed_scaling):
@@ -191,6 +192,29 @@ def test_stacked_suites_call_eig_full_once_per_size_group(monkeypatch):
         sizes = [n for _, n, _ in shapes]
         assert len(sizes) == len(set(sizes)) > 1, suite      # one stack per size
         assert sum(k for k, _, _ in shapes) == 50, suite     # every trial in one of them
+
+
+def test_validated_records_are_built_once_per_size_group(monkeypatch):
+    # the suites draw their instances as arrays: a LatticeSpec or an OscillatorChain is
+    # built at most once per size group (the unit-coupling H0, the unit stiffness matrix)
+    checks = {check.__name__: suite for suite, (_, check) in properties._SUITES.items()}
+    built = {}
+    for record in (LatticeSpec, OscillatorChain):
+        def counted(self, post_init=record.__post_init__):
+            frame = inspect.currentframe()
+            while frame.f_code.co_name not in checks:
+                frame = frame.f_back
+            built.setdefault(checks[frame.f_code.co_name], []).append(self.n)
+            post_init(self)
+
+        monkeypatch.setattr(record, "__post_init__", counted)
+    run_properties(trials=200, seed=1)
+    assert set(built) == {"coupling_ratio_geometric", "chiral_pairing", "mech_reality",
+                          "mech_hermitian_equivalent"}
+    for suite, sizes in built.items():
+        size, rngs = properties._SUITES[suite][0], properties._trial_rngs(
+            1, SUITE_NAMES.index(suite), range(200))
+        assert len(sizes) == len(set(sizes)) and set(sizes) <= {size(r) for r in rngs}, suite
 
 
 def loop_chiral_detail(es, n, s, tol):
@@ -319,7 +343,7 @@ def test_eigenfrequencies_norm_floor_keeps_the_svd_rule_outcome():
     rng = np.random.default_rng(3)
     cases = 0
     for n in (1, 2, 5, 12, 33):
-        chain = dynamical_matrix(properties._random_chain(rng, n))
+        chain = dynamical_matrix(random_chain(rng, n))
         top = np.linalg.eigvals(chain.real).real.max()
         for m in (chain, chain - 1.5 * top * np.eye(n), rng.normal(size=(n, n)),
                   rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))):

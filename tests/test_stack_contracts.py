@@ -15,7 +15,7 @@ from nhlab.mech import dynamical_matrix, eigenfrequencies, stiffness_matrix
 from nhlab.model import LatticeSpec, build_h0, build_scaling, construct_gauge, construct_product
 from nhlab.spectra import _conjugate_matching, conjugate_pairs
 
-from conftest import random_hermitian, random_psd
+from conftest import random_chain, random_hermitian, random_psd
 from test_eig_stack import N, assert_same
 from test_spectra_batched import reference_conjugate_pairs
 
@@ -72,7 +72,7 @@ def test_stacked_entry_points_refuse_1d_and_4d_input(call):
 def test_eigenfrequencies_stack_equals_each_matrix():
     rng = np.random.default_rng(5)
     for n in range(1, 41):
-        m = np.stack([dynamical_matrix(properties._random_chain(rng, n)) for _ in range(3)])
+        m = np.stack([dynamical_matrix(random_chain(rng, n)) for _ in range(3)])
         tilted = m + 1e-12j * np.eye(n)             # complex input: complex arithmetic
         for stack in (m, tilted, np.stack([m[0], tilted[1], m[2]])):
             got = eigenfrequencies(stack)
@@ -86,7 +86,7 @@ def test_chain_matrices_are_each_chain_s_own():
         rngs = [np.random.default_rng([n, k]) for k in range(4)]
         m, k0, root = properties._chain_matrices(n, rngs)
         for k in range(4):
-            chain = properties._random_chain(np.random.default_rng([n, k]), n)
+            chain = random_chain(np.random.default_rng([n, k]), n)
             assert np.array_equal(m[k], dynamical_matrix(chain))
             assert np.array_equal(k0[k], stiffness_matrix(chain))
             assert np.array_equal(root[k], np.diag(1.0 / np.sqrt(np.array(chain.masses))))
@@ -94,7 +94,7 @@ def test_chain_matrices_are_each_chain_s_own():
 
 def test_eigenfrequencies_stack_refusal_names_its_index():
     rng = np.random.default_rng(6)
-    m = np.stack([dynamical_matrix(properties._random_chain(rng, 6)) for _ in range(4)])
+    m = np.stack([dynamical_matrix(random_chain(rng, 6)) for _ in range(4)])
     unstable = m.copy()
     unstable[2] += 10.0 * np.eye(6)
     with pytest.raises(ValueError, match=r"^stack index 2: positive eigenvalue"):
